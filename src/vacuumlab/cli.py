@@ -135,7 +135,7 @@ def cmd_coulomb(args):
 
     summary = {"profile": curve.profile_tag, "q": args.q, "q_ph": q_ph}
     try:
-        pot = lambda r: curve_potential(profile, q_ph, r)
+        pot = lambda r: coulomb.potential(profile, q_ph, r)
         bracket = coulomb.expand_bracket(pot, args.rmin)
         r0 = coulomb.sign_change_radius(pot, bracket)
         summary["sign_change_radius"] = r0
@@ -146,12 +146,6 @@ def cmd_coulomb(args):
     if args.summary:
         _write_json(args.summary, summary)
     return 0
-
-
-def curve_potential(profile, q_ph, r):
-    if profile.kind is vacuum.ProfileKind.BOX_SHELL:
-        return coulomb.potential_box(q_ph, profile.k1, profile.k2, r)
-    return coulomb.potential_lorentz(q_ph, profile.lambda2, profile.y0, r)
 
 
 def cmd_cavity(args):

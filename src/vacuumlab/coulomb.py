@@ -24,11 +24,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import BranchError, DomainError, NoSignChange, NonConvergence
 from .numerics import DEFAULT_SPEC, QuadratureSpec
 from .specfun import bessel_k0_complex, sine_integral
-from .vacuum import ProfileKind, VacuumProfile, density
+from .vacuum import ProfileKind, VacuumProfile, density, physical_charge
 
 HALF_PI = math.pi / 2.0
 
@@ -49,42 +50,57 @@ class PotentialCurve:
             raise DomainError("radii must be strictly increasing")
 
 
-def potential_box(q_ph: float, k1: float, k2: float, r: float) -> float:
-    """Box-shell potential -(q_ph^2/(4 pi r)) (Si(k2 r) - Si(k1 r))/(pi/2).
+def potential_box(q_ph: float, k1: float, k2: float, r):
+    """Box-shell potential -(q_ph^2/(4 pi r)) (Si(k2 r) - Si(k1 r))/(pi/2)
+    at a radius or an array of radii (a float for a scalar r).
 
     Finite at the origin: the r -> 0 limit is -q_ph^2 (k2 - k1)/(2 pi^2).
     """
     if k1 <= 0 or k2 <= k1:
         raise DomainError("box potential requires 0 < k1 < k2")
-    if r < 0:
+    r = np.asarray(r, dtype=float)
+    if (r < 0).any():
         raise DomainError("radius must be nonnegative")
-    if r == 0.0:
-        return -q_ph ** 2 * (k2 - k1) / (2.0 * math.pi ** 2)
-    si = sine_integral(k2 * r) - sine_integral(k1 * r)
-    return -q_ph ** 2 / (4.0 * math.pi * r) * si / HALF_PI
+    with np.errstate(divide="ignore", invalid="ignore"):
+        si = sine_integral(k2 * r) - sine_integral(k1 * r)
+        v = -q_ph ** 2 / (4.0 * math.pi * r) * si / HALF_PI
+    v = np.where(r == 0.0, -q_ph ** 2 * (k2 - k1) / (2.0 * math.pi ** 2), v)
+    return float(v) if v.ndim == 0 else v
 
 
-def potential_lorentz(q_ph: float, lambda2: float, y0: float, r: float,
-                      conj_tol: float = 1e-12) -> float:
+def potential_lorentz(q_ph: float, lambda2: float, y0: float, r,
+                      conj_tol: float = 1e-12):
     """Potential of the exponentially cut vacuum via the complex K0 kernel,
 
         V(r) = (q_ph^2/(pi^2 r)) e^{2 lambda} Im K0(2 lambda sqrt(1 + i r/y0)),
 
-    using the principal branch of the square root.  The two conjugate kernel
+    at a radius or an array of radii (a float for a scalar r), using the
+    principal branch of the square root.  The two conjugate kernel
     arguments must combine to a purely imaginary difference; a violation
     beyond conj_tol raises BranchError.
     """
-    if lambda2 <= 0 or y0 <= 0 or r <= 0:
+    r = np.asarray(r, dtype=float)
+    if lambda2 <= 0 or y0 <= 0 or (r <= 0).any():
         raise DomainError("potential_lorentz requires positive parameters")
     lam = math.sqrt(lambda2)
-    w = 2.0 * lam * np.sqrt(complex(1.0, r / y0))
-    k_plus = bessel_k0_complex(w)
-    k_minus = bessel_k0_complex(np.conj(w))
+    w = 2.0 * lam * np.sqrt(1.0 + 1j * (r / y0))
+    # one kernel call for the pair (w, conj w)
+    k_plus, k_minus = bessel_k0_complex(np.array([w, w.conj()]))
     diff = k_minus - k_plus           # should be -2i Im K0(w)
-    if abs(diff.real) > conj_tol * max(1.0, abs(diff)):
-        raise BranchError(
-            f"conjugate kernel pair lost symmetry: Re diff = {diff.real}")
-    return q_ph ** 2 / (math.pi ** 2 * r) * math.exp(2.0 * lam) * k_plus.imag
+    lost = np.abs(diff.real) > conj_tol * np.maximum(1.0, np.abs(diff))
+    if lost.any():
+        raise BranchError("conjugate kernel pair lost symmetry: Re diff = "
+                          f"{np.max(np.abs(diff.real))}")
+    v = q_ph ** 2 / (math.pi ** 2 * r) * math.exp(2.0 * lam) * k_plus.imag
+    return float(v) if v.ndim == 0 else v
+
+
+def potential(profile: VacuumProfile, q_ph: float, r):
+    """Closed-form potential of the profile at a radius or an array of radii
+    (q_ph the physical charge): the box or the exponential kernel."""
+    if profile.kind is ProfileKind.BOX_SHELL:
+        return potential_box(q_ph, profile.k1, profile.k2, r)
+    return potential_lorentz(q_ph, profile.lambda2, profile.y0, r)
 
 
 def potential_profile_quad(q: float, profile: VacuumProfile, r: float,
@@ -154,7 +170,8 @@ def _sine_transform(profile: VacuumProfile, w: float,
 def sign_change_radius(potential: Callable[[float], float],
                        bracket: tuple[float, float],
                        rel_tol: float = 1e-10) -> float:
-    """Bisection root of a sign-changing potential on the given bracket."""
+    """Root of a sign-changing potential on the given bracket (Brent's
+    method), to rel_tol relative to the root."""
     lo, hi = bracket
     if not 0 < lo < hi:
         raise DomainError("bracket must satisfy 0 < lo < hi")
@@ -165,16 +182,16 @@ def sign_change_radius(potential: Callable[[float], float],
         return hi
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChange(f"potential has the same sign at {lo} and {hi}")
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        f_mid = potential(mid)
-        if f_mid == 0.0:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # brentq stops once the bracket is narrower than xtol + rtol * |root|;
+    # the root lies above lo > 0, so the absolute part is left negligible.
+    # Brent's method falls back to bisection, which needs at most
+    # log2(hi/(rel_tol lo)) halvings; cap its iterations at a few times that
+    bisections = math.ceil(math.log2(hi) - math.log2(lo) - math.log2(rel_tol))
+    root, info = brentq(potential, lo, hi, xtol=1e-300, rtol=rel_tol,
+                        maxiter=4 * bisections, full_output=True, disp=False)
+    if not info.converged:
+        raise NonConvergence(f"root search on {bracket}: {info.flag}")
+    return root
 
 
 def expand_bracket(potential: Callable[[float], float], r_start: float,
@@ -207,7 +224,7 @@ def yukawa_bound_check(k1: float, lambda_min_ratio: float,
     if np.any(r <= 0):
         raise DomainError("radii must be positive")
     lhs = math.pi * (1.0 - np.exp(-r / lambda_min_ratio)) \
-        - np.asarray([sine_integral(k1 * x) for x in r])
+        - sine_integral(k1 * r)
     return bool(np.all(lhs >= -1e-12))
 
 
@@ -215,15 +232,6 @@ def potential_curve(profile: VacuumProfile, q: float,
                     r_values: Sequence[float]) -> PotentialCurve:
     """Closed-form potential sampled on a radius grid (bare charge q);
     the profile's q_ph enters through q^2 Z internally."""
-    from .vacuum import physical_charge
-
-    q_ph = physical_charge(q, profile)
-    vals = []
-    for r in r_values:
-        if profile.kind is ProfileKind.BOX_SHELL:
-            vals.append(potential_box(q_ph, profile.k1, profile.k2, r))
-        else:
-            vals.append(potential_lorentz(q_ph, profile.lambda2,
-                                          profile.y0, r))
-    return PotentialCurve(tuple(float(r) for r in r_values), tuple(vals),
-                          profile.tag)
+    r = np.asarray(r_values, dtype=float)
+    v = potential(profile, physical_charge(q, profile), r)
+    return PotentialCurve(tuple(r.tolist()), tuple(v.tolist()), profile.tag)

@@ -1,11 +1,11 @@
 """Special-function kernel: Si, Ci, modified Bessel K, all-branch Lambert W,
 the generalized incomplete gamma Gamma(alpha, x, b), and Bernoulli numbers.
 
-Real-argument Si/Ci and K_nu are delegated to scipy behind the module
-contract.  The pieces scipy does not provide are implemented here:
+Si/Ci, real-argument K_nu and K0 on complex arguments (Amos's algorithm,
+ACM TOMS 644, through scipy's kv) are delegated to scipy behind the module
+contract; Si/Ci and complex K0 take arrays as well as scalars.  The pieces
+scipy does not provide are implemented here:
 
-* K0 on complex arguments (series for small |z|, the representation
-  K0(z) = int_0^inf exp(-z cosh t) dt for the rest of the right half-plane);
 * Lambert W on any integer branch (asymptotic initializer, Halley polish);
 * Gamma(alpha, x, b) = int_x^inf t^(alpha-1) exp(-t - b/t) dt.
 
@@ -26,6 +26,7 @@ from scipy.special import exp1, gamma as gamma_fn, kv, sici
 from .errors import DomainError, NoConvergence, NonConvergence
 
 EULER_GAMMA = 0.5772156649015328606
+_EPS = float(np.finfo(float).eps)
 
 
 # ----------------------------------------------------------------- Si / Ci
@@ -57,42 +58,18 @@ def bessel_k(order: int, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _k0_series(z: complex) -> complex:
-    """Ascending series, accurate for |z| <= 2."""
-    q = z * z / 4.0
-    term = 1.0 + 0j
-    i0 = term
-    s = 0.0 + 0j
-    h = 0.0
-    for m in range(1, 40):
-        term *= q / (m * m)
-        h += 1.0 / m
-        i0 += term
-        s += term * h
-        if abs(term) < 1e-18 * max(1.0, abs(i0)):
-            break
-    return -(np.log(z / 2.0) + EULER_GAMMA) * i0 + s
-
-
-def bessel_k0_complex(z: complex) -> complex:
-    """K0(z) in the right half-plane (Re z > 0), principal branch.
+def bessel_k0_complex(z):
+    """K0(z) in the right half-plane (Re z > 0), principal branch, from
+    scipy's Amos kv; takes a scalar or an array.
 
     Satisfies the reflection symmetry K0(conj z) = conj K0(z).
     """
-    z = complex(z)
-    if z.real <= 0:
+    z = np.asarray(z, dtype=complex)
+    if (z.real <= 0).any():
         raise DomainError("bessel_k0_complex requires Re z > 0 "
                           "(branch cut on the negative real axis)")
-    if abs(z) <= 2.0:
-        return _k0_series(z)
-    # exp(-z cosh t) decays doubly exponentially; cut the range where the
-    # magnitude drops below exp(-750)
-    tmax = math.acosh(max(2.0, 750.0 / z.real)) + 1.0
-    re = quad(lambda t: math.exp(-z.real * math.cosh(t))
-              * math.cos(z.imag * math.cosh(t)), 0.0, tmax, limit=400)[0]
-    im = quad(lambda t: -math.exp(-z.real * math.cosh(t))
-              * math.sin(z.imag * math.cosh(t)), 0.0, tmax, limit=400)[0]
-    return complex(re, im)
+    out = kv(0, z)
+    return complex(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------- Lambert W
@@ -106,6 +83,9 @@ def _lambert_seeds(branch: int, z: complex):
     if branch == 0 and abs(z) < 0.25:
         # series W0(z) = z - z^2 + 3/2 z^3 - ...
         seeds.append(z * (1.0 - z + 1.5 * z * z))
+    if branch == 0:
+        # W0(z) ~ log(1 + z) between the series and the asymptotic regimes
+        seeds.append(np.log1p(z))
     if branch in (-1, 0, 1) and abs(z - _BRANCH_POINT) < 0.4:
         p = np.sqrt(2.0 * (math.e * z + 1.0) + 0j)
         for sign in (1.0, -1.0):
@@ -119,18 +99,24 @@ def _lambert_seeds(branch: int, z: complex):
 
 
 def _halley(w: complex, z: complex, target: float, max_iter: int):
+    # a residual below target still leaves w off by about
+    # target / |e^w (1 + w)|; one more (cubically convergent) step after
+    # the residual test passes takes w to working precision
+    polished = False
     for _ in range(max_iter):
         ew = np.exp(w)
         f = w * ew - z
         if abs(f) <= target:
-            return w
+            if polished or f == 0:
+                return w
+            polished = True
         wp1 = w + 1.0
         if wp1 == 0:
             w += 1e-8
             continue
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         if denom == 0:
-            return None
+            return w if polished else None
         w -= f / denom
     ew = np.exp(w)
     return w if abs(w * ew - z) <= target else None
@@ -185,7 +171,8 @@ def lambert_w(branch: int, z: complex, tol: float = 1e-13,
 # ---------------------------------------------- generalized incomplete gamma
 
 def upper_gamma(alpha: float, x: float) -> float:
-    """Classical upper incomplete gamma for real alpha (including <= 0), x > 0."""
+    """Classical upper incomplete gamma for real alpha (including <= 0), x > 0:
+    closed forms at alpha = 0 and positive integers, quadrature otherwise."""
     if x <= 0:
         raise DomainError("upper_gamma requires x > 0")
     if alpha == 0.0:
@@ -197,21 +184,15 @@ def upper_gamma(alpha: float, x: float) -> float:
         for m in range(1, n):
             g = m * g + x ** m * math.exp(-x)
         return g
-    if alpha < 0:
-        # upward from Gamma(alpha+1, x): Gamma(a, x) = (Gamma(a+1,x) - x^a e^-x)/a
-        g = upper_gamma(alpha + 1.0, x)
-        return (g - x ** alpha * math.exp(-x)) / alpha
-    from scipy.special import gammaincc
-    return float(gammaincc(alpha, x) * gamma_fn(alpha))
+    # the upward recurrence Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x)/a
+    # cancels as a nears 0, and gammaincc * Gamma fails for subnormal alpha
+    return _gamma_tail(alpha, x, 0.0)
 
 
 def gen_incomplete_gamma(alpha: float, x: float, b: float) -> float:
     """Gamma(alpha, x, b) = int_x^inf t^(alpha-1) exp(-t - b/t) dt.
 
-    b = 0 reduces to the classical upper incomplete gamma.  The integrand is
-    double-exponentially peaked near sqrt(b); the quadrature splits at
-    max(x, sqrt(b)) and substitutes t -> b/t on the lower tail so both pieces
-    decay monotonically.
+    b = 0 reduces to the classical upper incomplete gamma.
     """
     if x <= 0:
         raise DomainError("gen_incomplete_gamma requires x > 0")
@@ -219,19 +200,27 @@ def gen_incomplete_gamma(alpha: float, x: float, b: float) -> float:
         raise DomainError("gen_incomplete_gamma requires b >= 0")
     if b == 0.0:
         return upper_gamma(alpha, x)
+    return _gamma_tail(alpha, x, b)
+
+
+def _gamma_tail(alpha: float, x: float, b: float) -> float:
+    """Quadrature of Gamma(alpha, x, b), to 1e-12 relative.  The integrand is
+    double-exponentially peaked near sqrt(b); the quadrature splits at
+    max(x, sqrt(b)) and substitutes t -> b/t on the lower tail so both pieces
+    decay monotonically."""
     split = max(x, math.sqrt(b))
 
     def head(t):
         return t ** (alpha - 1.0) * math.exp(-t - b / t)
 
-    val, _ = quad(head, split, np.inf, limit=300, epsabs=1e-14, epsrel=1e-12)
+    val, _ = quad(head, split, np.inf, limit=300, epsabs=0.0, epsrel=1e-12)
     if x < split:
         # t = b/u maps (x, split) to (b/split, b/x) with dt = -b/u^2 du
         def mirrored(u):
             return (b / u) ** (alpha - 1.0) * math.exp(-u - b / u) * b / u ** 2
 
         lo, hi = b / split, b / x
-        v2, _ = quad(mirrored, lo, hi, limit=300, epsabs=1e-14, epsrel=1e-12)
+        v2, _ = quad(mirrored, lo, hi, limit=300, epsabs=0.0, epsrel=1e-12)
         val += v2
     if not np.isfinite(val):
         raise NonConvergence("gen_incomplete_gamma quadrature failed")
@@ -239,22 +228,34 @@ def gen_incomplete_gamma(alpha: float, x: float, b: float) -> float:
 
 
 def gamma_from_zero(alpha: float, b: float) -> float:
-    """Gamma(alpha, 0, b) = 2 b^(alpha/2) K_alpha(2 sqrt(b)); finite for b > 0,
-    with the b -> 0 limit handled by its Taylor series for integer alpha."""
+    """Gamma(alpha, 0, b) = 2 b^(alpha/2) K_alpha(2 sqrt(b)); finite for b > 0.
+
+    For integer alpha = n the expansion in b is
+    sum_{k<n} (-1)^k Gamma(n-k)/k! b^k + O(b^n log b); it is used, truncated
+    before the log term, only where that term is below half an ulp of the
+    sum, which is also where K_n(2 sqrt(b)) would overflow.
+    """
     if b < 0:
         raise DomainError("gamma_from_zero requires b >= 0")
     if b == 0.0:
         if alpha <= 0:
             raise DomainError("Gamma(alpha, 0, 0) diverges for alpha <= 0")
         return float(gamma_fn(alpha))
-    if alpha == int(alpha) and alpha > 0 and b < 1e-6:
-        # sum_n (-1)^n/n! Gamma(alpha - n) b^n, truncated before the pole
-        n_terms = int(alpha)
-        tot = 0.0
-        for n in range(n_terms):
-            tot += (-1) ** n / math.factorial(n) * math.gamma(alpha - n) * b ** n
-        return tot
-    return float(2.0 * b ** (alpha / 2.0) * kv(alpha, 2.0 * math.sqrt(b)))
+    if alpha == int(alpha) and alpha > 0 and b < 1.0:
+        n = int(alpha)
+        # first dropped term: (-1)^n b^n (psi(1) + psi(n+1) - ln b)/n!,
+        # with |psi(1) + psi(n+1)| < n + 2
+        dropped = b ** n * (abs(math.log(b)) + n + 2) / math.factorial(n)
+        if dropped <= 0.5 * _EPS * math.gamma(n):
+            return math.fsum((-1) ** k / math.factorial(k) * math.gamma(n - k)
+                             * b ** k for k in range(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = float(2.0 * np.power(b, alpha / 2.0)
+                    * kv(alpha, 2.0 * math.sqrt(b)))
+    if not math.isfinite(val):
+        raise NonConvergence(
+            f"Gamma({alpha}, 0, {b}) is out of double-precision range")
+    return val
 
 
 # ---------------------------------------------------------------- Bernoulli

@@ -146,13 +146,12 @@ def check_vacuum_normalization() -> list[CriterionResult]:
 
 def check_coulomb() -> list[CriterionResult]:
     out = []
-    worst = 0.0
-    for r in np.geomspace(1.0, 100.0, 12):
-        v = coulomb.potential_box(1.0, 1e-5, 1e4, r)
-        worst = max(worst, abs(v / (-1.0 / (4 * math.pi * r)) - 1.0))
+    rs = np.geomspace(1.0, 100.0, 12)
+    v = coulomb.potential(vacuum.make_box_profile(1e-5, 1e4), 1.0, rs)
+    worst = float(np.max(np.abs(v / (-1.0 / (4 * math.pi * rs)) - 1.0)))
     out.append(_crit("box_coulomb_recovery", 0.0, worst, 1e-3))
-    y0 = 1e-38 / PLANCK_LENGTH_KM
-    pot = lambda r: coulomb.potential_lorentz(1.0, 1e-49, y0, r)
+    lorentz = vacuum.make_lorentz_profile(1e-49, 1e-38 / PLANCK_LENGTH_KM)
+    pot = lambda r: coulomb.potential(lorentz, 1.0, r)
     bracket = coulomb.expand_bracket(pot, 1e47)
     r0 = coulomb.sign_change_radius(pot, bracket)
     out.append(_crit("lorentz_first_zero_au", 2560.2,
@@ -262,12 +261,7 @@ def check_mirror_identity() -> list[CriterionResult]:
         for L in (0.7, 2.0):
             lhs = oscillator.radiative_shift(prof, q, plane_gap=L) \
                 - oscillator.radiative_shift(prof, q)
-            if prof.kind is vacuum.ProfileKind.BOX_SHELL:
-                rhs = 0.5 * coulomb.potential_box(q_ph, prof.k1, prof.k2,
-                                                  2.0 * L)
-            else:
-                rhs = 0.5 * coulomb.potential_lorentz(q_ph, prof.lambda2,
-                                                      prof.y0, 2.0 * L)
+            rhs = 0.5 * coulomb.potential(prof, q_ph, 2.0 * L)
             worst = max(worst, abs(lhs - rhs))
         out.append(_crit(f"mirror_identity_{name}", 0.0, worst, 1e-8))
     return out

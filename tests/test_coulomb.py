@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from vacuumlab import coulomb
 from vacuumlab.constants import AU_KM, PLANCK_LENGTH_KM
 from vacuumlab.coulomb import (PotentialCurve, compensating_field_avg,
                                compensating_field_closed, expand_bracket,
-                               potential_box, potential_curve,
+                               potential, potential_box, potential_curve,
                                potential_lorentz, potential_profile_quad,
                                sign_change_radius, yukawa_bound_check)
-from vacuumlab.errors import DomainError, NoSignChange
+from vacuumlab.errors import BranchError, DomainError, NoSignChange
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
 
@@ -46,6 +47,19 @@ class TestBoxPotential:
         with pytest.raises(DomainError):
             potential_box(1.0, 2.0, 1.0, 1.0)
 
+    def test_array_of_radii_with_origin(self):
+        q_ph, k1, k2 = 1.3, 0.7, 55.0
+        rs = np.array([0.0, 0.3, 2.0, 9.0])
+        v = potential_box(q_ph, k1, k2, rs)
+        assert isinstance(v, np.ndarray) and v.shape == rs.shape
+        assert v.tolist() == [potential_box(q_ph, k1, k2, float(r))
+                              for r in rs]
+        assert v[0] == -q_ph ** 2 * (k2 - k1) / (2 * math.pi ** 2)
+
+    def test_negative_radius_in_array(self):
+        with pytest.raises(DomainError):
+            potential_box(1.0, 1.0, 2.0, np.array([1.0, -1e-9]))
+
 
 class TestLorentzPotential:
     def test_matches_radial_quadrature(self):
@@ -80,6 +94,38 @@ class TestLorentzPotential:
     def test_domain(self):
         with pytest.raises(DomainError):
             potential_lorentz(1.0, -1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            potential_lorentz(1.0, 0.04, 0.3, np.array([1.0, 0.0]))
+
+    def test_array_of_radii(self):
+        rs = np.geomspace(0.1, 100.0, 7)
+        v = potential_lorentz(1.0, 0.04, 0.3, rs)
+        assert isinstance(v, np.ndarray) and v.shape == rs.shape
+        assert v.tolist() == [potential_lorentz(1.0, 0.04, 0.3, float(r))
+                              for r in rs]
+
+    def test_lost_conjugate_symmetry_raises(self, monkeypatch):
+        from vacuumlab.specfun import bessel_k0_complex
+
+        def skewed(z):
+            out = bessel_k0_complex(z)
+            out[1] += 1e-6      # the row of the conjugate arguments
+            return out
+
+        monkeypatch.setattr(coulomb, "bessel_k0_complex", skewed)
+        with pytest.raises(BranchError):
+            potential_lorentz(1.0, 0.04, 0.3, np.array([1.0, 2.0]))
+        with pytest.raises(BranchError):
+            potential_lorentz(1.0, 0.04, 0.3, 1.0)
+
+
+class TestDispatch:
+    def test_box_and_lorentz_kernels(self):
+        box, lor = make_box_profile(0.7, 55.0), make_lorentz_profile(0.04, 0.3)
+        rs = np.array([0.5, 2.0])
+        assert potential(box, 1.3, 2.0) == potential_box(1.3, 0.7, 55.0, 2.0)
+        assert potential(lor, 1.3, rs).tolist() == \
+            potential_lorentz(1.3, 0.04, 0.3, rs).tolist()
 
 
 class TestAngularIndependence:
@@ -146,6 +192,22 @@ class TestSignChange:
         r0 = sign_change_radius(pot, (1.0, 2.0))
         assert r0 == pytest.approx(math.pi / 2.0, rel=1e-10)
 
+    def test_few_evaluations(self):
+        # Brent's method: bisection to the same tolerance takes 34 steps
+        calls = []
+
+        def pot(r):
+            calls.append(r)
+            return math.cos(r)
+
+        sign_change_radius(pot, (1.0, 2.0))
+        assert len(calls) <= 16
+
+    def test_bracket_spanning_the_double_range(self):
+        # bisection-like progress must still converge on the widest bracket
+        r0 = sign_change_radius(math.log, (1e-300, 1e300))
+        assert r0 == pytest.approx(1.0, rel=1e-10)
+
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
             sign_change_radius(lambda r: -1.0 / r, (1.0, 100.0))
@@ -179,6 +241,15 @@ class TestCurve:
         curve = potential_curve(prof, 1.0, rs)
         assert len(curve.r_values) == len(curve.v_values) == 20
         assert curve.profile_tag.startswith("box")
+
+    def test_curve_matches_pointwise_potential(self):
+        prof = make_lorentz_profile(0.04, 0.3)
+        rs = np.geomspace(0.1, 10.0, 9)
+        curve = potential_curve(prof, 1.0, rs)
+        q_ph = physical_charge(1.0, prof)
+        assert list(curve.v_values) == [potential(prof, q_ph, float(r))
+                                        for r in rs]
+        assert all(isinstance(v, float) for v in curve.v_values)
 
     def test_curve_validates_monotone_radii(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,165 @@
+"""Property tests of the special-function kernels and the Coulomb potentials
+against independent mpmath references, over the parameter ranges the
+library and its CLI accept.
+
+Hypothesis runs derandomized and without an example database, so the suite
+draws the same examples on every run and writes no files.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+mp = pytest.importorskip("mpmath")
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from vacuumlab import coulomb, vacuum  # noqa: E402
+from vacuumlab.specfun import (bessel_k0_complex, gamma_from_zero,  # noqa: E402
+                               gen_incomplete_gamma, lambert_w)
+
+EPS = float(np.finfo(float).eps)
+DPS = 40
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+
+def log_uniform(lo, hi):
+    """Floats spread evenly in log10 between lo and hi."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0 ** u)
+
+
+def mp_k0(z: complex) -> complex:
+    with mp.workdps(DPS):
+        return complex(mp.besselk(0, mp.mpc(z.real, z.imag)))
+
+
+# -------------------------------------------------------------- complex K0
+
+@PROPERTY
+@given(modulus=log_uniform(1e-8, 1e3),
+       arg=st.floats(-(math.pi / 2 - 1e-3), math.pi / 2 - 1e-3))
+def test_k0_complex_matches_mpmath(modulus, arg):
+    w = complex(modulus * math.cos(arg), modulus * math.sin(arg))
+    # |K0| < 1e-297 beyond: Amos's kv flushes it to zero near the bottom
+    # of the double range
+    assume(w.real < 680.0)
+    ref = mp_k0(w)
+    # |w K0'(w)/K0(w)| ~ |w| is the condition number of K0 at w
+    assert abs(bessel_k0_complex(w) - ref) <= 8 * EPS * (1 + modulus) * abs(ref)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(log_uniform(1e-3, 1e2),
+                          st.floats(-1.5, 1.5)), min_size=1, max_size=20))
+def test_k0_complex_array_matches_scalar(points):
+    z = np.array([m * complex(math.cos(a), math.sin(a)) for m, a in points])
+    out = bessel_k0_complex(z)
+    assert out.shape == z.shape
+    assert all(out[i] == bessel_k0_complex(complex(v))
+               for i, v in enumerate(z))
+
+
+# ------------------------------------------------------ Coulomb potentials
+
+def _box(u, v):
+    k1 = 1e-2 * 100.0 ** u
+    return vacuum.make_box_profile(k1, k1 * 3.0 * (1e3 / 3.0) ** v)
+
+
+def _lorentz(u, v, lambda2_lo=1e-12, lambda2_hi=1.0, y0_lo=1e-4, y0_hi=1.0):
+    return vacuum.make_lorentz_profile(
+        lambda2_lo * (lambda2_hi / lambda2_lo) ** u,
+        y0_lo * (y0_hi / y0_lo) ** v)
+
+
+def _radii(profile, fractions, lo_scale, hi_scale):
+    """Radii spread in log between lo_scale and hi_scale times the profile's
+    length scale (1/k1 for the box, y0 for the exponential profile)."""
+    scale = 1.0 / profile.k1 if profile.kind is vacuum.ProfileKind.BOX_SHELL \
+        else profile.y0
+    return np.array([scale * lo_scale * (hi_scale / lo_scale) ** f
+                     for f in fractions])
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["box", "lorentz"]), u=unit, v=unit,
+       fractions=st.lists(unit, min_size=1, max_size=30))
+def test_potential_array_bit_identical_to_scalar(kind, u, v, fractions):
+    prof = _box(u, v) if kind == "box" else _lorentz(u, v)
+    q_ph = vacuum.physical_charge(1.0, prof)
+    lo, hi = (1e-3, 1e2) if kind == "box" else (0.1, 1e4)
+    rs = _radii(prof, fractions, lo, hi)
+    if kind == "box":
+        rs = np.append(rs, 0.0)
+    out = coulomb.potential(prof, q_ph, rs)
+    scalars = [coulomb.potential(prof, q_ph, float(r)) for r in rs]
+    assert all(isinstance(s, float) for s in scalars)
+    assert out.tolist() == scalars
+
+
+@settings(PROPERTY, max_examples=60)
+@given(kind=st.sampled_from(["box", "lorentz"]), u=unit, v=unit, f=unit)
+def test_potential_matches_radial_quadrature(kind, u, v, f):
+    # the quadrature route is the oracle only where it converges: for the
+    # exponential profile that is y0 >= 1e-2, lambda^2 <= 0.1, r <= 100 y0
+    if kind == "box":
+        prof, (lo, hi) = _box(u, v), (1e-2, 1e2)
+    else:
+        prof, (lo, hi) = _lorentz(u, v, lambda2_hi=0.1, y0_lo=1e-2), (0.1, 1e2)
+    r = float(_radii(prof, [f], lo, hi)[0])
+    q = 1.0
+    q_ph = vacuum.physical_charge(q, prof)
+    oracle = coulomb.potential_profile_quad(q, prof, r)
+    # the absolute floor, 1e-9 of the bare Coulomb value, only matters at a
+    # sign change of V
+    assert coulomb.potential(prof, q_ph, r) == pytest.approx(
+        oracle, rel=1e-6, abs=1e-9 * q_ph ** 2 / (4 * math.pi * r))
+
+
+# ------------------------------------------------ incomplete gamma family
+
+def mp_gen_gamma(alpha, x, b):
+    with mp.workdps(DPS):
+        a, x, b = mp.mpf(alpha), mp.mpf(x), mp.mpf(b)
+        peak = max(x, mp.sqrt(b))
+        pts = sorted({x, peak}) + [peak + 1, peak + 30, mp.inf]
+        return float(mp.quad(lambda t: t ** (a - 1) * mp.exp(-t - b / t), pts))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(alpha=st.floats(-3.0, 5.0), x=log_uniform(1e-3, 30.0),
+       b=st.one_of(st.just(0.0), log_uniform(1e-8, 1e2)))
+def test_gen_incomplete_gamma_matches_mpmath(alpha, x, b):
+    assert gen_incomplete_gamma(alpha, x, b) == pytest.approx(
+        mp_gen_gamma(alpha, x, b), rel=1e-9)
+
+
+@PROPERTY
+@given(alpha=st.sampled_from([1, 2, 4]), b=log_uniform(1e-300, 1.0))
+def test_gamma_from_zero_matches_mpmath(alpha, b):
+    with mp.workdps(DPS):
+        bb = mp.mpf(b)
+        ref = float(2 * bb ** (mp.mpf(alpha) / 2)
+                    * mp.besselk(alpha, 2 * mp.sqrt(bb)))
+    assert gamma_from_zero(float(alpha), b) == pytest.approx(ref, rel=1e-14)
+
+
+# -------------------------------------------------------------- Lambert W
+
+@PROPERTY
+@given(branch=st.integers(-3, 3), modulus=log_uniform(1e-6, 1e6),
+       arg=st.floats(-math.pi, math.pi))
+def test_lambert_w_matches_mpmath(branch, modulus, arg):
+    z = complex(modulus * math.cos(arg), modulus * math.sin(arg))
+    with mp.workdps(DPS):
+        ref = complex(mp.lambertw(mp.mpc(z.real, z.imag), branch))
+    # 1/|1 + W| is the relative condition number of W at z; it only exceeds
+    # 1 near the branch point -1/e
+    cond = max(1.0, 1.0 / abs(1.0 + ref))
+    assert abs(lambert_w(branch, z) - ref) <= 6e-15 * cond * abs(ref)

@@ -6,11 +6,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import lambertw as scipy_lambertw
 
-from vacuumlab.errors import DomainError
+from vacuumlab.errors import DomainError, NonConvergence
 from vacuumlab.specfun import (EULER_GAMMA, bernoulli_number, bessel_k,
                                bessel_k0_complex, cosine_integral,
-                               gen_incomplete_gamma, lambert_w, sine_integral,
-                               upper_gamma)
+                               gamma_from_zero, gen_incomplete_gamma,
+                               lambert_w, sine_integral, upper_gamma)
 
 
 class TestSineCosineIntegrals:
@@ -127,6 +127,22 @@ class TestBesselK0Complex:
     def test_branch_cut_rejected(self):
         with pytest.raises(DomainError):
             bessel_k0_complex(-1.0 + 0j)
+        with pytest.raises(DomainError):
+            bessel_k0_complex(np.array([1.0 + 1j, 0.0 + 1j]))
+
+    def test_array_input(self):
+        z = np.array([[0.5 + 0.1j, 3.0 - 2.0j], [40.0 + 30.0j, 1e-3 + 0j]])
+        out = bessel_k0_complex(z)
+        assert out.shape == z.shape
+        assert out[1, 0] == bessel_k0_complex(40.0 + 30.0j)
+        assert isinstance(bessel_k0_complex(2.0 + 1j), complex)
+
+    def test_large_argument_asymptote(self):
+        # K0(z) ~ sqrt(pi/(2z)) e^-z (1 - 1/(8z) + 9/(128 z^2)) for |z| >> 1
+        z = 60.0 + 80.0j
+        asym = np.sqrt(math.pi / (2 * z)) * np.exp(-z) \
+            * (1 - 1 / (8 * z) + 9 / (128 * z ** 2))
+        assert abs(bessel_k0_complex(z) - asym) < 1e-6 * abs(asym)
 
 
 class TestLambertW:
@@ -210,6 +226,28 @@ class TestGeneralizedGamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             gen_incomplete_gamma(1.0, -1.0, 0.1)
+
+    def test_alpha_near_zero_no_cancellation(self):
+        # Gamma(a, x) -> E1(x) as a -> 0 from either side
+        for a in (-1e-9, -1e-300, 1e-300):
+            assert upper_gamma(a, 1.0) == pytest.approx(
+                upper_gamma(0.0, 1.0), rel=1e-8)
+
+
+class TestGammaFromZero:
+    def test_small_b_keeps_log_term(self):
+        # 2 sqrt(b) K1(2 sqrt(b)) = 1 + b ln b + (2 gamma - 1) b + O(b^2 ln b)
+        b = 9e-7
+        expect = 1 + b * math.log(b) + (2 * EULER_GAMMA - 1) * b
+        assert gamma_from_zero(1.0, b) == pytest.approx(expect, rel=1e-10)
+
+    def test_tiny_b_integer_order(self):
+        # K4(2 sqrt(b)) overflows here; the series gives Gamma(4) = 6
+        assert gamma_from_zero(4.0, 1e-200) == 6.0
+
+    def test_overflow_raises(self):
+        with pytest.raises(NonConvergence):
+            gamma_from_zero(4.5, 1e-200)
 
 
 class TestBernoulli:
