@@ -81,8 +81,13 @@ def make_lorentz_profile(lambda2: float, y0: float) -> VacuumProfile:
         raise DomainError("lorentz profile requires lambda2 > 0 and y0 > 0")
     lam = math.sqrt(lambda2)
     from .specfun import gamma_from_zero
-    # Gamma(2, 0, lambda^2) = 2 lambda^2 K2(2 lambda); stable for tiny lambda
-    norm_const = FOUR_PI_SQ * y0 ** 2 / gamma_from_zero(2.0, lambda2)
+    # Gamma(2, 0, lambda^2) = 2 lambda^2 K2(2 lambda); stable for tiny lambda,
+    # but it underflows to 0 once lambda^2 exceeds about 1.26e5
+    gamma2 = gamma_from_zero(2.0, lambda2)
+    norm_const = FOUR_PI_SQ * y0 ** 2 / gamma2 if gamma2 > 0.0 else math.inf
+    if not math.isfinite(norm_const):
+        raise DomainError(f"lambda2 = {lambda2:g}, y0 = {y0:g} puts the "
+                          "lorentz profile normalization out of double range")
     Z = norm_const * math.exp(-2.0 * lam)
     return VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=lambda2, y0=y0,
                          Z=Z, norm_const=norm_const)

@@ -91,6 +91,12 @@ def check_casimir_1p1_oracle() -> list[CriterionResult]:
             pq = casimir.pressure_1p1_quad(alpha, L)
             worst = max(worst, abs(ps - pq) / abs(ps))
     out.append(_crit("series_vs_quad_rel", 0.0, worst, 1e-8))
+    # narrow resonances (width ~ 2e-7 at the first peak), where the quadrature
+    # must track the true peak positions
+    ps = casimir.pressure_1p1_series(1e4, 1.0)
+    pq = casimir.pressure_1p1_quad(1e4, 1.0)
+    out.append(_crit("series_vs_quad_rel_alpha=1e4", 0.0,
+                     abs(ps - pq) / abs(ps), 1e-6))
     # alpha sweep: record which analytic endpoint the finite-alpha values
     # approach (reported, not asserted as a numeric criterion)
     ratios24 = [casimir.pressure_1p1_series(a, 1.0) * (-24.0 / math.pi)

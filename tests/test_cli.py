@@ -75,6 +75,12 @@ class TestCoulombCommand:
         assert payload["sign_change_radius"] == pytest.approx(1.92645,
                                                               abs=1e-3)
 
+    def test_unrepresentable_lorentz_profile_rejected(self, tmp_path, capsys):
+        rc = run(["coulomb", "--profile", "lorentz", "--lambda2", "2e5",
+                  "--y0", "1", "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert "lambda2" in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_pmf_table(self, tmp_path):

@@ -1,6 +1,6 @@
-"""Property tests of the special-function kernels and the Coulomb potentials
-against independent mpmath references, over the parameter ranges the
-library and its CLI accept.
+"""Property tests of the special-function kernels, the Coulomb potentials and
+the 1+1 Casimir pressure against independent mpmath references, over the
+parameter ranges the library and its CLI accept.
 
 Hypothesis runs derandomized and without an example database, so the suite
 draws the same examples on every run and writes no files.
@@ -13,9 +13,10 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import (assume, example, given, settings,  # noqa: E402
+                        strategies as st)
 
-from vacuumlab import coulomb, vacuum  # noqa: E402
+from vacuumlab import casimir, coulomb, vacuum  # noqa: E402
 from vacuumlab.specfun import (bessel_k0_complex, gamma_from_zero,  # noqa: E402
                                gen_incomplete_gamma, lambert_w)
 
@@ -163,3 +164,42 @@ def test_lambert_w_matches_mpmath(branch, modulus, arg):
     # 1 near the branch point -1/e
     cond = max(1.0, 1.0 / abs(1.0 + ref))
     assert abs(lambert_w(branch, z) - ref) <= 6e-15 * cond * abs(ref)
+
+
+# ---------------------------------------------------- 1+1 Casimir pressure
+
+def mp_casimir_1p1(alpha, L):
+    """-(1/pi) int_0^inf t x/(1-x) dt with x = e^{-2tL} (1+2t/alpha)^-2: the
+    whole reflection series summed under the integral."""
+    with mp.workdps(30):
+        a, l = mp.mpf(alpha), mp.mpf(L)
+        f = lambda t: t / mp.expm1(2 * t * l + 2 * mp.log1p(2 * t / a))
+        pts = [0] + sorted([a / 2, 1 / (2 * l)]) + [50 / l, mp.inf]
+        return float(-mp.quad(f, pts) / mp.pi)
+
+
+casimir_alpha = log_uniform(1e-3, 1e4)
+casimir_gap = log_uniform(0.05, 20.0)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(alpha=casimir_alpha, L=casimir_gap)
+# small alpha: the ~1/n^2 tail must be added however small the explicit
+# terms get
+@example(alpha=1e-3, L=20.0)
+@example(alpha=1e-2, L=20.0)
+def test_casimir_series_matches_mpmath(alpha, L):
+    assume(alpha * L <= 2e4)
+    ref = mp_casimir_1p1(alpha, L)
+    assert abs(casimir.pressure_1p1_series(alpha, L) - ref) <= 1e-13 * abs(ref)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(alpha=casimir_alpha, L=casimir_gap)
+@example(alpha=1e4, L=2.0)
+def test_casimir_quadrature_matches_mpmath(alpha, L):
+    # the roundoff of the cancelling resonance peaks grows with alpha L
+    assume(alpha * L <= 2e4)
+    ref = mp_casimir_1p1(alpha, L)
+    tol = 1e-9 if alpha * L <= 2e3 else 1e-8
+    assert abs(casimir.pressure_1p1_quad(alpha, L) - ref) <= tol * abs(ref)

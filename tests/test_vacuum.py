@@ -99,6 +99,9 @@ class TestLorentzProfile:
             make_lorentz_profile(0.0, 1.0)
         with pytest.raises(DomainError):
             make_lorentz_profile(1.0, -1.0)
+        # Gamma(2, 0, lambda^2) underflows to 0 past lambda^2 ~ 1.26e5
+        with pytest.raises(DomainError):
+            make_lorentz_profile(2e5, 1.0)
 
 
 class TestInfraredConditions:
