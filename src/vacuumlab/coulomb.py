@@ -75,9 +75,11 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r,
         V(r) = (q_ph^2/(pi^2 r)) e^{2 lambda} Im K0(2 lambda sqrt(1 + i r/y0)),
 
     at a radius or an array of radii (a float for a scalar r), using the
-    principal branch of the square root.  The two conjugate kernel
-    arguments must combine to a purely imaginary difference; a violation
-    beyond conj_tol raises BranchError.
+    principal branch of the square root.  The kernel is taken scaled,
+    e^{2 lambda} K0(w) = e^w K0(w) e^{2 lambda - w}, with Re w >= 2 lambda,
+    so V stays representable where K0(w) or e^{2 lambda} alone would not.
+    The two conjugate kernel arguments must combine to a purely imaginary
+    difference; a violation beyond conj_tol raises BranchError.
     """
     r = np.asarray(r, dtype=float)
     if lambda2 <= 0 or y0 <= 0 or (r <= 0).any():
@@ -85,13 +87,17 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r,
     lam = math.sqrt(lambda2)
     w = 2.0 * lam * np.sqrt(1.0 + 1j * (r / y0))
     # one kernel call for the pair (w, conj w)
-    k_plus, k_minus = bessel_k0_complex(np.array([w, w.conj()]))
-    diff = k_minus - k_plus           # should be -2i Im K0(w)
+    k_plus, k_minus = bessel_k0_complex(np.array([w, w.conj()]), scaled=True)
+    diff = k_minus - k_plus           # should be -2i Im(e^w K0(w))
     lost = np.abs(diff.real) > conj_tol * np.maximum(1.0, np.abs(diff))
     if lost.any():
         raise BranchError("conjugate kernel pair lost symmetry: Re diff = "
                           f"{np.max(np.abs(diff.real))}")
-    v = q_ph ** 2 / (math.pi ** 2 * r) * math.exp(2.0 * lam) * k_plus.imag
+    # Im(k_plus e^{2 lambda - w}) in real arithmetic: numpy's complex
+    # product rounds differently for scalars and arrays, this form does not
+    e = np.exp(2.0 * lam - w)
+    v = q_ph ** 2 / (math.pi ** 2 * r) \
+        * (k_plus.real * e.imag + k_plus.imag * e.real)
     return float(v) if v.ndim == 0 else v
 
 

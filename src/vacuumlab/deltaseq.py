@@ -121,12 +121,11 @@ class DeltaFamily:
 
 
 def _triangle(k, n):
-    k = np.asarray(k, dtype=float)
-    return np.where(np.abs(k) < 1.0 / n, n - n * n * np.abs(k), 0.0)
+    return np.maximum(n - n * n * np.abs(k), 0.0)
 
 
 def _m_profile(k, a, eps):
-    k = np.abs(np.asarray(k, dtype=float))
+    k = np.abs(k)
     inner = (4.0 * k / eps) * (2.0 / eps - 1.5 * a) + a
     outer = (2.0 - 4.0 * k / eps) * (2.0 / eps - 0.5 * a)
     out = np.where(k < 0.25 * eps, inner, np.where(k < 0.5 * eps, outer, 0.0))
@@ -134,24 +133,23 @@ def _m_profile(k, a, eps):
 
 
 def eval_family(family: DeltaFamily, k):
-    """Pointwise value delta_n(k); complex for the principal-value family."""
+    """Pointwise value delta_n(k) at a float or a numpy array k; complex for
+    the principal-value family."""
     n = family.n
     if family.shape is DeltaShape.LAMBDA_TRIANGLE:
         out = _triangle(k, n)
     elif family.shape is DeltaShape.M_SHAPE:
         out = _m_profile(k, family.a, 1.0 / n)
     elif family.shape is DeltaShape.SHIFTED_PAIR:
-        k = np.asarray(k, dtype=float)
         c = family.j / n
-        out = 0.5 * (_triangle(k - c, n) + _triangle(-k - c, n))
+        out = 0.5 * (_triangle(k - c, n) + _triangle(k + c, n))
     else:
         k = np.asarray(k, dtype=float)
         if np.any(k == 0):
             raise DomainError("principal-value profile is singular at k = 0")
         out = np.exp(1j * k * n) / (1j * np.pi * k)
-    if np.ndim(out) == 0:
-        return complex(out) if np.iscomplexobj(out) else float(out)
-    return out
+        return complex(out) if out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def fourier(family: DeltaFamily, x):

@@ -9,7 +9,6 @@ Divergence is always reported as a tagged result, never as float('inf').
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,19 +17,13 @@ from scipy.integrate import quad
 from .errors import NonConvergence
 
 
-class OscillatoryStrategy(Enum):
-    SERIES_TERMWISE = "series_termwise"
-    FILON_SEGMENTS = "filon_segments"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and strategy knobs for improper/oscillatory integrals."""
+    """Tolerances and subdivision limit for improper/oscillatory integrals."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 300
-    oscillatory_strategy: OscillatoryStrategy = OscillatoryStrategy.FILON_SEGMENTS
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:

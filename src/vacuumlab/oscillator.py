@@ -36,6 +36,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln, xlogy
 
 from .errors import CombinatorialCap, DimensionCap, DomainError, NonConvergence
 from .numerics import DEFAULT_SPEC, QuadratureSpec
@@ -77,7 +78,16 @@ class TruncatedRep:
 def build_rep(omegas: Sequence[float], weights: Sequence[float], n_max: int,
               N: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> TruncatedRep:
     """Assemble the truncated matrices, the product vacuum, and the
-    per-basis-state total occupation table."""
+    per-basis-state total occupation table.
+
+    Basis state j lists its N single-site states as base-d1 digits, site 0
+    most significant (the order of the Kronecker product), with
+    d1 = m (n_max + 1); digit = frequency index * (n_max + 1) + occupation.
+    Every operator is read off that digit table: a_w holds sqrt(occ)/sqrt(N)
+    at (j - d1^(N-1-s), j) for each site s of state j that holds frequency w
+    with occ > 0; I_w and nt_w are diagonal (sites holding w, over N, and
+    their occupations summed).
+    """
     omegas = tuple(float(w) for w in omegas)
     weights = tuple(float(p) for p in weights)
     if len(omegas) != len(set(omegas)):
@@ -97,43 +107,32 @@ def build_rep(omegas: Sequence[float], weights: Sequence[float], n_max: int,
     rep = TruncatedRep(omegas, weights, n_max, N)
     rep.dim = dim
 
-    ladder = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-    eye1 = sparse.identity(d1, format="csr")
+    place = d1 ** np.arange(N - 1, -1, -1)
+    digits = (np.arange(dim)[:, None] // place) % d1
+    freq, occ = divmod(digits, n_max + 1)
+    amp = np.sqrt(occ) / math.sqrt(N)
 
-    def one_site(op: np.ndarray, site: int):
-        mats = [eye1] * N
-        mats[site] = sparse.csr_matrix(op)
-        out = mats[0]
-        for mat in mats[1:]:
-            out = sparse.kron(out, mat, format="csr")
-        return out
+    def diagonal(values):
+        j = np.flatnonzero(values)
+        return sparse.csr_matrix((values[j], (j, j)), shape=(dim, dim))
 
     rep.a, rep.a_dag, rep.I, rep.n_tilde = {}, {}, {}, {}
     for i, w in enumerate(omegas):
-        proj = rep.site_projector(i)
-        a1 = np.kron(proj, ladder)
-        i1 = np.kron(proj, np.eye(n_max + 1))
-        n1 = np.kron(proj, ladder.T @ ladder)
-        rep.a[w] = sum(one_site(a1, s) for s in range(N)) / math.sqrt(N)
-        rep.a_dag[w] = rep.a[w].conj().T.tocsr()
-        rep.I[w] = sum(one_site(i1, s) for s in range(N)) / N
-        rep.n_tilde[w] = sum(one_site(n1, s) for s in range(N))
+        at_w = freq == i
+        j, s = np.nonzero(at_w & (occ > 0))
+        rep.a[w] = sparse.csr_matrix((amp[j, s], (j - place[s], j)),
+                                     shape=(dim, dim))
+        rep.a_dag[w] = rep.a[w].T.tocsr()
+        rep.I[w] = diagonal(at_w.sum(1) / N)
+        rep.n_tilde[w] = diagonal(np.where(at_w, occ, 0).sum(1).astype(float))
 
     v1 = np.zeros(d1)
-    for i in range(m):
-        v1[i * (n_max + 1)] = math.sqrt(weights[i])
-    vac = v1
-    for _ in range(N - 1):
-        vac = np.kron(vac, v1)
+    v1[::n_max + 1] = np.sqrt(weights)
+    vac = v1[digits[:, 0]]
+    for s in range(1, N):
+        vac = vac * v1[digits[:, s]]
     rep.vacuum = vac
-
-    occ1 = np.tile(np.arange(n_max + 1), m)
-    tot = np.zeros(dim, dtype=int)
-    for s in range(N):
-        reps = d1 ** (N - s - 1)
-        tiles = d1 ** s
-        tot += np.tile(np.repeat(occ1, reps), tiles)
-    rep.total_occupation = tot
+    rep.total_occupation = occ.sum(1)
     return rep
 
 
@@ -163,14 +162,21 @@ def commutator_residual(rep: TruncatedRep) -> float:
 
 def coherent_state(rep: TruncatedRep, alphas: Sequence[complex]) -> np.ndarray:
     """exp(sum_w alpha_w a_w^+ - conj(alpha_w) a_w) applied to the vacuum
-    (Krylov exponential action; exact up to the occupation cutoff)."""
+    (Krylov exponential action; exact up to the occupation cutoff).
+
+    The generator is built in the dtype of the amplitudes, so real
+    amplitudes keep the whole action in real arithmetic; the state is
+    returned complex either way.  traceA = 0 is exact (the ladder operators
+    have no diagonal) and spares expm_multiply computing the trace.
+    """
     if len(alphas) != len(rep.omegas):
         raise DomainError("one displacement amplitude per frequency required")
     gen = None
     for w, al in zip(rep.omegas, alphas):
         term = al * rep.a_dag[w] - np.conj(al) * rep.a[w]
         gen = term if gen is None else gen + term
-    return expm_multiply(gen.tocsc(), rep.vacuum.astype(complex))
+    state = expm_multiply(gen, rep.vacuum.astype(gen.dtype), traceA=0.0)
+    return state.astype(complex)
 
 
 def excitation_projector_expectation(rep: TruncatedRep, state: np.ndarray,
@@ -266,8 +272,8 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
     if m == 2:
         # vectorized two-mode path (the common sweep case)
         s = np.arange(N + 1)
-        log_coeff = (_log_comb(N, s) + s * _safe_log(probs[0])
-                     + (N - s) * _safe_log(probs[1]))
+        log_coeff = (_log_comb(N, s) + xlogy(s, probs[0])
+                     + xlogy(N - s, probs[1]))
         nu = (s * intensities[0] + (N - s) * intensities[1]) / N
         log_pois = np.where(nu > 0, n * np.log(np.where(nu > 0, nu, 1.0))
                             - nu - math.lgamma(n + 1), 0.0 if n == 0 else -np.inf)
@@ -295,12 +301,7 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
 
 
 def _log_comb(N, s):
-    return (math.lgamma(N + 1) - np.vectorize(math.lgamma)(s + 1.0)
-            - np.vectorize(math.lgamma)(N - s + 1.0))
-
-
-def _safe_log(p):
-    return math.log(p) if p > 0 else -np.inf
+    return gammaln(N + 1.0) - gammaln(s + 1.0) - gammaln(N - s + 1.0)
 
 
 def shannon_poisson_pmf(probs: Sequence[float],

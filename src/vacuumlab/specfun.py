@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import exp1, gamma as gamma_fn, kv, sici
+from scipy.special import exp1, gamma as gamma_fn, kv, kve, sici
 
 from .errors import DomainError, NoConvergence, NonConvergence
 
@@ -58,17 +58,18 @@ def bessel_k(order: int, x):
     return float(out) if out.ndim == 0 else out
 
 
-def bessel_k0_complex(z):
+def bessel_k0_complex(z, scaled: bool = False):
     """K0(z) in the right half-plane (Re z > 0), principal branch, from
-    scipy's Amos kv; takes a scalar or an array.
+    scipy's Amos kv; takes a scalar or an array.  scaled=True gives
+    e^z K0(z) (scipy's kve), which stays representable where K0 underflows.
 
-    Satisfies the reflection symmetry K0(conj z) = conj K0(z).
+    Satisfies the reflection symmetry K0(conj z) = conj K0(z), scaled or not.
     """
     z = np.asarray(z, dtype=complex)
     if (z.real <= 0).any():
         raise DomainError("bessel_k0_complex requires Re z > 0 "
                           "(branch cut on the negative real axis)")
-    out = kv(0, z)
+    out = kve(0, z) if scaled else kv(0, z)
     return complex(out) if out.ndim == 0 else out
 
 

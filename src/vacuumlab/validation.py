@@ -172,13 +172,17 @@ def check_yukawa_bound() -> list[CriterionResult]:
     return [_crit("yukawa_bound_k1=2", 1.0, 1.0 if ok else 0.0, 0.5)]
 
 
-def check_scattering_unitarity() -> list[CriterionResult]:
+def _unitarity_draws() -> np.ndarray:
+    """1000 rows (alpha, L, k) drawn uniformly from [0.01, 50] x [0.1, 5] x
+    [0.01, 80] in one generator call (the same stream as drawing alpha, L
+    and k in turn, row after row)."""
     rng = np.random.default_rng(20240817)
+    return rng.uniform([0.01, 0.1, 0.01], [50.0, 5.0, 80.0], size=(1000, 3))
+
+
+def check_scattering_unitarity() -> list[CriterionResult]:
     worst = 0.0
-    for _ in range(1000):
-        alpha = rng.uniform(0.01, 50.0)
-        L = rng.uniform(0.1, 5.0)
-        k = rng.uniform(0.01, 80.0)
+    for alpha, L, k in _unitarity_draws().tolist():
         c = cavity.scattering_coeffs(k, cavity.CavityConfig(alpha, alpha, L))
         worst = max(worst, abs(abs(c.B) ** 2 + abs(c.E) ** 2 - 1.0))
     out = [_crit("unitarity", 0.0, worst, 1e-12)]

@@ -4,9 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` for the per-criterion
 report, or `vacuumlab validate` for the same content as JSON.
 """
 
+import numpy as np
 import pytest
 
-from vacuumlab.validation import ALL_CHECKS, run_validation
+from vacuumlab.validation import ALL_CHECKS, _unitarity_draws, run_validation
 
 
 def _report(results):
@@ -32,3 +33,11 @@ def test_full_suite_green():
     results = run_validation()
     assert all(r.passed for r in results)
     assert len(results) >= 40
+
+
+def test_unitarity_draws_match_scalar_stream():
+    # one (1000, 3) call yields the stream of alpha, L, k drawn in turn
+    rng = np.random.default_rng(20240817)
+    scalar = [[rng.uniform(0.01, 50.0), rng.uniform(0.1, 5.0),
+               rng.uniform(0.01, 80.0)] for _ in range(1000)]
+    assert np.array_equal(_unitarity_draws(), np.array(scalar))

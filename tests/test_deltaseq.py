@@ -64,6 +64,44 @@ class TestEval:
                              points=fam.breakpoints)
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("fam", [
+        DeltaFamily(DeltaShape.LAMBDA_TRIANGLE, n=3),
+        DeltaFamily(DeltaShape.LAMBDA_TRIANGLE, n=64),
+        DeltaFamily(DeltaShape.M_SHAPE, n=7, a=0.5),
+        DeltaFamily(DeltaShape.M_SHAPE, n=64, a=2.0),
+        DeltaFamily(DeltaShape.SHIFTED_PAIR, n=3, j=2),
+        DeltaFamily(DeltaShape.SHIFTED_PAIR, n=10 ** 4, j=1),
+    ])
+    def test_matches_where_form(self, fam):
+        # the profiles written as explicit np.where branches
+        def tri(k, n):
+            return np.where(np.abs(k) < 1.0 / n, n - n * n * np.abs(k), 0.0)
+
+        n, c = fam.n, fam.j / fam.n
+        if fam.shape is DeltaShape.LAMBDA_TRIANGLE:
+            ref = lambda k: tri(k, n)
+        elif fam.shape is DeltaShape.SHIFTED_PAIR:
+            ref = lambda k: 0.5 * (tri(k - c, n) + tri(-k - c, n))
+        else:
+            eps, a = 1.0 / n, fam.a
+
+            def ref(k):
+                k = np.abs(k)
+                inner = (4.0 * k / eps) * (2.0 / eps - 1.5 * a) + a
+                outer = (2.0 - 4.0 * k / eps) * (2.0 / eps - 0.5 * a)
+                return np.where(k < 0.25 * eps, inner,
+                                np.where(k < 0.5 * eps, outer, 0.0))
+        lo, hi = fam.support
+        bps = np.array(fam.breakpoints)
+        ks = np.concatenate([
+            np.random.default_rng(7).uniform(1.5 * lo, 1.5 * hi, 2000),
+            bps, np.nextafter(bps, np.inf), np.nextafter(bps, -np.inf)])
+        tol = 4 * np.spacing(float(n))
+        assert np.max(np.abs(eval_family(fam, ks) - ref(ks))) <= tol
+        for k in ks[-3 * len(bps):]:
+            v = eval_family(fam, float(k))
+            assert isinstance(v, float) and abs(v - ref(k)) <= tol
+
     def test_principal_value_is_complex(self):
         pv = DeltaFamily(DeltaShape.PRINCIPAL_VALUE, n=3)
         v = eval_family(pv, 0.5)

@@ -65,6 +65,91 @@ class TestRepresentation:
             build_rep([1.0, 1.0], [0.5, 0.5], n_max=2, N=1)
 
 
+def _kron_reference(omegas, weights, n_max, N):
+    """The operators, vacuum and occupation table of build_rep assembled
+    from Kronecker chains of single-site matrices, site 0 leftmost."""
+    from scipy import sparse
+
+    m = len(omegas)
+    d1 = m * (n_max + 1)
+    ladder = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+
+    def one_site(op, site):
+        out = sparse.identity(1, format="csr")
+        for t in range(N):
+            mat = op if t == site else np.eye(d1)
+            out = sparse.kron(out, sparse.csr_matrix(mat), format="csr")
+        return out
+
+    ops = {}
+    for i, w in enumerate(omegas):
+        proj = np.zeros((m, m))
+        proj[i, i] = 1.0
+        a1 = np.kron(proj, ladder)
+        i1 = np.kron(proj, np.eye(n_max + 1))
+        n1 = np.kron(proj, np.diag(np.arange(n_max + 1.0)))
+        a = sum(one_site(a1, s) for s in range(N)) / math.sqrt(N)
+        ops[w] = {"a": a, "a_dag": a.T.tocsr(),
+                  "I": sum(one_site(i1, s) for s in range(N)) / N,
+                  "n_tilde": sum(one_site(n1, s) for s in range(N))}
+    v1 = np.zeros(d1)
+    occ1 = np.tile(np.arange(n_max + 1), m)
+    for i in range(m):
+        v1[i * (n_max + 1)] = math.sqrt(weights[i])
+    vac, tot = v1, occ1
+    for _ in range(N - 1):
+        vac = np.kron(vac, v1)
+        tot = np.add.outer(tot, occ1).ravel()
+    return ops, vac, tot
+
+
+class TestIndexBuiltOperators:
+    @pytest.mark.parametrize("m, n_max, N", [(2, 5, 4), (3, 2, 3), (1, 3, 2),
+                                             (2, 1, 1)])
+    def test_matches_kron_reference(self, m, n_max, N):
+        omegas = [1.0, 2.0, 3.5][:m]
+        weights = {1: [1.0], 2: [0.35, 0.65], 3: [0.2, 0.3, 0.5]}[m]
+        rep = build_rep(omegas, weights, n_max, N)
+        ops, vac, tot = _kron_reference(omegas, weights, n_max, N)
+        for w in omegas:
+            for name, ref in ops[w].items():
+                diff = getattr(rep, name)[w] - ref
+                assert diff.nnz == 0 or np.max(np.abs(diff.data)) <= 1e-14
+        assert np.array_equal(rep.vacuum, vac)
+        assert np.array_equal(rep.total_occupation, tot)
+
+    def test_real_amplitudes_match_complex_route(self):
+        from scipy.sparse.linalg import expm_multiply
+
+        rep = build_rep([1.0, 2.0], [0.35, 0.65], n_max=5, N=4)
+        alphas = [0.45, 0.31]
+        gen = sum(a * rep.a_dag[w] - np.conj(a) * rep.a[w]
+                  for w, a in zip(rep.omegas, alphas))
+        ref = expm_multiply(gen.astype(complex).tocsc(),
+                            rep.vacuum.astype(complex))
+        state = coherent_state(rep, alphas)
+        assert state.dtype == complex
+        assert np.max(np.abs(state - ref)) <= 1e-14
+
+    def test_complex_amplitudes_factorize_over_sites(self):
+        # the generator is a sum of commuting one-site terms, so
+        # exp(sum_s g_s / sqrt N) = (x)_s exp(g / sqrt N) on the vacuum
+        from scipy.linalg import expm
+
+        omegas, weights, n_max, N = [1.0, 2.0], [0.35, 0.65], 5, 3
+        alphas = [0.3 + 0.2j, -0.1 + 0.25j]
+        rep = build_rep(omegas, weights, n_max, N)
+        one = build_rep(omegas, weights, n_max, 1)
+        g = sum(a * one.a_dag[w].toarray() - np.conj(a) * one.a[w].toarray()
+                for w, a in zip(omegas, alphas))
+        site = expm(g / math.sqrt(N)) @ one.vacuum
+        ref = site
+        for _ in range(N - 1):
+            ref = np.kron(ref, site)
+        state = coherent_state(rep, alphas)
+        assert np.max(np.abs(state - ref)) <= 1e-12
+
+
 class TestBinomialLaw:
     def test_matrix_element_equals_binomial(self):
         rep = build_rep([1.0, 2.0], [0.3, 0.7], n_max=2, N=3)
@@ -160,6 +245,15 @@ class TestDeformedPoisson:
             gaps.append(gap)
             assert gap < 2.0 / N
         assert gaps == sorted(gaps, reverse=True)
+
+    @pytest.mark.parametrize("probs", [[0.0, 1.0], [1.0, 0.0]])
+    def test_two_mode_certain_mode_matches_general_path(self, probs):
+        # a zero-probability mode: the general path skips its patterns
+        for n in range(4):
+            two = renyi_poisson_pmf(probs, [0.4, 0.9], 5, n)
+            three = renyi_poisson_pmf(probs + [0.0], [0.4, 0.9, 0.5], 5, n)
+            assert math.isfinite(two)
+            assert two == pytest.approx(three, rel=1e-14)
 
     def test_pattern_cap(self):
         with pytest.raises(CombinatorialCap):
