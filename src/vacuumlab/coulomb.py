@@ -75,7 +75,7 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r,
         V(r) = (q_ph^2/(pi^2 r)) e^{2 lambda} Im K0(2 lambda sqrt(1 + i r/y0)),
 
     at a radius or an array of radii (a float for a scalar r), using the
-    principal branch of the square root.  The kernel is taken scaled,
+    principal branch of the square root.  The kernel is the scaled one,
     e^{2 lambda} K0(w) = e^w K0(w) e^{2 lambda - w}, with Re w >= 2 lambda,
     so V stays representable where K0(w) or e^{2 lambda} alone would not.
     The two conjugate kernel arguments must combine to a purely imaginary
@@ -87,7 +87,7 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r,
     lam = math.sqrt(lambda2)
     w = 2.0 * lam * np.sqrt(1.0 + 1j * (r / y0))
     # one kernel call for the pair (w, conj w)
-    k_plus, k_minus = bessel_k0_complex(np.array([w, w.conj()]), scaled=True)
+    k_plus, k_minus = bessel_k0_complex(np.array([w, w.conj()]))
     diff = k_minus - k_plus           # should be -2i Im(e^w K0(w))
     lost = np.abs(diff.real) > conj_tol * np.maximum(1.0, np.abs(diff))
     if lost.any():

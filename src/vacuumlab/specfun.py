@@ -1,9 +1,10 @@
 """Special-function kernel: Si, Ci, modified Bessel K, all-branch Lambert W,
 the generalized incomplete gamma Gamma(alpha, x, b), and Bernoulli numbers.
 
-Si/Ci, real-argument K_nu and K0 on complex arguments (Amos's algorithm,
-ACM TOMS 644, through scipy's kv) are delegated to scipy behind the module
-contract; Si/Ci and complex K0 take arrays as well as scalars.  The pieces
+Si/Ci, real-argument K_nu and the scaled e^z K0(z) on complex arguments
+(Amos's algorithm, ACM TOMS 644, through scipy's kv and kve) are delegated
+to scipy behind the module contract; Si/Ci and complex K0 take arrays as
+well as scalars.  The pieces
 scipy does not provide are implemented here:
 
 * Lambert W on any integer branch (asymptotic initializer, Halley polish);
@@ -58,18 +59,19 @@ def bessel_k(order: int, x):
     return float(out) if out.ndim == 0 else out
 
 
-def bessel_k0_complex(z, scaled: bool = False):
-    """K0(z) in the right half-plane (Re z > 0), principal branch, from
-    scipy's Amos kv; takes a scalar or an array.  scaled=True gives
-    e^z K0(z) (scipy's kve), which stays representable where K0 underflows.
+def bessel_k0_complex(z):
+    """The exponentially scaled e^z K0(z) in the right half-plane (Re z > 0),
+    principal branch, from scipy's Amos kve; takes a scalar or an array.
+    The scaled form stays representable where K0 itself underflows (Re z
+    beyond ~700); multiply by e^-z for K0.
 
-    Satisfies the reflection symmetry K0(conj z) = conj K0(z), scaled or not.
+    Satisfies the reflection symmetry f(conj z) = conj f(z).
     """
     z = np.asarray(z, dtype=complex)
     if (z.real <= 0).any():
         raise DomainError("bessel_k0_complex requires Re z > 0 "
                           "(branch cut on the negative real axis)")
-    out = kve(0, z) if scaled else kv(0, z)
+    out = kve(0, z)
     return complex(out) if out.ndim == 0 else out
 
 
