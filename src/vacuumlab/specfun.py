@@ -4,8 +4,7 @@ the generalized incomplete gamma Gamma(alpha, x, b), and Bernoulli numbers.
 Si/Ci, real-argument K_nu and the scaled e^z K0(z) on complex arguments
 (Amos's algorithm, ACM TOMS 644, through scipy's kv and kve) are delegated
 to scipy behind the module contract; Si/Ci and complex K0 take arrays as
-well as scalars.  The pieces
-scipy does not provide are implemented here:
+well as scalars.  The pieces scipy does not provide are implemented here:
 
 * Lambert W on any integer branch (asymptotic initializer, Halley polish);
 * Gamma(alpha, x, b) = int_x^inf t^(alpha-1) exp(-t - b/t) dt.

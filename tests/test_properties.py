@@ -47,8 +47,10 @@ def mp_k0_scaled(z: complex) -> complex:
 def test_k0_complex_matches_mpmath(modulus, arg):
     w = complex(modulus * math.cos(arg), modulus * math.sin(arg))
     ref = mp_k0_scaled(w)
-    # |w K0'(w)/K0(w)| ~ |w| is the condition number of K0 at w
-    assert abs(bessel_k0_complex(w) - ref) <= 8 * EPS * (1 + modulus) * abs(ref)
+    # unlike K0 (condition number ~ |w|), e^w K0(w) is well conditioned:
+    # |w (1 - K1(w)/K0(w))| is of order one; worst seen 4.1 eps over 1,500
+    # random points of this range
+    assert abs(bessel_k0_complex(w) - ref) <= 8 * EPS * abs(ref)
 
 
 @PROPERTY
