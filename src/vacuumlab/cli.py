@@ -3,8 +3,9 @@
 Subcommands run named experiments and write deterministic CSV/JSON
 artifacts; `#`-prefixed header rows document each numeric column by its
 defining formula.  A flat key=value config file can seed any run, with
-command-line flags overriding file values, and any numeric option can be
-swept over a comma-separated value list (one output row per value).
+command-line flags overriding file values.  Any numeric option of `casimir`
+and `stats` can be swept over a comma-separated value list (one output row
+per value); the other subcommands reject --sweep.
 
     vacuumlab casimir --alpha 100 --gap 1.0 --out out.csv
     vacuumlab casimir --sweep alpha --values 10,100,1000 --out sweep.csv
@@ -16,6 +17,7 @@ swept over a comma-separated value list (one output row per value).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,6 +70,16 @@ def _profile_from_args(args) -> vacuum.VacuumProfile:
     if args.profile == "lorentz":
         return vacuum.make_lorentz_profile(args.lambda2, args.y0)
     raise ConfigError(f"unknown profile kind {args.profile!r}")
+
+
+_SWEEPABLE = ("casimir", "stats")
+
+
+def _check_sweepable(args):
+    if getattr(args, "sweep", None) is not None \
+            and args.command not in _SWEEPABLE:
+        raise ConfigError(f"{args.command} cannot sweep; only "
+                          f"{' and '.join(_SWEEPABLE)} take --sweep")
 
 
 def _sweep_values(args) -> list[float] | None:
@@ -392,28 +404,39 @@ def build_parser() -> argparse.ArgumentParser:
                             "casimir3", "stats", "shift"])
     p.add_argument("--parameter", required=True)
     p.add_argument("--values", required=True)
-    p.add_argument("--config", help="flat key=value config file")
+    # the file configures the swept command, so only that command reads it
+    p.add_argument("--config", dest="forward_config",
+                   help="flat key=value config file of the swept command")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, config=None)
     return parser
 
 
 def cmd_sweep(args):
     forwarded = [args.command, "--sweep", args.parameter,
                  "--values", args.values]
-    if args.config:
-        forwarded += ["--config", args.config]
+    if args.forward_config:
+        forwarded += ["--config", args.forward_config]
     if args.out:
         forwarded += ["--out", args.out]
     return main(forwarded)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use.  It keeps no state between
+    calls: each parse_args returns a new namespace, and only that namespace
+    is changed by config and sweep handling."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args, argv)
+        _check_sweepable(args)
         return args.func(args)
     except VacuumlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

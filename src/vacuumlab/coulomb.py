@@ -200,20 +200,27 @@ def sign_change_radius(potential: Callable[[float], float],
     return root
 
 
-def expand_bracket(potential: Callable[[float], float], r_start: float,
-                   factor: float = 1.5, max_steps: int = 200) -> tuple[float, float]:
-    """Geometric search from r_start for a bracket with a sign flip."""
-    lo = r_start
-    f_lo = potential(lo)
-    hi = lo
-    for _ in range(max_steps):
-        hi *= factor
-        f_hi = potential(hi)
-        if math.copysign(1.0, f_lo) != math.copysign(1.0, f_hi):
-            return (lo, hi)
-        lo, f_lo = hi, f_hi
-    raise NoSignChange(
-        f"no sign flip within {max_steps} geometric steps from {r_start}")
+def expand_bracket(potential: Callable[[np.ndarray], np.ndarray],
+                   r_start: float, factor: float = 1.5,
+                   max_steps: int = 200) -> tuple[float, float]:
+    """Geometric search from r_start for a bracket with a sign flip: the
+    first neighbouring pair on the ladder r_start, r_start*factor, ...
+    (max_steps + 1 radii, each the previous one times factor, overflowing
+    to inf) whose potentials differ in sign bit.
+
+    The potential is called once, on the whole ladder, so it must take an
+    array of radii and return an array of values.
+    """
+    with np.errstate(over="ignore"):
+        ladder = np.multiply.accumulate(
+            np.r_[float(r_start), np.full(max_steps, float(factor))])
+    negative = np.signbit(potential(ladder))
+    flips = np.flatnonzero(negative[1:] != negative[:-1])
+    if flips.size == 0:
+        raise NoSignChange(
+            f"no sign flip within {max_steps} geometric steps from {r_start}")
+    i = flips[0]
+    return (float(ladder[i]), float(ladder[i + 1]))
 
 
 def yukawa_bound_check(k1: float, lambda_min_ratio: float,

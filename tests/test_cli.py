@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from vacuumlab.cli import load_config, main
+from vacuumlab import cli
+from vacuumlab.cli import build_parser, load_config, main
 from vacuumlab.errors import ConfigError
 
 
@@ -58,6 +59,90 @@ class TestCasimirCommand:
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith("#")][1:]
         assert len(rows) == 2
+
+    def test_standalone_sweep_reads_the_commands_config(self, tmp_path):
+        cfg = tmp_path / "stats.cfg"
+        cfg.write_text("nmax = 3\n")
+        out = tmp_path / "sw.csv"
+        rc = run(["sweep", "--command", "stats", "--parameter", "N",
+                  "--values", "10,20", "--config", str(cfg),
+                  "--out", str(out)])
+        direct = tmp_path / "direct.csv"
+        run(["stats", "--sweep", "N", "--values", "10,20", "--nmax", "3",
+             "--out", str(direct)])
+        assert rc == 0
+        assert out.read_bytes() == direct.read_bytes()
+
+
+class TestUnsupportedSweep:
+    def test_delta_sweep_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        rc = run(["delta", "--sweep", "n", "--values", "2,4,8",
+                  "--out", str(out)])
+        assert rc == 2
+        assert "delta cannot sweep" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_command_on_shift_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        rc = run(["sweep", "--command", "shift", "--parameter", "q",
+                  "--values", "1,2", "--out", str(out)])
+        assert rc == 2
+        assert "shift cannot sweep" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_from_config_rejected(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sweep = alpha\nvalues = 1,2\n")
+        rc = run(["cavity", "--config", str(cfg),
+                  "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+
+
+class TestParserReuse:
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_outputs_match_a_fresh_parser(self, tmp_path, capsys,
+                                          monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 40\ngap = 2.0\n")
+        stats_cfg = tmp_path / "stats.cfg"
+        stats_cfg.write_text("nmax = 3\n")
+        calls = [
+            ["casimir", "--config", str(cfg)],
+            ["casimir"],
+            ["coulomb", "--profile", "box", "--k1", "1.0", "--k2", "50",
+             "--samples", "9", "--summary", str(tmp_path / "s.json")],
+            ["delta", "--n", "4", "--samples", "11"],
+            ["sweep", "--command", "stats", "--parameter", "N",
+             "--values", "10,20", "--config", str(stats_cfg)],
+            ["stats", "--N", "20", "--nmax", "3"],
+            ["cavity", "--alpha", "1.0", "--branches", "2"],
+            ["delta", "--sweep", "n", "--values", "2,4"],
+        ]
+
+        def outputs():
+            got = []
+            for argv in calls:
+                rc = main(argv)
+                captured = capsys.readouterr()
+                summary = b""
+                if "--summary" in argv:
+                    summary = (tmp_path / "s.json").read_bytes()
+                    (tmp_path / "s.json").unlink()
+                got.append((rc, captured.out, captured.err, summary))
+            return got
+
+        cached = outputs()
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = outputs()
+        assert cached == fresh
+        assert [rc for rc, *_ in cached] == [0] * 7 + [2]
+        # the config's values did not outlive their run
+        assert cached[0][1].splitlines()[-1].startswith("40,2,")
+        assert cached[1][1].splitlines()[-1].startswith("100,1,")
 
 
 class TestCoulombCommand:

@@ -218,6 +218,104 @@ class TestSignChange:
                            max_steps=40)
 
 
+def _scalar_ladder(potential, r_start, factor=1.5, max_steps=200):
+    """Reference bracket search: one scalar potential call per rung."""
+    lo = r_start
+    f_lo = potential(lo)
+    hi = lo
+    for _ in range(max_steps):
+        hi *= factor
+        f_hi = potential(hi)
+        if math.copysign(1.0, f_lo) != math.copysign(1.0, f_hi):
+            return (lo, hi)
+        lo, f_lo = hi, f_hi
+    raise NoSignChange(
+        f"no sign flip within {max_steps} geometric steps from {r_start}")
+
+
+def _outcome(search, pot, r_start, **kw):
+    try:
+        return [float(x).hex() for x in search(pot, r_start, **kw)]
+    except NoSignChange as exc:
+        return str(exc)
+
+
+def _same_bracket(pot, r_start, **kw):
+    """expand_bracket's bracket, bitwise equal to the scalar reference's
+    (the ladder is the same sequence of roundings), or its NoSignChange
+    message, equal to the reference's."""
+    expect = _outcome(_scalar_ladder, pot, r_start, **kw)
+    got = _outcome(expand_bracket, pot, r_start, **kw)
+    assert got == expect
+    return got if isinstance(got, str) else tuple(map(float.fromhex, got))
+
+
+class TestExpandBracket:
+    def test_box_profiles_at_random_starts(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            k1 = 10 ** rng.uniform(-2, 0)
+            k2 = k1 * 10 ** rng.uniform(0.5, 3)
+            prof = make_box_profile(k1, k2)
+            q_ph = physical_charge(1.0, prof)
+            _same_bracket(lambda r: potential(prof, q_ph, r),
+                          10 ** rng.uniform(-4, 1) / k2)
+
+    def test_exponential_profiles_at_random_starts(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            y0 = 10 ** rng.uniform(-4, 0)
+            prof = make_lorentz_profile(10 ** rng.uniform(-12, 0), y0)
+            q_ph = physical_charge(1.0, prof)
+            _same_bracket(lambda r: potential(prof, q_ph, r),
+                          y0 * 10 ** rng.uniform(-2, 1))
+
+    def test_validation_planck_case(self):
+        prof = make_lorentz_profile(1e-49, 1e-38 / PLANCK_LENGTH_KM)
+        _same_bracket(lambda r: potential(prof, 1.0, r), 1e47)
+
+    def test_flip_at_first_step(self):
+        assert _same_bracket(lambda r: r - 1.2, 1.0) == (1.0, 1.5)
+
+    def test_signed_zeros(self):
+        # +0.0 counts as positive and -0.0 as negative, as copysign reads them
+        pots = [lambda r: np.where(r < 5.0, 0.0, -0.0),
+                lambda r: np.where(r < 3.0, 1.0, np.where(r < 9.0, 0.0, -0.0)),
+                lambda r: np.where(r < 3.0, -1.0, 0.0),
+                lambda r: np.where(r < 3.0, -0.0, np.nan),
+                lambda r: np.where(r < 3.0, np.nan, -np.nan)]
+        for pot in pots:
+            _same_bracket(pot, 1.0)
+
+    def test_ladder_overflowing_to_inf(self):
+        lo, hi = _same_bracket(lambda r: np.where(np.isinf(r), 1.0, -1.0),
+                               1e300)
+        assert math.isfinite(lo) and hi == math.inf
+        # Si(k r) rounds to pi/2 this far out: the box potential is -0.0
+        # on every rung (4 pi r overflows in it near the top)
+        prof = make_box_profile(0.01, 0.5)
+        with np.errstate(over="ignore"):
+            assert "no sign flip" in _same_bracket(
+                lambda r: potential(prof, 1.0, r), 1e300)
+
+    def test_same_message_when_steps_run_out(self):
+        pot = lambda r: -1.0 / r
+        for r_start, steps in ((0.5, 40), (1e300, 30)):
+            assert _same_bracket(pot, r_start, max_steps=steps) \
+                == f"no sign flip within {steps} geometric steps from {r_start}"
+
+    def test_one_potential_call(self):
+        calls = []
+
+        def pot(r):
+            calls.append(np.shape(r))
+            return np.cos(r)
+
+        assert expand_bracket(pot, 0.1, max_steps=50) == _scalar_ladder(
+            np.cos, 0.1, max_steps=50)
+        assert calls == [(51,)]
+
+
 class TestYukawaBound:
     LAM_RATIO = 3e5 / PLANCK_LENGTH_KM
     R_GRID = np.geomspace(1e-3, 1e9, 600) / PLANCK_LENGTH_KM
