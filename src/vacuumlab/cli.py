@@ -5,7 +5,8 @@ artifacts; `#`-prefixed header rows document each numeric column by its
 defining formula.  A flat key=value config file can seed any run, with
 command-line flags overriding file values.  Any numeric option of `casimir`
 and `stats` can be swept over a comma-separated value list (one output row
-per value); the other subcommands reject --sweep.
+per value); the other subcommands reject --sweep, and all of them reject
+--values without --sweep.
 
     vacuumlab casimir --alpha 100 --gap 1.0 --out out.csv
     vacuumlab casimir --sweep alpha --values 10,100,1000 --out sweep.csv
@@ -76,10 +77,13 @@ _SWEEPABLE = ("casimir", "stats")
 
 
 def _check_sweepable(args):
-    if getattr(args, "sweep", None) is not None \
-            and args.command not in _SWEEPABLE:
+    sweep = getattr(args, "sweep", None)
+    if sweep is not None and args.command not in _SWEEPABLE:
         raise ConfigError(f"{args.command} cannot sweep; only "
                           f"{' and '.join(_SWEEPABLE)} take --sweep")
+    # the sweep subcommand has --values and no --sweep: it forwards both
+    if sweep is None and args.values is not None and hasattr(args, "sweep"):
+        raise ConfigError("--values is given but --sweep is not")
 
 
 def _sweep_values(args) -> list[float] | None:

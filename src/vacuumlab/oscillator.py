@@ -38,9 +38,9 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, xlogy
 
-from .errors import CombinatorialCap, DimensionCap, DomainError, NonConvergence
+from .errors import CombinatorialCap, DimensionCap, DomainError
 from .numerics import DEFAULT_SPEC, QuadratureSpec
-from .vacuum import ProfileKind, VacuumProfile, density
+from .vacuum import ProfileKind, VacuumProfile, density, density_integral
 
 DEFAULT_DIMENSION_CAP = 100_000
 DEFAULT_PATTERN_CAP = 2_000_000
@@ -368,34 +368,17 @@ def radiative_shift(profile: VacuumProfile, q_charge: float,
                     spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Vacuum-averaged self-energy of a static point charge.
 
-    Free space: q^2 int dk density/|k|^2 (an average over the vacuum
-    ensemble, not a single eigenvalue shift).  With a reflecting plane at
-    distance plane_gap the mode weight picks up (1 - cos 2 k_z L), i.e.
-    radially (1 - sin(2 kappa L)/(2 kappa L)); the difference from free
-    space reproduces the mirror-image interaction.
+    Free space: q^2 int dk density/|k| = q^2 density_integral(profile, 1), in
+    closed form (an average over the vacuum ensemble, not a single
+    eigenvalue shift); DomainError for a profile that is not infrared
+    admissible.  With a reflecting plane at distance plane_gap the mode
+    weight picks up (1 - cos 2 k_z L), i.e. radially
+    (1 - sin(2 kappa L)/(2 kappa L)); the difference from free space, taken
+    by quadrature, reproduces the closed-form mirror-image interaction.
     """
     from .coulomb import _sine_transform
-    from .vacuum import infrared_condition_check
 
-    if not infrared_condition_check(profile, 2):
-        raise DomainError("profile violates the infrared admissibility "
-                          "condition at order 2")
-
-    def g(kappa):
-        return density(profile, kappa)
-
-    if profile.kind is ProfileKind.BOX_SHELL:
-        lo, hi = profile.k1, profile.k2
-        pts = None
-    else:
-        lo, hi = 0.0, 60.0 / profile.y0
-        pts = [math.sqrt(profile.lambda2) / profile.y0]
-    val, err = quad(g, lo, hi, limit=max(400, spec.max_subdivisions),
-                    epsabs=1e-13, epsrel=1e-12,
-                    points=pts if pts and lo < pts[0] < hi else None)
-    if not np.isfinite(val):
-        raise NonConvergence("radiative shift quadrature failed")
-    free = q_charge ** 2 * val / (4.0 * math.pi ** 2)
+    free = q_charge ** 2 * density_integral(profile, 1)
     if plane_gap is None:
         return free
     if plane_gap <= 0:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import exp1
 
 from vacuumlab.casimir import (PressureBreakdown, euler_maclaurin_gap,
                                pressure_1p1_quad, pressure_1p1_series,
@@ -169,6 +168,19 @@ class TestPressure3p1:
                 + Z * b * stairs_gap(x) / (2.0 * math.pi ** 2 * y0 ** 4)
             assert bd.total == pytest.approx(split, rel=1e-7)
 
+    def test_paths_agree_across_the_seam(self):
+        # x = pi y0/L just above 0.04 takes the direct mode sum, just below
+        # it the analytic split; L^4 total takes out the leading L^-4
+        # scaling.  The bound is the direct path's cancellation floor: its
+        # continuum term is about 240/x^4 times the total
+        y0 = 1e-3
+        for b in (1e-12, 1e-8, 1e-6):
+            prof = make_lorentz_profile(b, y0)
+            direct, split = (pressure_3p1(prof, L).total * L ** 4
+                             for L in (math.pi * y0 / (0.04 * (1 + 1e-9)),
+                                       math.pi * y0 / (0.04 * (1 - 1e-9))))
+            assert direct == pytest.approx(split, rel=5e-8, abs=0)
+
     def test_z_linearity(self):
         p1 = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=1e-4, y0=0.05,
                            Z=1.0, norm_const=1.0)
@@ -196,16 +208,53 @@ class TestPressure3p1:
             pressure_3p1(prof, 1.0)
 
 
+def mp_stairs_gap(h):
+    """40-digit reference for stairs_gap: the zeta-regularized
+    Euler-Maclaurin series h^3 zeta(3)/(4 pi^2) - sum_k a_k zeta(-k) h^(k+1),
+    a_k = (-1)^(k-1)/((k-2)(k-2)!), run to k = 59 with mpmath's zeta."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        h = mp.mpf(h)
+        total = h ** 3 * mp.zeta(3) / (4 * mp.pi ** 2)
+        for k in range(3, 60):
+            total -= (-1) ** (k - 1) * mp.zeta(-k) * h ** (k + 1) \
+                / ((k - 2) * mp.factorial(k - 2))
+        return total
+
+
 class TestStairsGap:
+    def test_reference_matches_brute_force_sum(self):
+        # 2/3 - sum_j h (j h)^2 E1(j h), summed by mpmath to convergence
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for h in (0.1, 0.03, 0.01):
+                h = mp.mpf(h)
+                brute = mp.mpf(2) / 3 - mp.nsum(
+                    lambda j: h * (j * h) ** 2 * mp.e1(j * h), [1, mp.inf])
+                ref = mp_stairs_gap(h)
+                assert abs(brute - ref) <= mp.mpf(1e-20) * ref
+
     def test_crude_estimate_scale_at_planck_spacing(self):
-        est = stairs_gap(1e-26)
-        assert 1e-80 < est < 1e-76
+        ref = float(mp_stairs_gap(1e-26))
+        assert stairs_gap(1e-26) == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_direct_sum_moderate_spacing(self):
-        dx = 0.01
-        j = np.arange(1, int(45.0 / dx) + 2)
-        direct = 2.0 / 3.0 - float(np.sum(dx * (j * dx) ** 2 * exp1(j * dx)))
-        assert stairs_gap(dx) == pytest.approx(direct, rel=1e-10)
+        for dx in (0.01, 0.04, math.pi / 10):
+            ref = float(mp_stairs_gap(dx))
+            assert stairs_gap(dx) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_matches_reference_log_uniform(self):
+        # derandomized: a fixed seed, h log-uniform over [1e-30, 0.32]
+        rng = np.random.default_rng(6)
+        hs = 10.0 ** rng.uniform(-30.0, math.log10(0.32), 200)
+        for h in np.concatenate((hs, [1e-30, 0.32])):
+            ref = float(mp_stairs_gap(h))
+            assert stairs_gap(h) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_domain(self):
+        for dx in (0.0, -1e-3, 1.5):
+            with pytest.raises(DomainError):
+                stairs_gap(dx)
 
     def test_defect_shrinks_with_spacing(self):
         assert stairs_gap(1e-3) < stairs_gap(1e-2) < stairs_gap(1e-1)

@@ -99,6 +99,24 @@ class TestUnsupportedSweep:
         assert rc == 2
 
 
+    def test_values_without_sweep_rejected(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc = run(["casimir", "--alpha", "10", "--values", "1,2,3",
+                  "--out", str(out)])
+        assert rc == 2
+        assert "--sweep is not" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_from_config_without_sweep_rejected(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "values.cfg"
+        cfg.write_text("values = 1,2\n")
+        out = tmp_path / "c.csv"
+        rc = run(["casimir", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "--sweep is not" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestParserReuse:
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()

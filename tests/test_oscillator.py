@@ -332,6 +332,18 @@ class TestRadiativeShift:
             / (4.0 * math.pi ** 2)
         assert radiative_shift(prof, q) == pytest.approx(expect, rel=1e-10)
 
+    def test_lorentz_free_term_closed_form(self):
+        # q^2 int dk density/|k| = q^2 (y0/lambda) K1(2 lambda)/K2(2 lambda)
+        from scipy.special import kv
+
+        q = 1.1
+        for lam2, y0 in ((0.01, 0.5), (1e-12, 1e-3), (4.0, 2.0)):
+            prof = make_lorentz_profile(lam2, y0)
+            lam = math.sqrt(lam2)
+            expect = q * q * y0 / lam * kv(1, 2 * lam) / kv(2, 2 * lam)
+            assert radiative_shift(prof, q) == pytest.approx(expect,
+                                                             rel=1e-13)
+
     def test_mirror_identity_box(self):
         prof = make_box_profile(1.0, 3.0)
         q = 1.1

@@ -17,6 +17,7 @@ from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
 from vacuumlab import casimir, coulomb, oscillator, vacuum  # noqa: E402
+from vacuumlab.errors import DomainError  # noqa: E402
 from vacuumlab.specfun import (bessel_k0_complex, gamma_from_zero,  # noqa: E402
                                gen_incomplete_gamma, lambert_w)
 
@@ -164,6 +165,31 @@ def test_gamma_from_zero_matches_mpmath(alpha, b):
         ref = float(2 * bb ** (mp.mpf(alpha) / 2)
                     * mp.besselk(alpha, 2 * mp.sqrt(bb)))
     assert gamma_from_zero(float(alpha), b) == pytest.approx(ref, rel=1e-14)
+
+
+# ------------------------------------------------------- profile moments
+
+@PROPERTY
+@given(n=st.integers(0, 4), lambda2=log_uniform(1e-300, 1.2e5),
+       y0=log_uniform(1e-4, 1e3))
+@example(n=3, lambda2=1e-300, y0=1e-4)      # about 1e288, in range
+@example(n=3, lambda2=1e-300, y0=1e3)       # about 1e309, out of range
+@example(n=4, lambda2=1e-8, y0=1e-4)        # the old quadrature's -9e-12
+@example(n=2, lambda2=1.2e5, y0=1e3)
+def test_density_integral_matches_mpmath(n, lambda2, y0):
+    # y0^n lambda^-n K_{2-n}(2 lambda)/K_2(2 lambda): the moment of a
+    # normalized profile, independent of the stored norm_const
+    profile = vacuum.make_lorentz_profile(lambda2, y0)
+    with mp.workdps(DPS):
+        lam = mp.sqrt(mp.mpf(lambda2))
+        ref = (mp.mpf(y0) / lam) ** n * mp.besselk(2 - n, 2 * lam) \
+            / mp.besselk(2, 2 * lam)
+    if ref > np.finfo(float).max:
+        with pytest.raises(DomainError):
+            vacuum.density_integral(profile, n)
+    else:
+        assert vacuum.density_integral(profile, n) == pytest.approx(
+            float(ref), rel=1e-14, abs=0)
 
 
 # -------------------------------------------------------------- Lambert W

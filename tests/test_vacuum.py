@@ -27,6 +27,23 @@ class TestBoxProfile:
             p = make_box_profile(k1, k2)
             assert density_integral(p) == pytest.approx(1.0, abs=1e-12)
 
+    def test_moments_match_elementary_integrals(self):
+        # (Z/4 pi^2) int_k1^k2 kappa^(1-n) dkappa, antiderivative by hand
+        for k1, k2 in ((0.5, 2.0), (1.0, 3.0), (10.0, 11.0), (1e-5, 1e4)):
+            p = make_box_profile(k1, k2)
+            shells = ((k2 ** 2 - k1 ** 2) / 2.0, k2 - k1, math.log(k2 / k1),
+                      1.0 / k1 - 1.0 / k2, (1.0 / k1 ** 2 - 1.0 / k2 ** 2) / 2.0)
+            for n, shell in enumerate(shells):
+                expect = p.Z * shell / (4.0 * math.pi ** 2)
+                assert density_integral(p, n) == pytest.approx(
+                    expect, rel=1e-14, abs=0)
+
+    def test_moment_order_validated(self):
+        p = make_box_profile(1.0, 3.0)
+        for n in (-1, 5):
+            with pytest.raises(DomainError):
+                density_integral(p, n)
+
     def test_cutoff_indicator(self):
         p = make_box_profile(1.0, 3.0)
         assert cutoff(p, 2.0) == 1.0
@@ -123,6 +140,21 @@ class TestInfraredConditions:
         raw = VacuumProfile(ProfileKind.BOX_SHELL, k1=0.0, k2=3.0,
                             Z=8 * math.pi ** 2 / 9.0,
                             norm_const=8 * math.pi ** 2 / 9.0)
+        for n in (1, 2, 3, 4):
+            assert not infrared_condition_check(raw, n)
+
+    def test_moments_of_inadmissible_profiles_rejected(self):
+        for raw in (VacuumProfile(ProfileKind.BOX_SHELL, k1=0.0, k2=3.0,
+                                  Z=1.0, norm_const=1.0),
+                    VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=0.0,
+                                  y0=1.0, Z=1.0, norm_const=1.0)):
+            for n in range(5):
+                with pytest.raises(DomainError):
+                    density_integral(raw, n)
+
+    def test_lorentz_without_infrared_cutoff_fails(self):
+        raw = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=0.0, y0=1.0,
+                            Z=1.0, norm_const=1.0)
         for n in (1, 2, 3, 4):
             assert not infrared_condition_check(raw, n)
 
