@@ -2,11 +2,16 @@
 
 Subcommands run named experiments and write deterministic CSV/JSON
 artifacts; `#`-prefixed header rows document each numeric column by its
-defining formula.  A flat key=value config file can seed any run, with
-command-line flags overriding file values.  Any numeric option of `casimir`
-and `stats` can be swept over a comma-separated value list (one output row
-per value); the other subcommands reject --sweep, and all of them reject
---values without --sweep.
+defining formula.  Each subcommand maps its parsed options to its outputs;
+`main` alone applies the config file, sweeps, writes and reports errors.
+A flat key=value config file can seed any run; command-line flags, even
+abbreviated, override file values.  Any numeric option of `casimir` and
+`stats` can be swept over a comma-separated value list (one output row per
+value); the other subcommands reject --sweep, and all of them reject
+--values without --sweep.  Flag, config and sweep values are converted by
+the type their option declares: a value that does not convert or is not
+finite (nan, inf), and an unknown config key, exit 2 with one `error:` line
+and write nothing.
 
     vacuumlab casimir --alpha 100 --gap 1.0 --out out.csv
     vacuumlab casimir --sweep alpha --values 10,100,1000 --out sweep.csv
@@ -23,6 +28,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,20 +37,30 @@ from .constants import AU_KM, PLANCK_LENGTH_KM
 from .errors import ConfigError, IoError, VacuumlabError
 
 
+class Table(NamedTuple):
+    """A CSV output: `#` comment lines, the header row and the data rows."""
+
+    comments: list[str]
+    columns: list[str]
+    rows: list[tuple]
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
 
 
-def _write_rows(path: str | None, header_comments: list[str],
-                columns: list[str], rows: list[tuple]):
-    lines = [f"# vacuumlab {__version__}"]
-    lines += [f"# {c}" for c in header_comments]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write(path: str | None, output: Table | dict):
+    """A Table as CSV or a payload as JSON, to path or else to stdout."""
+    if isinstance(output, Table):
+        lines = [f"# vacuumlab {__version__}"]
+        lines += [f"# {c}" for c in output.comments]
+        lines.append(",".join(output.columns))
+        lines += [",".join(_fmt(v) for v in row) for row in output.rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(output, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -54,69 +70,30 @@ def _write_rows(path: str | None, header_comments: list[str],
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(path: str | None, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+def _finite(text: str) -> float:
+    """The type of every float option: a float that is neither nan nor inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    return [_finite(v) for v in text.split(",")]
 
 
 def _profile_from_args(args) -> vacuum.VacuumProfile:
     if args.profile == "box":
         return vacuum.make_box_profile(args.k1, args.k2)
-    if args.profile == "lorentz":
-        return vacuum.make_lorentz_profile(args.lambda2, args.y0)
-    raise ConfigError(f"unknown profile kind {args.profile!r}")
-
-
-_SWEEPABLE = ("casimir", "stats")
-
-
-def _check_sweepable(args):
-    sweep = getattr(args, "sweep", None)
-    if sweep is not None and args.command not in _SWEEPABLE:
-        raise ConfigError(f"{args.command} cannot sweep; only "
-                          f"{' and '.join(_SWEEPABLE)} take --sweep")
-    # the sweep subcommand has --values and no --sweep: it forwards both
-    if sweep is None and args.values is not None and hasattr(args, "sweep"):
-        raise ConfigError("--values is given but --sweep is not")
-
-
-def _sweep_values(args) -> list[float] | None:
-    if args.sweep is None:
-        return None
-    if not args.values:
-        raise ConfigError("sweep requested but --values list is empty")
-    try:
-        return [float(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep values {args.values!r}") from exc
-
-
-def _apply_sweep(args, parameter: str, value: float):
-    if not hasattr(args, parameter):
-        raise ConfigError(f"swept parameter {parameter!r} does not belong "
-                          "to this command")
-    setattr(args, parameter, type(getattr(args, parameter))(value))
-
-
-def _run_sweepable(args, one_row, columns, comments):
-    values = _sweep_values(args)
-    rows = []
-    if values is None:
-        rows.append(one_row(args))
-    else:
-        for v in values:
-            _apply_sweep(args, args.sweep, v)
-            rows.append(one_row(args))
-    _write_rows(args.out, comments, columns, rows)
+    return vacuum.make_lorentz_profile(args.lambda2, args.y0)
 
 
 # ------------------------------------------------------------- subcommands
+# Each returns its outputs as (path, Table or JSON payload) pairs, path None
+# for stdout; a sweepable one also has a row function in _SWEEPS.
 
 def cmd_delta(args):
     from .deltaseq import DeltaFamily, DeltaShape, eval_family, fourier
@@ -124,14 +101,13 @@ def cmd_delta(args):
     shape = DeltaShape(args.shape)
     fam = DeltaFamily(shape, n=args.n, j=args.j, a=args.a)
     ks = np.linspace(args.kmin, args.kmax, args.samples)
-    rows = [(float(k), float(np.real(eval_family(fam, float(k)))),
-             float(fourier(fam, float(k)))) for k in ks]
-    _write_rows(args.out,
-                [f"family {shape.value} n={args.n} j={args.j} a={args.a}",
-                 "value: piecewise-linear profile delta_n(k)",
-                 "transform: (1/2pi) int delta_n(k') exp(i k' x) dk' at x=k"],
-                ["k", "value", "transform"], rows)
-    return 0
+    rows = list(zip(ks.tolist(), np.real(eval_family(fam, ks)).tolist(),
+                    fourier(fam, ks).tolist()))
+    return [(args.out, Table(
+        [f"family {shape.value} n={args.n} j={args.j} a={args.a}",
+         "value: piecewise-linear profile delta_n(k)",
+         "transform: (1/2pi) int delta_n(k') exp(i k' x) dk' at x=k"],
+        ["k", "value", "transform"], rows))]
 
 
 def cmd_coulomb(args):
@@ -141,13 +117,15 @@ def cmd_coulomb(args):
     curve = coulomb.potential_curve(profile, args.q, rs)
     rows = list(zip(curve.r_values, curve.v_values,
                     [curve.profile_tag] * len(rs)))
-    _write_rows(args.out,
-                ["V(r) = -q_ph^2/(4 pi r) * (2/pi)(Si(k2 r) - Si(k1 r)) "
-                 "for the box shell",
-                 "V(r) = q_ph^2 e^{2 lam}/(pi^2 r) Im K0(2 lam "
-                 "sqrt(1 + i r/y0)) for the lorentz profile",
-                 f"q={args.q} q_ph={q_ph}"],
-                ["r", "V", "profile_tag"], rows)
+    outputs = [(args.out, Table(
+        ["V(r) = -q_ph^2/(4 pi r) * (2/pi)(Si(k2 r) - Si(k1 r)) "
+         "for the box shell",
+         "V(r) = q_ph^2 e^{2 lam}/(pi^2 r) Im K0(2 lam "
+         "sqrt(1 + i r/y0)) for the lorentz profile",
+         f"q={args.q} q_ph={q_ph}"],
+        ["r", "V", "profile_tag"], rows))]
+    if not args.summary:
+        return outputs
 
     summary = {"profile": curve.profile_tag, "q": args.q, "q_ph": q_ph}
     try:
@@ -159,9 +137,7 @@ def cmd_coulomb(args):
     except VacuumlabError as exc:
         summary["sign_change_radius"] = None
         summary["note"] = str(exc)
-    if args.summary:
-        _write_json(args.summary, summary)
-    return 0
+    return outputs + [(args.summary, summary)]
 
 
 def cmd_cavity(args):
@@ -174,36 +150,29 @@ def cmd_cavity(args):
         resid = abs(cavity.resonance_equation(root, cfg))
         rows.append((n, "+" if sign == 0 else "-", root.real, root.imag,
                      resid))
-    _write_rows(args.out,
-                ["roots of k^2 + 2 i alpha k + (exp(ikL) - 1) alpha^2 = 0",
-                 f"alpha={args.alpha} L={args.gap}"],
-                ["branch", "sign", "re_k", "im_k", "residual"], rows)
-    return 0
+    return [(args.out, Table(
+        ["roots of k^2 + 2 i alpha k + (exp(ikL) - 1) alpha^2 = 0",
+         f"alpha={args.alpha} L={args.gap}"],
+        ["branch", "sign", "re_k", "im_k", "residual"], rows))]
+
+
+def _casimir_row(a):
+    p_series = casimir.pressure_1p1_series(a.alpha, a.gap)
+    p_quad = casimir.pressure_1p1_quad(a.alpha, a.gap)
+    p_comb = casimir.pressure_dirichlet_comb(a.gap, math.pi / (2 * a.gap), 50)
+    p_em = casimir.pressure_euler_maclaurin(a.gap)
+    return (a.alpha, a.gap, p_series, p_quad, p_comb, p_em)
 
 
 def cmd_casimir(args):
-    def one_row(a):
-        p_series = casimir.pressure_1p1_series(a.alpha, a.gap)
-        p_quad = casimir.pressure_1p1_quad(a.alpha, a.gap)
-        p_comb = casimir.pressure_dirichlet_comb(a.gap,
-                                                 math.pi / (2 * a.gap), 50)
-        p_em = casimir.pressure_euler_maclaurin(a.gap)
-        return (a.alpha, a.gap, p_series, p_quad, p_comb, p_em)
-
-    _run_sweepable(
-        args, one_row,
-        ["alpha", "L", "p_series", "p_quad", "p_comb16", "p_em24"],
-        ["p_series: (1/2pi) sum_n int k r^n e^{2nikL} dk + c.c.",
-         "p_quad:   (1/2pi) int k [(1-|r|^2)/|1-r e^{2ikL}|^2 - 1] dk",
-         "p_comb16: -pi/(16 L^2) comb endpoint at kappa = pi/(2L)",
-         "p_em24:   -pi/(24 L^2) Euler-Maclaurin endpoint"])
-    return 0
+    row, comments, columns = _SWEEPS["casimir"]
+    return [(args.out, Table(comments, columns, [row(args)]))]
 
 
 def cmd_casimir3(args):
     profile = vacuum.make_lorentz_profile(args.lambda2, args.y0)
     bd = casimir.pressure_3p1(profile, args.gap)
-    payload = {
+    return [(args.out, {
         "total": bd.total,
         "leading": bd.leading,
         "y0_corrections": bd.y0_corrections,
@@ -212,38 +181,29 @@ def cmd_casimir3(args):
         "total_pascal": casimir.to_physical_pressure(bd.total),
         "parameters": {"lambda2": args.lambda2, "y0": args.y0, "L": args.gap,
                        "Z": profile.Z},
-    }
-    _write_json(args.out, payload)
-    return 0
+    })]
+
+
+def _pmf_rows(a):
+    """(n, p_renyi, p_shannon, gap) for n = 0..nmax."""
+    rows = []
+    for n in range(a.nmax + 1):
+        pr = oscillator.renyi_poisson_pmf(a.probs, a.intensities, a.N, n)
+        ps = oscillator.shannon_poisson_pmf(a.probs, a.intensities, n)
+        rows.append((n, pr, ps, pr - ps))
+    return rows
+
+
+def _shannon_gap_row(a):
+    return (a.N, max((abs(gap) for *_, gap in _pmf_rows(a)), default=0.0))
 
 
 def cmd_stats(args):
-    probs = [float(p) for p in args.probs.split(",")]
-    ws = [float(w) for w in args.intensities.split(",")]
-
-    def one_row(a):
-        gap = 0.0
-        for n in range(a.nmax + 1):
-            gap = max(gap, abs(
-                oscillator.renyi_poisson_pmf(probs, ws, a.N, n)
-                - oscillator.shannon_poisson_pmf(probs, ws, n)))
-        return (a.N, gap)
-
-    if args.sweep:
-        _run_sweepable(args, one_row, ["N", "shannon_gap"],
-                       ["gap: max_n |p(n, N) - poisson(n)|"])
-        return 0
-    rows = []
-    for n in range(args.nmax + 1):
-        pr = oscillator.renyi_poisson_pmf(probs, ws, args.N, n)
-        ps = oscillator.shannon_poisson_pmf(probs, ws, n)
-        rows.append((n, pr, ps, pr - ps))
-    _write_rows(args.out,
-                ["p_renyi: (1/n!) d^n/dl^n (sum p e^{l w/N})^N at l=-1",
-                 "p_shannon: Poisson with parameter sum p w",
-                 f"N={args.N} probs={probs} intensities={ws}"],
-                ["n", "p_renyi", "p_shannon", "gap"], rows)
-    return 0
+    return [(args.out, Table(
+        ["p_renyi: (1/n!) d^n/dl^n (sum p e^{l w/N})^N at l=-1",
+         "p_shannon: Poisson with parameter sum p w",
+         f"N={args.N} probs={args.probs} intensities={args.intensities}"],
+        ["n", "p_renyi", "p_shannon", "gap"], _pmf_rows(args)))]
 
 
 def cmd_shift(args):
@@ -255,21 +215,33 @@ def cmd_shift(args):
                                            plane_gap=args.gap)
         payload["plane"] = plane
         payload["mirror_term"] = plane - free
-    _write_json(args.out, payload)
-    return 0
+    return [(args.out, payload)]
 
 
 def cmd_validate(args):
+    """The acceptance report; its `passed` key decides the exit code."""
     from .validation import run_validation
 
     results = run_validation()
-    payload = {
+    return [(args.out, {
         "version": __version__,
         "passed": all(r.passed for r in results),
         "criteria": [r.as_dict() for r in results],
-    }
-    _write_json(args.out, payload)
-    return 0 if payload["passed"] else 1
+    })]
+
+
+# the sweepable subcommands: the row of one run, the table's comments and
+# its columns
+_SWEEPS = {
+    "casimir": (_casimir_row, [
+        "p_series: (1/2pi) sum_n int k r^n e^{2nikL} dk + c.c.",
+        "p_quad:   (1/2pi) int k [(1-|r|^2)/|1-r e^{2ikL}|^2 - 1] dk",
+        "p_comb16: -pi/(16 L^2) comb endpoint at kappa = pi/(2L)",
+        "p_em24:   -pi/(24 L^2) Euler-Maclaurin endpoint"],
+        ["alpha", "L", "p_series", "p_quad", "p_comb16", "p_em24"]),
+    "stats": (_shannon_gap_row, ["gap: max_n |p(n, N) - poisson(n)|"],
+              ["N", "shannon_gap"]),
+}
 
 
 # ----------------------------------------------------------- configuration
@@ -294,29 +266,6 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(parser, args, argv):
-    if args.config is None:
-        return args
-    cfg = load_config(args.config)
-    known = set(vars(args)) - {"func", "command", "config"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # config seeds defaults; explicit flags win
-    given = {a.split("=")[0].lstrip("-").replace("-", "_")
-             for a in argv if a.startswith("--")}
-    for key, value in cfg.items():
-        if key in given:
-            continue
-        current = getattr(args, key, None)
-        caster = type(current) if current is not None else str
-        if caster is bool:
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, key, caster(value))
-    return args
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vacuumlab",
@@ -332,69 +281,57 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sweep", help="parameter name to sweep")
         p.add_argument("--values", help="comma-separated sweep values")
 
+    def options(p, type, **defaults):
+        for name, default in defaults.items():
+            p.add_argument(f"--{name}", type=type, default=default)
+
+    profiles = ["box", "lorentz"]
+
     p = sub.add_parser("delta", help="delta-sequence profiles and transforms")
     common(p)
     p.add_argument("--shape", default="lambda_triangle",
                    choices=["lambda_triangle", "m_shape", "shifted_pair"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--kmin", type=float, default=-2.0)
-    p.add_argument("--kmax", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=401)
+    options(p, int, n=8, j=0)
+    options(p, _finite, a=0.0, kmin=-2.0, kmax=2.0)
+    options(p, int, samples=401)
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("coulomb", help="averaged potential curves")
     common(p)
-    p.add_argument("--profile", default="box", choices=["box", "lorentz"])
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--k1", type=float, default=1.0)
-    p.add_argument("--k2", type=float, default=100.0)
-    p.add_argument("--lambda2", type=float, default=1e-6)
-    p.add_argument("--y0", type=float, default=1e-3)
-    p.add_argument("--rmin", type=float, default=0.1)
-    p.add_argument("--rmax", type=float, default=100.0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--profile", default="box", choices=profiles)
+    options(p, _finite, q=1.0, k1=1.0, k2=100.0, lambda2=1e-6, y0=1e-3,
+            rmin=0.1, rmax=100.0)
+    options(p, int, samples=200)
     p.add_argument("--summary", help="JSON summary path")
     p.set_defaults(func=cmd_coulomb)
 
     p = sub.add_parser("cavity", help="complex resonance table")
     common(p)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--gap", type=float, default=1.0)
-    p.add_argument("--branches", type=int, default=3)
+    options(p, _finite, alpha=1.0, gap=1.0)
+    options(p, int, branches=3)
     p.set_defaults(func=cmd_cavity)
 
     p = sub.add_parser("casimir", help="1+1 pressure, all routes")
     common(p)
-    p.add_argument("--alpha", type=float, default=100.0)
-    p.add_argument("--gap", type=float, default=1.0)
+    options(p, _finite, alpha=100.0, gap=1.0)
     p.set_defaults(func=cmd_casimir)
 
     p = sub.add_parser("casimir3", help="3+1 pressure breakdown (JSON)")
     common(p)
-    p.add_argument("--lambda2", type=float, default=1e-12)
-    p.add_argument("--y0", type=float, default=1e-4)
-    p.add_argument("--gap", type=float, default=1.0)
+    options(p, _finite, lambda2=1e-12, y0=1e-4, gap=1.0)
     p.set_defaults(func=cmd_casimir3)
 
     p = sub.add_parser("stats", help="deformed excitation statistics")
     common(p)
-    p.add_argument("--N", type=int, default=100)
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--probs", default="0.35,0.65")
-    p.add_argument("--intensities", default="0.7,0.3")
+    options(p, int, N=100, nmax=8)
+    options(p, _finite_list, probs="0.35,0.65", intensities="0.7,0.3")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("shift", help="radiative self-energy shifts (JSON)")
     common(p)
-    p.add_argument("--profile", default="box", choices=["box", "lorentz"])
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--k1", type=float, default=1.0)
-    p.add_argument("--k2", type=float, default=100.0)
-    p.add_argument("--lambda2", type=float, default=1e-2)
-    p.add_argument("--y0", type=float, default=0.5)
-    p.add_argument("--gap", type=float, default=None,
+    p.add_argument("--profile", default="box", choices=profiles)
+    options(p, _finite, q=1.0, k1=1.0, k2=100.0, lambda2=1e-2, y0=0.5)
+    p.add_argument("--gap", type=_finite, default=None,
                    help="plane distance (omit for free space)")
     p.set_defaults(func=cmd_shift)
 
@@ -402,8 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_validate)
 
+    # `sweep --command C --parameter P ...` is another spelling of
+    # `C --sweep P ...`; main rewrites the one into the other
     p = sub.add_parser("sweep", help="sweep a parameter of another command")
-    p.add_argument("--command", required=True,
+    p.add_argument("--command", dest="swept_command", required=True,
                    choices=["delta", "coulomb", "cavity", "casimir",
                             "casimir3", "stats", "shift"])
     p.add_argument("--parameter", required=True)
@@ -412,26 +351,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", dest="forward_config",
                    help="flat key=value config file of the swept command")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_sweep, config=None)
     return parser
-
-
-def cmd_sweep(args):
-    forwarded = [args.command, "--sweep", args.parameter,
-                 "--values", args.values]
-    if args.forward_config:
-        forwarded += ["--config", args.forward_config]
-    if args.out:
-        forwarded += ["--out", args.out]
-    return main(forwarded)
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's parser, built on first use.  It keeps no state between
-    calls: each parse_args returns a new namespace, and only that namespace
-    is changed by config and sweep handling."""
+    calls: each parse_args returns a new namespace."""
     return build_parser()
+
+
+# ------------------------------------------------------------------ driver
+
+def _sweep_argv(args) -> list[str]:
+    """The `COMMAND --sweep` spelling of a `sweep` command line."""
+    argv = [args.swept_command, f"--sweep={args.parameter}",
+            f"--values={args.values}"]
+    if args.forward_config:
+        argv.append(f"--config={args.forward_config}")
+    if args.out:
+        argv.append(f"--out={args.out}")
+    return argv
+
+
+def _config_argv(args, argv: list[str]) -> list[str]:
+    """argv with the config file's values put in front as --key=value flags:
+    the parser converts them like any flag, and a flag given on the command
+    line comes later, so it wins."""
+    cfg = load_config(args.config)
+    unknown = set(cfg) - (set(vars(args)) - {"func", "command", "config"})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return argv[:1] + [f"--{k}={v}" for k, v in cfg.items()] + argv[1:]
+
+
+def _option_types(parser, command: str) -> dict:
+    """The type that the subcommand declares for each option, by dest;
+    argparse keeps the declarations only in private attributes."""
+    (subcommands,) = parser._subparsers._group_actions
+    return {a.dest: a.type for a in subcommands.choices[command]._actions}
+
+
+def _outputs(parser, args) -> list[tuple]:
+    """The command's outputs; a sweep runs it once per value of --values,
+    each converted by the swept option's declared type."""
+    if args.sweep is None:
+        if args.values is not None:
+            raise ConfigError("--values is given but --sweep is not")
+        return args.func(args)
+    if args.command not in _SWEEPS:
+        raise ConfigError(f"{args.command} cannot sweep; only "
+                          f"{' and '.join(_SWEEPS)} take --sweep")
+    types = _option_types(parser, args.command)
+    if args.sweep not in types:
+        raise ConfigError(f"swept parameter {args.sweep!r} does not belong "
+                          "to this command")
+    convert = types[args.sweep]
+    if convert not in (int, _finite):
+        raise ConfigError(f"swept parameter {args.sweep!r} is not numeric")
+    try:
+        values = [convert(v) for v in (args.values or "").split(",")
+                  if v.strip()]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"bad sweep values {args.values!r}: {exc}") from exc
+    if not values:
+        raise ConfigError("sweep requested but --values list is empty")
+    row, comments, columns = _SWEEPS[args.command]
+    return [(args.out, Table(comments, columns, [
+        row(argparse.Namespace(**{**vars(args), args.sweep: v}))
+        for v in values]))]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -439,12 +427,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(parser, args, argv)
-        _check_sweepable(args)
-        return args.func(args)
+        if args.command == "sweep":
+            argv = _sweep_argv(args)
+            args = parser.parse_args(argv)
+        if args.config is not None:
+            argv = _config_argv(args, argv)
+            args = parser.parse_args(argv)
+        outputs = _outputs(parser, args)
+        for path, output in outputs:
+            _write(path, output)
     except VacuumlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # a failed report (validate's) is written, then exits 1
+    failed = any(isinstance(out, dict) and out.get("passed") is False
+                 for _, out in outputs)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import BranchError, DomainError, NoSignChange, NonConvergence
+from .errors import DomainError, NoSignChange, NonConvergence
 from .numerics import DEFAULT_SPEC, QuadratureSpec
 from .specfun import bessel_k0_complex, sine_integral
 from .vacuum import ProfileKind, VacuumProfile, density, physical_charge
@@ -68,8 +68,7 @@ def potential_box(q_ph: float, k1: float, k2: float, r):
     return float(v) if v.ndim == 0 else v
 
 
-def potential_lorentz(q_ph: float, lambda2: float, y0: float, r,
-                      conj_tol: float = 1e-12):
+def potential_lorentz(q_ph: float, lambda2: float, y0: float, r):
     """Potential of the exponentially cut vacuum via the complex K0 kernel,
 
         V(r) = (q_ph^2/(pi^2 r)) e^{2 lambda} Im K0(2 lambda sqrt(1 + i r/y0)),
@@ -78,26 +77,18 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r,
     principal branch of the square root.  The kernel is the scaled one,
     e^{2 lambda} K0(w) = e^w K0(w) e^{2 lambda - w}, with Re w >= 2 lambda,
     so V stays representable where K0(w) or e^{2 lambda} alone would not.
-    The two conjugate kernel arguments must combine to a purely imaginary
-    difference; a violation beyond conj_tol raises BranchError.
     """
     r = np.asarray(r, dtype=float)
     if lambda2 <= 0 or y0 <= 0 or (r <= 0).any():
         raise DomainError("potential_lorentz requires positive parameters")
     lam = math.sqrt(lambda2)
     w = 2.0 * lam * np.sqrt(1.0 + 1j * (r / y0))
-    # one kernel call for the pair (w, conj w)
-    k_plus, k_minus = bessel_k0_complex(np.array([w, w.conj()]))
-    diff = k_minus - k_plus           # should be -2i Im(e^w K0(w))
-    lost = np.abs(diff.real) > conj_tol * np.maximum(1.0, np.abs(diff))
-    if lost.any():
-        raise BranchError("conjugate kernel pair lost symmetry: Re diff = "
-                          f"{np.max(np.abs(diff.real))}")
-    # Im(k_plus e^{2 lambda - w}) in real arithmetic: numpy's complex
+    k = bessel_k0_complex(w)
+    # Im(k e^{2 lambda - w}) in real arithmetic: numpy's complex
     # product rounds differently for scalars and arrays, this form does not
     e = np.exp(2.0 * lam - w)
     v = q_ph ** 2 / (math.pi ** 2 * r) \
-        * (k_plus.real * e.imag + k_plus.imag * e.real)
+        * (k.real * e.imag + k.imag * e.real)
     return float(v) if v.ndim == 0 else v
 
 

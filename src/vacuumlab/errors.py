@@ -29,10 +29,6 @@ class DegenerateMode(VacuumlabError, ValueError):
     """Scattering/inner-product evaluation hit a degenerate wavenumber channel."""
 
 
-class BranchError(VacuumlabError, ArithmeticError):
-    """Complex kernel lost the conjugate-pair structure beyond tolerance."""
-
-
 class NoSignChange(VacuumlabError, ValueError):
     """Bisection bracket has the same sign at both endpoints."""
 

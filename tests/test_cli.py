@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vacuumlab import cli
@@ -269,6 +270,120 @@ class TestConfig:
         rows = [l for l in text.splitlines()
                 if l and not l.startswith("#")][1:]
         assert len(rows) == 7
+
+
+def exit_code(argv):
+    """main's return code, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+BAD_INPUTS = {
+    # config values convert by the option's declared type
+    "config_alpha_abc": (["casimir"], "alpha = abc\n"),
+    "config_N_not_int": (["stats"], "N = 2.5\n"),
+    "config_nan": (["casimir"], "gap = nan\n"),
+    # only numeric options of casimir and stats sweep
+    "sweep_out": (["casimir", "--sweep", "out", "--values", "1,2"], None),
+    "sweep_func": (["casimir", "--sweep", "func", "--values", "1,2"], None),
+    "sweep_command": (["casimir", "--sweep", "command", "--values", "1,2"],
+                      None),
+    "sweep_probs": (["stats", "--sweep", "probs", "--values", "0.5,0.9"],
+                    None),
+    # sweep values convert by the swept option's declared type
+    "sweep_N_not_int": (["stats", "--sweep", "N", "--values", "2.5"], None),
+    "sweep_nan": (["casimir", "--sweep", "alpha", "--values", "10,nan"],
+                  None),
+    # non-finite flags
+    "alpha_nan": (["casimir", "--alpha", "nan"], None),
+    "gap_inf": (["casimir", "--gap", "inf"], None),
+    "k1_nan": (["coulomb", "--k1", "nan"], None),
+    "rmax_inf": (["coulomb", "--rmax", "inf"], None),
+    "q_nan": (["shift", "--q", "nan"], None),
+    "a_nan": (["delta", "--a", "nan"], None),
+    "probs_not_float": (["stats", "--probs", "0.5,x"], None),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_2_with_one_error_line(self, case, tmp_path, capsys):
+        argv, config = BAD_INPUTS[case]
+        out = tmp_path / "out.txt"
+        argv = argv + ["--out", str(out)]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, flags, same_as", [
+        # a None default does not leave the config value a string
+        ("gap = 2\n", ["shift"], ["shift", "--gap", "2"]),
+        # an abbreviated flag still wins over the config
+        ("alpha = 40\n", ["casimir", "--alph", "10"],
+         ["casimir", "--alpha", "10"]),
+    ], ids=["shift_gap", "abbreviated_flag"])
+    def test_config_value_converts_like_the_flag(self, config, flags,
+                                                 same_as, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(flags + ["--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(same_as) == 0
+        assert from_config == capsys.readouterr().out
+
+
+class TestDriver:
+    @pytest.mark.parametrize("argv", [
+        ["casimir", "--alpha", "20", "--out"],
+        ["casimir3", "--out"],
+        ["coulomb", "--samples", "9", "--summary"],
+    ], ids=["csv", "json", "coulomb_summary"])
+    def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "no_such_dir" / "out"
+        assert main(argv + [str(path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_failed_validation_exits_1_and_writes_the_report(
+            self, tmp_path, monkeypatch):
+        from vacuumlab import validation
+
+        failed = validation.CriterionResult("broken", 0.0, 1.0, 1e-9, False)
+        monkeypatch.setattr(validation, "run_validation", lambda: [failed])
+        out = tmp_path / "report.json"
+        assert main(["validate", "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is False
+        assert payload["criteria"] == [failed.as_dict()]
+
+
+class TestDeltaCommand:
+    @pytest.mark.parametrize("shape",
+                             ["lambda_triangle", "m_shape", "shifted_pair"])
+    def test_rows_match_the_scalar_functions(self, shape, capsys):
+        # the table is built from one array call per column; numpy's vector
+        # sin/cos may round the transform differently from the scalar calls
+        from vacuumlab.deltaseq import (DeltaFamily, DeltaShape, eval_family,
+                                        fourier)
+
+        assert main(["delta", "--shape", shape, "--n", "8", "--j", "1",
+                     "--a", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        fam = DeltaFamily(DeltaShape(shape), n=8, j=1, a=0.5)
+        assert len(rows) == 401
+        for k, value, transform in ((float(x) for x in r) for r in rows):
+            assert value == eval_family(fam, k)
+            assert transform == pytest.approx(
+                fourier(fam, k), rel=4 * np.finfo(float).eps, abs=0)
 
 
 class TestValidateCommand:

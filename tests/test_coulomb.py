@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from vacuumlab import coulomb
 from vacuumlab.constants import AU_KM, PLANCK_LENGTH_KM
 from vacuumlab.coulomb import (PotentialCurve, compensating_field_avg,
                                compensating_field_closed, expand_bracket,
                                potential, potential_box, potential_curve,
                                potential_lorentz, potential_profile_quad,
                                sign_change_radius, yukawa_bound_check)
-from vacuumlab.errors import BranchError, DomainError, NoSignChange
+from vacuumlab.errors import DomainError, NoSignChange
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
 
@@ -103,20 +102,6 @@ class TestLorentzPotential:
         assert isinstance(v, np.ndarray) and v.shape == rs.shape
         assert v.tolist() == [potential_lorentz(1.0, 0.04, 0.3, float(r))
                               for r in rs]
-
-    def test_lost_conjugate_symmetry_raises(self, monkeypatch):
-        from vacuumlab.specfun import bessel_k0_complex
-
-        def skewed(z):
-            out = bessel_k0_complex(z)
-            out[1] += 1e-6      # the row of the conjugate arguments
-            return out
-
-        monkeypatch.setattr(coulomb, "bessel_k0_complex", skewed)
-        with pytest.raises(BranchError):
-            potential_lorentz(1.0, 0.04, 0.3, np.array([1.0, 2.0]))
-        with pytest.raises(BranchError):
-            potential_lorentz(1.0, 0.04, 0.3, 1.0)
 
 
 class TestDispatch:

@@ -111,10 +111,21 @@ class TestBesselK0Complex:
             np.conj(bessel_k0_complex(z)), abs=1e-13)
 
     def test_conjugate_pair_difference_imaginary(self):
-        lam, y0, r = 0.25, 0.25, 1.3
-        w = 2 * lam * np.sqrt(complex(1.0, r / y0))
-        diff = bessel_k0_complex(np.conj(w)) - bessel_k0_complex(w)
-        assert abs(diff.real) < 1e-13
+        # f(conj w) == conj f(w) exactly at the arguments
+        # w = 2 lam sqrt(1 + i r/y0) of potential_lorentz, which relies on
+        # it: lambda^2 up to the largest representable profile and r/y0
+        # beyond the [0.1, 1e4] of the benchmarked coulomb curves
+        rng = np.random.default_rng(20120101)
+        lam2 = 10.0 ** rng.uniform(-12.0, math.log10(1.2e5), 20000)
+        x = 10.0 ** rng.uniform(-3.0, 6.0, 20000)
+        w = 2.0 * np.sqrt(lam2) * np.sqrt(1.0 + 1j * x)
+        f = bessel_k0_complex(w)
+        g = bessel_k0_complex(np.conj(w))
+        assert np.array_equal(g.real, f.real)
+        assert np.array_equal(g.imag, -f.imag)
+        for z in w[:20]:
+            assert bessel_k0_complex(z.conjugate()) == \
+                bessel_k0_complex(z).conjugate()
 
     def test_against_series_vs_quadrature_seam(self):
         # same function on both sides of |z| = 2;
