@@ -10,12 +10,13 @@ r(k) = 1/(1 - 2ik/alpha)^2):
   about 1e-15 relative of an mpmath reference for alpha in [1e-3, 1e6] and
   L in [0.05, 20];
 * quadrature: p = (1/2pi) int_0^inf k [(1-|r|^2)/|1 - r e^{2ikL}|^2 - 1] dk,
-  integrated on the real axis over Gauss-Legendre panels graded into every
-  quasi-resonant peak at its true position kL + atan(2k/alpha) = m pi, with
-  the smooth remainder beyond the last panel evaluated on a vertical contour
-  (the integrand's analytic continuation decays there and all its poles lie
-  below the real axis); within 1e-10 relative for alpha L <= 2e3 and 5e-9
-  up to alpha L = 2e4, limited by the cancellation of peaks and background;
+  integrated on the real axis over Gauss-Legendre panels graded into k = 0
+  and the first 24 quasi-resonant peaks, at their true positions
+  kL + atan(2k/alpha) = m pi, and past them along a vertical contour (the
+  integrand's analytic continuation decays there and all its poles lie
+  below the real axis); for 1e-70 <= alpha L <= 1e76, within 1.1e-12
+  relative of an mpmath reference, in 1-10 ms per call up to alpha L = 1e8
+  and under 0.1 s at the top of that range;
 * Dirichlet comb: the cutoff-regularized mode-sum-minus-integral closed form
   (-L^2 kappa^2 + J pi (pi - 2 L kappa)) / (4 L^2 pi), J-independent only at
   kappa = pi/(2L) where it equals -pi/(16 L^2);
@@ -31,6 +32,7 @@ reported as a breakdown around the leading term -Z pi^2/(240 L^4).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -111,33 +113,55 @@ def pressure_1p1_series(alpha: float, L: float,
 
 # --------------------------------------------------------- 1+1 quadrature
 
-# centres whose cells are built at once, and panels per array pass: both
-# bound the memory at any alpha L.  256-panel passes keep the temporaries
-# (5120 nodes, 40 kB each) in cache and measured twice as fast as
-# 2048-panel passes.
-_CENTRE_CHUNK = 256
+# resonance peaks graded on the real axis, past k = 0; the rest of the axis
+# is taken on the vertical contour.  Panels are evaluated a block at a time:
+# 256-panel blocks keep the temporaries (5120 nodes, 40 kB each) in cache and
+# measured twice as fast as 2048-panel blocks.
+_PEAKS = 24
 _PANEL_BLOCK = 256
+# the alpha L range of pressure_1p1_quad, a factor ~3e3 inside the points
+# where u^4 in its integrand leaves the normal double range: it overflows
+# below alpha L = 3.5e-74, and past 3.7e79 the error exceeds 1e-8
+_QUAD_ALPHA_L = (1e-70, 1e76)
 
 
-def _mode_density(k: np.ndarray, phase: np.ndarray,
-                  alpha: float) -> np.ndarray:
-    """(k/pi) Re[w/(1-w)] with w = r e^{2ikL} = rho e^{2i phi},
-    rho = 1/(1+u^2), phi = kL + atan(u), u = 2k/alpha; phase is kL less a
-    multiple of pi.
+def _mode_density(centre: np.ndarray, d: np.ndarray, alpha: float,
+                  L: float) -> np.ndarray:
+    """(k/pi) Re[w/(1-w)] at k = centre + d, with w = r e^{2ikL} =
+    rho e^{2i phi}, rho = 1/(1+u^2), phi = kL + atan(u), u = 2k/alpha;
+    centre is 0 or a peak k_m, where k_m L - m pi = -atan(u_m).
 
     Re[w/(1-w)] = (rho cos 2phi - rho^2)/((1-rho)^2 + 4 rho sin^2 phi)
                 = (u^2 (1+t^2) - 2(t+u)^2)/(u^4 (1+t^2) + 4(t+u)^2)
-    with t = tan(phase) = tan(kL), since (1+u^2) sin^2 phi = (t+u)^2/(1+t^2).
-    The denominator is a sum of positive terms, so the peaks at t = -u carry
-    no cancellation but the rounding of the phase.
+    with t = tan(kL), since (1+u^2) sin^2 phi = (t+u)^2/(1+t^2).  With
+    s = tan(dL), u_m = 2 centre/alpha and D = 1 + u_m s, the addition
+    theorem gives
+
+        (1 + t^2) D^2 = (1 + u_m^2)(1 + s^2),
+        (t + u) D = s (1 + u_m^2) + (2d/alpha) D,
+
+    and D^2/(1 + u_m^2) cancels from the ratio.  Both sums are free of
+    cancellation, so the peak at t + u = 0 (half-width u_m^2/2 there) is
+    resolved to the rounding of d, however narrow it is; the tan of the
+    rounded phase -atan(u_m) + dL would be off by relative eps/u_m at the
+    peak, which grows with alpha L.  The denominator is a sum of positive
+    terms.
     """
-    u = (2.0 / alpha) * k
-    t = np.tan(phase)
-    v = t + u
-    v *= v
-    uu = u * u
-    p = 1.0 + t * t
-    return (k / math.pi) * (uu * p - 2.0 * v) / (uu * uu * p + 4.0 * v)
+    uc = (2.0 / alpha) * centre
+    a = 1.0 + uc * uc
+    du = (2.0 / alpha) * d
+    s = np.tan(d * L)
+    n = du * (1.0 + uc * s)
+    n /= a
+    n += s                          # (t + u) D/(1 + u_m^2)
+    n *= n
+    n *= a                          # (t + u)^2 D^2/(1 + u_m^2)
+    u = uc + du
+    u *= u
+    b = s * s
+    b += 1.0
+    b *= u                          # u^2 (1 + t^2) D^2/(1 + u_m^2)
+    return ((centre + d) / math.pi) * (b - 2.0 * n) / (u * b + 4.0 * n)
 
 
 def _peak_positions(alpha: float, L: float, M: int) -> np.ndarray:
@@ -187,61 +211,66 @@ def pressure_1p1_quad(alpha: float, L: float,
 
     The integrand k/(2pi) [(1-|r|^2)/|1-r e^{2ikL}|^2 - 1], equal to
     (k/pi) Re[w/(1-w)], peaks at k_m where k_m L + atan(2k_m/alpha) = m pi,
-    with width (1-rho)/(2L sqrt(rho)), rho = |r|.  Around each peak the
-    panel edges sit at offsets doubling from that width out to the
-    midpoints between neighbouring peaks; k = 0 is graded the same way from
-    1e-6 min(alpha, 1/L).  Every cell is split into 4 equal 20-point
-    Gauss-Legendre panels, built and evaluated a fixed number of peaks and
-    panels at a time, so the panel arrays keep their size at any alpha L.
-    Nodes are kept as offsets d from their peak, and the phase kL - m pi is
-    taken as -atan(2k_m/alpha) + dL, so a peak far out on the k axis is
-    resolved as finely as the first one.  Past the last cell the remainder
-    is taken along the vertical contour k = K + it, where the continued
-    integrand decays like e^{-2tL} and is pole-free (all resonances lie in
-    the lower half-plane).
+    with width (1-rho)/(2L sqrt(rho)), rho = |r|.  The real axis is
+    integrated up to K, halfway between the 24th and 25th peaks, for every
+    alpha and L.  Around k = 0 and each of the 24 peaks the panel edges sit
+    at offsets doubling from that width (from 1e-6 min(alpha, 1/L) at
+    k = 0) out to the midpoints between neighbouring peaks; every cell is
+    split into 4 equal 20-point Gauss-Legendre panels, evaluated a fixed
+    number of panels at a time.  Nodes are kept as offsets d from their
+    peak, and the phase enters through tan(dL) alone (_mode_density), so
+    the narrowest peak is resolved as finely as a broad one.  Past K the
+    remainder is taken along the vertical contour k = K + it, where the
+    continued integrand decays like e^{-2tL} and is pole-free (all
+    resonances lie in the lower half-plane); at K the phase is near pi/2,
+    so |1 - w| >= 1 there.
 
-    Within 1e-10 relative of an mpmath reference for alpha L <= 2e3 and
-    5e-9 up to alpha L = 2e4; the cancellation between the peaks and the
-    background they sit on grows with alpha L.
+    The work grows only with the depth of the grading, by the same ~1,300
+    panels per decade of alpha L: about 3,500 panels at alpha L = 1e4,
+    7,300 at 1e7 and 95,000 at 1e76.  Within 1.1e-12 relative of a 30-digit
+    mpmath reference for 1e-70 <= alpha L <= 1e76 (the worst of 331 scanned
+    points, L from 1e-3 to 1e3); outside that range u^4 in the integrand
+    leaves the double range, and DomainError is raised.
     """
     if alpha <= 0 or L <= 0:
         raise DomainError("pressure_1p1_quad requires alpha, L > 0")
-    M = max(24, math.ceil(0.3 * alpha * L / math.pi))
-    k_m = _peak_positions(alpha, L, M + 1)
-    # centres k = 0, k_1 .. k_M (k = 0 is graded like a peak) and the cell
-    # bounds between them, the last one between k_M and k_M+1
+    least, most = _QUAD_ALPHA_L
+    if not least <= alpha * L <= most:
+        raise DomainError(f"pressure_1p1_quad requires {least:g} <= alpha L "
+                          f"<= {most:g}, got {alpha * L:g}")
+    k_m = _peak_positions(alpha, L, _PEAKS + 1)
+    # centres k = 0, k_1 .. k_24 (k = 0 is graded like a peak) and the cell
+    # bounds between them, the last one between k_24 and k_25
     centres = np.concatenate(([0.0], k_m[:-1]))
     bounds = 0.5 * (centres + k_m)
-    u = 2.0 * centres / alpha
-    theta = -np.arctan(u)                       # k_m L - m pi
-    q = u * u
+    q = (2.0 * centres / alpha) ** 2
     width = q / (2.0 * L * np.sqrt(1.0 + q))    # (1 - rho)/(2 L sqrt(rho))
     width[0] = 1e-6 * min(alpha, 1.0 / L)
     # both differences are exact (Sterbenz's lemma), so the cells of
     # neighbouring centres meet exactly at their shared bound
     left = centres - np.concatenate(([0.0], bounds[:-1]))
     right = bounds - centres
+    owner, lo, hi = _peak_panels(width, left, right)
     total = 0.0
-    for c0 in range(0, M + 1, _CENTRE_CHUNK):
-        c = slice(c0, c0 + _CENTRE_CHUNK)
-        owner, lo, hi = _peak_panels(width[c], left[c], right[c])
-        owner += c0
-        for i in range(0, len(lo), _PANEL_BLOCK):
-            j = slice(i, i + _PANEL_BLOCK)
-            d, w = _gauss_legendre(lo[j], hi[j])
-            o = owner[j, None]
-            total += float(np.sum(w * _mode_density(
-                centres[o] + d, theta[o] + d * L, alpha)))
-    K = bounds[-1]
+    for i in range(0, len(lo), _PANEL_BLOCK):
+        j = slice(i, i + _PANEL_BLOCK)
+        d, w = _gauss_legendre(lo[j], hi[j])
+        total += float(np.sum(w * _mode_density(centres[owner[j, None]], d,
+                                                alpha, L)))
+    K = float(bounds[-1])
+    phase = cmath.exp(2j * K * L)
 
-    def vertical(t):
-        z = K + 1j * t
-        w = np.exp(2j * z * L) / (1.0 - 2j * z / alpha) ** 2
+    # k = K + i x/L: quadpack's rule for [0, inf) suits a decay length near
+    # 1, which x has at any L (in t = x/L it lost 1.6e-4 at L = 1e-10 and at
+    # 1e10).  Python complex arithmetic: quadpack calls it one node at a time
+    def vertical(x):
+        z = complex(K, x / L)
+        w = phase * math.exp(-2.0 * x) / (1.0 - 2j * z / alpha) ** 2
         return (1j * z * w / (1.0 - w)).real
 
     tail, _ = quad(vertical, 0.0, np.inf, limit=spec.max_subdivisions,
-                   epsabs=1e-14 * abs(total), epsrel=1e-12)
-    total += tail / math.pi
+                   epsabs=1e-14 * abs(total) * L, epsrel=1e-12)
+    total += tail / (math.pi * L)
     if not np.isfinite(total):
         raise NonConvergence("quadrature pressure did not converge")
     return total
@@ -374,9 +403,9 @@ def pressure_3p1(profile: VacuumProfile, L: float,
     x = 0.04.  For finer spacing the cancellation is done analytically: the
     leading term and the Bernoulli-series remainder carry the b = 0 part,
     and the b-linear part enters through the staircase defect of
-    int x^2 Gamma(0, x) dx.  The dropped O(b^2) terms are not negligible at
-    the largest b accepted: across x = 0.04 the two paths agree to 1.5e-8
-    for b <= 1e-6 but differ by 3e-5 relative at b = 1e-4.
+    int x^2 Gamma(0, x) dx.  That path drops the O(b^2) terms, so it accepts
+    b <= 1e-6 only: across x = 0.04 the two paths agree to 1.5e-8 for
+    b <= 1e-6 but differ by 3e-5 relative at b = 1e-4.
     """
     if profile.kind is not ProfileKind.LORENTZ_EXP:
         raise DomainError("pressure_3p1 requires a LORENTZ_EXP profile")
@@ -398,7 +427,7 @@ def pressure_3p1(profile: VacuumProfile, L: float,
         continuum = Z / (6.0 * math.pi ** 2 * y0 ** 4) * gamma_from_zero(4.0, b)
         total = mode_sum - continuum
         y0_corr = total - leading - lam2_corr
-    elif b > 1e-4:
+    elif b > 1e-6:
         raise DomainError("lambda2 too large for the fine-spacing expansion "
                           "(O(lambda^4) terms would not be negligible)")
     else:

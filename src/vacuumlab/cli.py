@@ -9,9 +9,10 @@ abbreviated, override file values.  Any numeric option of `casimir` and
 `stats` can be swept over a comma-separated value list (one output row per
 value); the other subcommands reject --sweep, and all of them reject
 --values without --sweep.  Flag, config and sweep values are converted by
-the type their option declares: a value that does not convert or is not
-finite (nan, inf), and an unknown config key, exit 2 with one `error:` line
-and write nothing.
+the type their option declares: a value that does not convert, a float that
+is not finite (nan, inf), a count below its least value (1 for --samples,
+--branches, --N and --n; 0 for --nmax and --j), and an unknown config key,
+exit 2 with one `error:` line and write nothing.
 
     vacuumlab casimir --alpha 100 --gap 1.0 --out out.csv
     vacuumlab casimir --sweep alpha --values 10,100,1000 --out sweep.csv
@@ -79,6 +80,24 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def _count(minimum: int):
+    """The type of a count option: an int no smaller than minimum."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is less than {minimum}")
+        return value
+    return count
+
+
+_positive = _count(1)
+_nonnegative = _count(0)
 
 
 def _finite_list(text: str) -> list[float]:
@@ -291,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--shape", default="lambda_triangle",
                    choices=["lambda_triangle", "m_shape", "shifted_pair"])
-    options(p, int, n=8, j=0)
+    options(p, _positive, n=8)
+    options(p, _nonnegative, j=0)
     options(p, _finite, a=0.0, kmin=-2.0, kmax=2.0)
-    options(p, int, samples=401)
+    options(p, _positive, samples=401)
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("coulomb", help="averaged potential curves")
@@ -301,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="box", choices=profiles)
     options(p, _finite, q=1.0, k1=1.0, k2=100.0, lambda2=1e-6, y0=1e-3,
             rmin=0.1, rmax=100.0)
-    options(p, int, samples=200)
+    options(p, _positive, samples=200)
     p.add_argument("--summary", help="JSON summary path")
     p.set_defaults(func=cmd_coulomb)
 
     p = sub.add_parser("cavity", help="complex resonance table")
     common(p)
     options(p, _finite, alpha=1.0, gap=1.0)
-    options(p, int, branches=3)
+    options(p, _positive, branches=3)
     p.set_defaults(func=cmd_cavity)
 
     p = sub.add_parser("casimir", help="1+1 pressure, all routes")
@@ -323,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="deformed excitation statistics")
     common(p)
-    options(p, int, N=100, nmax=8)
+    options(p, _positive, N=100)
+    options(p, _nonnegative, nmax=8)
     options(p, _finite_list, probs="0.35,0.65", intensities="0.7,0.3")
     p.set_defaults(func=cmd_stats)
 
@@ -407,7 +428,7 @@ def _outputs(parser, args) -> list[tuple]:
         raise ConfigError(f"swept parameter {args.sweep!r} does not belong "
                           "to this command")
     convert = types[args.sweep]
-    if convert not in (int, _finite):
+    if convert not in (_positive, _nonnegative, _finite):
         raise ConfigError(f"swept parameter {args.sweep!r} is not numeric")
     try:
         values = [convert(v) for v in (args.values or "").split(",")

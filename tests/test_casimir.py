@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ class TestOneDimensionalPressure:
     def test_series_equals_quadrature(self, alpha, L):
         ps = pressure_1p1_series(alpha, L)
         pq = pressure_1p1_quad(alpha, L)
-        assert abs(ps - pq) / abs(ps) < 1e-8
+        assert abs(ps - pq) / abs(ps) < 1e-11
 
     def test_transparent_limit(self):
         assert abs(pressure_1p1_series(1e-4, 1.0)) < 1e-7
@@ -79,6 +80,60 @@ class TestOneDimensionalPressure:
             pressure_1p1_series(-1.0, 1.0)
         with pytest.raises(DomainError):
             pressure_1p1_quad(1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha, L", [(3e-71, 1.0), (1e-69, 1e-3),
+                                          (1e75, 20.0), (1e80, 1.0)])
+    def test_quadrature_domain(self, alpha, L):
+        # u^4 in the integrand leaves the double range past either end
+        with pytest.raises(DomainError):
+            pressure_1p1_quad(alpha, L)
+
+    def test_quadrature_at_the_domain_ends(self):
+        # weak barriers: the series; the Dirichlet limit -pi/(24 L^2) holds
+        # to 1/(alpha L), far below rounding at alpha L = 1e76
+        assert pressure_1p1_quad(1e-70, 1.0) == pytest.approx(
+            pressure_1p1_series(1e-70, 1.0), rel=1e-12, abs=0.0)
+        assert pressure_1p1_quad(5e75, 2.0) == pytest.approx(
+            -math.pi / (24.0 * 4.0), rel=1e-11, abs=0.0)
+
+    def test_quadrature_no_integration_warning(self):
+        # alpha L = 2e7 used to end in an IntegrationWarning after 85 s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pq = pressure_1p1_quad(1e6, 20.0)
+        ps = pressure_1p1_series(1e6, 20.0)
+        assert abs(pq - ps) <= 1e-11 * abs(ps)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-10, 1e10, 1e100])
+    def test_quadrature_depends_on_alpha_L_only(self, scale):
+        # p(alpha, L) = f(alpha L)/L^2; the contour integral lost 1.6e-4 at
+        # L = 1e-10 when it was taken in a dimensional variable
+        p1 = pressure_1p1_quad(1.0, 1.0)
+        assert pressure_1p1_quad(scale, 1.0 / scale) / scale ** 2 \
+            == pytest.approx(p1, rel=1e-14, abs=0.0)
+
+    def test_quadrature_work_grows_with_log_alpha_L(self, monkeypatch):
+        # 24 peaks at any alpha L (the old grid took in 0.3 alpha L/pi of
+        # them); only their grading deepens, by the same count per decade,
+        # as the first peaks narrow
+        from vacuumlab import casimir
+
+        nodes = []
+        density = casimir._mode_density
+
+        def counting(centre, d, alpha, L):
+            nodes.append(d.size)
+            return density(centre, d, alpha, L)
+
+        monkeypatch.setattr(casimir, "_mode_density", counting)
+        work = {}
+        for alpha_L in (1e4, 1e7, 1e76):
+            nodes.clear()
+            pressure_1p1_quad(alpha_L, 1.0)
+            work[alpha_L] = sum(nodes)
+        per_decade = (work[1e7] - work[1e4]) / 3.0
+        assert work[1e7] < 2.5 * work[1e4]
+        assert work[1e76] - work[1e7] < 69 * 1.1 * per_decade
 
 
 class TestDirichletEndpoints:
@@ -203,9 +258,16 @@ class TestPressure3p1:
             pressure_3p1(prof, 2.0)  # y0/L = 0.5
 
     def test_large_lambda2_at_fine_spacing_rejected(self):
-        prof = make_lorentz_profile(0.5, 1e-4)
-        with pytest.raises(DomainError):
-            pressure_3p1(prof, 1.0)
+        # x = pi y0/L = 3.1e-4 < 0.04: the path that drops the O(b^2) terms,
+        # which are 3e-5 of the total at b = 1e-4
+        for lambda2 in (0.5, 1e-5):
+            prof = make_lorentz_profile(lambda2, 1e-4)
+            with pytest.raises(DomainError):
+                pressure_3p1(prof, 1.0)
+
+    def test_largest_lambda2_at_fine_spacing_accepted(self):
+        bd = pressure_3p1(make_lorentz_profile(1e-6, 1e-4), 1.0)
+        assert math.isfinite(bd.total) and bd.total < 0.0
 
 
 def mp_stairs_gap(h):

@@ -27,6 +27,12 @@ class TestCasimirCommand:
         assert float(row[0]) == 20.0
         assert float(row[2]) == pytest.approx(float(row[3]), rel=1e-8)
 
+    def test_large_alpha_L_routes_agree(self, capsys):
+        # alpha L = 1e9: the quadrature grades 24 peaks, not 1e8 of them
+        assert run(["casimir", "--alpha", "1e9", "--gap", "1"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert float(row[3]) == pytest.approx(float(row[2]), rel=1e-11)
+
     def test_reproducible_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["casimir", "--alpha", "15", "--gap", "0.8", "--out", str(a)])
@@ -304,6 +310,18 @@ BAD_INPUTS = {
     "q_nan": (["shift", "--q", "nan"], None),
     "a_nan": (["delta", "--a", "nan"], None),
     "probs_not_float": (["stats", "--probs", "0.5,x"], None),
+    # counts below their least value
+    "samples_negative": (["coulomb", "--samples", "-1"], None),
+    "samples_zero": (["coulomb", "--samples", "0"], None),
+    "delta_samples_negative": (["delta", "--samples", "-1"], None),
+    "branches_zero": (["cavity", "--branches", "0"], None),
+    "nmax_negative": (["stats", "--nmax", "-1"], None),
+    "j_negative": (["delta", "--j", "-1"], None),
+    "config_samples_zero": (["coulomb"], "samples = 0\n"),
+    "sweep_N_zero": (["stats", "--sweep", "N", "--values", "2,0"], None),
+    # past the alpha L = 1e76 end of pressure_1p1_quad's domain
+    "alpha_L_past_domain": (["casimir", "--alpha", "1e80", "--gap", "1"],
+                            None),
 }
 
 
