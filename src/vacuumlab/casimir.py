@@ -77,6 +77,24 @@ def reflection_coeff(k: float, alpha: float) -> complex:
 
 # ------------------------------------------------------------- 1+1 series
 
+# the gaps L of both 1+1 routes: the pressure scales like 1/L^2, kept within
+# 1e-300..1e300, a factor ~1e8 inside the double range (the series' t w
+# products reach ~700/L^2; both routes overflowed below L ~ 1e-154)
+_GAP_RANGE = (1e-150, 1e150)
+
+
+def _check_gap(alpha: float, L: float, route: str) -> None:
+    """DomainError unless alpha > 0 and 1/L^2 is well inside the double
+    range, checked before any array work."""
+    if alpha <= 0 or L <= 0:
+        raise DomainError(f"{route} requires alpha, L > 0")
+    least, most = _GAP_RANGE
+    if not least <= L <= most:
+        raise DomainError(f"{route} requires {least:g} <= L <= {most:g}, so "
+                          f"that the pressure scale 1/L^2 is a double; got "
+                          f"L = {L:g}")
+
+
 def pressure_1p1_series(alpha: float, L: float,
                         spec: QuadratureSpec = DEFAULT_SPEC,
                         explicit_terms: int = 64) -> float:
@@ -90,10 +108,10 @@ def pressure_1p1_series(alpha: float, L: float,
     one matrix product on a shared Gauss-Legendre grid in t: one panel on
     [0, s] with s = 1/(16 N (L + 1/alpha)), an eighth of the decay length
     of the N-th term, then panels doubling in width out to t = 26/L, where
-    every term has fallen below e^-52 of its scale.
+    every term has fallen below e^-52 of its scale.  DomainError for L
+    outside 1e-150..1e150 (_GAP_RANGE).
     """
-    if alpha <= 0 or L <= 0:
-        raise DomainError("pressure_1p1_series requires alpha, L > 0")
+    _check_gap(alpha, L, "pressure_1p1_series")
     N = max(8, explicit_terms)
     s = 1.0 / (16.0 * N * (L + 1.0 / alpha))
     doublings = math.ceil(math.log2(26.0 / (L * s)))
@@ -230,10 +248,10 @@ def pressure_1p1_quad(alpha: float, L: float,
     7,300 at 1e7 and 95,000 at 1e76.  Within 1.1e-12 relative of a 30-digit
     mpmath reference for 1e-70 <= alpha L <= 1e76 (the worst of 331 scanned
     points, L from 1e-3 to 1e3); outside that range u^4 in the integrand
-    leaves the double range, and DomainError is raised.
+    leaves the double range, and DomainError is raised, as it is for L
+    outside 1e-150..1e150 (_GAP_RANGE).
     """
-    if alpha <= 0 or L <= 0:
-        raise DomainError("pressure_1p1_quad requires alpha, L > 0")
+    _check_gap(alpha, L, "pressure_1p1_quad")
     least, most = _QUAD_ALPHA_L
     if not least <= alpha * L <= most:
         raise DomainError(f"pressure_1p1_quad requires {least:g} <= alpha L "

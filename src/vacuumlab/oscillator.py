@@ -19,15 +19,18 @@ excitation statistics:
 
 computed exactly by multinomial expansion over frequency occupation
 patterns.  The module doubles as the brute-force oracle for those formulas
-(dense/sparse matrices, displacement by Krylov exponential action) and
-evaluates the vacuum-averaged self-energy shifts of a static point charge,
-free or facing a reflecting plane.
+(sparse N-site matrices, built on first use; displacement as the Kronecker
+product of N one-site matrix exponentials, exact because the generator is a
+sum of commuting one-site terms) and evaluates the vacuum-averaged
+self-energy shifts of a static point charge, free or facing a reflecting
+plane.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
 from typing import Callable, Sequence
@@ -35,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
 from .errors import CombinatorialCap, DimensionCap, DomainError
@@ -51,19 +54,25 @@ DEFAULT_PATTERN_CAP = 2_000_000
 @dataclass
 class TruncatedRep:
     """Finite-matrix realization of N symmetrized indefinite-frequency
-    oscillators with occupation cutoff n_max per site."""
+    oscillators with occupation cutoff n_max per site.
+
+    The product vacuum and the per-basis-state total occupation are built
+    with the representation; the N-site operators a, a_dag, I and n_tilde
+    (dicts omega -> sparse matrix) are built on first access.
+    """
 
     omegas: tuple
     weights: tuple
     n_max: int
     N: int
     dim: int = field(init=False)
-    a: dict = field(init=False, repr=False)        # omega -> a_w(N)
-    a_dag: dict = field(init=False, repr=False)
-    I: dict = field(init=False, repr=False)        # omega -> I_w(N)
-    n_tilde: dict = field(init=False, repr=False)  # omega -> nt_w(N)
     vacuum: np.ndarray = field(init=False, repr=False)
     total_occupation: np.ndarray = field(init=False, repr=False)
+
+    a = property(lambda self: self._operators[0])        # omega -> a_w(N)
+    a_dag = property(lambda self: self._operators[1])
+    I = property(lambda self: self._operators[2])        # omega -> I_w(N)
+    n_tilde = property(lambda self: self._operators[3])  # omega -> nt_w(N)
 
     def single_site_dim(self) -> int:
         return len(self.omegas) * (self.n_max + 1)
@@ -74,20 +83,45 @@ class TruncatedRep:
         p[omega_index, omega_index] = 1.0
         return p
 
+    @cached_property
+    def _operators(self) -> tuple[dict, dict, dict, dict]:
+        """a, a_dag, I and n_tilde, read off the digit table.
+
+        Basis state j lists its N single-site states as base-d1 digits,
+        site 0 most significant (the order of the Kronecker product), with
+        d1 = m (n_max + 1); digit = frequency index * (n_max + 1) +
+        occupation.  a_w holds sqrt(occ)/sqrt(N) at (j - d1^(N-1-s), j) for
+        each site s of state j that holds frequency w with occ > 0; I_w and
+        nt_w are diagonal (sites holding w, over N, and their occupations
+        summed).
+        """
+        N, dim, d1 = self.N, self.dim, self.single_site_dim()
+        place = d1 ** np.arange(N - 1, -1, -1)
+        digits = (np.arange(dim)[:, None] // place) % d1
+        freq, occ = divmod(digits, self.n_max + 1)
+        amp = np.sqrt(occ) / math.sqrt(N)
+
+        def diagonal(values):
+            j = np.flatnonzero(values)
+            return sparse.csr_matrix((values[j], (j, j)), shape=(dim, dim))
+
+        a, a_dag, I, n_tilde = {}, {}, {}, {}
+        for i, w in enumerate(self.omegas):
+            at_w = freq == i
+            j, s = np.nonzero(at_w & (occ > 0))
+            a[w] = sparse.csr_matrix((amp[j, s], (j - place[s], j)),
+                                     shape=(dim, dim))
+            a_dag[w] = a[w].T.tocsr()
+            I[w] = diagonal(at_w.sum(1) / N)
+            n_tilde[w] = diagonal(np.where(at_w, occ, 0).sum(1).astype(float))
+        return a, a_dag, I, n_tilde
+
 
 def build_rep(omegas: Sequence[float], weights: Sequence[float], n_max: int,
               N: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> TruncatedRep:
-    """Assemble the truncated matrices, the product vacuum, and the
-    per-basis-state total occupation table.
-
-    Basis state j lists its N single-site states as base-d1 digits, site 0
-    most significant (the order of the Kronecker product), with
-    d1 = m (n_max + 1); digit = frequency index * (n_max + 1) + occupation.
-    Every operator is read off that digit table: a_w holds sqrt(occ)/sqrt(N)
-    at (j - d1^(N-1-s), j) for each site s of state j that holds frequency w
-    with occ > 0; I_w and nt_w are diagonal (sites holding w, over N, and
-    their occupations summed).
-    """
+    """Validate the ensemble and build its product vacuum and per-basis-state
+    total occupation table as Kronecker chains of one-site vectors; the
+    N-site operators are built on first access (TruncatedRep)."""
     omegas = tuple(float(w) for w in omegas)
     weights = tuple(float(p) for p in weights)
     if len(omegas) != len(set(omegas)):
@@ -106,33 +140,11 @@ def build_rep(omegas: Sequence[float], weights: Sequence[float], n_max: int,
                            f"{dimension_cap}")
     rep = TruncatedRep(omegas, weights, n_max, N)
     rep.dim = dim
-
-    place = d1 ** np.arange(N - 1, -1, -1)
-    digits = (np.arange(dim)[:, None] // place) % d1
-    freq, occ = divmod(digits, n_max + 1)
-    amp = np.sqrt(occ) / math.sqrt(N)
-
-    def diagonal(values):
-        j = np.flatnonzero(values)
-        return sparse.csr_matrix((values[j], (j, j)), shape=(dim, dim))
-
-    rep.a, rep.a_dag, rep.I, rep.n_tilde = {}, {}, {}, {}
-    for i, w in enumerate(omegas):
-        at_w = freq == i
-        j, s = np.nonzero(at_w & (occ > 0))
-        rep.a[w] = sparse.csr_matrix((amp[j, s], (j - place[s], j)),
-                                     shape=(dim, dim))
-        rep.a_dag[w] = rep.a[w].T.tocsr()
-        rep.I[w] = diagonal(at_w.sum(1) / N)
-        rep.n_tilde[w] = diagonal(np.where(at_w, occ, 0).sum(1).astype(float))
-
     v1 = np.zeros(d1)
     v1[::n_max + 1] = np.sqrt(weights)
-    vac = v1[digits[:, 0]]
-    for s in range(1, N):
-        vac = vac * v1[digits[:, s]]
-    rep.vacuum = vac
-    rep.total_occupation = occ.sum(1)
+    rep.vacuum = reduce(np.kron, [v1] * N)
+    rep.total_occupation = reduce(np.add.outer,
+                                  [np.tile(np.arange(n_max + 1), m)] * N).ravel()
     return rep
 
 
@@ -162,21 +174,24 @@ def commutator_residual(rep: TruncatedRep) -> float:
 
 def coherent_state(rep: TruncatedRep, alphas: Sequence[complex]) -> np.ndarray:
     """exp(sum_w alpha_w a_w^+ - conj(alpha_w) a_w) applied to the vacuum
-    (Krylov exponential action; exact up to the occupation cutoff).
+    (exact up to the occupation cutoff).
 
-    The generator is built in the dtype of the amplitudes, so real
-    amplitudes keep the whole action in real arithmetic; the state is
-    returned complex either way.  traceA = 0 is exact (the ladder operators
-    have no diagonal) and spares expm_multiply computing the trace.
+    The generator is a sum of commuting one-site terms, each truncated per
+    site, and the vacuum is a product, so the state is the N-fold Kronecker
+    product of one site vector: per frequency block, sqrt(p_w) times the
+    first column of expm((alpha_w L^+ - conj(alpha_w) L)/sqrt(N)) on the
+    (n_max + 1)-level ladder L.  Real amplitudes keep the exponentials in
+    real arithmetic; the state is returned complex either way.  The N-site
+    operators are not built.
     """
     if len(alphas) != len(rep.omegas):
         raise DomainError("one displacement amplitude per frequency required")
-    gen = None
-    for w, al in zip(rep.omegas, alphas):
-        term = al * rep.a_dag[w] - np.conj(al) * rep.a[w]
-        gen = term if gen is None else gen + term
-    state = expm_multiply(gen, rep.vacuum.astype(gen.dtype), traceA=0.0)
-    return state.astype(complex)
+    ladder = np.diag(np.sqrt(np.arange(1.0, rep.n_max + 1)), 1) \
+        / math.sqrt(rep.N)
+    site = np.concatenate([
+        math.sqrt(p) * expm(al * ladder.T - np.conj(al) * ladder)[:, 0]
+        for p, al in zip(rep.weights, alphas)])
+    return reduce(np.kron, [site] * rep.N).astype(complex)
 
 
 def excitation_projector_expectation(rep: TruncatedRep, state: np.ndarray,

@@ -87,7 +87,12 @@ def make_lorentz_profile(lambda2: float, y0: float) -> VacuumProfile:
     if not math.isfinite(norm_const):
         raise DomainError(f"lambda2 = {lambda2:g}, y0 = {y0:g} puts the "
                           "lorentz profile normalization out of double range")
-    Z = norm_const * math.exp(-2.0 * lam)
+    # Z = norm_const e^(-2 lambda) = 4 pi^2 y0^2/(2 lambda^2 kve(2, 2 lambda))
+    # formed without an exponential; with x = 2 lambda and K2 = K0 + 2 K1/x,
+    # x^2 kve(2, x)/2 = x kve(1, x) + x^2 kve(0, x)/2, a sum of positive
+    # terms that does not overflow at subnormal lambda^2 as kve(2, x) does
+    x = 2.0 * lam
+    Z = FOUR_PI_SQ * y0 ** 2 / (x * kve(1, x) + 0.5 * x * x * kve(0, x))
     return VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=lambda2, y0=y0,
                          Z=Z, norm_const=norm_const)
 

@@ -81,6 +81,17 @@ class TestOneDimensionalPressure:
         with pytest.raises(DomainError):
             pressure_1p1_quad(1.0, 0.0)
 
+    @pytest.mark.parametrize("route", [pressure_1p1_series,
+                                       pressure_1p1_quad])
+    def test_gap_keeps_the_pressure_scale_a_double(self, route):
+        # alpha L = 1 throughout; 1/L^2 must stay within 1e-300..1e300
+        for L in (1e-300, 1e-151, 1e151, 1e300):
+            with pytest.raises(DomainError):
+                route(1.0 / L, L)
+        ref = route(1.0, 1.0)
+        for L in (1e-150, 1e150):
+            assert route(1.0 / L, L) * L * L == pytest.approx(ref, rel=1e-14)
+
     @pytest.mark.parametrize("alpha, L", [(3e-71, 1.0), (1e-69, 1e-3),
                                           (1e75, 20.0), (1e80, 1.0)])
     def test_quadrature_domain(self, alpha, L):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,9 @@ BAD_INPUTS = {
     # past the alpha L = 1e76 end of pressure_1p1_quad's domain
     "alpha_L_past_domain": (["casimir", "--alpha", "1e80", "--gap", "1"],
                             None),
+    # alpha L = 1, but the pressure scale 1/L^2 = 1e600 is no double
+    "pressure_scale_past_double_range": (
+        ["casimir", "--alpha", "1e300", "--gap", "1e-300"], None),
 }
 
 
@@ -340,6 +344,15 @@ class TestBadInputs:
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+    def test_unrepresentable_pressure_prints_only_the_error(self, capsys):
+        # no numpy warning on the way to the error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["casimir", "--alpha", "1e300", "--gap", "1e-300"]) \
+                == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("config, flags, same_as", [
         # a None default does not leave the config value a string

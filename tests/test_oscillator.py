@@ -132,22 +132,35 @@ class TestIndexBuiltOperators:
         assert np.max(np.abs(state - ref)) <= 1e-14
 
     def test_complex_amplitudes_factorize_over_sites(self):
-        # the generator is a sum of commuting one-site terms, so
-        # exp(sum_s g_s / sqrt N) = (x)_s exp(g / sqrt N) on the vacuum
-        from scipy.linalg import expm
+        # coherent_state exponentiates one site and takes the Kronecker
+        # product; the oracle is the Krylov action of the N-site generator
+        from scipy.sparse.linalg import expm_multiply
 
-        omegas, weights, n_max, N = [1.0, 2.0], [0.35, 0.65], 5, 3
-        alphas = [0.3 + 0.2j, -0.1 + 0.25j]
+        for m, n_max, N in ((2, 5, 4), (3, 2, 3), (2, 10, 1)):
+            omegas = [1.0, 2.0, 3.5][:m]
+            weights = {2: [0.35, 0.65], 3: [0.2, 0.3, 0.5]}[m]
+            alphas = [0.3 + 0.2j, -0.1 + 0.25j, 0.15 - 0.3j][:m]
+            rep = build_rep(omegas, weights, n_max, N)
+            gen = sum(a * rep.a_dag[w] - np.conj(a) * rep.a[w]
+                      for w, a in zip(rep.omegas, alphas))
+            ref = expm_multiply(gen.tocsc(), rep.vacuum.astype(complex))
+            state = coherent_state(rep, alphas)
+            assert state.dtype == complex
+            assert np.max(np.abs(state - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("m, n_max, N", [(2, 5, 4), (3, 2, 3), (1, 3, 2),
+                                             (2, 1, 1)])
+    def test_vacuum_and_occupation_match_digit_built_operators(
+            self, m, n_max, N):
+        # the vacuum and the occupation table are Kronecker chains, built
+        # apart from the operators; tie them together exactly
+        omegas = [1.0, 2.0, 3.5][:m]
+        weights = {1: [1.0], 2: [0.35, 0.65], 3: [0.2, 0.3, 0.5]}[m]
         rep = build_rep(omegas, weights, n_max, N)
-        one = build_rep(omegas, weights, n_max, 1)
-        g = sum(a * one.a_dag[w].toarray() - np.conj(a) * one.a[w].toarray()
-                for w, a in zip(omegas, alphas))
-        site = expm(g / math.sqrt(N)) @ one.vacuum
-        ref = site
-        for _ in range(N - 1):
-            ref = np.kron(ref, site)
-        state = coherent_state(rep, alphas)
-        assert np.max(np.abs(state - ref)) <= 1e-12
+        for w in omegas:
+            assert not np.any(rep.a[w] @ rep.vacuum)
+        occupation = sum(rep.n_tilde[w].diagonal() for w in omegas)
+        assert np.array_equal(occupation, rep.total_occupation)
 
 
 class TestBinomialLaw:

@@ -98,6 +98,17 @@ class TestLorentzProfile:
         p = make_lorentz_profile(lam2, y0)
         assert density_integral(p) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("lam2", [1e-310, 1e-12, 1.0, 1e4, 1e5, 1.2e5])
+    def test_peak_value_matches_mpmath(self, lam2):
+        # Z = 4 pi^2 y0^2 e^(-2 lambda)/(2 lambda^2 K2(2 lambda)), to 40 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            lam = mp.sqrt(mp.mpf(lam2))
+            expect = 4 * mp.pi ** 2 * mp.exp(-2 * lam) \
+                / (2 * lam ** 2 * mp.besselk(2, 2 * lam))
+            p = make_lorentz_profile(lam2, 1.0)
+            assert abs(p.Z / expect - 1) <= 1e-15
+
     def test_density_vanishes_at_origin(self):
         p = make_lorentz_profile(1.0, 1.0)
         assert density(p, 0.0) == 0.0
