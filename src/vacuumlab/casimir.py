@@ -34,20 +34,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import PRESSURE_UNIT_PA
 from .errors import DomainError, NonConvergence
-from .numerics import DEFAULT_SPEC, QuadratureSpec
+from .numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
 from .specfun import bernoulli_number, gamma_from_zero
 from .vacuum import ProfileKind, VacuumProfile
 
 TWO_PI = 2.0 * math.pi
 _ZETA3 = 1.2020569031595942      # Apery's constant zeta(3)
+# quadpack rules of euler_maclaurin_gap and of _upper_tail_table's far tail
+_EM_GAP_SPEC = QuadratureSpec(1e-13, 1e-12, 400)
+_UPPER_TAIL_SPEC = QuadratureSpec(1e-16, 1e-13, 200)
 
 
 @cache
@@ -95,8 +98,14 @@ def _check_gap(alpha: float, L: float, route: str) -> None:
                           f"L = {L:g}")
 
 
+def _normal_pressure(p: float, route: str) -> float:
+    """p, or DomainError if it is subnormal and has lost digits."""
+    if abs(p) < sys.float_info.min:
+        raise DomainError(f"{route}: the pressure {p:g} is subnormal")
+    return p
+
+
 def pressure_1p1_series(alpha: float, L: float,
-                        spec: QuadratureSpec = DEFAULT_SPEC,
                         explicit_terms: int = 64) -> float:
     """Reflection-series pressure.
 
@@ -109,7 +118,7 @@ def pressure_1p1_series(alpha: float, L: float,
     [0, s] with s = 1/(16 N (L + 1/alpha)), an eighth of the decay length
     of the N-th term, then panels doubling in width out to t = 26/L, where
     every term has fallen below e^-52 of its scale.  DomainError for L
-    outside 1e-150..1e150 (_GAP_RANGE).
+    outside 1e-150..1e150 (_GAP_RANGE) and for a subnormal p.
     """
     _check_gap(alpha, L, "pressure_1p1_series")
     N = max(8, explicit_terms)
@@ -126,7 +135,7 @@ def pressure_1p1_series(alpha: float, L: float,
     total = -(math.fsum(explicit) + float(tail @ tw)) / math.pi
     if not np.isfinite(total):
         raise NonConvergence("series pressure did not converge")
-    return total
+    return _normal_pressure(total, "pressure_1p1_series")
 
 
 # --------------------------------------------------------- 1+1 quadrature
@@ -249,7 +258,7 @@ def pressure_1p1_quad(alpha: float, L: float,
     mpmath reference for 1e-70 <= alpha L <= 1e76 (the worst of 331 scanned
     points, L from 1e-3 to 1e3); outside that range u^4 in the integrand
     leaves the double range, and DomainError is raised, as it is for L
-    outside 1e-150..1e150 (_GAP_RANGE).
+    outside 1e-150..1e150 (_GAP_RANGE) and for a subnormal p.
     """
     _check_gap(alpha, L, "pressure_1p1_quad")
     least, most = _QUAD_ALPHA_L
@@ -275,6 +284,8 @@ def pressure_1p1_quad(alpha: float, L: float,
         d, w = _gauss_legendre(lo[j], hi[j])
         total += float(np.sum(w * _mode_density(centres[owner[j, None]], d,
                                                 alpha, L)))
+    if not np.isfinite(total):     # the contour tail's abs_tol scales with it
+        raise NonConvergence("quadrature pressure did not converge")
     K = float(bounds[-1])
     phase = cmath.exp(2j * K * L)
 
@@ -286,12 +297,9 @@ def pressure_1p1_quad(alpha: float, L: float,
         w = phase * math.exp(-2.0 * x) / (1.0 - 2j * z / alpha) ** 2
         return (1j * z * w / (1.0 - w)).real
 
-    tail, _ = quad(vertical, 0.0, np.inf, limit=spec.max_subdivisions,
-                   epsabs=1e-14 * abs(total) * L, epsrel=1e-12)
-    total += tail / (math.pi * L)
-    if not np.isfinite(total):
-        raise NonConvergence("quadrature pressure did not converge")
-    return total
+    tail = quad_careful(vertical, 0.0, np.inf, replace(
+        spec, abs_tol=1e-14 * abs(total) * L, rel_tol=1e-12))
+    return _normal_pressure(total + tail / (math.pi * L), "pressure_1p1_quad")
 
 
 # ----------------------------------------------------- Dirichlet endpoints
@@ -332,9 +340,7 @@ def euler_maclaurin_gap(f, N: int, derivative_orders: int = 1,
     if not 1 <= derivative_orders <= 3:
         raise DomainError("derivative_orders must be in 1..3")
     s = sum(f(n) for n in range(N + 1)) - 0.5 * (f(N) + f(0))
-    integral, _ = quad(f, 0.0, float(N), limit=400, epsabs=1e-13,
-                       epsrel=1e-12)
-    gap = s - integral
+    gap = s - quad_careful(f, 0.0, float(N), _EM_GAP_SPEC)
 
     def deriv(x, order):
         if order == 1:
@@ -488,8 +494,8 @@ def _upper_tail_table(xs: np.ndarray, b: float) -> np.ndarray:
     ascending, evenly spaced array xs, via per-interval 20-point
     Gauss-Legendre panels (machine accurate for spacing << 1) accumulated
     from the far tail inward."""
-    far, _ = quad(lambda t: math.exp(-t - b / t), float(xs[-1]), np.inf,
-                  limit=200, epsabs=1e-16, epsrel=1e-13)
+    far = quad_careful(lambda t: math.exp(-t - b / t), float(xs[-1]), np.inf,
+                       _UPPER_TAIL_SPEC)
     # panel integrals int_{x_j}^{x_{j+1}} e^{-t - b/t} dt, all panels at once
     t, w = _gauss_legendre(xs[:-1], xs[1:])
     panels = np.sum(w * np.exp(-t - b / t), axis=1)

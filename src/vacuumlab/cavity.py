@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateMode, DomainError
+from .numerics import QuadratureSpec, quad_careful
 from .specfun import lambert_w
 
 DELTA_TOL = 1e-12
@@ -280,26 +281,23 @@ def boundary_inner_product(lz: float, kz: float, window_n: float,
     return num / (kz * kz - lz * lz)
 
 
+_DELTA_CHANNEL_SPEC = QuadratureSpec(1e-10, 1e-9, 400)
+
+
 def delta_channel_weight(kz: float, cfg: CavityConfig, window_n: float,
                          half_width: float | None = None) -> float:
     """Coefficient of the coincident-momentum delta in the mode inner
     product, extracted by integrating the window form over l_z near k_z
     (tends to 2 pi as the window grows).
     """
-    from scipy.integrate import quad
-
     if half_width is None:
         half_width = 0.25 * abs(kz)
     k = kz
 
-    def by_parts(part):
-        def f(l):
-            if abs(l * l - k * k) < 1e-13:
-                return 0.0
-            v = boundary_inner_product(l, k, window_n, cfg)
-            return v.real if part == "re" else v.imag
-        v, _ = quad(f, k - half_width, k + half_width,
-                    points=[k], limit=400, epsabs=1e-10, epsrel=1e-9)
-        return v
+    def f(l):
+        if abs(l * l - k * k) < 1e-13:
+            return 0.0
+        return boundary_inner_product(l, k, window_n, cfg).real
 
-    return by_parts("re")
+    return quad_careful(f, k - half_width, k + half_width,
+                        _DELTA_CHANNEL_SPEC, points=[k])

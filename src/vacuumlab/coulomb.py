@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoSignChange, NonConvergence
-from .numerics import DEFAULT_SPEC, QuadratureSpec
+from .numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
 from .specfun import bessel_k0_complex, sine_integral
 from .vacuum import ProfileKind, VacuumProfile, density, physical_charge
 
@@ -156,12 +155,7 @@ def _sine_transform(profile: VacuumProfile, w: float,
         lo, hi = profile.k1, profile.k2
     else:
         lo, hi = 0.0, 50.0 / profile.y0
-    val, _ = quad(smooth, lo, hi, weight="sin", wvar=w,
-                  limit=spec.max_subdivisions, epsabs=spec.abs_tol,
-                  epsrel=spec.rel_tol)
-    if not np.isfinite(val):
-        raise NonConvergence("sine transform quadrature failed")
-    return sign * val
+    return sign * quad_careful(smooth, lo, hi, spec, weight="sin", wvar=w)
 
 
 def sign_change_radius(potential: Callable[[float], float],

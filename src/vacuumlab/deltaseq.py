@@ -198,8 +198,6 @@ def _cosine_pieces_integral(pieces: Sequence[tuple[float, float]],
     [0, pi] is integrated as the combined smooth function, [pi, U] piecewise
     with cosine-weighted quadrature, and [U, inf) with the exact tails.
     """
-    from scipy.integrate import quad
-
     def combined(u):
         if u < 1e-8:
             return -0.5 * sum(c * a * a for c, a in pieces)
@@ -212,10 +210,8 @@ def _cosine_pieces_integral(pieces: Sequence[tuple[float, float]],
         if a == 0.0:
             total += c * (1.0 / np.pi - 1.0 / U)
         else:
-            v, _ = quad(lambda u: 1.0 / u ** 2, np.pi, U, weight="cos",
-                        wvar=a, limit=spec.max_subdivisions,
-                        epsabs=spec.abs_tol, epsrel=spec.rel_tol)
-            total += c * v
+            total += c * quad_careful(lambda u: 1.0 / u ** 2, np.pi, U, spec,
+                                      weight="cos", wvar=a)
         total += c * _cos_tail(a, U)
     return total
 
@@ -277,8 +273,6 @@ def _pv_filter(n: int, f: Callable, spec: QuadratureSpec,
     term of the neglected tail; for f without decay the residual error is
     O(1/n^2), so a matching (looser) spec tolerance is required.
     """
-    from scipy.integrate import quad
-
     m = int(np.floor(window * n / np.pi))
     W = (m + 0.5) * np.pi / n
     f0 = 0.5 * (f(1e-12) + f(-1e-12))
@@ -289,10 +283,8 @@ def _pv_filter(n: int, f: Callable, spec: QuadratureSpec,
             return 0.0
         return (f(k) + f(-k) - 2.0 * f0) / (np.pi * k)
 
-    v, _ = quad(rest, 0.0, W, weight="sin", wvar=float(n),
-                limit=spec.max_subdivisions, epsabs=spec.abs_tol,
-                epsrel=spec.rel_tol)
-    return exact + v
+    return exact + quad_careful(rest, 0.0, W, spec, weight="sin",
+                                wvar=float(n))
 
 
 def filtering_integral(family: DeltaFamily, f: Callable[[float], float],

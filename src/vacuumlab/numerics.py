@@ -1,5 +1,8 @@
 """Shared numerical plumbing: quadrature settings, limit sweeps, tagged results.
 
+quad_careful is the package's single quadpack entry point: no other module
+imports scipy.integrate, so every quadrature honours a QuadratureSpec.
+
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
 (finite value), grows without bound (divergent), or raises NonConvergence.
@@ -8,6 +11,7 @@ Divergence is always reported as a tagged result, never as float('inf').
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,8 +30,11 @@ class QuadratureSpec:
     max_subdivisions: int = 300
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # abs_tol = 0 is a pure relative rule, which quadpack accepts
+        tols = (self.abs_tol, self.rel_tol)
+        if not all(math.isfinite(t) and t >= 0 for t in tols) or not any(tols):
+            raise ValueError("tolerances must be finite and non-negative, "
+                             "and not both zero")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
 
@@ -63,20 +70,23 @@ def divergent(history: Sequence[float] = ()) -> LimitResult:
 
 def quad_careful(f: Callable[[float], float], a: float, b: float,
                  spec: QuadratureSpec = DEFAULT_SPEC,
-                 points: Sequence[float] | None = None) -> float:
+                 points: Sequence[float] | None = None,
+                 weight: str | None = None,
+                 wvar: float | None = None) -> float:
     """scipy.integrate.quad wrapper honoring a QuadratureSpec.
 
     Breakpoints outside (a, b) are dropped; infinite ranges ignore points
-    (scipy restriction).
+    (scipy restriction).  weight/wvar select quadpack's weighted rules, as in
+    scipy, e.g. weight="sin", wvar=w for int f(x) sin(w x) dx (QAWO).
     """
     kwargs = dict(limit=spec.max_subdivisions, epsabs=spec.abs_tol,
-                  epsrel=spec.rel_tol)
-    if points is not None and np.isfinite(a) and np.isfinite(b):
+                  epsrel=spec.rel_tol, weight=weight, wvar=wvar)
+    if points is not None and math.isfinite(a) and math.isfinite(b):
         pts = sorted({p for p in points if a < p < b})
         if pts:
             kwargs["points"] = pts
     val, err = quad(f, a, b, **kwargs)
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise NonConvergence(f"quadrature returned non-finite value on [{a}, {b}]")
     return val
 

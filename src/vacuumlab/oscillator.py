@@ -37,12 +37,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
 from .errors import CombinatorialCap, DimensionCap, DomainError
-from .numerics import DEFAULT_SPEC, QuadratureSpec
+from .numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
 from .vacuum import ProfileKind, VacuumProfile, density, density_integral
 
 DEFAULT_DIMENSION_CAP = 100_000
@@ -371,9 +370,8 @@ def source_mean_intensity(profile: VacuumProfile, q_charge: float, dt: float,
         lo, hi = profile.k1, profile.k2
     else:
         lo, hi = 0.0, 60.0 / profile.y0
-    val, _ = quad(lambda k: k * g(k), lo, hi, limit=spec.max_subdivisions,
-                  epsabs=spec.abs_tol, epsrel=spec.rel_tol)
-    return val / (4.0 * math.pi ** 2)
+    return quad_careful(lambda k: k * g(k), lo, hi, spec) \
+        / (4.0 * math.pi ** 2)
 
 
 # --------------------------------------------------------- radiative shifts

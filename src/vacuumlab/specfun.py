@@ -20,13 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import exp1, gamma as gamma_fn, kv, kve, sici
 
 from .errors import DomainError, NoConvergence, NonConvergence
+from .numerics import QuadratureSpec, quad_careful
 
 EULER_GAMMA = 0.5772156649015328606
 _EPS = float(np.finfo(float).eps)
+_GAMMA_TAIL_SPEC = QuadratureSpec(0.0, 1e-12, 300)    # relative only
 
 
 # ----------------------------------------------------------------- Si / Ci
@@ -215,17 +216,14 @@ def _gamma_tail(alpha: float, x: float, b: float) -> float:
     def head(t):
         return t ** (alpha - 1.0) * math.exp(-t - b / t)
 
-    val, _ = quad(head, split, np.inf, limit=300, epsabs=0.0, epsrel=1e-12)
+    val = quad_careful(head, split, np.inf, _GAMMA_TAIL_SPEC)
     if x < split:
         # t = b/u maps (x, split) to (b/split, b/x) with dt = -b/u^2 du
         def mirrored(u):
             return (b / u) ** (alpha - 1.0) * math.exp(-u - b / u) * b / u ** 2
 
         lo, hi = b / split, b / x
-        v2, _ = quad(mirrored, lo, hi, limit=300, epsabs=0.0, epsrel=1e-12)
-        val += v2
-    if not np.isfinite(val):
-        raise NonConvergence("gen_incomplete_gamma quadrature failed")
+        val += quad_careful(mirrored, lo, hi, _GAMMA_TAIL_SPEC)
     return val
 
 

@@ -10,10 +10,10 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import casimir, cavity, coulomb, deltaseq, oscillator, specfun, vacuum
 from .constants import AU_KM, PLANCK_LENGTH_KM
+from .numerics import QuadratureSpec, quad_careful
 
 
 @dataclass(frozen=True)
@@ -135,16 +135,20 @@ def check_casimir_3p1() -> list[CriterionResult]:
     return out
 
 
+_NORMALIZATION_SPEC = QuadratureSpec(0.0, 1e-13, 50)   # scipy's default limit
+
+
 def _normalization_quad(p: vacuum.VacuumProfile) -> float:
     """int dk density by quadrature, the closed form's oracle: radially for
     the box, in s = ln(y0 kappa) split at the peak s = ln(lambda) for the
     exponential profile (for lambda^2 <= 1 the ends cut off < e^-1000)."""
     if p.kind is vacuum.ProfileKind.BOX_SHELL:
-        val, _ = quad(lambda k: p.Z * k, p.k1, p.k2, epsabs=0.0, epsrel=1e-13)
-        return val / vacuum.FOUR_PI_SQ
+        return quad_careful(lambda k: p.Z * k, p.k1, p.k2,
+                            _NORMALIZATION_SPEC) / vacuum.FOUR_PI_SQ
     lb = math.log(p.lambda2)
-    val, _ = quad(lambda s: math.exp(2.0 * s - math.exp(s) - math.exp(lb - s)),
-                  lb - 7.0, 7.0, points=[0.5 * lb], epsabs=0.0, epsrel=1e-13)
+    val = quad_careful(
+        lambda s: math.exp(2.0 * s - math.exp(s) - math.exp(lb - s)),
+        lb - 7.0, 7.0, _NORMALIZATION_SPEC, points=[0.5 * lb])
     return p.norm_const * val / (vacuum.FOUR_PI_SQ * p.y0 ** 2)
 
 
@@ -216,8 +220,6 @@ def check_scattering_unitarity() -> list[CriterionResult]:
 
 
 def check_delta_calculus() -> list[CriterionResult]:
-    from .numerics import quad_careful
-
     out = []
     worst = 0.0
     for fam in (deltaseq.DeltaFamily(deltaseq.DeltaShape.LAMBDA_TRIANGLE, 64),

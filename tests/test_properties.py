@@ -253,6 +253,35 @@ def test_casimir_quadrature_matches_mpmath(alpha, L):
     assert abs(casimir.pressure_1p1_quad(alpha, L) - ref) <= 1e-11 * abs(ref)
 
 
+def mp_casimir_1p1_log(alpha, L):
+    """mp_casimir_1p1 in s = log t on half-unit panels, for alpha L far
+    below 1: between t = alpha/2 and t = 1/(2L) the integrand bends over
+    tens of decades, which the few panels of mp_casimir_1p1 miss (0.5
+    relative at alpha L = 1e-50)."""
+    with mp.workdps(20):
+        a, l = mp.mpf(alpha), mp.mpf(L)
+        g = lambda s: mp.exp(2 * s) / mp.expm1(
+            2 * mp.exp(s) * l + 2 * mp.log1p(2 * mp.exp(s) / a))
+        lo, hi = mp.log(a) - 40, mp.log(50 / l) + 5
+        n = int(2 * (hi - lo)) + 1
+        return float(-mp.quad(g, [lo + (hi - lo) * i / n for i in range(n + 1)])
+                     / mp.pi)
+
+
+def test_casimir_subnormal_pressure_raises():
+    # p ~ -1.09e-319 at alpha L = 1e-60 is subnormal: the series kept 2
+    # digits there, the quadrature 3.  A hundred times larger alpha, p is
+    # normal and both routes still agree with mpmath.
+    routes = (casimir.pressure_1p1_series, casimir.pressure_1p1_quad)
+    for route in routes:
+        with pytest.raises(DomainError):
+            route(1e-160, 1e100)
+    ref = mp_casimir_1p1_log(1e-150, 1e100)
+    assert -1e-299 < ref < -1e-300
+    for route in routes:
+        assert abs(route(1e-150, 1e100) - ref) <= 1e-13 * abs(ref)
+
+
 # ------------------------------------------------------ deformed Poisson law
 
 def mp_renyi_pmf(probs, intensities, N, n):
