@@ -48,8 +48,7 @@ from .vacuum import ProfileKind, VacuumProfile
 
 TWO_PI = 2.0 * math.pi
 _ZETA3 = 1.2020569031595942      # Apery's constant zeta(3)
-# quadpack rules of euler_maclaurin_gap and of _upper_tail_table's far tail
-_EM_GAP_SPEC = QuadratureSpec(1e-13, 1e-12, 400)
+# quadpack rule of _upper_tail_table's far tail
 _UPPER_TAIL_SPEC = QuadratureSpec(1e-16, 1e-13, 200)
 
 
@@ -68,14 +67,6 @@ def _gauss_legendre(lo: np.ndarray, hi: np.ndarray
     nodes, weights = _gl_rule()
     half = 0.5 * (hi - lo)[:, None]
     return lo[:, None] + half * (nodes + 1.0), half * weights
-
-
-def reflection_coeff(k: float, alpha: float) -> complex:
-    """Single-barrier reflection amplitude r(k) = 1/(1 - 2ik/alpha)^2;
-    |r| = 1/(1 + 4k^2/alpha^2) < 1 for k > 0."""
-    if k <= 0 or alpha <= 0:
-        raise DomainError("reflection_coeff requires k > 0 and alpha > 0")
-    return 1.0 / (1.0 - 2j * k / alpha) ** 2
 
 
 # ------------------------------------------------------------- 1+1 series
@@ -325,39 +316,6 @@ def pressure_euler_maclaurin(L: float) -> float:
     if L <= 0:
         raise DomainError("pressure_euler_maclaurin requires L > 0")
     return -(1.0 / TWO_PI) * (math.pi / L) ** 2 * bernoulli_number(2) / 2.0
-
-
-def euler_maclaurin_gap(f, N: int, derivative_orders: int = 1,
-                        h: float = 1e-2) -> tuple[float, float]:
-    """(gap, prediction) where gap = sum_0^N f(n) - (f(N)+f(0))/2 -
-    int_0^N f, and prediction truncates
-    sum_j B_2j/(2j)! (f^(2j-1)(N) - f^(2j-1)(0)) at derivative_orders terms.
-
-    Odd derivatives are taken by central differences with step h.
-    """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    if not 1 <= derivative_orders <= 3:
-        raise DomainError("derivative_orders must be in 1..3")
-    s = sum(f(n) for n in range(N + 1)) - 0.5 * (f(N) + f(0))
-    gap = s - quad_careful(f, 0.0, float(N), _EM_GAP_SPEC)
-
-    def deriv(x, order):
-        if order == 1:
-            return (f(x + h) - f(x - h)) / (2.0 * h)
-        if order == 3:
-            return (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h)
-                    - f(x - 2 * h)) / (2.0 * h ** 3)
-        return (f(x + 3 * h) - 4 * f(x + 2 * h) + 5 * f(x + h)
-                - 5 * f(x - h) + 4 * f(x - 2 * h) - f(x - 3 * h)) / (2.0 * h ** 5)
-
-    pred = 0.0
-    x0, x1 = 0.0, float(N)
-    for j in range(1, derivative_orders + 1):
-        order = 2 * j - 1
-        pred += bernoulli_number(2 * j) / math.factorial(2 * j) \
-            * (deriv(x1, order) - deriv(x0, order))
-    return gap, pred
 
 
 # --------------------------------------------------------------- 3+1 route

@@ -33,6 +33,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateMode, DomainError
 from .numerics import QuadratureSpec, quad_careful
 from .specfun import lambert_w
@@ -84,18 +86,33 @@ class Side:
     RIGHT = "right"
 
 
-def _sewing(k: float, a: float, b: float, s: float):
-    """Raw left-incidence coefficients for barriers a, b at z = -s, +s."""
-    e2 = cmath.exp(4j * k * s)          # phase across the full cavity
+def _sewing(k, a, b, s):
+    """Raw left-incidence coefficients (B, C, D, E) for barriers a, b at
+    z = -s, +s: one numpy kernel over arrays that broadcast together (it
+    takes floats as well; scalar callers go through _sewing_one).
+    DegenerateMode if the determinant vanishes anywhere in the batch."""
+    e2 = np.exp(4j * k * s)             # phase across the full cavity
     delta = k * k + 0.5j * (a + b) * k + (e2 - 1.0) * a * b / 4.0
-    if abs(delta) < DELTA_TOL * max(1.0, k * k, a * b):
-        raise DegenerateMode(f"sewing determinant vanished at k={k}")
-    B = -1j * cmath.exp(-2j * k * s) \
+    degenerate = np.abs(delta) < DELTA_TOL * np.maximum(np.maximum(1.0, k * k),
+                                                        a * b)
+    if degenerate.any():
+        k_bad = np.broadcast_to(k, degenerate.shape)[degenerate][0]
+        raise DegenerateMode(f"sewing determinant vanished at k={k_bad}")
+    B = -1j * np.exp(-2j * k * s) \
         * (0.5 * k * (a + b * e2) - 0.25j * (e2 - 1.0) * a * b) / delta
     C = k * (k + 0.5j * b) / delta
-    D = -1j * cmath.exp(2j * k * s) * 0.5 * k * b / delta
+    D = -1j * np.exp(2j * k * s) * 0.5 * k * b / delta
     E = k * k / delta
     return B, C, D, E
+
+
+def _sewing_one(k: float, a: float, b: float, s: float):
+    """_sewing at one point, as Python complex numbers.  Evaluated as a
+    batch of one: numpy rounds complex products differently in its array
+    loops and in its scalar arithmetic, and this keeps every scalar result
+    equal, bit for bit, to the same entry of a batch."""
+    return tuple(complex(c[0]) for c in
+                 _sewing(*np.array([[k], [a], [b], [s]], dtype=float)))
 
 
 def _sewing_dirichlet(k: float, s: float, resonance_tol: float = 1e-9):
@@ -113,7 +130,9 @@ def _sewing_dirichlet(k: float, s: float, resonance_tol: float = 1e-9):
 
 def scattering_coeffs(k: float, cfg: CavityConfig,
                       side: str = Side.LEFT) -> ScatteringCoefficients:
-    """Sewing coefficients of the vacuum-field mode at momentum k > 0.
+    """Sewing coefficients of the vacuum-field mode at one momentum k > 0,
+    as Python complex fields.  For many momenta or configurations at once,
+    scattering_coeffs_batch gives the same left-incidence values as arrays.
 
     The right-incidence problem is the left one with the barrier strengths
     interchanged.
@@ -122,38 +141,47 @@ def scattering_coeffs(k: float, cfg: CavityConfig,
         raise DomainError("scattering_coeffs requires k > 0")
     a, b = 2.0 * cfg.alpha, 2.0 * cfg.beta
     s = cfg.L / 4.0
-    if side == Side.LEFT:
-        if cfg.dirichlet:
-            B, C, D, E = _sewing_dirichlet(k, s)
-        else:
-            B, C, D, E = _sewing(k, a, b, s)
-        return ScatteringCoefficients(A=1.0 + 0j, B=B, C=C, D=D, E=E, F=0.0j)
-    if side == Side.RIGHT:
-        if cfg.dirichlet:
-            E3, D3, C3, B3 = _sewing_dirichlet(k, s)
-        else:
-            E3, D3, C3, B3 = _sewing(k, b, a, s)
-        return ScatteringCoefficients(A=0.0j, B=B3, C=C3, D=D3, E=E3,
-                                      F=1.0 + 0j)
-    raise DomainError(f"unknown incidence side {side!r}")
-
-
-def _combined_mode(kz: float, z: float, a: float, b: float, s: float,
-                   dirichlet: bool, derivative: bool = False) -> complex:
-    """Mode u(k_z, z) combining left incidence for k_z > 0 with right
-    incidence for k_z < 0; plane waves exp(+-i k z), barriers at -+s.
-
-    u(0, z) is taken as the k -> 0 limit: 1 for free space, 0 otherwise.
-    """
-    if kz == 0.0:
-        if derivative:
-            return 0.0 + 0j
-        return 1.0 + 0j if (a == 0.0 and b == 0.0 and not dirichlet) else 0.0j
-    k = abs(kz)
-    if dirichlet:
+    if side not in (Side.LEFT, Side.RIGHT):
+        raise DomainError(f"unknown incidence side {side!r}")
+    if cfg.dirichlet:
         B, C, D, E = _sewing_dirichlet(k, s)
+    elif side == Side.LEFT:
+        B, C, D, E = _sewing_one(k, a, b, s)
     else:
-        B, C, D, E = _sewing(k, a, b, s) if kz > 0 else _sewing(k, b, a, s)
+        B, C, D, E = _sewing_one(k, b, a, s)
+    if side == Side.LEFT:
+        return ScatteringCoefficients(A=1.0 + 0j, B=B, C=C, D=D, E=E, F=0.0j)
+    return ScatteringCoefficients(A=0.0j, B=E, C=D, D=C, E=B, F=1.0 + 0j)
+
+
+def scattering_coeffs_batch(k, alpha, beta, L):
+    """Left-incidence sewing coefficients of the vacuum-field mode for many
+    momenta and configurations in one numpy pass: k, alpha, beta and L are
+    arrays (or floats) that broadcast together, with k > 0, L > 0 and
+    alpha, beta >= 0 everywhere (DomainError otherwise, as CavityConfig and
+    scattering_coeffs check them).  Returns the complex arrays (B, C, D, E),
+    element for element equal to the fields of
+    scattering_coeffs(k, CavityConfig(alpha, beta, L)); DegenerateMode if
+    any entry's sewing determinant vanishes.
+    """
+    k, alpha, beta, L = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (k, alpha, beta, L)))
+    if not np.all(L > 0):
+        raise DomainError("plate separation L must be positive")
+    if not (np.all(alpha >= 0) and np.all(beta >= 0)):
+        raise DomainError("barrier strengths must be nonnegative")
+    if not np.all(k > 0):
+        raise DomainError("scattering_coeffs_batch requires k > 0")
+    return _sewing(k, 2.0 * alpha, 2.0 * beta, L / 4.0)
+
+
+def _sewn_wave(kz: float, z: float, s: float, coeffs,
+               derivative: bool = False) -> complex:
+    """The combined mode at k_z != 0 from its sewing coefficients
+    coeffs = (B, C, D, E) (left incidence for k_z > 0, right incidence for
+    k_z < 0): the plane waves exp(+-i k_z z) weighted as the region of z
+    requires, barriers at -+s."""
+    B, C, D, E = coeffs
     up = cmath.exp(1j * kz * z)
     dn = cmath.exp(-1j * kz * z)
     if kz > 0:
@@ -175,6 +203,25 @@ def _combined_mode(kz: float, z: float, a: float, b: float, s: float,
     if derivative:
         return 1j * kz * (amp_up * up - amp_dn * dn)
     return amp_up * up + amp_dn * dn
+
+
+def _combined_mode(kz: float, z: float, a: float, b: float, s: float,
+                   dirichlet: bool, derivative: bool = False) -> complex:
+    """Mode u(k_z, z) combining left incidence for k_z > 0 with right
+    incidence for k_z < 0; plane waves exp(+-i k z), barriers at -+s.
+
+    u(0, z) is taken as the k -> 0 limit: 1 for free space, 0 otherwise.
+    """
+    if kz == 0.0:
+        if derivative:
+            return 0.0 + 0j
+        return 1.0 + 0j if (a == 0.0 and b == 0.0 and not dirichlet) else 0.0j
+    k = abs(kz)
+    if dirichlet:
+        coeffs = _sewing_dirichlet(k, s)
+    else:
+        coeffs = _sewing_one(k, a, b, s) if kz > 0 else _sewing_one(k, b, a, s)
+    return _sewn_wave(kz, z, s, coeffs, derivative)
 
 
 def mode_function(kz: float, z: float, cfg: CavityConfig,
@@ -267,12 +314,21 @@ def boundary_inner_product(lz: float, kz: float, window_n: float,
         raise DegenerateMode("coincident |momenta|: use the delta-channel "
                              "weight instead")
     n = window_n
+    # mode_function's sewing, once per momentum; symmetric barriers share
+    # one sewing between both incidence sides
+    s = cfg.L / 4.0
+    if cfg.dirichlet:
+        ck, cl = (_sewing_dirichlet(abs(q), s) for q in (kz, lz))
+    else:
+        a = 2.0 * cfg.alpha
+        ck, cl = zip(*(c.tolist()
+                       for c in _sewing(np.abs([kz, lz]), a, a, s)))
 
     def pair(z):
-        fk = mode_function(kz, z, cfg)
-        fl = mode_function(lz, z, cfg)
-        dfk = mode_function(kz, z, cfg, derivative=True)
-        dfl = mode_function(lz, z, cfg, derivative=True)
+        fk = _sewn_wave(kz, z, s, ck)
+        fl = _sewn_wave(lz, z, s, cl)
+        dfk = _sewn_wave(kz, z, s, ck, derivative=True)
+        dfl = _sewn_wave(lz, z, s, cl, derivative=True)
         return fk, fl.conjugate(), dfk, dfl.conjugate()
 
     fk_p, fl_p, dfk_p, dfl_p = pair(n)

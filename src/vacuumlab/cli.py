@@ -205,9 +205,11 @@ def cmd_casimir3(args):
 
 def _pmf_rows(a):
     """(n, p_renyi, p_shannon, gap) for n = 0..nmax."""
+    ns = range(a.nmax + 1)
+    renyi = oscillator.renyi_poisson_pmf(a.probs, a.intensities, a.N,
+                                         ns).tolist()
     rows = []
-    for n in range(a.nmax + 1):
-        pr = oscillator.renyi_poisson_pmf(a.probs, a.intensities, a.N, n)
+    for n, pr in zip(ns, renyi):
         ps = oscillator.shannon_poisson_pmf(a.probs, a.intensities, n)
         rows.append((n, pr, ps, pr - ps))
     return rows

@@ -121,10 +121,19 @@ class DeltaFamily:
 
 
 def _triangle(k, n):
+    if isinstance(k, float):
+        return max(n - n * n * abs(k), 0.0)
     return np.maximum(n - n * n * np.abs(k), 0.0)
 
 
 def _m_profile(k, a, eps):
+    if isinstance(k, float):
+        k = abs(k)
+        if k < 0.25 * eps:
+            return (4.0 * k / eps) * (2.0 / eps - 1.5 * a) + a
+        if k < 0.5 * eps:
+            return (2.0 - 4.0 * k / eps) * (2.0 / eps - 0.5 * a)
+        return 0.0
     k = np.abs(k)
     inner = (4.0 * k / eps) * (2.0 / eps - 1.5 * a) + a
     outer = (2.0 - 4.0 * k / eps) * (2.0 / eps - 0.5 * a)
@@ -133,8 +142,13 @@ def _m_profile(k, a, eps):
 
 
 def eval_family(family: DeltaFamily, k):
-    """Pointwise value delta_n(k) at a float or a numpy array k; complex for
-    the principal-value family."""
+    """Pointwise value delta_n(k), complex for the principal-value family.
+
+    A float k (the quadrature integrands' case) takes plain Python
+    arithmetic and returns a float; an array k takes numpy and returns an
+    array (a 0-d one a float).  Both paths do the same IEEE operations, so a
+    float and the same point of an array give the same bits.
+    """
     n = family.n
     if family.shape is DeltaShape.LAMBDA_TRIANGLE:
         out = _triangle(k, n)
@@ -149,6 +163,8 @@ def eval_family(family: DeltaFamily, k):
             raise DomainError("principal-value profile is singular at k = 0")
         out = np.exp(1j * k * n) / (1j * np.pi * k)
         return complex(out) if out.ndim == 0 else out
+    if isinstance(k, float):
+        return float(out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -261,8 +261,8 @@ def _compositions(total: int, parts: int):
 
 
 def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
-                      N: int, n: int,
-                      pattern_cap: int = DEFAULT_PATTERN_CAP) -> float:
+                      N: int, n: int | Sequence[int],
+                      pattern_cap: int = DEFAULT_PATTERN_CAP):
     """Finite-N deformed Poisson law by exact coefficient extraction.
 
     Expanding (sum_i p_i e^{lambda w_i/N})^N multinomially, each frequency
@@ -270,6 +270,12 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
     Poisson factor with parameter nu_s = sum_i s_i w_i / N:
 
         p(n, N) = sum_s C(N; s) prod_i p_i^{s_i} e^{-nu_s} nu_s^n / n!.
+
+    n is one excitation number (a float comes back) or a 1-d sequence of
+    them (an array of p(n, N), one per entry, comes back).  The pattern
+    weights C(N; s) prod_i p_i^{s_i} and the nu_s are formed once for all of
+    n; each p(n, N) is summed in the same order as a call with that n alone,
+    so both forms agree bit for bit.
     """
     probs = [float(p) for p in probs]
     intensities = [float(w) for w in intensities]
@@ -277,24 +283,47 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
         raise DomainError("probs must be nonnegative and sum to 1")
     if any(w < 0 for w in intensities) or len(probs) != len(intensities):
         raise DomainError("intensities must be nonnegative, one per mode")
-    if n < 0 or N < 1:
+    if np.ndim(n) > 1:
+        raise DomainError("n must be one excitation number or a 1-d sequence")
+    scalar = np.ndim(n) == 0
+    ns = [n] if scalar else list(n)
+    if any(v < 0 for v in ns) or N < 1:
         raise DomainError("n >= 0 and N >= 1 required")
     m = len(probs)
     n_patterns = comb(N + m - 1, m - 1)
     if n_patterns > pattern_cap:
         raise CombinatorialCap(f"{n_patterns} occupation patterns exceed cap")
     if m == 2:
-        # vectorized two-mode path (the common sweep case)
-        s = np.arange(N + 1)
-        log_coeff = (_log_comb(N, s) + xlogy(s, probs[0])
-                     + xlogy(N - s, probs[1]))
-        nu = (s * intensities[0] + (N - s) * intensities[1]) / N
-        log_pois = np.where(nu > 0, n * np.log(np.where(nu > 0, nu, 1.0))
-                            - nu - math.lgamma(n + 1), 0.0 if n == 0 else -np.inf)
-        return float(np.sum(np.exp(log_coeff + log_pois)))
-    total = 0.0
-    log_n_fact = math.lgamma(n + 1)
-    for pattern in _compositions(N, m):
+        pmf = _two_mode_pmf(probs, intensities, N, ns)
+    else:
+        pmf = _pattern_pmf(probs, intensities, N, ns)
+    return pmf[0] if scalar else np.array(pmf)
+
+
+def _two_mode_pmf(probs, intensities, N, ns) -> list[float]:
+    """renyi_poisson_pmf for two modes, vectorized over the N + 1 patterns
+    (the common sweep case); one pass over them per n, so that memory stays
+    O(N) however many n are asked for."""
+    s = np.arange(N + 1)
+    log_coeff = (_log_comb(N, s) + xlogy(s, probs[0])
+                 + xlogy(N - s, probs[1]))
+    nu = (s * intensities[0] + (N - s) * intensities[1]) / N
+    positive = nu > 0
+    log_nu = np.log(np.where(positive, nu, 1.0))
+    out = []
+    for n in ns:
+        log_pois = np.where(positive, n * log_nu - nu - math.lgamma(n + 1),
+                            0.0 if n == 0 else -np.inf)
+        out.append(float(np.sum(np.exp(log_coeff + log_pois))))
+    return out
+
+
+def _pattern_pmf(probs, intensities, N, ns) -> list[float]:
+    """renyi_poisson_pmf for any number of modes: one walk over the
+    occupation patterns, each adding its Poisson term to every n's total."""
+    totals = [0.0] * len(ns)
+    log_n_fact = [math.lgamma(n + 1) for n in ns]
+    for pattern in _compositions(N, len(probs)):
         log_c = math.lgamma(N + 1) - sum(math.lgamma(s + 1) for s in pattern)
         skip = False
         for s_i, p_i in zip(pattern, probs):
@@ -308,10 +337,14 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
             continue
         nu = sum(s_i * w_i for s_i, w_i in zip(pattern, intensities)) / N
         if nu == 0.0:
-            total += math.exp(log_c) * (1.0 if n == 0 else 0.0)
+            weight = math.exp(log_c)
+            for i, n in enumerate(ns):
+                totals[i] += weight * (1.0 if n == 0 else 0.0)
         else:
-            total += math.exp(log_c + n * math.log(nu) - nu - log_n_fact)
-    return total
+            log_nu = math.log(nu)
+            for i, n in enumerate(ns):
+                totals[i] += math.exp(log_c + n * log_nu - nu - log_n_fact[i])
+    return totals
 
 
 def _log_comb(N, s):

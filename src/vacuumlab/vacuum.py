@@ -21,6 +21,7 @@ q_ph = q sqrt(Z) the renormalized charge.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,29 +71,62 @@ def make_box_profile(k1: float, k2: float) -> VacuumProfile:
                          norm_const=Z)
 
 
+def _k2_sum(x: float) -> float:
+    """x^2 kve(2, x)/2 = x kve(1, x) + x^2 kve(0, x)/2 (K2 = K0 + 2 K1/x), a
+    sum of positive terms that does not overflow at subnormal lambda^2 as
+    kve(2, x) does."""
+    return float(x * kve(1, x) + 0.5 * x * x * kve(0, x))
+
+
+def _gamma2(lambda2: float) -> float:
+    """Gamma(2, 0, lambda^2) = 2 lambda^2 K2(2 lambda) to a few ulps.
+
+    Below lambda^2 = 1, gamma_from_zero is within an ulp: its series in
+    lambda^2 takes no root, and at a small argument the rounding of
+    lam = sqrt(lambda^2) moves kv(2, 2 lam) by less than 2^-53.  Above, kv
+    would carry that rounding through K2's factor e^(-2 lambda) (a relative
+    error 2 (lambda - lam), 5.6e-14 at lambda^2 = 1e5) and loses digits of
+    its own past 2 lam ~ 670, so it is _k2_sum(2 lam) e^(-2 lam) with the
+    residual lambda - lam carried into the exponential; e^(-2 lam) is taken
+    as e^(-lam) twice, which stays normal wherever the product does.
+    """
+    if lambda2 < 1.0:
+        return gamma_from_zero(2.0, lambda2)
+    lam, residual = _sqrt_with_residual(lambda2)
+    decay = math.exp(-lam)
+    return _k2_sum(2.0 * lam) * decay * decay * math.exp(-2.0 * residual)
+
+
+def _sqrt_with_residual(x: float) -> tuple[float, float]:
+    """(r, d) with r = sqrt(x) rounded and d = sqrt(x) - r to a few ulps of
+    itself: x - r^2 is formed exactly from a Veltkamp split r = h + t into
+    26-bit halves (Dekker's product), and d = (x - r^2)/(2r)."""
+    r = math.sqrt(x)
+    c = 134217729.0 * r             # 2^27 + 1
+    h = c - (c - r)
+    t = r - h
+    return r, ((x - h * h) - 2.0 * h * t - t * t) / (2.0 * r)
+
+
 def make_lorentz_profile(lambda2: float, y0: float) -> VacuumProfile:
     """Boost-invariant exponential profile with parameters lambda^2, y0.
 
     norm_const = 2 pi^2 y0^2 / (lambda^2 K2(2 lambda)) makes the invariant
     normalization exactly 1; the density peaks at kappa = lambda/y0 with
-    peak value Z = norm_const * exp(-2 lambda).
+    peak value Z = norm_const * exp(-2 lambda).  DomainError where
+    norm_const leaves the double range (past lambda^2 ~ 1.26e5 at y0 = 1).
     """
     if lambda2 <= 0 or y0 <= 0:
         raise DomainError("lorentz profile requires lambda2 > 0 and y0 > 0")
-    lam = math.sqrt(lambda2)
-    # Gamma(2, 0, lambda^2) = 2 lambda^2 K2(2 lambda); stable for tiny lambda,
-    # but it underflows to 0 once lambda^2 exceeds about 1.26e5
-    gamma2 = gamma_from_zero(2.0, lambda2)
-    norm_const = FOUR_PI_SQ * y0 ** 2 / gamma2 if gamma2 > 0.0 else math.inf
+    gamma2 = _gamma2(lambda2)
+    norm_const = FOUR_PI_SQ * y0 ** 2 / gamma2 \
+        if gamma2 >= sys.float_info.min else math.inf
     if not math.isfinite(norm_const):
         raise DomainError(f"lambda2 = {lambda2:g}, y0 = {y0:g} puts the "
                           "lorentz profile normalization out of double range")
     # Z = norm_const e^(-2 lambda) = 4 pi^2 y0^2/(2 lambda^2 kve(2, 2 lambda))
-    # formed without an exponential; with x = 2 lambda and K2 = K0 + 2 K1/x,
-    # x^2 kve(2, x)/2 = x kve(1, x) + x^2 kve(0, x)/2, a sum of positive
-    # terms that does not overflow at subnormal lambda^2 as kve(2, x) does
-    x = 2.0 * lam
-    Z = FOUR_PI_SQ * y0 ** 2 / (x * kve(1, x) + 0.5 * x * x * kve(0, x))
+    # formed without an exponential, from _k2_sum
+    Z = FOUR_PI_SQ * y0 ** 2 / _k2_sum(2.0 * math.sqrt(lambda2))
     return VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=lambda2, y0=y0,
                          Z=Z, norm_const=norm_const)
 
@@ -144,7 +178,7 @@ def density_integral(profile: VacuumProfile, inverse_power: int = 0) -> float:
         d = 1.0 + lam * t                   # lambda K2/K1
         ratio = (1.0, y0 / d, y0 * y0 * t / (lam * d), y0 ** 3 / b / d,
                  y0 ** 4 / b / b)[n]
-        val = profile.norm_const * gamma_from_zero(2.0, b) / FOUR_PI_SQ \
+        val = profile.norm_const * _gamma2(b) / FOUR_PI_SQ \
             / (y0 * y0) * ratio
     if not 0.0 < val < math.inf:
         raise DomainError(f"moment {n} of {profile.tag} is out of range")

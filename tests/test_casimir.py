@@ -4,30 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from vacuumlab.casimir import (PressureBreakdown, euler_maclaurin_gap,
-                               pressure_1p1_quad, pressure_1p1_series,
-                               pressure_3p1, pressure_dirichlet_comb,
-                               pressure_euler_maclaurin, reflection_coeff,
-                               stairs_gap, to_physical_pressure)
+from vacuumlab.casimir import (PressureBreakdown, pressure_1p1_quad,
+                               pressure_1p1_series, pressure_3p1,
+                               pressure_dirichlet_comb,
+                               pressure_euler_maclaurin, stairs_gap,
+                               to_physical_pressure)
 from vacuumlab.constants import PLANCK_LENGTH_M, PRESSURE_UNIT_PA
 from vacuumlab.errors import DomainError
 from vacuumlab.vacuum import ProfileKind, VacuumProfile, make_lorentz_profile
-
-
-class TestReflectionCoefficient:
-    def test_modulus_closed_form(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            k = rng.uniform(0.01, 100.0)
-            alpha = rng.uniform(0.01, 100.0)
-            r = reflection_coeff(k, alpha)
-            assert abs(r) == pytest.approx(
-                1.0 / (1.0 + 4.0 * k * k / (alpha * alpha)), rel=1e-12)
-            assert abs(r) < 1.0
-
-    def test_limits(self):
-        assert reflection_coeff(1e-6, 100.0) == pytest.approx(1.0, abs=1e-6)
-        assert abs(reflection_coeff(1e5, 1.0)) < 1e-9
 
 
 class TestOneDimensionalPressure:
@@ -57,7 +41,8 @@ class TestOneDimensionalPressure:
         # the quasi-resonant structure of the mode-density integrand near
         # k = pi/L narrows like 1/alpha
         def integrand(k, alpha, L=1.0):
-            w = reflection_coeff(k, alpha) * np.exp(2j * k * L)
+            # single-barrier reflection r(k) = 1/(1 - 2ik/alpha)^2
+            w = np.exp(2j * k * L) / (1.0 - 2j * k / alpha) ** 2
             return k / math.pi * (w / (1.0 - w)).real
 
         def width(alpha, level=1.25):
@@ -177,22 +162,6 @@ class TestDirichletEndpoints:
     def test_kappa_domain(self):
         with pytest.raises(DomainError):
             pressure_dirichlet_comb(1.0, 4.0, 5)
-
-
-class TestEulerMaclaurinGap:
-    def test_linear_function_exact(self):
-        gap, _ = euler_maclaurin_gap(lambda x: x, 12)
-        assert gap == pytest.approx(0.0, abs=1e-10)
-
-    def test_quadratic(self):
-        gap, pred = euler_maclaurin_gap(lambda x: x * x, 10)
-        assert gap == pytest.approx(10.0 / 6.0, abs=1e-9)
-        assert pred == pytest.approx(10.0 / 6.0, abs=1e-6)
-
-    def test_exponential_two_orders(self):
-        gap, pred = euler_maclaurin_gap(lambda x: math.exp(-x), 30,
-                                        derivative_orders=2)
-        assert gap == pytest.approx(pred, abs=1e-4)
 
 
 class TestPressure3p1:

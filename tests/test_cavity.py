@@ -9,7 +9,7 @@ from vacuumlab.cavity import (CavityConfig, Side, boundary_inner_product,
                               delta_channel_weight, field_mode,
                               field_mode_coeffs, mode_function,
                               resonance_equation, resonance_roots,
-                              scattering_coeffs)
+                              scattering_coeffs, scattering_coeffs_batch)
 from vacuumlab.errors import DegenerateMode, DomainError
 from vacuumlab.numerics import cesaro_mean
 
@@ -85,6 +85,56 @@ class TestScatteringCoefficients:
     def test_k_positive_required(self):
         with pytest.raises(DomainError):
             scattering_coeffs(0.0, CFG)
+
+    def test_degenerate_determinant_raises(self):
+        # |Delta| ~ k a (1 + a L/4) falls below 1e-12 a^2 for k << 4/a^2
+        with pytest.raises(DegenerateMode):
+            scattering_coeffs(1e-12, CavityConfig(5e5, 5e5, 1.0))
+
+
+class TestScatteringBatch:
+    def test_equals_scalar_on_unitarity_draws(self):
+        from vacuumlab.validation import _unitarity_draws
+
+        draws = _unitarity_draws()
+        alpha, L, k = draws.T
+        batch = scattering_coeffs_batch(k, alpha, alpha, L)
+        for i, (a, l, kk) in enumerate(draws.tolist()):
+            c = scattering_coeffs(kk, CavityConfig(a, a, l))
+            assert (c.B, c.C, c.D, c.E) == tuple(x[i] for x in batch)
+            assert all(type(x) is complex for x in (c.B, c.C, c.D, c.E))
+
+    def test_equals_scalar_for_unequal_barriers(self):
+        rng = np.random.default_rng(11)
+        alpha, beta = rng.uniform(0.0, 30.0, (2, 200))
+        L = rng.uniform(0.1, 5.0, 200)
+        k = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+        batch = scattering_coeffs_batch(k, alpha, beta, L)
+        for i in range(200):
+            c = scattering_coeffs(k[i], CavityConfig(alpha[i], beta[i], L[i]))
+            assert (c.B, c.C, c.D, c.E) == tuple(x[i] for x in batch)
+
+    def test_broadcasts_floats(self):
+        B, C, D, E = scattering_coeffs_batch([1.0, 2.0], 0.5, 0.5, 1.0)
+        assert B.shape == (2,)
+        c = scattering_coeffs(2.0, CavityConfig(0.5, 0.5, 1.0))
+        assert (c.B, c.E) == (B[1], E[1])
+
+    def test_one_degenerate_entry_raises(self):
+        with pytest.raises(DegenerateMode):
+            scattering_coeffs_batch([1.0, 1e-12, 2.0], 5e5, 5e5, 1.0)
+
+    @pytest.mark.parametrize("k, alpha, beta, L", [
+        ([1.0, 0.0], 1.0, 1.0, 1.0),
+        ([1.0, -2.0], 1.0, 1.0, 1.0),
+        ([1.0, math.nan], 1.0, 1.0, 1.0),
+        (1.0, [1.0, -0.5], 1.0, 1.0),
+        (1.0, 1.0, [-0.5, 1.0], 1.0),
+        (1.0, 1.0, 1.0, [1.0, 0.0]),
+    ])
+    def test_domain(self, k, alpha, beta, L):
+        with pytest.raises(DomainError):
+            scattering_coeffs_batch(k, alpha, beta, L)
 
 
 class TestModeFunction:

@@ -268,6 +268,28 @@ class TestDeformedPoisson:
             assert math.isfinite(two)
             assert two == pytest.approx(three, rel=1e-14)
 
+    @pytest.mark.parametrize("probs, ws, N", [
+        ([0.35, 0.65], [0.7, 0.3], 10 ** 4),
+        ([0.4, 0.6], [0.0, 0.5], 37),
+        ([0.2, 0.3, 0.5], [0.4, 0.9, 0.1], 30),
+        ([0.2, 0.0, 0.8], [0.0, 0.9, 0.1], 12),
+    ])
+    def test_all_n_in_one_call_equals_each_n_alone(self, probs, ws, N):
+        ns = [0, 1, 5, 2, 12, 0]
+        got = renyi_poisson_pmf(probs, ws, N, ns)
+        assert isinstance(got, np.ndarray) and got.shape == (len(ns),)
+        for n, p in zip(ns, got.tolist()):
+            alone = renyi_poisson_pmf(probs, ws, N, n)
+            assert isinstance(alone, float) and p == alone
+        assert renyi_poisson_pmf(probs, ws, N, range(3)).tolist() \
+            == got[[0, 1, 3]].tolist()
+
+    def test_n_sequence_domain(self):
+        with pytest.raises(DomainError):
+            renyi_poisson_pmf(self.PROBS, self.WS, 5, [0, -1])
+        with pytest.raises(DomainError):
+            renyi_poisson_pmf(self.PROBS, self.WS, 5, [[0, 1]])
+
     def test_pattern_cap(self):
         with pytest.raises(CombinatorialCap):
             renyi_poisson_pmf([0.25] * 4, [0.1] * 4, 10 ** 4, 1)

@@ -109,6 +109,26 @@ class TestLorentzProfile:
             p = make_lorentz_profile(lam2, 1.0)
             assert abs(p.Z / expect - 1) <= 1e-15
 
+    @pytest.mark.parametrize("lam2, kappa", [
+        (1e-310, None), (1e-12, None), (0.3, None), (1.0, 2.0), (2.7, None),
+        (1e4, 80.0), (1e5, 250.0), (1.2e5, 300.0), (1.25e5, None)])
+    def test_norm_const_matches_mpmath(self, lam2, kappa):
+        # |C|^2 = 4 pi^2 y0^2/(2 lambda^2 K2(2 lambda)) to 40 digits; the
+        # rounding of lambda = sqrt(lambda^2) used to leave 5.6e-14 at
+        # lambda^2 = 1e5 and 7.1e-14 at 1.2e5.  The density and the cutoff
+        # inherit it, checked where -lambda^2/kappa - kappa is exact (y0 = 1)
+        mp = pytest.importorskip("mpmath")
+        p = make_lorentz_profile(lam2, 1.0)
+        with mp.workdps(40):
+            lam = mp.sqrt(mp.mpf(lam2))
+            norm = 4 * mp.pi ** 2 / (2 * lam ** 2 * mp.besselk(2, 2 * lam))
+            assert abs(p.norm_const / norm - 1) <= 1e-15
+            if kappa is None:
+                return
+            arg = -mp.mpf(lam2) / kappa - kappa
+            assert abs(density(p, kappa) / (norm * mp.exp(arg)) - 1) <= 1e-15
+            assert abs(cutoff(p, kappa) / mp.exp(arg + 2 * lam) - 1) <= 2e-15
+
     def test_density_vanishes_at_origin(self):
         p = make_lorentz_profile(1.0, 1.0)
         assert density(p, 0.0) == 0.0
@@ -127,7 +147,8 @@ class TestLorentzProfile:
             make_lorentz_profile(0.0, 1.0)
         with pytest.raises(DomainError):
             make_lorentz_profile(1.0, -1.0)
-        # Gamma(2, 0, lambda^2) underflows to 0 past lambda^2 ~ 1.26e5
+        # norm_const ~ e^(2 lambda) leaves the double range past
+        # lambda^2 ~ 1.26e5 at y0 = 1
         with pytest.raises(DomainError):
             make_lorentz_profile(2e5, 1.0)
 
