@@ -14,9 +14,10 @@ r(k) = 1/(1 - 2ik/alpha)^2):
   and the first 24 quasi-resonant peaks, at their true positions
   kL + atan(2k/alpha) = m pi, and past them along a vertical contour (the
   integrand's analytic continuation decays there and all its poles lie
-  below the real axis); for 1e-70 <= alpha L <= 1e76, within 1.1e-12
-  relative of an mpmath reference, in 1-10 ms per call up to alpha L = 1e8
-  and under 0.1 s at the top of that range;
+  below the real axis) on one fixed Gauss-Legendre rule; for
+  1e-70 <= alpha L <= 1e76, within 1.2e-12 relative of an mpmath
+  reference, in 0.4-3 ms per call up to alpha L = 1e8 and 30-40 ms at the
+  top of that range;
 * Dirichlet comb: the cutoff-regularized mode-sum-minus-integral closed form
   (-L^2 kappa^2 + J pi (pi - 2 L kappa)) / (4 L^2 pi), J-independent only at
   kappa = pi/(2L) where it equals -pi/(16 L^2);
@@ -32,10 +33,9 @@ reported as a breakdown around the leading term -Z pi^2/(240 L^4).
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -134,13 +134,16 @@ def pressure_1p1_series(alpha: float, L: float,
 # resonance peaks graded on the real axis, past k = 0; the rest of the axis
 # is taken on the vertical contour.  Panels are evaluated a block at a time:
 # 256-panel blocks keep the temporaries (5120 nodes, 40 kB each) in cache and
-# measured twice as fast as 2048-panel blocks.
+# measured 1.5x as fast as 2048-panel blocks at alpha L = 1e4 (1.3x at 1e76)
+# and faster than 512- or 1024-panel blocks on validate's grid.
 _PEAKS = 24
 _PANEL_BLOCK = 256
 # the alpha L range of pressure_1p1_quad, a factor ~3e3 inside the points
 # where u^4 in its integrand leaves the normal double range: it overflows
 # below alpha L = 3.5e-74, and past 3.7e79 the error exceeds 1e-8
 _QUAD_ALPHA_L = (1e-70, 1e76)
+# panel edges in x of the contour tail k = K + i x/L: 0, 1/8, 1/4, ..., 32
+_TAIL_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-3, 6)))
 
 
 def _mode_density(centre: np.ndarray, d: np.ndarray, alpha: float,
@@ -204,7 +207,7 @@ def _peak_panels(width: np.ndarray, left: np.ndarray, right: np.ndarray
     """Panels around a run of centres, as (centre index, lo, hi) with lo and
     hi offsets from the centre.  Cell edges sit at offsets doubling from
     each centre's width out to its bounds left and right of it; every cell
-    is split into 4 equal panels."""
+    is split into 2 equal panels."""
     reach = float(np.max(np.maximum(left, right) / width))
     doublings = math.ceil(math.log2(max(1.0, reach)))
     offsets = width[:, None] * 2.0 ** np.arange(doublings)
@@ -218,13 +221,26 @@ def _peak_panels(width: np.ndarray, left: np.ndarray, right: np.ndarray
         lo.append(-b[keep] if mirror else a[keep])
         hi.append(-a[keep] if mirror else b[keep])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
-    cuts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 5)
-    return (np.repeat(np.concatenate(owner), 4),
-            cuts[:, :-1].ravel(), cuts[:, 1:].ravel())
+    mid = 0.5 * (lo + hi)
+    return (np.repeat(np.concatenate(owner), 2),
+            np.column_stack((lo, mid)).ravel(),
+            np.column_stack((mid, hi)).ravel())
 
 
-def pressure_1p1_quad(alpha: float, L: float,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def _contour_tail(K: float, alpha: float, L: float) -> float:
+    """The pressure integral past K, along the vertical contour k = K + ix/L:
+    (1/(pi L)) int_0^inf Re[i k w/(1-w)] dx with w = r e^{2ikL}.  The
+    continued integrand decays like e^{-2x} at any L and its nearest
+    singularities lie about pi/2 off the real x-axis, so one fixed rule,
+    20-point Gauss-Legendre panels on [0, 1/8, 1/4, ..., 32] (e^-64 at the
+    end), takes it to rounding."""
+    x, wx = _gauss_legendre(_TAIL_EDGES[:-1], _TAIL_EDGES[1:])
+    k = K + (1j / L) * x
+    w = np.exp(2j * K * L - 2.0 * x) / (1.0 - (2j / alpha) * k) ** 2
+    return float(np.sum(wx * (1j * k * w / (1.0 - w)).real)) / (math.pi * L)
+
+
+def pressure_1p1_quad(alpha: float, L: float) -> float:
     """Direct quadrature of the mode-density form of the pressure.
 
     The integrand k/(2pi) [(1-|r|^2)/|1-r e^{2ikL}|^2 - 1], equal to
@@ -234,22 +250,24 @@ def pressure_1p1_quad(alpha: float, L: float,
     alpha and L.  Around k = 0 and each of the 24 peaks the panel edges sit
     at offsets doubling from that width (from 1e-6 min(alpha, 1/L) at
     k = 0) out to the midpoints between neighbouring peaks; every cell is
-    split into 4 equal 20-point Gauss-Legendre panels, evaluated a fixed
+    split into 2 equal 20-point Gauss-Legendre panels, evaluated a fixed
     number of panels at a time.  Nodes are kept as offsets d from their
     peak, and the phase enters through tan(dL) alone (_mode_density), so
     the narrowest peak is resolved as finely as a broad one.  Past K the
-    remainder is taken along the vertical contour k = K + it, where the
-    continued integrand decays like e^{-2tL} and is pole-free (all
-    resonances lie in the lower half-plane); at K the phase is near pi/2,
-    so |1 - w| >= 1 there.
+    remainder is taken along the vertical contour k = K + ix/L, where the
+    continued integrand decays like e^{-2x} and is pole-free (all
+    resonances lie in the lower half-plane), on 9 fixed Gauss-Legendre
+    panels out to x = 32 (_contour_tail); at K the phase is near pi/2, so
+    |1 - w| >= 1 there.
 
-    The work grows only with the depth of the grading, by the same ~1,300
-    panels per decade of alpha L: about 3,500 panels at alpha L = 1e4,
-    7,300 at 1e7 and 95,000 at 1e76.  Within 1.1e-12 relative of a 30-digit
-    mpmath reference for 1e-70 <= alpha L <= 1e76 (the worst of 331 scanned
-    points, L from 1e-3 to 1e3); outside that range u^4 in the integrand
-    leaves the double range, and DomainError is raised, as it is for L
-    outside 1e-150..1e150 (_GAP_RANGE) and for a subnormal p.
+    The work grows only with the depth of the grading, by the same ~650
+    panels per decade of alpha L: about 1,750 panels at alpha L = 1e4,
+    3,700 at 1e7 and 48,000 at 1e76, which take about 1.6, 2.2 and 30 ms.
+    Within 1.2e-12 relative of a 30-digit mpmath reference for
+    1e-70 <= alpha L <= 1e76 (the worst of 331 scanned points, L from 1e-3
+    to 1e3); outside that range u^4 in the integrand leaves the double
+    range, and DomainError is raised, as it is for L outside 1e-150..1e150
+    (_GAP_RANGE) and for a subnormal p.
     """
     _check_gap(alpha, L, "pressure_1p1_quad")
     least, most = _QUAD_ALPHA_L
@@ -275,22 +293,10 @@ def pressure_1p1_quad(alpha: float, L: float,
         d, w = _gauss_legendre(lo[j], hi[j])
         total += float(np.sum(w * _mode_density(centres[owner[j, None]], d,
                                                 alpha, L)))
-    if not np.isfinite(total):     # the contour tail's abs_tol scales with it
+    total += _contour_tail(float(bounds[-1]), alpha, L)
+    if not math.isfinite(total):
         raise NonConvergence("quadrature pressure did not converge")
-    K = float(bounds[-1])
-    phase = cmath.exp(2j * K * L)
-
-    # k = K + i x/L: quadpack's rule for [0, inf) suits a decay length near
-    # 1, which x has at any L (in t = x/L it lost 1.6e-4 at L = 1e-10 and at
-    # 1e10).  Python complex arithmetic: quadpack calls it one node at a time
-    def vertical(x):
-        z = complex(K, x / L)
-        w = phase * math.exp(-2.0 * x) / (1.0 - 2j * z / alpha) ** 2
-        return (1j * z * w / (1.0 - w)).real
-
-    tail = quad_careful(vertical, 0.0, np.inf, replace(
-        spec, abs_tol=1e-14 * abs(total) * L, rel_tol=1e-12))
-    return _normal_pressure(total + tail / (math.pi * L), "pressure_1p1_quad")
+    return _normal_pressure(total, "pressure_1p1_quad")
 
 
 # ----------------------------------------------------- Dirichlet endpoints

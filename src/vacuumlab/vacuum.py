@@ -100,8 +100,11 @@ def _gamma2(lambda2: float) -> float:
 def _sqrt_with_residual(x: float) -> tuple[float, float]:
     """(r, d) with r = sqrt(x) rounded and d = sqrt(x) - r to a few ulps of
     itself: x - r^2 is formed exactly from a Veltkamp split r = h + t into
-    26-bit halves (Dekker's product), and d = (x - r^2)/(2r)."""
+    26-bit halves (Dekker's product), and d = (x - r^2)/(2r); (0, 0) at
+    x = 0."""
     r = math.sqrt(x)
+    if r == 0.0:
+        return 0.0, 0.0
     c = 134217729.0 * r             # 2^27 + 1
     h = c - (c - r)
     t = r - h
@@ -139,9 +142,14 @@ def density(profile: VacuumProfile, k_abs: float) -> float:
         return profile.Z if profile.k1 <= k_abs <= profile.k2 else 0.0
     if k_abs == 0.0:
         return 0.0
-    lam2, y0 = profile.lambda2, profile.y0
-    arg = -lam2 / (y0 * k_abs) - y0 * k_abs
-    return profile.norm_const * math.exp(arg) if arg > -745.0 else 0.0
+    # norm_const e^(-lambda^2/(y0 k) - y0 k) = Z e^(-(lambda - y0 k)^2/(y0 k)):
+    # the exponent with 2 lambda folded in, so that its rounding scales with
+    # the exponent itself and the density does not underflow before its
+    # value does
+    lam, residual = _sqrt_with_residual(profile.lambda2)
+    yk = profile.y0 * k_abs
+    g = (lam - yk) + residual
+    return profile.Z * math.exp(-g * g / yk)
 
 
 def cutoff(profile: VacuumProfile, k_abs: float) -> float:

@@ -131,6 +131,53 @@ class TestOneDimensionalPressure:
         assert work[1e7] < 2.5 * work[1e4]
         assert work[1e76] - work[1e7] < 69 * 1.1 * per_decade
 
+    def test_quadrature_panel_counts(self, monkeypatch):
+        # cost guard: 2 panels per doubling cell, half of the 3,504 and
+        # 95,368 panels that 4 per cell took
+        from vacuumlab import casimir
+
+        panels = []
+        peak_panels = casimir._peak_panels
+
+        def counting(width, left, right):
+            owner, lo, hi = peak_panels(width, left, right)
+            panels.append(len(lo))
+            return owner, lo, hi
+
+        monkeypatch.setattr(casimir, "_peak_panels", counting)
+        for alpha_L, count in ((1e4, 1752), (1e76, 47684)):
+            pressure_1p1_quad(alpha_L, 1.0)
+            assert panels.pop() == count
+
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
+    def test_contour_tail_matches_mpmath(self, L):
+        # the fixed rule past K against 20-digit tanh-sinh on the same
+        # contour k = K + ix/L; the phase is the double 2KL the library
+        # forms, whose rounding (amplified by KL ~ 77) belongs to the start
+        # of the contour, not to the rule
+        mp = pytest.importorskip("mpmath")
+        from vacuumlab.casimir import _PEAKS, _contour_tail, _peak_positions
+
+        for alpha_L in np.logspace(-70, 76, 9):
+            alpha = alpha_L / L
+            k_m = _peak_positions(alpha, L, _PEAKS + 1)
+            K = float(0.5 * (k_m[-2] + k_m[-1]))
+            with mp.workdps(20):
+                phase = mp.expj(2.0 * K * L)
+                a, l = mp.mpf(alpha), mp.mpf(L)
+
+                def f(x):
+                    k = mp.mpc(K, x / l)
+                    w = phase * mp.exp(-2 * x) / (1 - 2j * k / a) ** 2
+                    return mp.re(1j * k * w / (1 - w))
+
+                # scaled to order 1: mpmath stops on an absolute estimate
+                scale = abs(f(0))
+                ref = float(scale * mp.quad(lambda x: f(x) / scale,
+                                            [0, 2, 8, 40]) / (mp.pi * l))
+            p = pressure_1p1_quad(alpha, L)
+            assert abs(_contour_tail(K, alpha, L) - ref) <= 1e-14 * abs(p)
+
 
 class TestDirichletEndpoints:
     def test_comb_midpoint_value(self):

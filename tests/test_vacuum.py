@@ -111,27 +111,44 @@ class TestLorentzProfile:
 
     @pytest.mark.parametrize("lam2, kappa", [
         (1e-310, None), (1e-12, None), (0.3, None), (1.0, 2.0), (2.7, None),
-        (1e4, 80.0), (1e5, 250.0), (1.2e5, 300.0), (1.25e5, None)])
+        (1e4, 30.0), (1e4, 80.0), (1e5, 250.0), (1.2e5, 300.0),
+        (1.25e5, None)])
     def test_norm_const_matches_mpmath(self, lam2, kappa):
         # |C|^2 = 4 pi^2 y0^2/(2 lambda^2 K2(2 lambda)) to 40 digits; the
         # rounding of lambda = sqrt(lambda^2) used to leave 5.6e-14 at
         # lambda^2 = 1e5 and 7.1e-14 at 1.2e5.  The density and the cutoff
-        # inherit it, checked where -lambda^2/kappa - kappa is exact (y0 = 1)
+        # are checked at kappa (if given) and at 0.3, 1 and 3 times the
+        # peak lambda/y0 (y0 = 1); e^E amplifies the rounding of its
+        # exponent E = 2 lambda - lambda^2/kappa - kappa by |E|.  The density
+        # was 0.0 at lambda^2 = 1.25e5, kappa = 0.3 lambda (~1e-251) and
+        # 1.9e-14 off at lambda^2 = 1e4, kappa = 30
         mp = pytest.importorskip("mpmath")
         p = make_lorentz_profile(lam2, 1.0)
+        lam_f = math.sqrt(lam2)
+        kappas = [f * lam_f for f in (0.3, 1.0, 3.0)]
+        kappas += [] if kappa is None else [kappa]
         with mp.workdps(40):
             lam = mp.sqrt(mp.mpf(lam2))
             norm = 4 * mp.pi ** 2 / (2 * lam ** 2 * mp.besselk(2, 2 * lam))
             assert abs(p.norm_const / norm - 1) <= 1e-15
-            if kappa is None:
-                return
-            arg = -mp.mpf(lam2) / kappa - kappa
-            assert abs(density(p, kappa) / (norm * mp.exp(arg)) - 1) <= 1e-15
-            assert abs(cutoff(p, kappa) / mp.exp(arg + 2 * lam) - 1) <= 2e-15
+            for k in kappas:
+                exponent = 2 * lam - mp.mpf(lam2) / k - k
+                # a few ulps of 1 + |E|; the worst measured is 1.5
+                bound = 3 * 2.22e-16 * (1 + abs(exponent))
+                assert abs(density(p, k) / (norm * mp.exp(exponent - 2 * lam))
+                           - 1) <= bound
+                assert abs(cutoff(p, k) / mp.exp(exponent) - 1) <= bound
 
     def test_density_vanishes_at_origin(self):
         p = make_lorentz_profile(1.0, 1.0)
         assert density(p, 0.0) == 0.0
+
+    def test_density_without_infrared_cutoff(self):
+        # lambda^2 = 0, built by hand: the density is Z e^(-y0 k)
+        raw = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=0.0, y0=0.5,
+                            Z=2.0, norm_const=2.0)
+        assert density(raw, 3.0) == pytest.approx(2.0 * math.exp(-1.5),
+                                                  rel=1e-15)
 
     def test_physical_charge_closed_form(self):
         lam2, y0, q = 0.25, 0.7, 1.3
