@@ -232,10 +232,10 @@ def cmd_shift(args):
     free = oscillator.radiative_shift(profile, args.q)
     payload = {"profile": profile.tag, "q": args.q, "free": free}
     if args.gap is not None:
-        plane = oscillator.radiative_shift(profile, args.q,
-                                           plane_gap=args.gap)
-        payload["plane"] = plane
-        payload["mirror_term"] = plane - free
+        # taken on its own: next to free it can fall below free's last digit
+        mirror = oscillator.mirror_term(profile, args.q, args.gap)
+        payload["plane"] = free + mirror
+        payload["mirror_term"] = mirror
     return [(args.out, payload)]
 
 

@@ -8,9 +8,11 @@ Coulomb form
 
 with density the vacuum profile.  For the box shell this closes to a sine
 integral difference; for the exponentially cut profile it closes to an
-imaginary part of K0 at a complex argument.  Where the infrared cutoff
-bites, the potential changes sign at finite radius; that radius and the
-experimental Yukawa-window inequality are exposed here.
+imaginary part of K0 at a complex argument.  The transient compensating
+field is algebraic in that closed form, so nothing here is computed by
+quadrature.  Where the infrared cutoff bites, the potential changes sign at
+finite radius; that radius and the experimental Yukawa-window inequality
+are exposed here.
 
 All lengths are dimensionless (Planck units); unit conversions live in the
 CLI layer.
@@ -26,9 +28,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoSignChange, NonConvergence
-from .numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
 from .specfun import bessel_k0_complex, sine_integral
-from .vacuum import ProfileKind, VacuumProfile, density, physical_charge
+from .vacuum import ProfileKind, VacuumProfile, physical_charge
 
 HALF_PI = math.pi / 2.0
 
@@ -99,15 +100,6 @@ def potential(profile: VacuumProfile, q_ph: float, r):
     return potential_lorentz(q_ph, profile.lambda2, profile.y0, r)
 
 
-def potential_profile_quad(q: float, profile: VacuumProfile, r: float,
-                           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Direct radial quadrature of the averaged potential for any profile;
-    independent cross-check of the closed forms (q is the bare charge)."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    return -q ** 2 / (2.0 * math.pi ** 2 * r) * _sine_transform(profile, r, spec)
-
-
 def compensating_field_closed(q: float, r: float, dt: float) -> float:
     """Transient field of the unit (uncut) vacuum:
     q/(4 pi r) * step(r - |dt|) with step(0) = 1/2."""
@@ -119,43 +111,29 @@ def compensating_field_closed(q: float, r: float, dt: float) -> float:
 
 
 def compensating_field_avg(profile: VacuumProfile, q: float, r: float,
-                           dt: float,
-                           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                           dt: float) -> float:
     """Vacuum-averaged transient field
 
         (q/(2 pi^2 r)) int dkappa density(kappa) cos(kappa dt)
                                   sin(kappa r)/kappa,
 
-    which cancels the averaged static potential at dt = 0 and decays to 0 as
-    |dt| -> inf (Riemann-Lebesgue).
+    in closed form: cos(k dt) sin(k r) = [sin(k (r+dt)) + sin(k (r-dt))]/2
+    splits it into two static potentials V1 of unit bare charge,
+
+        -q [(r+dt) V1(|r+dt|) + (r-dt) V1(|r-dt|)]/(2 r),
+
+    the term whose argument is 0 (r = |dt|) vanishing.  It cancels the
+    averaged static potential at dt = 0 and decays to 0 as |dt| -> inf
+    (Riemann-Lebesgue).
     """
     if r <= 0:
         raise DomainError("radius must be positive")
-    # cos(k dt) sin(k r) = [sin(k (r+dt)) + sin(k (r-dt))]/2
+    unit = physical_charge(1.0, profile)
     total = 0.0
     for w in (r + dt, r - dt):
-        total += 0.5 * _sine_transform(profile, w, spec)
-    return q / (2.0 * math.pi ** 2 * r) * total
-
-
-def _sine_transform(profile: VacuumProfile, w: float,
-                    spec: QuadratureSpec) -> float:
-    """int dkappa density(kappa) sin(w kappa)/kappa."""
-    if w == 0.0:
-        return 0.0
-    sign = math.copysign(1.0, w)
-    w = abs(w)
-
-    def smooth(kappa):
-        if kappa <= 0.0:
-            return 0.0
-        return density(profile, kappa) / kappa
-
-    if profile.kind is ProfileKind.BOX_SHELL:
-        lo, hi = profile.k1, profile.k2
-    else:
-        lo, hi = 0.0, 50.0 / profile.y0
-    return sign * quad_careful(smooth, lo, hi, spec, weight="sin", wvar=w)
+        if w != 0.0:
+            total += w * potential(profile, unit, abs(w))
+    return -q * total / (2.0 * r)
 
 
 def sign_change_radius(potential: Callable[[float], float],

@@ -40,9 +40,11 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
+from .coulomb import potential
 from .errors import CombinatorialCap, DimensionCap, DomainError
 from .numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
-from .vacuum import ProfileKind, VacuumProfile, density, density_integral
+from .vacuum import (ProfileKind, VacuumProfile, density, density_integral,
+                     physical_charge)
 
 DEFAULT_DIMENSION_CAP = 100_000
 DEFAULT_PATTERN_CAP = 2_000_000
@@ -410,26 +412,28 @@ def source_mean_intensity(profile: VacuumProfile, q_charge: float, dt: float,
 # --------------------------------------------------------- radiative shifts
 
 def radiative_shift(profile: VacuumProfile, q_charge: float,
-                    plane_gap: float | None = None,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Vacuum-averaged self-energy of a static point charge.
+                    plane_gap: float | None = None) -> float:
+    """Vacuum-averaged self-energy of a static point charge, in closed form.
 
-    Free space: q^2 int dk density/|k| = q^2 density_integral(profile, 1), in
-    closed form (an average over the vacuum ensemble, not a single
-    eigenvalue shift); DomainError for a profile that is not infrared
-    admissible.  With a reflecting plane at distance plane_gap the mode
-    weight picks up (1 - cos 2 k_z L), i.e. radially
-    (1 - sin(2 kappa L)/(2 kappa L)); the difference from free space, taken
-    by quadrature, reproduces the closed-form mirror-image interaction.
+    Free space: q^2 int dk density/|k| = q^2 density_integral(profile, 1)
+    (an average over the vacuum ensemble, not a single eigenvalue shift);
+    DomainError for a profile that is not infrared admissible.  With a
+    reflecting plane at distance plane_gap the mode weight picks up
+    (1 - cos 2 k_z L), i.e. radially (1 - sin(2 kappa L)/(2 kappa L)); the
+    difference from free space is the mirror-image interaction, mirror_term.
     """
-    from .coulomb import _sine_transform
-
     free = q_charge ** 2 * density_integral(profile, 1)
     if plane_gap is None:
         return free
+    return free + mirror_term(profile, q_charge, plane_gap)
+
+
+def mirror_term(profile: VacuumProfile, q_charge: float,
+                plane_gap: float) -> float:
+    """Self-energy change of a point charge at distance L = plane_gap from a
+    reflecting plane, by the method of images: half the closed-form
+    averaged potential V(2 L) between the charge and its image."""
     if plane_gap <= 0:
         raise DomainError("plane_gap must be positive")
-    # subtract the mirror term  q^2/(8 pi^2 L) int dkappa density sin(2Lk)/k
-    mirror = q_charge ** 2 / (8.0 * math.pi ** 2 * plane_gap) \
-        * _sine_transform(profile, 2.0 * plane_gap, spec)
-    return free - mirror
+    q_ph = physical_charge(q_charge, profile)
+    return 0.5 * potential(profile, q_ph, 2.0 * plane_gap)

@@ -1,13 +1,14 @@
-"""Special-function kernel: Si, Ci, modified Bessel K, all-branch Lambert W,
-the generalized incomplete gamma Gamma(alpha, x, b), and Bernoulli numbers.
+"""Special-function kernel: Si, the scaled complex K0, all-branch Lambert W,
+the generalized incomplete gamma Gamma(alpha, 0, b), and Bernoulli numbers.
 
-Si/Ci, real-argument K_nu and the scaled e^z K0(z) on complex arguments
-(Amos's algorithm, ACM TOMS 644, through scipy's kv and kve) are delegated
-to scipy behind the module contract; Si/Ci and complex K0 take arrays as
-well as scalars.  The pieces scipy does not provide are implemented here:
+Si and the scaled e^z K0(z) on complex arguments (Amos's algorithm, ACM
+TOMS 644, through scipy's kve) are delegated to scipy behind the module
+contract, and take arrays as well as scalars.  The pieces scipy does not
+provide are implemented here:
 
 * Lambert W on any integer branch (asymptotic initializer, Halley polish);
-* Gamma(alpha, x, b) = int_x^inf t^(alpha-1) exp(-t - b/t) dt.
+* Gamma(alpha, 0, b) = int_0^inf t^(alpha-1) exp(-t - b/t) dt
+  = 2 b^(alpha/2) K_alpha(2 sqrt(b)), with its small-b series.
 
 Everything is deterministic: no table interpolation, results are bit-stable
 across runs.
@@ -20,44 +21,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1, gamma as gamma_fn, kv, kve, sici
+from scipy.special import gamma as gamma_fn, kv, kve, sici
 
 from .errors import DomainError, NoConvergence, NonConvergence
-from .numerics import QuadratureSpec, quad_careful
 
 EULER_GAMMA = 0.5772156649015328606
 _EPS = float(np.finfo(float).eps)
-_GAMMA_TAIL_SPEC = QuadratureSpec(0.0, 1e-12, 300)    # relative only
 
 
-# ----------------------------------------------------------------- Si / Ci
+# ---------------------------------------------------------------------- Si
 
 def sine_integral(x):
     """Si(x) = int_0^x sin(t)/t dt.  Odd; tends to pi/2 as x -> inf."""
     return sici(x)[0]
 
 
-def cosine_integral(x):
-    """Ci(x) for x > 0; diverges like log at the origin."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("cosine_integral requires x > 0")
-    out = sici(x)[1]
-    return float(out) if out.ndim == 0 else out
-
-
-# ----------------------------------------------------------- modified Bessel
-
-def bessel_k(order: int, x):
-    """Modified Bessel function of the second kind, even order in {0, 2, 4}."""
-    if order not in (0, 2, 4):
-        raise DomainError("bessel_k supports orders 0, 2, 4")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("bessel_k requires x > 0")
-    out = kv(order, x)
-    return float(out) if out.ndim == 0 else out
-
+# ------------------------------------------------------ complex Bessel K0
 
 def bessel_k0_complex(z):
     """The exponentially scaled e^z K0(z) in the right half-plane (Re z > 0),
@@ -171,61 +150,7 @@ def lambert_w(branch: int, z: complex, tol: float = 1e-13,
         f"Lambert W Halley iteration failed on branch {branch} at z={z}")
 
 
-# ---------------------------------------------- generalized incomplete gamma
-
-def upper_gamma(alpha: float, x: float) -> float:
-    """Classical upper incomplete gamma for real alpha (including <= 0), x > 0:
-    closed forms at alpha = 0 and positive integers, quadrature otherwise."""
-    if x <= 0:
-        raise DomainError("upper_gamma requires x > 0")
-    if alpha == 0.0:
-        return float(exp1(x))
-    if alpha > 0 and alpha == int(alpha):
-        # downward stable recurrence from Gamma(1, x) = e^{-x}
-        n = int(alpha)
-        g = math.exp(-x)
-        for m in range(1, n):
-            g = m * g + x ** m * math.exp(-x)
-        return g
-    # the upward recurrence Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x)/a
-    # cancels as a nears 0, and gammaincc * Gamma fails for subnormal alpha
-    return _gamma_tail(alpha, x, 0.0)
-
-
-def gen_incomplete_gamma(alpha: float, x: float, b: float) -> float:
-    """Gamma(alpha, x, b) = int_x^inf t^(alpha-1) exp(-t - b/t) dt.
-
-    b = 0 reduces to the classical upper incomplete gamma.
-    """
-    if x <= 0:
-        raise DomainError("gen_incomplete_gamma requires x > 0")
-    if b < 0:
-        raise DomainError("gen_incomplete_gamma requires b >= 0")
-    if b == 0.0:
-        return upper_gamma(alpha, x)
-    return _gamma_tail(alpha, x, b)
-
-
-def _gamma_tail(alpha: float, x: float, b: float) -> float:
-    """Quadrature of Gamma(alpha, x, b), to 1e-12 relative.  The integrand is
-    double-exponentially peaked near sqrt(b); the quadrature splits at
-    max(x, sqrt(b)) and substitutes t -> b/t on the lower tail so both pieces
-    decay monotonically."""
-    split = max(x, math.sqrt(b))
-
-    def head(t):
-        return t ** (alpha - 1.0) * math.exp(-t - b / t)
-
-    val = quad_careful(head, split, np.inf, _GAMMA_TAIL_SPEC)
-    if x < split:
-        # t = b/u maps (x, split) to (b/split, b/x) with dt = -b/u^2 du
-        def mirrored(u):
-            return (b / u) ** (alpha - 1.0) * math.exp(-u - b / u) * b / u ** 2
-
-        lo, hi = b / split, b / x
-        val += quad_careful(mirrored, lo, hi, _GAMMA_TAIL_SPEC)
-    return val
-
+# ----------------------------------------- generalized incomplete gamma at 0
 
 def gamma_from_zero(alpha: float, b: float) -> float:
     """Gamma(alpha, 0, b) = 2 b^(alpha/2) K_alpha(2 sqrt(b)); finite for b > 0.

@@ -6,7 +6,9 @@ import pytest
 
 from vacuumlab import cli
 from vacuumlab.cli import build_parser, load_config, main
+from vacuumlab.coulomb import potential
 from vacuumlab.errors import ConfigError
+from vacuumlab.vacuum import make_lorentz_profile, physical_charge
 
 
 def run(args):
@@ -222,6 +224,23 @@ class TestShiftAndCavity:
         assert set(payload) >= {"free", "plane", "mirror_term"}
         assert payload["plane"] - payload["free"] == pytest.approx(
             payload["mirror_term"])
+
+    @pytest.mark.parametrize("lambda2, y0, gap", [(1e-12, 1e-4, 0.5),
+                                                  (1.0, 1e-4, 0.05)])
+    def test_shift_mirror_term_is_half_potential(self, tmp_path, lambda2,
+                                                 y0, gap):
+        # method of images: the plane adds half the averaged potential of
+        # the charge at its image distance 2L, here far out in units of y0
+        out = tmp_path / "shift.json"
+        assert run(["shift", "--profile", "lorentz", "--lambda2",
+                    repr(lambda2), "--y0", repr(y0), "--gap", repr(gap),
+                    "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        prof = make_lorentz_profile(lambda2, y0)
+        expect = 0.5 * potential(prof, physical_charge(1.0, prof), 2 * gap)
+        assert expect < 0.0
+        assert payload["mirror_term"] == pytest.approx(expect, rel=1e-12,
+                                                       abs=0.0)
 
     def test_cavity_table(self, tmp_path):
         out = tmp_path / "res.csv"

@@ -7,11 +7,27 @@ from vacuumlab.constants import AU_KM, PLANCK_LENGTH_KM
 from vacuumlab.coulomb import (PotentialCurve, compensating_field_avg,
                                compensating_field_closed, expand_bracket,
                                potential, potential_box, potential_curve,
-                               potential_lorentz, potential_profile_quad,
-                               sign_change_radius, yukawa_bound_check)
+                               potential_lorentz, sign_change_radius,
+                               yukawa_bound_check)
 from vacuumlab.errors import DomainError, NoSignChange
+from vacuumlab.validation import _density_sine_quad
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
+
+
+def radial_quad(q, prof, r):
+    """Averaged potential of bare charge q by quadrature of the density:
+    -(q^2/(2 pi^2 r)) int dkappa density sin(kappa r)/kappa."""
+    return -q ** 2 / (2.0 * math.pi ** 2 * r) * _density_sine_quad(prof, r)
+
+
+def compensating_quad(prof, q, r, dt):
+    """The averaged transient field by quadrature, through
+    cos(k dt) sin(k r) = [sin(k (r+dt)) + sin(k (r-dt))]/2 and the oddness
+    of the sine transform in w."""
+    total = sum(math.copysign(1.0, w) * _density_sine_quad(prof, abs(w))
+                for w in (r + dt, r - dt) if w != 0.0)
+    return q / (4.0 * math.pi ** 2 * r) * total
 
 
 class TestBoxPotential:
@@ -28,7 +44,7 @@ class TestBoxPotential:
         q_ph = physical_charge(q, prof)
         for r in (0.3, 2.0, 9.0):
             closed = potential_box(q_ph, prof.k1, prof.k2, r)
-            oracle = potential_profile_quad(q, prof, r)
+            oracle = radial_quad(q, prof, r)
             assert closed == pytest.approx(oracle, rel=1e-10)
 
     def test_coulomb_recovery(self):
@@ -68,7 +84,7 @@ class TestLorentzPotential:
         q_ph = physical_charge(q, prof)
         for r in (0.5, 1.0, 3.0):
             closed = potential_lorentz(q_ph, prof.lambda2, prof.y0, r)
-            oracle = potential_profile_quad(q, prof, r)
+            oracle = radial_quad(q, prof, r)
             assert closed == pytest.approx(oracle, rel=1e-6)
 
     def test_real_output(self):
@@ -132,8 +148,8 @@ class TestAngularIndependence:
         outer, _ = quad(angular, prof.k1, prof.k2, limit=200,
                         epsabs=1e-12, epsrel=1e-11)
         oracle = -q * q / (2.0 * math.pi) ** 2 * outer
-        assert potential_profile_quad(q, prof, r) == pytest.approx(
-            oracle, rel=1e-9)
+        assert potential(prof, physical_charge(q, prof), r) == \
+            pytest.approx(oracle, rel=1e-9)
 
 
 class TestCompensatingField:
@@ -157,8 +173,8 @@ class TestCompensatingField:
                         (make_box_profile(0.7, 55.0), 1.3)):
             r = 2.0
             comp = compensating_field_avg(prof, q, r, 0.0)
-            stat = potential_profile_quad(q, prof, r)
-            # the static value is q times the averaged field
+            stat = radial_quad(q, prof, r)
+            # the static value is minus q times the averaged field
             assert comp == pytest.approx(-stat / q, rel=1e-10)
 
     def test_riemann_lebesgue_decay(self):
@@ -167,8 +183,26 @@ class TestCompensatingField:
         assert abs(compensating_field_avg(prof, 1.0, 1.0, 1e6)) < 1e-8
 
     def test_zero_charge(self):
-        prof = make_box_profile(1.0, 3.0)
-        assert compensating_field_avg(prof, 0.0, 1.0, 0.3) == 0.0
+        # q multiplies the unit-charge field, nothing divides by it; the
+        # light cone r = |dt| included
+        for prof in (make_box_profile(1.0, 3.0),
+                     make_lorentz_profile(0.01, 1.0)):
+            for dt in (0.3, 1.0, -1.0, 1e4):
+                assert compensating_field_avg(prof, 0.0, 1.0, dt) == 0.0
+
+    @pytest.mark.parametrize("kind, r, dt", [
+        ("lorentz", 2.0, 2.0), ("lorentz", 2.0, -2.0), ("lorentz", 1.0, 1e4),
+        ("box", 2.0, 0.5), ("box", 2.0, -1.5)])
+    def test_matches_quadrature(self, kind, r, dt):
+        # on the light cone r = |dt| one term has argument 0 and drops; at
+        # dt = 1e4 the two terms cancel to 1e-3 of either, and the field is
+        # 5e-10 of its value at dt = 0
+        prof = make_lorentz_profile(0.01, 1.0) if kind == "lorentz" \
+            else make_box_profile(0.7, 55.0)
+        q = 1.3
+        oracle = compensating_quad(prof, q, r, dt)
+        assert compensating_field_avg(prof, q, r, dt) == pytest.approx(
+            oracle, rel=1e-6, abs=1e-12 * q / (4 * math.pi * r))
 
 
 class TestSignChange:

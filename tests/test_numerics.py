@@ -97,3 +97,38 @@ def test_only_numerics_imports_scipy_integrate():
                  if path.name != "numerics.py"}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
     assert _scipy_integrate_imports(Path(numerics.__file__).read_text())
+
+
+def _private_package_imports(source: str) -> list[str]:
+    """Private (_-prefixed, not dunder) names that source imports from
+    vacuumlab, by relative or absolute import, at any depth."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "vacuumlab":
+            continue
+        names += [alias.name for alias in node.names
+                  if alias.name.startswith("_")
+                  and not alias.name.endswith("__")]
+    return names
+
+
+def test_rule_detector_sees_private_imports():
+    for source in ("from .coulomb import _sine",
+                   "def f():\n    from .coulomb import potential, _sine",
+                   "from vacuumlab.vacuum import _root",
+                   "from . import _helpers"):
+        assert _private_package_imports(source), source
+    for source in ("from . import __version__, coulomb",
+                   "from .vacuum import density",
+                   "from scipy.special import _ufuncs"):
+        assert not _private_package_imports(source), source
+
+
+def test_no_module_imports_private_names_of_another():
+    package = Path(numerics.__file__).parent
+    offenders = {path.name: _private_package_imports(path.read_text())
+                 for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}

@@ -16,10 +16,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
-from vacuumlab import casimir, coulomb, oscillator, vacuum  # noqa: E402
+from vacuumlab import (casimir, coulomb, oscillator, vacuum,  # noqa: E402
+                       validation)
 from vacuumlab.errors import DomainError  # noqa: E402
 from vacuumlab.specfun import (bessel_k0_complex, gamma_from_zero,  # noqa: E402
-                               gen_incomplete_gamma, lambert_w)
+                               lambert_w)
 
 EPS = float(np.finfo(float).eps)
 DPS = 40
@@ -72,10 +73,9 @@ def _box(u, v):
     return vacuum.make_box_profile(k1, k1 * 3.0 * (1e3 / 3.0) ** v)
 
 
-def _lorentz(u, v, lambda2_lo=1e-12, lambda2_hi=1.0, y0_lo=1e-4, y0_hi=1.0):
-    return vacuum.make_lorentz_profile(
-        lambda2_lo * (lambda2_hi / lambda2_lo) ** u,
-        y0_lo * (y0_hi / y0_lo) ** v)
+def _lorentz(u, v):
+    # lambda^2 in [1e-12, 1], y0 in [1e-4, 1]
+    return vacuum.make_lorentz_profile(1e-12 * 1e12 ** u, 1e-4 * 1e4 ** v)
 
 
 def _radii(profile, fractions, lo_scale, hi_scale):
@@ -123,39 +123,24 @@ def test_lorentz_potential_at_large_lambda_matches_mpmath(r):
 @settings(PROPERTY, max_examples=60)
 @given(kind=st.sampled_from(["box", "lorentz"]), u=unit, v=unit, f=unit)
 def test_potential_matches_radial_quadrature(kind, u, v, f):
-    # the quadrature route is the oracle only where it converges: for the
-    # exponential profile that is y0 >= 1e-2, lambda^2 <= 0.1, r <= 100 y0
+    # the exponential profile at r/y0 in [0.1, 1e4], over the range of
+    # _lorentz; the box at k1 r in [1e-2, 1e2]
     if kind == "box":
         prof, (lo, hi) = _box(u, v), (1e-2, 1e2)
     else:
-        prof, (lo, hi) = _lorentz(u, v, lambda2_hi=0.1, y0_lo=1e-2), (0.1, 1e2)
+        prof, (lo, hi) = _lorentz(u, v), (0.1, 1e4)
     r = float(_radii(prof, [f], lo, hi)[0])
     q = 1.0
     q_ph = vacuum.physical_charge(q, prof)
-    oracle = coulomb.potential_profile_quad(q, prof, r)
+    oracle = -q ** 2 / (2.0 * math.pi ** 2 * r) \
+        * validation._density_sine_quad(prof, r)
     # the absolute floor, 1e-9 of the bare Coulomb value, only matters at a
     # sign change of V
     assert coulomb.potential(prof, q_ph, r) == pytest.approx(
         oracle, rel=1e-6, abs=1e-9 * q_ph ** 2 / (4 * math.pi * r))
 
 
-# ------------------------------------------------ incomplete gamma family
-
-def mp_gen_gamma(alpha, x, b):
-    with mp.workdps(DPS):
-        a, x, b = mp.mpf(alpha), mp.mpf(x), mp.mpf(b)
-        peak = max(x, mp.sqrt(b))
-        pts = sorted({x, peak}) + [peak + 1, peak + 30, mp.inf]
-        return float(mp.quad(lambda t: t ** (a - 1) * mp.exp(-t - b / t), pts))
-
-
-@settings(PROPERTY, max_examples=80)
-@given(alpha=st.floats(-3.0, 5.0), x=log_uniform(1e-3, 30.0),
-       b=st.one_of(st.just(0.0), log_uniform(1e-8, 1e2)))
-def test_gen_incomplete_gamma_matches_mpmath(alpha, x, b):
-    assert gen_incomplete_gamma(alpha, x, b) == pytest.approx(
-        mp_gen_gamma(alpha, x, b), rel=1e-9)
-
+# ------------------------------------------- incomplete gamma from zero
 
 @PROPERTY
 @given(alpha=st.sampled_from([1, 2, 4]), b=log_uniform(1e-300, 1.0))
