@@ -52,13 +52,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_lines(rows: list[tuple]) -> list[str]:
+    """The rows as CSV lines, each value as `_fmt` gives it; a ragged row
+    raises ValueError.  The rows are transposed once so that each line is a
+    single %-format: a column of floats only is written by %.17g, which
+    gives the bytes of format(x, ".17g") for every float, and any other
+    column by %s of its `_fmt` strings."""
+    specs, columns = [], []
+    for column in zip(*rows, strict=True):
+        if all(type(v) is float for v in column):
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+            if not all(type(v) is str for v in column):
+                column = [_fmt(v) for v in column]
+        columns.append(column)
+    line = ",".join(specs)
+    return [line % row for row in zip(*columns)]
+
+
 def _write(path: str | None, output: Table | dict):
     """A Table as CSV or a payload as JSON, to path or else to stdout."""
     if isinstance(output, Table):
         lines = [f"# vacuumlab {__version__}"]
         lines += [f"# {c}" for c in output.comments]
         lines.append(",".join(output.columns))
-        lines += [",".join(_fmt(v) for v in row) for row in output.rows]
+        lines += _csv_lines(output.rows)
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(output, indent=2, sort_keys=True) + "\n"

@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import kve
 
 from .errors import DomainError, NoSignChange, NonConvergence
-from .specfun import bessel_k0_complex, sine_integral
+from .specfun import sine_integral
 from .vacuum import ProfileKind, VacuumProfile, physical_charge
 
 HALF_PI = math.pi / 2.0
@@ -75,15 +76,17 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r):
 
     at a radius or an array of radii (a float for a scalar r), using the
     principal branch of the square root.  The kernel is the scaled one,
-    e^{2 lambda} K0(w) = e^w K0(w) e^{2 lambda - w}, with Re w >= 2 lambda,
-    so V stays representable where K0(w) or e^{2 lambda} alone would not.
+    e^{2 lambda} K0(w) = e^w K0(w) e^{2 lambda - w}, with e^w K0(w) from
+    scipy's kve (Amos's algorithm, ACM TOMS 644); Re w >= 2 lambda > 0
+    keeps w off K0's branch cut, and V stays representable where K0(w) or
+    e^{2 lambda} alone would not.
     """
     r = np.asarray(r, dtype=float)
     if lambda2 <= 0 or y0 <= 0 or (r <= 0).any():
         raise DomainError("potential_lorentz requires positive parameters")
     lam = math.sqrt(lambda2)
     w = 2.0 * lam * np.sqrt(1.0 + 1j * (r / y0))
-    k = bessel_k0_complex(w)
+    k = kve(0, w)
     # Im(k e^{2 lambda - w}) in real arithmetic: numpy's complex
     # product rounds differently for scalars and arrays, this form does not
     e = np.exp(2.0 * lam - w)

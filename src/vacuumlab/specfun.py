@@ -1,10 +1,9 @@
-"""Special-function kernel: Si, the scaled complex K0, all-branch Lambert W,
-the generalized incomplete gamma Gamma(alpha, 0, b), and Bernoulli numbers.
+"""Special-function kernel: Si, all-branch Lambert W, the generalized
+incomplete gamma Gamma(alpha, 0, b), and Bernoulli numbers.
 
-Si and the scaled e^z K0(z) on complex arguments (Amos's algorithm, ACM
-TOMS 644, through scipy's kve) are delegated to scipy behind the module
-contract, and take arrays as well as scalars.  The pieces scipy does not
-provide are implemented here:
+Si is scipy's sici, and takes arrays as well as scalars; the complex K0 of
+the exponential-profile potential is scipy's kve, which `coulomb` calls
+directly.  The pieces scipy does not provide are implemented here:
 
 * Lambert W on any integer branch (asymptotic initializer, Halley polish);
 * Gamma(alpha, 0, b) = int_0^inf t^(alpha-1) exp(-t - b/t) dt
@@ -21,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, kv, kve, sici
+from scipy.special import gamma as gamma_fn, kv, sici
 
 from .errors import DomainError, NoConvergence, NonConvergence
 
@@ -34,24 +33,6 @@ _EPS = float(np.finfo(float).eps)
 def sine_integral(x):
     """Si(x) = int_0^x sin(t)/t dt.  Odd; tends to pi/2 as x -> inf."""
     return sici(x)[0]
-
-
-# ------------------------------------------------------ complex Bessel K0
-
-def bessel_k0_complex(z):
-    """The exponentially scaled e^z K0(z) in the right half-plane (Re z > 0),
-    principal branch, from scipy's Amos kve; takes a scalar or an array.
-    The scaled form stays representable where K0 itself underflows (Re z
-    beyond ~700); multiply by e^-z for K0.
-
-    Satisfies the reflection symmetry f(conj z) = conj f(z).
-    """
-    z = np.asarray(z, dtype=complex)
-    if (z.real <= 0).any():
-        raise DomainError("bessel_k0_complex requires Re z > 0 "
-                          "(branch cut on the negative real axis)")
-    out = kve(0, z)
-    return complex(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------- Lambert W

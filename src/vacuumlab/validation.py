@@ -7,7 +7,7 @@ acceptance test suite asserts every criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,9 @@ class CriterionResult:
     passed: bool
 
     def as_dict(self):
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        return out
+        return {"criterion": self.criterion, "expected": self.expected,
+                "measured": self.measured, "tolerance": self.tolerance,
+                "pass": self.passed}
 
 
 def _crit(name, expected, measured, tol, mode="abs") -> CriterionResult:

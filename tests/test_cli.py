@@ -445,3 +445,108 @@ class TestValidateCommand:
         for entry in payload["criteria"]:
             assert set(entry) == {"criterion", "expected", "measured",
                                   "tolerance", "pass"}
+
+
+class TestCsvWriter:
+    @staticmethod
+    def written(capsys, rows):
+        cli._write(None, cli.Table(["note"], ["a", "b"], rows))
+        return capsys.readouterr().out.splitlines()[3:]
+
+    def test_lines_match_per_value_formatting(self, capsys):
+        nan, inf = float("nan"), float("inf")
+        rows = [
+            # float, int, str, float+str, float+int, other types
+            (0.1, 10 ** 20, "box", 1.5, 2.0, 1 + 2j),
+            (nan, -3, "", "x", 7, np.float64(0.1)),
+            (inf, 0, "a,b", -0.0, -0.0, True),
+            (-inf, 1, "lorentz", 5e-324, 10 ** 20, None),
+            (-0.0, 2, "-", nan, inf, np.float64(nan)),
+            (5e-324, 3, "+", 1e300, 5e-324, False),
+            (1.7976931348623157e308, 4, "z", 2.5e-8, -1, -0.0),
+        ]
+        expect = [",".join(cli._fmt(v) for v in row) for row in rows]
+        assert self.written(capsys, rows) == expect
+        assert expect[0] == "0.10000000000000001,100000000000000000000," \
+                            "box,1.5,2,(1+2j)"
+
+    def test_empty_table_has_no_data_lines(self, capsys):
+        assert self.written(capsys, []) == []
+
+    def test_ragged_row_raises(self, capsys):
+        with pytest.raises(ValueError):
+            cli._write(None, cli.Table([], ["a", "b"],
+                                       [(1.0, 2.0), (3.0,), (4.0, 5.0)]))
+        assert capsys.readouterr().out == ""
+
+
+# CSV text of small runs as the per-value formatter wrote it; any change to
+# an artifact's bytes fails here
+GOLDEN_CSV = {
+    ("coulomb", "--samples", "5"): (
+        "# vacuumlab 0.1.0\n"
+        "# V(r) = -q_ph^2/(4 pi r) * (2/pi)(Si(k2 r) - Si(k1 r)) "
+        "for the box shell\n"
+        "# V(r) = q_ph^2 e^{2 lam}/(pi^2 r) Im K0(2 lam sqrt(1 + i r/y0)) "
+        "for the lorentz profile\n"
+        "# q=1.0 q_ph=0.08886210197934946\n"
+        "r,V,profile_tag\n"
+        "0.10000000000000001,-0.0062342359560379895,box(k1=1,k2=100)\n"
+        "0.56234132519034907,-0.00071240660984403395,box(k1=1,k2=100)\n"
+        "3.1622776601683795,3.5366913622240544e-05,box(k1=1,k2=100)\n"
+        "17.782794100389228,-5.335285770448007e-07,box(k1=1,k2=100)\n"
+        "100,-3.466778076569938e-08,box(k1=1,k2=100)\n"),
+    ("coulomb", "--samples", "5", "--profile", "lorentz"): (
+        "# vacuumlab 0.1.0\n"
+        "# V(r) = -q_ph^2/(4 pi r) * (2/pi)(Si(k2 r) - Si(k1 r)) "
+        "for the box shell\n"
+        "# V(r) = q_ph^2 e^{2 lam}/(pi^2 r) Im K0(2 lam sqrt(1 + i r/y0)) "
+        "for the lorentz profile\n"
+        "# q=1.0 q_ph=0.0062769084008508875\n"
+        "r,V,profile_tag\n"
+        "0.10000000000000001,-3.1195883806590001e-05,"
+        "lorentz(lambda2=1e-06,y0=0.001)\n"
+        "0.56234132519034907,-5.5636577382813721e-06,"
+        "lorentz(lambda2=1e-06,y0=0.001)\n"
+        "3.1622776601683795,-9.8005425103126706e-07,"
+        "lorentz(lambda2=1e-06,y0=0.001)\n"
+        "17.782794100389228,-1.6689471444077753e-07,"
+        "lorentz(lambda2=1e-06,y0=0.001)\n"
+        "100,-2.504361225377582e-08,lorentz(lambda2=1e-06,y0=0.001)\n"),
+    ("stats", "--nmax", "3"): (
+        "# vacuumlab 0.1.0\n"
+        "# p_renyi: (1/n!) d^n/dl^n (sum p e^{l w/N})^N at l=-1\n"
+        "# p_shannon: Poisson with parameter sum p w\n"
+        "# N=100 probs=[0.35, 0.65] intensities=[0.7, 0.3]\n"
+        "n,p_renyi,p_shannon,gap\n"
+        "0,0.64415359942756756,0.64403642108314141,0.00011717834442614983\n"
+        "1,0.28319325274897877,0.28337602527658218,-0.00018277252760340312\n"
+        "2,0.062368100337843811,0.062342725560848092,2.5374776995719384e-05\n"
+        "3,0.0091741251713333832,0.0091435997489243744,"
+        "3.0525422409008809e-05\n"),
+    ("cavity", "--branches", "1"): (
+        "# vacuumlab 0.1.0\n"
+        "# roots of k^2 + 2 i alpha k + (exp(ikL) - 1) alpha^2 = 0\n"
+        "# alpha=1.0 L=1.0\n"
+        "branch,sign,re_k,im_k,residual\n"
+        "0,+,0,-0,0\n"
+        "0,-,-2.4285478120983646,-1.9044828738912076,3.2023728339893768e-15\n"),
+    ("delta", "--samples", "5"): (
+        "# vacuumlab 0.1.0\n"
+        "# family lambda_triangle n=8 j=0 a=0.0\n"
+        "# value: piecewise-linear profile delta_n(k)\n"
+        "# transform: (1/2pi) int delta_n(k') exp(i k' x) dk' at x=k\n"
+        "k,value,transform\n"
+        "-2,0,0.15832773611222947\n"
+        "-1,0,0.15894781799682109\n"
+        "0,8,0.15915494309189535\n"
+        "1,0,0.15894781799682109\n"
+        "2,0,0.15832773611222947\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CSV), ids=[
+    "coulomb_box", "coulomb_lorentz", "stats", "cavity", "delta"])
+def test_golden_csv_bytes(argv, capsys):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == GOLDEN_CSV[argv]

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kve
 
 mp = pytest.importorskip("mpmath")
 pytest.importorskip("hypothesis")
@@ -19,8 +20,7 @@ from hypothesis import (assume, example, given, settings,  # noqa: E402
 from vacuumlab import (casimir, coulomb, oscillator, vacuum,  # noqa: E402
                        validation)
 from vacuumlab.errors import DomainError  # noqa: E402
-from vacuumlab.specfun import (bessel_k0_complex, gamma_from_zero,  # noqa: E402
-                               lambert_w)
+from vacuumlab.specfun import gamma_from_zero, lambert_w  # noqa: E402
 
 EPS = float(np.finfo(float).eps)
 DPS = 40
@@ -35,7 +35,8 @@ def log_uniform(lo, hi):
 
 
 def mp_k0_scaled(z: complex) -> complex:
-    """e^z K0(z), the scaled kernel bessel_k0_complex returns."""
+    """e^z K0(z), the scaled kernel kve(0, z) that
+    coulomb.potential_lorentz calls."""
     with mp.workdps(DPS):
         zz = mp.mpc(z.real, z.imag)
         return complex(mp.exp(zz) * mp.besselk(0, zz))
@@ -52,7 +53,7 @@ def test_k0_complex_matches_mpmath(modulus, arg):
     # unlike K0 (condition number ~ |w|), e^w K0(w) is well conditioned:
     # |w (1 - K1(w)/K0(w))| is of order one; worst seen 4.1 eps over 1,500
     # random points of this range
-    assert abs(bessel_k0_complex(w) - ref) <= 8 * EPS * abs(ref)
+    assert abs(kve(0, w) - ref) <= 8 * EPS * abs(ref)
 
 
 @PROPERTY
@@ -60,10 +61,9 @@ def test_k0_complex_matches_mpmath(modulus, arg):
                           st.floats(-1.5, 1.5)), min_size=1, max_size=20))
 def test_k0_complex_array_matches_scalar(points):
     z = np.array([m * complex(math.cos(a), math.sin(a)) for m, a in points])
-    out = bessel_k0_complex(z)
+    out = kve(0, z)
     assert out.shape == z.shape
-    assert all(out[i] == bessel_k0_complex(complex(v))
-               for i, v in enumerate(z))
+    assert all(out[i] == kve(0, complex(v)) for i, v in enumerate(z))
 
 
 # ------------------------------------------------------ Coulomb potentials
