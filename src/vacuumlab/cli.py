@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -52,23 +53,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_lines(rows: list[tuple]) -> list[str]:
-    """The rows as CSV lines, each value as `_fmt` gives it; a ragged row
-    raises ValueError.  The rows are transposed once so that each line is a
-    single %-format: a column of floats only is written by %.17g, which
-    gives the bytes of format(x, ".17g") for every float, and any other
-    column by %s of its `_fmt` strings."""
-    specs, columns = [], []
+def _csv_lines(rows: list[tuple]) -> str:
+    """The rows as CSV lines, each ending in a newline and each value as
+    `_fmt` gives it; a ragged row raises ValueError.  The whole table is a
+    single %-format of the chained rows: a column of floats only is written
+    by %.17g, which gives the bytes of format(x, ".17g") for every float,
+    a column without floats by %s, which gives str(x), and any other column
+    by %s of its `_fmt` strings, the one case that transposes the rows."""
+    specs, columns, formatted = [], [], False
     for column in zip(*rows, strict=True):
-        if all(type(v) is float for v in column):
+        types = set(map(type, column))
+        if types == {float}:
             specs.append("%.17g")
         else:
             specs.append("%s")
-            if not all(type(v) is str for v in column):
-                column = [_fmt(v) for v in column]
+            if any(issubclass(t, float) for t in types):
+                column, formatted = [_fmt(v) for v in column], True
         columns.append(column)
-    line = ",".join(specs)
-    return [line % row for row in zip(*columns)]
+    if formatted:
+        rows = list(zip(*columns))
+    line = ",".join(specs) + "\n"
+    return (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _write(path: str | None, output: Table | dict):
@@ -77,8 +82,7 @@ def _write(path: str | None, output: Table | dict):
         lines = [f"# vacuumlab {__version__}"]
         lines += [f"# {c}" for c in output.comments]
         lines.append(",".join(output.columns))
-        lines += _csv_lines(output.rows)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n" + _csv_lines(output.rows)
     else:
         text = json.dumps(output, indent=2, sort_keys=True) + "\n"
     if path is None:

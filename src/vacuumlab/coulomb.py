@@ -33,6 +33,11 @@ from .specfun import sine_integral
 from .vacuum import ProfileKind, VacuumProfile, physical_charge
 
 HALF_PI = math.pi / 2.0
+# expand_bracket's first slice, 32 steps of the ladder: from rmin = 0.1/k2
+# the box potential flips near 1.93/k1, at most 25 steps up for
+# k2/k1 <= 1e3; from rmin = 0.1 y0 the exponential one flips 10 to 80 steps
+# up, within 32 for about a third of perfbench's coulomb requests
+_HEAD_RUNGS = 33
 
 
 @dataclass(frozen=True)
@@ -51,22 +56,46 @@ class PotentialCurve:
             raise DomainError("radii must be strictly increasing")
 
 
+def _box(q_ph: float, k1: float, k2: float, r):
+    """The box potential's arithmetic at r > 0, a float or an array."""
+    si = sine_integral(k2 * r) - sine_integral(k1 * r)
+    return -q_ph ** 2 / (4.0 * math.pi * r) * si / HALF_PI
+
+
 def potential_box(q_ph: float, k1: float, k2: float, r):
     """Box-shell potential -(q_ph^2/(4 pi r)) (Si(k2 r) - Si(k1 r))/(pi/2)
     at a radius or an array of radii (a float for a scalar r).
 
     Finite at the origin: the r -> 0 limit is -q_ph^2 (k2 - k1)/(2 pi^2).
+    A float r (a root search's argument) skips the array wrapping; the
+    arithmetic is the array path's, so it returns that path's bits.
     """
     if k1 <= 0 or k2 <= k1:
         raise DomainError("box potential requires 0 < k1 < k2")
+    origin = -q_ph ** 2 * (k2 - k1) / (2.0 * math.pi ** 2)
+    if isinstance(r, float):
+        if r < 0:
+            raise DomainError("radius must be nonnegative")
+        return origin if r == 0.0 else float(_box(q_ph, k1, k2, r))
     r = np.asarray(r, dtype=float)
     if (r < 0).any():
         raise DomainError("radius must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
-        si = sine_integral(k2 * r) - sine_integral(k1 * r)
-        v = -q_ph ** 2 / (4.0 * math.pi * r) * si / HALF_PI
-    v = np.where(r == 0.0, -q_ph ** 2 * (k2 - k1) / (2.0 * math.pi ** 2), v)
+        v = np.where(r == 0.0, origin, _box(q_ph, k1, k2, r))
     return float(v) if v.ndim == 0 else v
+
+
+def _lorentz(q_ph: float, lambda2: float, y0: float, r):
+    """The exponential potential's arithmetic at r > 0, a float or an
+    array."""
+    lam = math.sqrt(lambda2)
+    w = 2.0 * lam * np.sqrt(1.0 + 1j * (r / y0))
+    k = kve(0, w)
+    # Im(k e^{2 lambda - w}) in real arithmetic: numpy's complex
+    # product rounds differently for scalars and arrays, this form does not
+    e = np.exp(2.0 * lam - w)
+    return q_ph ** 2 / (math.pi ** 2 * r) \
+        * (k.real * e.imag + k.imag * e.real)
 
 
 def potential_lorentz(q_ph: float, lambda2: float, y0: float, r):
@@ -79,19 +108,18 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r):
     e^{2 lambda} K0(w) = e^w K0(w) e^{2 lambda - w}, with e^w K0(w) from
     scipy's kve (Amos's algorithm, ACM TOMS 644); Re w >= 2 lambda > 0
     keeps w off K0's branch cut, and V stays representable where K0(w) or
-    e^{2 lambda} alone would not.
+    e^{2 lambda} alone would not.  A float r (a root search's argument)
+    skips the array wrapping; the arithmetic is the array path's, with
+    numpy's sqrt and exp on the scalar, so it returns that path's bits.
     """
+    if isinstance(r, float):
+        if lambda2 <= 0 or y0 <= 0 or r <= 0:
+            raise DomainError("potential_lorentz requires positive parameters")
+        return float(_lorentz(q_ph, lambda2, y0, r))
     r = np.asarray(r, dtype=float)
     if lambda2 <= 0 or y0 <= 0 or (r <= 0).any():
         raise DomainError("potential_lorentz requires positive parameters")
-    lam = math.sqrt(lambda2)
-    w = 2.0 * lam * np.sqrt(1.0 + 1j * (r / y0))
-    k = kve(0, w)
-    # Im(k e^{2 lambda - w}) in real arithmetic: numpy's complex
-    # product rounds differently for scalars and arrays, this form does not
-    e = np.exp(2.0 * lam - w)
-    v = q_ph ** 2 / (math.pi ** 2 * r) \
-        * (k.real * e.imag + k.imag * e.real)
+    v = _lorentz(q_ph, lambda2, y0, r)
     return float(v) if v.ndim == 0 else v
 
 
@@ -174,13 +202,18 @@ def expand_bracket(potential: Callable[[np.ndarray], np.ndarray],
     (max_steps + 1 radii, each the previous one times factor, overflowing
     to inf) whose potentials differ in sign bit.
 
-    The potential is called once, on the whole ladder, so it must take an
+    The potential is called on the ladder's first _HEAD_RUNGS radii and,
+    only if they hold no flip, once more on the rest, so it must take an
     array of radii and return an array of values.
     """
+    ladder = np.full(max_steps + 1, float(factor))
+    ladder[0] = r_start
     with np.errstate(over="ignore"):
-        ladder = np.multiply.accumulate(
-            np.r_[float(r_start), np.full(max_steps, float(factor))])
-    negative = np.signbit(potential(ladder))
+        np.multiply.accumulate(ladder, out=ladder)
+    negative = np.signbit(potential(ladder[:_HEAD_RUNGS]))
+    if ladder.size > _HEAD_RUNGS and (negative == negative[0]).all():
+        negative = np.concatenate(
+            (negative, np.signbit(potential(ladder[_HEAD_RUNGS:]))))
     flips = np.flatnonzero(negative[1:] != negative[:-1])
     if flips.size == 0:
         raise NoSignChange(

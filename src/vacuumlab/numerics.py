@@ -137,10 +137,3 @@ def sweep_limit(evaluate: Callable[[int], float],
     raise NonConvergence(
         f"index sweep failed stability test after {len(history)} doublings; "
         f"history={history}")
-
-
-def cesaro_mean(f: Callable[[float], float], lo: float, hi: float,
-                samples: int = 512) -> float:
-    """Arithmetic mean of f over an evenly spaced window grid."""
-    xs = np.linspace(lo, hi, samples)
-    return float(np.mean([f(x) for x in xs]))

@@ -11,10 +11,14 @@ from vacuumlab.cavity import (CavityConfig, Side, boundary_inner_product,
                               resonance_equation, resonance_roots,
                               scattering_coeffs, scattering_coeffs_batch)
 from vacuumlab.errors import DegenerateMode, DomainError
-from vacuumlab.numerics import cesaro_mean
 
 CFG = CavityConfig(1.5, 1.5, 2.0)
 FREE = CavityConfig(0.0, 0.0, 1.0)
+
+
+def cesaro_mean(f, lo, hi, samples):
+    """Arithmetic mean of f over an evenly spaced window grid."""
+    return float(np.mean([f(x) for x in np.linspace(lo, hi, samples)]))
 
 
 class TestScatteringCoefficients:

@@ -550,3 +550,34 @@ GOLDEN_CSV = {
 def test_golden_csv_bytes(argv, capsys):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == GOLDEN_CSV[argv]
+
+
+# --summary JSON of small runs as the array-only potentials wrote it; the
+# sign_change_radius digits pin the root search's path to the bit
+GOLDEN_SUMMARY = {
+    ("coulomb", "--samples", "5"): (
+        '{\n  "profile": "box(k1=1,k2=100)",\n  "q": 1.0,\n'
+        '  "q_ph": 0.08886210197934946,\n'
+        '  "sign_change_radius": 1.9293627333504866,\n'
+        '  "sign_change_radius_au": 2.084482987625432e-46\n}\n'),
+    ("coulomb", "--samples", "5", "--profile", "lorentz"): (
+        '{\n  "profile": "lorentz(lambda2=1e-06,y0=0.001)",\n  "q": 1.0,\n'
+        '  "q_ph": 0.0062769084008508875,\n'
+        '  "sign_change_radius": 3831.1567840147086,\n'
+        '  "sign_change_radius_au": 4.1391807777566805e-43\n}\n'),
+    # the flip lies past the bracket search's first slice of 32 steps
+    ("coulomb", "--samples", "5", "--profile", "lorentz", "--rmin", "1e-4"): (
+        '{\n  "profile": "lorentz(lambda2=1e-06,y0=0.001)",\n  "q": 1.0,\n'
+        '  "q_ph": 0.0062769084008508875,\n'
+        '  "sign_change_radius": 3831.15678401357,\n'
+        '  "sign_change_radius_au": 4.139180777755451e-43\n}\n'),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SUMMARY), ids=[
+    "box", "lorentz", "lorentz_late_flip"])
+def test_golden_summary_bytes(argv, tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    assert main([*argv, "--summary", str(summary)]) == 0
+    capsys.readouterr()
+    assert summary.read_text() == GOLDEN_SUMMARY[argv]

@@ -324,15 +324,25 @@ class TestExpandBracket:
                 == f"no sign flip within {steps} geometric steps from {r_start}"
 
     def test_one_potential_call(self):
-        calls = []
+        # one call per slice: rungs 0-32, then the rest only when the first
+        # slice holds no flip
+        def counted(f):
+            def pot(r):
+                calls.append(np.shape(r))
+                return f(r)
+            return pot
 
-        def pot(r):
-            calls.append(np.shape(r))
-            return np.cos(r)
-
-        assert expand_bracket(pot, 0.1, max_steps=50) == _scalar_ladder(
-            np.cos, 0.1, max_steps=50)
-        assert calls == [(51,)]
+        for f, r_start, steps, expect in (
+                (np.cos, 0.1, 50, [(33,)]),             # flip at rung 7
+                (lambda r: 1e10 - r, 1.0, 50, [(33,), (18,)]),  # rung 57
+                (lambda r: 1e10 - r, 1.0, 20, [(21,)]),
+                (lambda r: 1e10 - r, 1.0, 32, [(33,)]),
+                (lambda r: 1e10 - r, 1.0, 33, [(33,), (1,)])):
+            calls = []
+            assert _outcome(expand_bracket, counted(f), r_start,
+                            max_steps=steps) \
+                == _outcome(_scalar_ladder, f, r_start, max_steps=steps)
+            assert calls == expect
 
 
 class TestYukawaBound:

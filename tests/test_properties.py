@@ -106,6 +106,60 @@ def test_potential_array_bit_identical_to_scalar(kind, u, v, fractions):
     assert out.tolist() == scalars
 
 
+# the top of expand_bracket's ladder from rmin = 0.1/k2: 1.5^200 rmin
+LADDER_TOP = 1.5 ** 200
+
+
+@PROPERTY
+@given(u=unit, v=unit, f=unit)
+@example(u=0.0, v=1.0, f=1.0)
+def test_box_float_path_matches_array_path(u, v, f):
+    # over the CLI's box requests: k1 in [1e-2, 1], k2/k1 in [3, 1e3], r
+    # from 0.1/k2 up to the ladder's top, and r = 0
+    prof = _box(u, v)
+    q_ph = vacuum.physical_charge(1.0, prof)
+    rmin = 0.1 / prof.k2
+    for r in (rmin * LADDER_TOP ** f, 0.0):
+        got = coulomb.potential_box(q_ph, prof.k1, prof.k2, r)
+        (expect,) = coulomb.potential_box(q_ph, prof.k1, prof.k2,
+                                          np.array([r])).tolist()
+        assert type(got) is float
+        assert got.hex() == expect.hex()
+
+
+@PROPERTY
+@given(u=unit, v=unit, f=unit)
+@example(u=1.0, v=0.0, f=1.0)
+@example(u=0.0, v=1.0, f=0.0)
+def test_lorentz_float_path_matches_array_path(u, v, f):
+    # lambda^2 in [1e-12, 1], y0 in [1e-4, 1], r/y0 in [0.1, 1e30]
+    prof = _lorentz(u, v)
+    q_ph = vacuum.physical_charge(1.0, prof)
+    r = float(_radii(prof, [f], 0.1, 1e30)[0])
+    got = coulomb.potential_lorentz(q_ph, prof.lambda2, prof.y0, r)
+    (expect,) = coulomb.potential_lorentz(q_ph, prof.lambda2, prof.y0,
+                                          np.array([r])).tolist()
+    assert type(got) is float
+    assert got.hex() == expect.hex()
+
+
+def test_float_path_rejects_bad_radii():
+    with pytest.raises(DomainError):
+        coulomb.potential_box(1.0, 1.0, 100.0, -1e-300)
+    for r in (0.0, -0.0, -2.5):
+        with pytest.raises(DomainError):
+            coulomb.potential_lorentz(1.0, 1e-6, 1e-3, r)
+
+
+@pytest.mark.parametrize("r", [np.float64(2.0), 2])
+def test_numpy_float_and_int_radii_give_floats(r):
+    box = coulomb.potential_box(1.0, 1.0, 100.0, r)
+    lorentz = coulomb.potential_lorentz(1.0, 1e-6, 1e-3, r)
+    assert type(box) is float and type(lorentz) is float
+    assert box == coulomb.potential_box(1.0, 1.0, 100.0, 2.0)
+    assert lorentz == coulomb.potential_lorentz(1.0, 1e-6, 1e-3, 2.0)
+
+
 @pytest.mark.parametrize("r", [0.5, 3.16])
 def test_lorentz_potential_at_large_lambda_matches_mpmath(r):
     # at lambda^2 = 1e5, r = 3.16 K0(w) alone underflows (Re w ~ 1300)
