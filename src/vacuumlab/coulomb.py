@@ -8,8 +8,7 @@ Coulomb form
 
 with density the vacuum profile.  For the box shell this closes to a sine
 integral difference; for the exponentially cut profile it closes to an
-imaginary part of K0 at a complex argument.  The transient compensating
-field is algebraic in that closed form, so nothing here is computed by
+imaginary part of K0 at a complex argument, so nothing here is computed by
 quadrature.  Where the infrared cutoff bites, the potential changes sign at
 finite radius; that radius and the experimental Yukawa-window inequality
 are exposed here.
@@ -66,7 +65,9 @@ def potential_box(q_ph: float, k1: float, k2: float, r):
     """Box-shell potential -(q_ph^2/(4 pi r)) (Si(k2 r) - Si(k1 r))/(pi/2)
     at a radius or an array of radii (a float for a scalar r).
 
-    Finite at the origin: the r -> 0 limit is -q_ph^2 (k2 - k1)/(2 pi^2).
+    Finite at the origin: the r -> 0 limit is -q_ph^2 (k2 - k1)/(2 pi^2),
+    returned wherever k2 r < 1e-8: there Si(x) = x - x^3/18 + ... puts the
+    limit within (k2 r)^2/6 < 2e-17 relative, while 1/r may overflow.
     A float r (a root search's argument) skips the array wrapping; the
     arithmetic is the array path's, so it returns that path's bits.
     """
@@ -76,12 +77,12 @@ def potential_box(q_ph: float, k1: float, k2: float, r):
     if isinstance(r, float):
         if r < 0:
             raise DomainError("radius must be nonnegative")
-        return origin if r == 0.0 else float(_box(q_ph, k1, k2, r))
+        return origin if k2 * r < 1e-8 else float(_box(q_ph, k1, k2, r))
     r = np.asarray(r, dtype=float)
     if (r < 0).any():
         raise DomainError("radius must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(r == 0.0, origin, _box(q_ph, k1, k2, r))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.where(k2 * r < 1e-8, origin, _box(q_ph, k1, k2, r))
     return float(v) if v.ndim == 0 else v
 
 
@@ -129,42 +130,6 @@ def potential(profile: VacuumProfile, q_ph: float, r):
     if profile.kind is ProfileKind.BOX_SHELL:
         return potential_box(q_ph, profile.k1, profile.k2, r)
     return potential_lorentz(q_ph, profile.lambda2, profile.y0, r)
-
-
-def compensating_field_closed(q: float, r: float, dt: float) -> float:
-    """Transient field of the unit (uncut) vacuum:
-    q/(4 pi r) * step(r - |dt|) with step(0) = 1/2."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    u = r - abs(dt)
-    theta = 0.5 if u == 0.0 else (1.0 if u > 0 else 0.0)
-    return q / (4.0 * math.pi * r) * theta
-
-
-def compensating_field_avg(profile: VacuumProfile, q: float, r: float,
-                           dt: float) -> float:
-    """Vacuum-averaged transient field
-
-        (q/(2 pi^2 r)) int dkappa density(kappa) cos(kappa dt)
-                                  sin(kappa r)/kappa,
-
-    in closed form: cos(k dt) sin(k r) = [sin(k (r+dt)) + sin(k (r-dt))]/2
-    splits it into two static potentials V1 of unit bare charge,
-
-        -q [(r+dt) V1(|r+dt|) + (r-dt) V1(|r-dt|)]/(2 r),
-
-    the term whose argument is 0 (r = |dt|) vanishing.  It cancels the
-    averaged static potential at dt = 0 and decays to 0 as |dt| -> inf
-    (Riemann-Lebesgue).
-    """
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    unit = physical_charge(1.0, profile)
-    total = 0.0
-    for w in (r + dt, r - dt):
-        if w != 0.0:
-            total += w * potential(profile, unit, abs(w))
-    return -q * total / (2.0 * r)
 
 
 def sign_change_radius(potential: Callable[[float], float],

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IncompatibleClasses, SingularRoot
+from .errors import DomainError, IncompatibleClasses
 from .numerics import (DEFAULT_SPEC, LimitResult, QuadratureSpec, divergent,
                        finite, quad_careful, sweep_limit)
 from .specfun import sine_integral
@@ -389,84 +389,3 @@ def power_filtering_integral(family: DeltaFamily, power: int,
         raise IncompatibleClasses(
             f"limit orderings disagree: {fwd.value} vs {rev.value}")
     return fwd
-
-
-def convolve_eval(fam1: DeltaFamily, n: int, fam2: DeltaFamily, m: int,
-                  k: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """(delta_n * delta_m)(k) = int delta_n(k - k') delta_m(k') dk'.
-
-    Defined for the square-integrable compact families (M shape and shifted
-    pair); symmetric under (fam1, n) <-> (fam2, m).
-    """
-    for fam in (fam1, fam2):
-        if fam.shape not in (DeltaShape.M_SHAPE, DeltaShape.SHIFTED_PAIR):
-            raise DomainError("convolution is implemented for M-shape and "
-                              "shifted-pair families")
-    f1, f2 = fam1.with_index(n), fam2.with_index(m)
-    lo2, hi2 = f2.support
-    lo1, hi1 = f1.support
-    lo = max(lo2, k - hi1)
-    hi = min(hi2, k - lo1)
-    if hi <= lo:
-        return 0.0
-    pts = list(f2.breakpoints) + [k - p for p in f1.breakpoints]
-
-    def g(kp):
-        return eval_family(f1, k - kp) * eval_family(f2, kp)
-
-    return quad_careful(g, lo, hi, spec, points=pts)
-
-
-def convolution_origin_diagonal(family: DeltaFamily,
-                                spec: QuadratureSpec = DEFAULT_SPEC) -> LimitResult:
-    """lim_n (delta_n * delta_n)(0), tagged: divergent for every admissible
-    family (the equal-index diagonal of the convolution square)."""
-    return sweep_limit(
-        lambda n: convolve_eval(family, n, family, n, 0.0, spec),
-        spec, start=4, max_doublings=10)
-
-
-@dataclass(frozen=True)
-class MeasureDensity:
-    """Density rho(p) = d mu(p)/dp of an integration measure."""
-
-    rho: Callable[[float], float]
-    is_constant: bool = False
-    probe_interval: tuple[float, float] = (1e-3, 10.0)
-
-    def __post_init__(self):
-        lo, hi = self.probe_interval
-        probes = np.geomspace(lo, hi, 17)
-        vals = np.array([self.rho(p) for p in probes], dtype=float)
-        if np.any(vals <= 0):
-            raise DomainError("measure density must be positive on its domain")
-        if self.is_constant and np.ptp(vals) > 1e-12 * np.max(np.abs(vals)):
-            raise DomainError("is_constant flag contradicts sampled density")
-
-
-def measure_consistency_check(rho: MeasureDensity, a: float) -> bool:
-    """Whether an M-shape origin value a is compatible with measure rho:
-    either a = 0, or the density is constant."""
-    return a == 0.0 or rho.is_constant
-
-
-def composed_delta_weights(f: Callable[[float], float],
-                           f_prime: Callable[[float], float],
-                           roots: Sequence[float],
-                           tol: float = 1e-9) -> list[tuple[float, float]]:
-    """Weights of delta[f(k)]: pairs (k_l, 1/|f'(k_l)|) over the given roots,
-    so that int delta[f(k)] F(k) dk = sum_l w_l (F(k_l+) + F(k_l-))/2.
-
-    Raises SingularRoot when |f'(k_l)| falls below tolerance (e.g. the
-    massless zero-momentum channel, which must be rejected).
-    """
-    out = []
-    for k in roots:
-        val = f(k)
-        slope = f_prime(k)
-        if abs(slope) < tol:
-            raise SingularRoot(f"|f'({k})| = {abs(slope)} below tolerance")
-        if abs(val) > tol * max(1.0, abs(slope)):
-            raise DomainError(f"{k} is not a root of f (f = {val})")
-        out.append((float(k), 1.0 / abs(slope)))
-    return out

@@ -17,10 +17,6 @@ class NoConvergence(NonConvergence):
     """Iterative root polishing did not converge within the step cap."""
 
 
-class SingularRoot(VacuumlabError, ValueError):
-    """Root with |f'(root)| below tolerance; delta composition undefined there."""
-
-
 class IncompatibleClasses(VacuumlabError, ValueError):
     """Product of delta sequences drawn from different equivalence classes."""
 

@@ -11,8 +11,7 @@ extension uses symmetrized one-site operators with normalization 1/sqrt(N):
 satisfying [a_w(N), a_v(N)^+] = delta_wv I_w(N) and
 [a_w(N), nt_v(N)] = delta_wv a_w(N) exactly below the occupation cutoff.
 I_w(N) has the binomial frequency-of-successes spectrum s/N, which drives
-the weak law of large numbers and the finite-N deformation of Poisson
-excitation statistics:
+the finite-N deformation of Poisson excitation statistics:
 
     p(n, N) = (1/n!) d^n/dlambda^n (sum_w p_w e^{lambda w_w / N})^N  at
     lambda = -1,
@@ -31,9 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -42,9 +40,7 @@ from scipy.special import gammaln, xlogy
 
 from .coulomb import potential
 from .errors import CombinatorialCap, DimensionCap, DomainError
-from .numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
-from .vacuum import (ProfileKind, VacuumProfile, density, density_integral,
-                     physical_charge)
+from .vacuum import VacuumProfile, density_integral, physical_charge
 
 DEFAULT_DIMENSION_CAP = 100_000
 DEFAULT_PATTERN_CAP = 2_000_000
@@ -77,12 +73,6 @@ class TruncatedRep:
 
     def single_site_dim(self) -> int:
         return len(self.omegas) * (self.n_max + 1)
-
-    def site_projector(self, omega_index: int) -> np.ndarray:
-        m = len(self.omegas)
-        p = np.zeros((m, m))
-        p[omega_index, omega_index] = 1.0
-        return p
 
     @cached_property
     def _operators(self) -> tuple[dict, dict, dict, dict]:
@@ -149,30 +139,6 @@ def build_rep(omegas: Sequence[float], weights: Sequence[float], n_max: int,
     return rep
 
 
-def commutator_residual(rep: TruncatedRep) -> float:
-    """Largest operator-norm defect of the ladder algebra restricted to the
-    subspace of total occupation < n_max (where truncation is invisible)."""
-    keep = rep.total_occupation < rep.n_max
-    idx = np.where(keep)[0]
-
-    def restricted_norm(op) -> float:
-        sub = op.tocsr()[idx][:, idx]
-        if sub.nnz == 0:
-            return 0.0
-        dense = sub.toarray()
-        return float(np.linalg.norm(dense, 2))
-
-    worst = 0.0
-    for w in rep.omegas:
-        for v in rep.omegas:
-            delta = 1.0 if w == v else 0.0
-            comm = rep.a[w] @ rep.a_dag[v] - rep.a_dag[v] @ rep.a[w]
-            worst = max(worst, restricted_norm(comm - delta * rep.I[w]))
-            comm2 = rep.a[w] @ rep.n_tilde[v] - rep.n_tilde[v] @ rep.a[w]
-            worst = max(worst, restricted_norm(comm2 - delta * rep.a[w]))
-    return worst
-
-
 def coherent_state(rep: TruncatedRep, alphas: Sequence[complex]) -> np.ndarray:
     """exp(sum_w alpha_w a_w^+ - conj(alpha_w) a_w) applied to the vacuum
     (exact up to the occupation cutoff).
@@ -202,55 +168,7 @@ def excitation_projector_expectation(rep: TruncatedRep, state: np.ndarray,
     return float(np.sum(np.abs(state[mask]) ** 2))
 
 
-def frequency_projector_expectation(rep: TruncatedRep, state: np.ndarray,
-                                    omega_index: int, s: int) -> float:
-    """<state| Pi_w(s/N) |state> with Pi_w(s/N) the spectral projector of
-    I_w(N) at eigenvalue s/N (sum over site subsets of size s)."""
-    if not 0 <= s <= rep.N:
-        raise DomainError("s must lie in 0..N")
-    m = len(rep.omegas)
-    d1 = rep.single_site_dim()
-    proj = rep.site_projector(omega_index)
-    p1 = np.kron(proj, np.eye(rep.n_max + 1))
-    q1 = np.eye(d1) - p1
-    total = 0.0
-    vec = np.asarray(state)
-    for hit_sites in combinations(range(rep.N), s):
-        mats = [sparse.csr_matrix(p1 if site in hit_sites else q1)
-                for site in range(rep.N)]
-        op = mats[0]
-        for mat in mats[1:]:
-            op = sparse.kron(op, mat, format="csr")
-        total += float(np.real(np.vdot(vec, op @ vec)))
-    return total
-
-
 # ------------------------------------------------------------- statistics
-
-def binomial_projector_prob(p: float, N: int, s: int) -> float:
-    """Probability of finding the chosen frequency s times in N trials."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError("p must be a probability")
-    if not 0 <= s <= N:
-        raise DomainError("s must lie in 0..N")
-    if N <= 60:
-        return comb(N, s) * p ** s * (1.0 - p) ** (N - s)
-    if p == 0.0:
-        return 1.0 if s == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if s == N else 0.0
-    log_pmf = (math.lgamma(N + 1) - math.lgamma(s + 1)
-               - math.lgamma(N - s + 1)
-               + s * math.log(p) + (N - s) * math.log1p(-p))
-    return math.exp(log_pmf)
-
-
-def wlln_average(F: Callable[[float], float], p: float, N: int) -> float:
-    """sum_s F(s/N) Binom(N, s, p): the ensemble average of F of the
-    frequency-of-successes operator; tends to F(p) as N grows."""
-    return float(sum(F(s / N) * binomial_projector_prob(p, N, s)
-                     for s in range(N + 1)))
-
 
 def _compositions(total: int, parts: int):
     """All nonnegative integer tuples of length `parts` summing to total."""
@@ -363,50 +281,6 @@ def shannon_poisson_pmf(probs: Sequence[float],
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
-
-
-def kn_average(q: float, probs: Sequence[float],
-               values: Sequence[float]) -> float:
-    """Exponential Kolmogorov-Nagumo mean (1/(1-q)) log sum_i p_i
-    e^{(1-q) A_i}; the q -> 1 limit is the arithmetic mean sum p_i A_i."""
-    probs = np.asarray(probs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
-        raise DomainError("probs must be nonnegative and sum to 1")
-    if abs(1.0 - q) < 1e-8:
-        return float(np.dot(probs, values))
-    t = (1.0 - q) * values
-    m = np.max(t)
-    log_sum = m + math.log(float(np.dot(probs, np.exp(t - m))))
-    return log_sum / (1.0 - q)
-
-
-# -------------------------------------------------------- source statistics
-
-def source_intensity(q_charge: float, k_abs: float, dt: float) -> float:
-    """Per-mode coherent intensity of a static point source switched on for
-    a time dt: q^2 sin^2(k dt/2)/(k/2)^2, bounded by (q dt)^2."""
-    if k_abs <= 0:
-        raise DomainError("k_abs must be positive")
-    half = 0.5 * k_abs
-    return (q_charge * math.sin(half * dt) / half) ** 2
-
-
-def source_mean_intensity(profile: VacuumProfile, q_charge: float, dt: float,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """int dk density(|k|) |alpha_k|^2: the Poisson parameter of the emitted
-    quanta in the large-ensemble limit; bounded by dt^2 q^2."""
-    def g(kappa):
-        if kappa <= 0.0:
-            return 0.0
-        return density(profile, kappa) * source_intensity(q_charge, kappa, dt)
-
-    if profile.kind is ProfileKind.BOX_SHELL:
-        lo, hi = profile.k1, profile.k2
-    else:
-        lo, hi = 0.0, 60.0 / profile.y0
-    return quad_careful(lambda k: k * g(k), lo, hi, spec) \
-        / (4.0 * math.pi ** 2)
 
 
 # --------------------------------------------------------- radiative shifts

@@ -24,7 +24,6 @@ from scipy.special import gamma as gamma_fn, kv, sici
 
 from .errors import DomainError, NoConvergence, NonConvergence
 
-EULER_GAMMA = 0.5772156649015328606
 _EPS = float(np.finfo(float).eps)
 
 

@@ -14,8 +14,7 @@ Two rotationally invariant models are implemented:
                 |C|^2 = 2 pi^2 y0^2 / (lambda^2 K2(2 lambda)), evaluated in
                 the rest frame of the timelike scale vector.
 
-Z is the peak density, chi = density/Z the unit-height cutoff function, and
-q_ph = q sqrt(Z) the renormalized charge.
+Z is the peak density and q_ph = q sqrt(Z) the renormalized charge.
 """
 
 from __future__ import annotations
@@ -150,11 +149,6 @@ def density(profile: VacuumProfile, k_abs: float) -> float:
     yk = profile.y0 * k_abs
     g = (lam - yk) + residual
     return profile.Z * math.exp(-g * g / yk)
-
-
-def cutoff(profile: VacuumProfile, k_abs: float) -> float:
-    """chi(k) = density/Z, in [0, 1] with the maximum value 1 attained."""
-    return density(profile, k_abs) / profile.Z
 
 
 def density_integral(profile: VacuumProfile, inverse_power: int = 0) -> float:

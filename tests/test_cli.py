@@ -6,9 +6,10 @@ import pytest
 
 from vacuumlab import cli
 from vacuumlab.cli import build_parser, load_config, main
-from vacuumlab.coulomb import potential
+from vacuumlab.coulomb import potential, potential_box
 from vacuumlab.errors import ConfigError
-from vacuumlab.vacuum import make_lorentz_profile, physical_charge
+from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
+                              physical_charge)
 
 
 def run(args):
@@ -187,6 +188,21 @@ class TestCoulombCommand:
         payload = json.loads(summary.read_text())
         assert payload["sign_change_radius"] == pytest.approx(1.92645,
                                                               abs=1e-3)
+
+    def test_subnormal_rmin_gives_the_origin_limit(self, tmp_path):
+        # 1/r overflows at r = 1e-320: the first rows hold the r -> 0 limit
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["coulomb", "--rmin", "1e-320", "--samples", "4",
+                        "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines()
+                if l and not l.startswith("#")][1:]
+        values = [float(row.split(",")[1]) for row in rows]
+        assert all(np.isfinite(values))
+        k1, k2 = 1.0, 100.0                 # the box defaults
+        q_ph = physical_charge(1.0, make_box_profile(k1, k2))
+        assert values[:3] == [potential_box(q_ph, k1, k2, 0.0)] * 3
 
     def test_unrepresentable_lorentz_profile_rejected(self, tmp_path, capsys):
         rc = run(["coulomb", "--profile", "lorentz", "--lambda2", "2e5",

@@ -1,12 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from vacuumlab.constants import AU_KM, PLANCK_LENGTH_KM
-from vacuumlab.coulomb import (PotentialCurve, compensating_field_avg,
-                               compensating_field_closed, expand_bracket,
-                               potential, potential_box, potential_curve,
+from vacuumlab.coulomb import (PotentialCurve, expand_bracket, potential,
+                               potential_box, potential_curve,
                                potential_lorentz, sign_change_radius,
                                yukawa_bound_check)
 from vacuumlab.errors import DomainError, NoSignChange
@@ -19,15 +19,6 @@ def radial_quad(q, prof, r):
     """Averaged potential of bare charge q by quadrature of the density:
     -(q^2/(2 pi^2 r)) int dkappa density sin(kappa r)/kappa."""
     return -q ** 2 / (2.0 * math.pi ** 2 * r) * _density_sine_quad(prof, r)
-
-
-def compensating_quad(prof, q, r, dt):
-    """The averaged transient field by quadrature, through
-    cos(k dt) sin(k r) = [sin(k (r+dt)) + sin(k (r-dt))]/2 and the oddness
-    of the sine transform in w."""
-    total = sum(math.copysign(1.0, w) * _density_sine_quad(prof, abs(w))
-                for w in (r + dt, r - dt) if w != 0.0)
-    return q / (4.0 * math.pi ** 2 * r) * total
 
 
 class TestBoxPotential:
@@ -57,6 +48,19 @@ class TestBoxPotential:
         pot = lambda r: potential_box(1.0, 1.0, 1e4, r)
         r0 = sign_change_radius(pot, expand_bracket(pot, 0.1))
         assert r0 == pytest.approx(1.92645, abs=1e-3)
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-320, 1e-310, 1e-20])
+    def test_subnormal_and_tiny_radii_give_the_origin_limit(self, r):
+        # below k2 r = 1e-8 the r -> 0 limit holds to rounding, while
+        # q_ph^2/(4 pi r) overflows at subnormal r
+        q_ph, k1, k2 = 1.3, 0.7, 55.0
+        origin = potential_box(q_ph, k1, k2, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = potential_box(q_ph, k1, k2, r)
+            (array,) = potential_box(q_ph, k1, k2, np.array([r]))
+        assert math.isfinite(scalar) and scalar == origin
+        assert array.tobytes() == np.float64(scalar).tobytes()
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -150,59 +154,6 @@ class TestAngularIndependence:
         oracle = -q * q / (2.0 * math.pi) ** 2 * outer
         assert potential(prof, physical_charge(q, prof), r) == \
             pytest.approx(oracle, rel=1e-9)
-
-
-class TestCompensatingField:
-    def test_closed_form_static(self):
-        q, r = 2.0, 1.0
-        assert compensating_field_closed(q, r, 0.0) == pytest.approx(
-            q / (4 * math.pi * r))
-
-    def test_closed_form_lightcone(self):
-        q, r = 2.0, 1.0
-        assert compensating_field_closed(q, r, r) == pytest.approx(
-            q / (8 * math.pi * r))
-        assert compensating_field_closed(q, r, -r) == pytest.approx(
-            q / (8 * math.pi * r))
-
-    def test_closed_form_outside(self):
-        assert compensating_field_closed(2.0, 1.0, 2.5) == 0.0
-
-    def test_cancels_static_potential_at_switch_on(self):
-        for prof, q in ((make_lorentz_profile(0.0625, 0.25), 1.7),
-                        (make_box_profile(0.7, 55.0), 1.3)):
-            r = 2.0
-            comp = compensating_field_avg(prof, q, r, 0.0)
-            stat = radial_quad(q, prof, r)
-            # the static value is minus q times the averaged field
-            assert comp == pytest.approx(-stat / q, rel=1e-10)
-
-    def test_riemann_lebesgue_decay(self):
-        prof = make_lorentz_profile(0.01, 1.0)
-        assert abs(compensating_field_avg(prof, 1.0, 1.0, 1e4)) < 1e-4
-        assert abs(compensating_field_avg(prof, 1.0, 1.0, 1e6)) < 1e-8
-
-    def test_zero_charge(self):
-        # q multiplies the unit-charge field, nothing divides by it; the
-        # light cone r = |dt| included
-        for prof in (make_box_profile(1.0, 3.0),
-                     make_lorentz_profile(0.01, 1.0)):
-            for dt in (0.3, 1.0, -1.0, 1e4):
-                assert compensating_field_avg(prof, 0.0, 1.0, dt) == 0.0
-
-    @pytest.mark.parametrize("kind, r, dt", [
-        ("lorentz", 2.0, 2.0), ("lorentz", 2.0, -2.0), ("lorentz", 1.0, 1e4),
-        ("box", 2.0, 0.5), ("box", 2.0, -1.5)])
-    def test_matches_quadrature(self, kind, r, dt):
-        # on the light cone r = |dt| one term has argument 0 and drops; at
-        # dt = 1e4 the two terms cancel to 1e-3 of either, and the field is
-        # 5e-10 of its value at dt = 0
-        prof = make_lorentz_profile(0.01, 1.0) if kind == "lorentz" \
-            else make_box_profile(0.7, 55.0)
-        q = 1.3
-        oracle = compensating_quad(prof, q, r, dt)
-        assert compensating_field_avg(prof, q, r, dt) == pytest.approx(
-            oracle, rel=1e-6, abs=1e-12 * q / (4 * math.pi * r))
 
 
 class TestSignChange:

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from vacuumlab.deltaseq import (DeltaFamily, DeltaShape, MeasureDensity,
-                                composed_delta_weights,
-                                convolution_origin_diagonal, convolve_eval,
-                                eval_family, filtering_integral, fourier,
-                                fourier_integral, measure_consistency_check,
+from vacuumlab.deltaseq import (DeltaFamily, DeltaShape, eval_family,
+                                filtering_integral, fourier, fourier_integral,
                                 power_filtering_integral,
                                 product_filtering_integral)
-from vacuumlab.errors import (DomainError, IncompatibleClasses, SingularRoot)
+from vacuumlab.errors import IncompatibleClasses
 from vacuumlab.numerics import QuadratureSpec, quad_careful
 
 LAM = DeltaFamily(DeltaShape.LAMBDA_TRIANGLE, n=8)
@@ -251,87 +248,3 @@ class TestPowers:
         rev = product_filtering_integral([fam, fam], np.cos,
                                          reverse_order=True)
         assert fwd.value == pytest.approx(rev.value, abs=1e-8)
-
-
-class TestConvolution:
-    def test_symmetry(self):
-        a = convolve_eval(SP1, 3, SP1, 5, 0.2)
-        b = convolve_eval(SP1, 5, SP1, 3, 0.2)
-        assert a == pytest.approx(b, abs=1e-10)
-
-    def test_unit_mass(self):
-        total = quad_careful(lambda k: convolve_eval(SP1, 3, SP1, 5, k),
-                             -3.0, 3.0)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_inner_limit_recovers_origin_value(self):
-        # lim_m (delta_n * delta_m)(0) = delta_n(0) = 0 for shifted pairs
-        vals = [convolve_eval(SP1, 4, SP1, m, 0.0) for m in (8, 32, 128, 512)]
-        assert vals == sorted(vals, reverse=True)
-        assert vals[-1] < 0.02
-
-    def test_diagonal_diverges(self):
-        res = convolution_origin_diagonal(SP1)
-        assert res.is_divergent
-
-    def test_triangle_rejected(self):
-        with pytest.raises(DomainError):
-            convolve_eval(LAM, 2, LAM, 3, 0.0)
-
-
-class TestMeasuresAndComposition:
-    def test_constant_measure_any_height(self):
-        rho = MeasureDensity(lambda p: 2.0, is_constant=True)
-        assert measure_consistency_check(rho, 3.0)
-        assert measure_consistency_check(rho, 0.0)
-
-    def test_relativistic_measure_requires_zero_height(self):
-        rho = MeasureDensity(lambda p: 2.0 * np.sqrt(p * p + 1.0),
-                             is_constant=False)
-        assert measure_consistency_check(rho, 0.0)
-        assert not measure_consistency_check(rho, 1.0)
-
-    def test_constant_flag_validated(self):
-        with pytest.raises(DomainError):
-            MeasureDensity(lambda p: p, is_constant=True)
-        with pytest.raises(DomainError):
-            MeasureDensity(lambda p: -1.0, is_constant=True)
-
-    def test_mass_shell_weights(self):
-        m, p2 = 0.7, 1.9
-        root = np.sqrt(p2 + m * m)
-        f = lambda p0: p0 * p0 - p2 - m * m
-        fp = lambda p0: 2.0 * p0
-        weights = composed_delta_weights(f, fp, [root, -root])
-        for _, w in weights:
-            assert w == pytest.approx(1.0 / (2.0 * root), rel=1e-12)
-
-    def test_linear_map(self):
-        weights = composed_delta_weights(lambda k: -3.0 * k, lambda k: -3.0,
-                                         [0.0])
-        assert weights == [(0.0, pytest.approx(1.0 / 3.0))]
-
-    def test_two_root_factorized_vs_narrow_triangle_quadrature(self):
-        # f(k) = (k-1)(k+1): weights 1/2 at each root;
-        # oracle: int delta_n[f(k)] cos(k) dk with a narrow triangle profile
-        f = lambda k: (k - 1.0) * (k + 1.0)
-        fp = lambda k: 2.0 * k
-        weights = composed_delta_weights(f, fp, [1.0, -1.0])
-        assert [w for _, w in weights] == [
-            pytest.approx(0.5, rel=1e-12)] * 2
-        n = 256
-        tri = lambda u: np.where(np.abs(u) < 1 / n, n - n * n * np.abs(u), 0.0)
-        oracle = quad_careful(lambda k: tri(f(k)) * np.cos(k), 0.5, 1.5,
-                              points=[1.0]) \
-            + quad_careful(lambda k: tri(f(k)) * np.cos(k), -1.5, -0.5,
-                           points=[-1.0])
-        predicted = sum(w * np.cos(r) for r, w in weights)
-        assert predicted == pytest.approx(oracle, abs=1e-5)
-
-    def test_singular_root_rejected(self):
-        with pytest.raises(SingularRoot):
-            composed_delta_weights(lambda k: k * k, lambda k: 2.0 * k, [0.0])
-
-    def test_non_root_rejected(self):
-        with pytest.raises(DomainError):
-            composed_delta_weights(lambda k: k - 1.0, lambda k: 1.0, [0.0])

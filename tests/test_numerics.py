@@ -132,3 +132,98 @@ def test_no_module_imports_private_names_of_another():
     offenders = {path.name: _private_package_imports(path.read_text())
                  for path in sorted(package.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def _imported(node: ast.ImportFrom) -> list[tuple[str, str, str]]:
+    """(module, name, local name) for each name a relative package import
+    binds; module is "__init__" for `from . import name`."""
+    if node.level != 1:
+        return []
+    return [(node.module or "__init__", a.name, a.asname or a.name)
+            for a in node.names]
+
+
+def _unreachable_definitions(sources: dict[str, str],
+                             roots: set[str]) -> list[str]:
+    """Top-level definitions ("module.name") of the package {module name:
+    source} that neither the definitions of the root modules nor any
+    module-level statement reaches, following names, `m.name` after
+    `from . import m`, and `from .m import name` at any depth (a module's
+    imports are collected over its whole tree)."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    defs, code = {}, {}
+    for mod, tree in trees.items():
+        defs[mod], code[mod] = {}, []
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs[mod][stmt.name] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                for node in targets:
+                    for sub in ast.walk(node):
+                        if isinstance(sub, ast.Name):
+                            defs[mod][sub.id] = stmt
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                code[mod].append(stmt)
+    modules, names = {}, {}       # per module: local name -> target
+    for mod, tree in trees.items():
+        modules[mod], names[mod] = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for target, name, local in _imported(node):
+                    if target == "__init__" and name in trees:
+                        modules[mod][local] = name
+                    else:
+                        names[mod][local] = (target, name)
+
+    def uses(mod, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if sub.id in defs[mod]:
+                    yield mod, sub.id
+                elif sub.id in names[mod]:
+                    yield names[mod][sub.id]
+            elif isinstance(sub, ast.Attribute) \
+                    and isinstance(sub.value, ast.Name) \
+                    and sub.value.id in modules[mod]:
+                yield modules[mod][sub.value.id], sub.attr
+
+    todo = [(mod, name) for mod in roots for name in defs[mod]]
+    todo += [key for mod in trees for stmt in code[mod]
+             for key in uses(mod, stmt)]
+    seen = set()
+    while todo:
+        mod, name = key = todo.pop()
+        if key not in seen and name in defs.get(mod, {}):
+            seen.add(key)
+            todo += uses(mod, defs[mod][name])
+    return [f"{mod}.{name}" for mod in sorted(defs) for name in defs[mod]
+            if (mod, name) not in seen]
+
+
+def test_rule_detector_follows_every_reference_form():
+    package = {
+        "__init__": "__version__ = '1'\nfrom . import a, b",
+        "cli": "from . import a\nfrom .b import shown\n"
+               "def main():\n    from .b import late\n"
+               "    return a.used(), shown, late",
+        "a": "LIMIT = 3\nclass Base: pass\nclass Used(Base): pass\n"
+             "def used():\n    return Used(LIMIT)\ndef dead():\n    pass",
+        "b": "from .a import Base as B\ndef shown(): pass\ndef late(): pass\n"
+             "def helper(): return B\nTABLE = {1: helper}\n"
+             "if __name__ == '__main__':\n    print(TABLE)",
+        "c": "def orphan(): pass",
+    }
+    assert _unreachable_definitions(package, {"cli"}) == [
+        "__init__.__version__", "a.dead", "c.orphan"]
+
+
+def test_cli_or_validate_reaches_every_definition():
+    package = Path(numerics.__file__).parent
+    sources = {path.stem: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    unreached = _unreachable_definitions(sources, {"cli", "validation"})
+    assert set(unreached) - {"__init__.__version__", "__init__.__all__"} \
+        == set()

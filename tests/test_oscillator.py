@@ -5,13 +5,10 @@ import pytest
 
 from vacuumlab.coulomb import potential_box, potential_lorentz
 from vacuumlab.errors import CombinatorialCap, DimensionCap, DomainError
-from vacuumlab.oscillator import (binomial_projector_prob, build_rep,
-                                  coherent_state, commutator_residual,
+from vacuumlab.oscillator import (build_rep, coherent_state,
                                   excitation_projector_expectation,
-                                  frequency_projector_expectation, kn_average,
                                   radiative_shift, renyi_poisson_pmf,
-                                  shannon_poisson_pmf, source_intensity,
-                                  source_mean_intensity, wlln_average)
+                                  shannon_poisson_pmf)
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
 
@@ -40,8 +37,21 @@ class TestRepresentation:
         assert np.allclose(total, np.eye(rep.dim), atol=1e-14)
 
     def test_commutator_residuals(self):
+        # [a_w, a_v^+] = delta_wv I_w and [a_w, nt_v] = delta_wv a_w on the
+        # states of total occupation < n_max, where truncation is invisible
         rep = build_rep([1.0, 2.3], [0.35, 0.65], n_max=3, N=2)
-        assert commutator_residual(rep) < 1e-12
+        keep = np.flatnonzero(rep.total_occupation < rep.n_max)
+        worst = 0.0
+        for w in rep.omegas:
+            a = rep.a[w]
+            for v in rep.omegas:
+                delta = 1.0 if w == v else 0.0
+                a_dag, n = rep.a_dag[v], rep.n_tilde[v]
+                for defect in (a @ a_dag - a_dag @ a - delta * rep.I[w],
+                               a @ n - n @ a - delta * a):
+                    sub = defect.toarray()[np.ix_(keep, keep)]
+                    worst = max(worst, np.linalg.norm(sub, 2))
+        assert worst < 1e-12
 
     def test_cross_frequency_commutators_vanish(self):
         rep = build_rep([1.0, 2.0], [0.5, 0.5], n_max=2, N=2)
@@ -165,48 +175,34 @@ class TestIndexBuiltOperators:
 
 class TestBinomialLaw:
     def test_matrix_element_equals_binomial(self):
+        # the vacuum's weight on the eigenspace s/N of I_w(N) (diagonal in
+        # the product basis) is the binomial probability of s sites at w
         rep = build_rep([1.0, 2.0], [0.3, 0.7], n_max=2, N=3)
-        state = rep.vacuum.astype(complex)
+        sites_at_w = np.rint(rep.I[1.0].diagonal() * rep.N)
         for s in range(4):
-            mat = frequency_projector_expectation(rep, state, 0, s)
-            assert mat == pytest.approx(binomial_projector_prob(0.3, 3, s),
-                                        abs=1e-12)
+            weight = np.sum(rep.vacuum[sites_at_w == s] ** 2)
+            assert weight == pytest.approx(
+                math.comb(3, s) * 0.3 ** s * 0.7 ** (3 - s), abs=1e-12)
 
     def test_normalization(self):
-        assert sum(binomial_projector_prob(0.3, 17, s)
-                   for s in range(18)) == pytest.approx(1.0, rel=1e-12)
+        # with zero intensities every occupation pattern has nu = 0, so
+        # p(0, N) is the sum of the binomial pattern weights
+        assert renyi_poisson_pmf([0.3, 0.7], [0.0, 0.0], 17, 0) \
+            == pytest.approx(1.0, rel=1e-12)
 
     def test_fair_coin(self):
-        assert binomial_projector_prob(0.5, 2, 1) == pytest.approx(0.5)
+        rep = build_rep([1.0, 2.0], [0.5, 0.5], n_max=1, N=2)
+        sites_at_w = np.rint(rep.I[1.0].diagonal() * rep.N)
+        assert np.sum(rep.vacuum[sites_at_w == 1] ** 2) \
+            == pytest.approx(0.5, abs=1e-15)
 
     def test_large_n_logspace_path(self):
-        # against the exact small-N formula continued upward
-        p, N = 0.3, 200
-        direct = math.comb(N, 60) * p ** 60 * (1 - p) ** 140
-        assert binomial_projector_prob(p, N, 60) == pytest.approx(
-            direct, rel=1e-12)
-
-
-class TestWlln:
-    def test_identity_is_mean(self):
-        assert wlln_average(lambda x: x, 0.3, 57) == pytest.approx(0.3)
-
-    def test_square_is_variance_identity(self):
-        # E[(s/N)^2] = p^2 + p(1-p)/N = 0.0921 at p = 0.3, N = 100
-        assert wlln_average(lambda x: x * x, 0.3, 100) == pytest.approx(
-            0.0921, abs=1e-12)
-
-    def test_sine_converges(self):
-        assert abs(wlln_average(math.sin, 0.5, 10 ** 4)
-                   - math.sin(0.5)) < 1e-3
-
-    def test_feller_rate_bound(self):
-        # |E F(s/N) - F(p)| <= 1/(2 sqrt N) + 1/N for Lipschitz-1 F
-        F = abs  # Lipschitz-1, kink at 0 avoided by p > 0
-        for N in (4, 16, 64, 256):
-            err = abs(wlln_average(lambda x: abs(x - 0.5), 0.35, N)
-                      - abs(0.35 - 0.5))
-            assert err <= 0.5 / math.sqrt(N) + 1.0 / N
+        # intensities (w, 0): p(0, N) = sum_s Binom(N, s, p) e^{-s w/N}
+        # = (p e^{-w/N} + 1 - p)^N, through the log-space binomial weights
+        p, N, w = 0.3, 200, 40.0
+        direct = (p * math.exp(-w / N) + 1.0 - p) ** N
+        assert renyi_poisson_pmf([p, 1.0 - p], [w, 0.0], N, 0) \
+            == pytest.approx(direct, rel=1e-12)
 
 
 class TestDeformedPoisson:
@@ -306,57 +302,6 @@ class TestDeformedPoisson:
         for i, w in enumerate(rep.omegas):
             resid = rep.a[w] @ state - alphas[i] * (rep.I[w] @ state)
             assert np.linalg.norm(resid) < 1e-8
-
-
-class TestKolmogorovNagumo:
-    def test_translation_covariance(self):
-        probs = [0.3, 0.7]
-        vals = np.array([1.5, 2.5])
-        for q in (0.2, 0.7, 2.0):
-            assert kn_average(q, probs, vals + 3.0) == pytest.approx(
-                kn_average(q, probs, vals) + 3.0, abs=1e-12)
-
-    def test_shannon_limit(self):
-        probs = [0.3, 0.7]
-        vals = [1.0, 2.0]
-        assert kn_average(1.0, probs, vals) == pytest.approx(1.7)
-        assert kn_average(1.0 + 1e-10, probs, vals) == pytest.approx(1.7)
-        assert kn_average(0.999, probs, vals) == pytest.approx(1.7, abs=1e-3)
-
-    def test_recovers_renyi_entropy(self):
-        p = np.array([0.2, 0.3, 0.5])
-        q = 0.6
-        entropy = kn_average(q, p, np.log(1.0 / p))
-        assert entropy == pytest.approx(
-            math.log(float(np.sum(p ** q))) / (1.0 - q), rel=1e-12)
-
-    def test_additivity_over_product_distributions(self):
-        p1 = np.array([0.2, 0.8])
-        p2 = np.array([0.4, 0.6])
-        a1 = np.log(1.0 / p1)
-        a2 = np.log(1.0 / p2)
-        q = 0.7
-        joint_p = np.outer(p1, p2).ravel()
-        joint_a = (a1[:, None] + a2[None, :]).ravel()
-        assert kn_average(q, joint_p, joint_a) == pytest.approx(
-            kn_average(q, p1, a1) + kn_average(q, p2, a2), abs=1e-12)
-
-
-class TestSourceStatistics:
-    def test_zero_duration(self):
-        assert source_intensity(2.0, 1.5, 0.0) == 0.0
-
-    def test_duration_squared_bound(self):
-        q, dt = 2.0, 0.7
-        for k in np.geomspace(0.01, 100.0, 60):
-            assert source_intensity(q, k, dt) <= q * q * dt * dt + 1e-12
-
-    def test_mean_intensity_normalization_bound(self):
-        # int dk density * intensity <= q^2 dt^2 * int dk density = q^2 dt^2
-        prof = make_box_profile(1.0, 3.0)
-        q, dt = 1.0, 2.0
-        val = source_mean_intensity(prof, q, dt)
-        assert 0.0 < val <= q * q * dt * dt
 
 
 class TestRadiativeShift:

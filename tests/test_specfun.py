@@ -7,8 +7,10 @@ from scipy.optimize import brentq
 from scipy.special import k0, kv, kve, lambertw as scipy_lambertw
 
 from vacuumlab.errors import DomainError, NonConvergence
-from vacuumlab.specfun import (EULER_GAMMA, bernoulli_number,
-                               gamma_from_zero, lambert_w, sine_integral)
+from vacuumlab.specfun import (bernoulli_number, gamma_from_zero, lambert_w,
+                               sine_integral)
+
+EULER_GAMMA = 0.5772156649015328606
 
 
 def bessel_k(order, x):

@@ -5,10 +5,15 @@ import pytest
 from scipy.special import kv
 
 from vacuumlab.errors import DomainError
-from vacuumlab.vacuum import (ProfileKind, VacuumProfile, cutoff, density,
+from vacuumlab.vacuum import (ProfileKind, VacuumProfile, density,
                               density_integral, infrared_condition_check,
                               make_box_profile, make_lorentz_profile,
                               physical_charge)
+
+
+def cutoff(profile, k_abs):
+    """chi(k) = density/Z, the unit-height cutoff function."""
+    return density(profile, k_abs) / profile.Z
 
 
 class TestBoxProfile:
