@@ -36,13 +36,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .constants import PRESSURE_UNIT_PA
 from .errors import DomainError, NonConvergence
-from .numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
+from .numerics import (DEFAULT_SPEC, QuadratureSpec, gauss_legendre,
+                       quad_careful)
 from .specfun import bernoulli_number, gamma_from_zero
 from .vacuum import ProfileKind, VacuumProfile
 
@@ -50,23 +50,6 @@ TWO_PI = 2.0 * math.pi
 _ZETA3 = 1.2020569031595942      # Apery's constant zeta(3)
 # quadpack rule of _upper_tail_table's far tail
 _UPPER_TAIL_SPEC = QuadratureSpec(1e-16, 1e-13, 200)
-
-
-@cache
-def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
-    """20-point Gauss-Legendre nodes and weights on [-1, 1].  Built on first
-    use, not at import: leggauss goes through LAPACK, whose set-up costs
-    every process that imports the package but never integrates."""
-    return np.polynomial.legendre.leggauss(20)
-
-
-def _gauss_legendre(lo: np.ndarray, hi: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights, as (panels, 20) arrays, of 20-point Gauss-Legendre
-    panels on [lo, hi]."""
-    nodes, weights = _gl_rule()
-    half = 0.5 * (hi - lo)[:, None]
-    return lo[:, None] + half * (nodes + 1.0), half * weights
 
 
 # ------------------------------------------------------------- 1+1 series
@@ -116,7 +99,7 @@ def pressure_1p1_series(alpha: float, L: float,
     s = 1.0 / (16.0 * N * (L + 1.0 / alpha))
     doublings = math.ceil(math.log2(26.0 / (L * s)))
     edges = np.concatenate(([0.0], s * 2.0 ** np.arange(doublings + 1)))
-    t, w = (a.ravel() for a in _gauss_legendre(edges[:-1], edges[1:]))
+    t, w = (a.ravel() for a in gauss_legendre(edges[:-1], edges[1:]))
     h = -2.0 * t * L - 2.0 * np.log1p(2.0 * t / alpha)
     tw = t * w
     explicit = np.exp(np.outer(np.arange(1, N), h)) @ tw
@@ -234,7 +217,7 @@ def _contour_tail(K: float, alpha: float, L: float) -> float:
     singularities lie about pi/2 off the real x-axis, so one fixed rule,
     20-point Gauss-Legendre panels on [0, 1/8, 1/4, ..., 32] (e^-64 at the
     end), takes it to rounding."""
-    x, wx = _gauss_legendre(_TAIL_EDGES[:-1], _TAIL_EDGES[1:])
+    x, wx = gauss_legendre(_TAIL_EDGES[:-1], _TAIL_EDGES[1:])
     k = K + (1j / L) * x
     w = np.exp(2j * K * L - 2.0 * x) / (1.0 - (2j / alpha) * k) ** 2
     return float(np.sum(wx * (1j * k * w / (1.0 - w)).real)) / (math.pi * L)
@@ -290,7 +273,7 @@ def pressure_1p1_quad(alpha: float, L: float) -> float:
     total = 0.0
     for i in range(0, len(lo), _PANEL_BLOCK):
         j = slice(i, i + _PANEL_BLOCK)
-        d, w = _gauss_legendre(lo[j], hi[j])
+        d, w = gauss_legendre(lo[j], hi[j])
         total += float(np.sum(w * _mode_density(centres[owner[j, None]], d,
                                                 alpha, L)))
     total += _contour_tail(float(bounds[-1]), alpha, L)
@@ -461,7 +444,7 @@ def _upper_tail_table(xs: np.ndarray, b: float) -> np.ndarray:
     far = quad_careful(lambda t: math.exp(-t - b / t), float(xs[-1]), np.inf,
                        _UPPER_TAIL_SPEC)
     # panel integrals int_{x_j}^{x_{j+1}} e^{-t - b/t} dt, all panels at once
-    t, w = _gauss_legendre(xs[:-1], xs[1:])
+    t, w = gauss_legendre(xs[:-1], xs[1:])
     panels = np.sum(w * np.exp(-t - b / t), axis=1)
     tails = np.empty_like(xs)
     tails[-1] = far

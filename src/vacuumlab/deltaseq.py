@@ -20,6 +20,13 @@ Families with the same origin value delta(0) form one multiplication class:
 powers of a family are defined through nested limits with one independent
 index per factor, swept innermost first.  Squares of the triangle family
 diverge; that outcome is reported as a tagged LimitResult, never as inf.
+
+Test functions f take arrays: for the compact families every index of a
+sweep evaluates f once, at the nodes of 20-point Gauss-Legendre panels
+(numerics.gauss_legendre), one per piece between consecutive breakpoints,
+where every profile is linear.  The principal-value filter stays on
+adaptive quadpack and calls f with floats as well.  fourier_integral is a
+sum of cos(a u)/u^2 pieces, in closed form (through Si) on [pi, inf).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, IncompatibleClasses
 from .numerics import (DEFAULT_SPEC, LimitResult, QuadratureSpec, divergent,
-                       finite, quad_careful, sweep_limit)
+                       finite, gauss_legendre, quad_careful, sweep_limit)
 from .specfun import sine_integral
 
 TWO_PI = 2.0 * np.pi
@@ -121,33 +128,23 @@ class DeltaFamily:
 
 
 def _triangle(k, n):
-    if isinstance(k, float):
-        return max(n - n * n * abs(k), 0.0)
     return np.maximum(n - n * n * np.abs(k), 0.0)
 
 
 def _m_profile(k, a, eps):
-    if isinstance(k, float):
-        k = abs(k)
-        if k < 0.25 * eps:
-            return (4.0 * k / eps) * (2.0 / eps - 1.5 * a) + a
-        if k < 0.5 * eps:
-            return (2.0 - 4.0 * k / eps) * (2.0 / eps - 0.5 * a)
-        return 0.0
     k = np.abs(k)
     inner = (4.0 * k / eps) * (2.0 / eps - 1.5 * a) + a
     outer = (2.0 - 4.0 * k / eps) * (2.0 / eps - 0.5 * a)
-    out = np.where(k < 0.25 * eps, inner, np.where(k < 0.5 * eps, outer, 0.0))
-    return out
+    return np.where(k < 0.25 * eps, inner, np.where(k < 0.5 * eps, outer, 0.0))
 
 
 def eval_family(family: DeltaFamily, k):
     """Pointwise value delta_n(k), complex for the principal-value family.
 
-    A float k (the quadrature integrands' case) takes plain Python
-    arithmetic and returns a float; an array k takes numpy and returns an
-    array (a 0-d one a float).  Both paths do the same IEEE operations, so a
-    float and the same point of an array give the same bits.
+    An array k gives an array; a float k goes through the same numpy
+    operations as a 0-d array and gives a float (a complex for the
+    principal-value family), so it has the bits of the same point of an
+    array.
     """
     n = family.n
     if family.shape is DeltaShape.LAMBDA_TRIANGLE:
@@ -163,8 +160,6 @@ def eval_family(family: DeltaFamily, k):
             raise DomainError("principal-value profile is singular at k = 0")
         out = np.exp(1j * k * n) / (1j * np.pi * k)
         return complex(out) if out.ndim == 0 else out
-    if isinstance(k, float):
-        return float(out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,52 +194,42 @@ def _sinc_sq(u):
     return out
 
 
-def _cos_tail(a: float, U: float) -> float:
-    """int_U^inf cos(a u) / u^2 du, exact via the sine integral."""
+def _cos_tail(a: float) -> float:
+    """int_pi^inf cos(a u) / u^2 du = cos(a pi)/pi - a (pi/2 - Si(a pi))."""
     if a == 0.0:
-        return 1.0 / U
-    return np.cos(a * U) / U - a * (np.pi / 2.0 - sine_integral(a * U))
+        return 1.0 / np.pi
+    return np.cos(a * np.pi) / np.pi \
+        - a * (np.pi / 2.0 - sine_integral(a * np.pi))
 
 
-def _cosine_pieces_integral(pieces: Sequence[tuple[float, float]],
-                            spec: QuadratureSpec, U: float) -> float:
+def _cosine_pieces_integral(pieces: Sequence[tuple[float, float]]) -> float:
     """int_0^inf sum_i c_i cos(a_i u) / u^2 du for coefficient sets whose
-    u -> 0 singularities cancel (sum c_i = 0, sum c_i a_i^2 finite).
+    u -> 0 singularities cancel (sum c_i = 0).
 
-    [0, pi] is integrated as the combined smooth function, [pi, U] piecewise
-    with cosine-weighted quadrature, and [U, inf) with the exact tails.
+    On [0, pi] the sum is -2 sum_i c_i sin^2(a_i u / 2) / u^2, which has no
+    cancellation as u -> 0, on Gauss-Legendre panels less than a half
+    period of the fastest piece wide; [pi, inf) is closed in form, piece by
+    piece, by _cos_tail.
     """
-    def combined(u):
-        if u < 1e-8:
-            return -0.5 * sum(c * a * a for c, a in pieces)
-        return sum(c * np.cos(a * u) for c, a in pieces) / u ** 2
-
-    total = quad_careful(combined, 0.0, np.pi, spec)
-    for c, a in pieces:
-        if c == 0.0:
-            continue
-        if a == 0.0:
-            total += c * (1.0 / np.pi - 1.0 / U)
-        else:
-            total += c * quad_careful(lambda u: 1.0 / u ** 2, np.pi, U, spec,
-                                      weight="cos", wvar=a)
-        total += c * _cos_tail(a, U)
-    return total
+    c, a = np.array(pieces).T
+    edges = np.linspace(0.0, np.pi, 2 + int(a.max()))
+    u, w = gauss_legendre(edges[:-1], edges[1:])
+    s = np.sin(np.multiply.outer(u, 0.5 * a))
+    body = -2.0 * float(np.sum(w * ((s * s) @ c) / (u * u)))
+    return body + sum(ci * _cos_tail(ai) for ci, ai in pieces)
 
 
-def fourier_integral(family: DeltaFamily, spec: QuadratureSpec = DEFAULT_SPEC,
-                     window: float = 400.0) -> float:
-    """int_R fourier(family, x) dx by oscillatory quadrature.
+def fourier_integral(family: DeltaFamily) -> float:
+    """int_R fourier(family, x) dx in closed form past the smooth core.
 
     Recovers the origin value of the profile: n for the triangle, 0 for
-    shifted pairs with j >= 1, a for the M shape.  The finite window is
-    closed with the exact cosine tails
-    int_U^inf cos(a u)/u^2 du = cos(aU)/U - a (pi/2 - Si(aU)).
+    shifted pairs with j >= 1, a for the M shape.  The transform is a sum of
+    cos(a u)/u^2 pieces, on Gauss-Legendre panels for u in [0, pi] and in
+    closed form through Si on [pi, inf).
     """
     if family.shape is DeltaShape.PRINCIPAL_VALUE:
         raise DomainError("fourier_integral is defined for compactly "
                           "supported families only")
-    U = window
     if family.shape is DeltaShape.M_SHAPE:
         # in u = eps x / 8 the transform reads
         # (eps a + (4 - eps a) cos 2u) sin^2 u / (8 pi u^2); expanding sin^2
@@ -254,14 +239,31 @@ def fourier_integral(family: DeltaFamily, spec: QuadratureSpec = DEFAULT_SPEC,
         pieces = [((c0 - 0.5 * c1) / 2.0, 0.0),
                   ((c1 - c0) * 0.5, 2.0),
                   (-0.25 * c1, 4.0)]
-        per_side = _cosine_pieces_integral(pieces, spec, U) / (8.0 * np.pi)
+        per_side = _cosine_pieces_integral(pieces) / (8.0 * np.pi)
         return 2.0 * per_side * 8.0 / eps
     n = family.n
     j = family.j if family.shape is DeltaShape.SHIFTED_PAIR else 0
     # u = x/(2n): I = (2n/pi) int_0^inf (sin u/u)^2 cos(2ju) du,
     # sin^2 u cos(2ju) = cos(2ju)/2 - cos(2(j+1)u)/4 - cos(2(j-1)u)/4
     pieces = [(0.5, 2.0 * j), (-0.25, 2.0 * (j + 1)), (-0.25, 2.0 * abs(j - 1))]
-    return (2.0 * n / np.pi) * _cosine_pieces_integral(pieces, spec, U)
+    return (2.0 * n / np.pi) * _cosine_pieces_integral(pieces)
+
+
+def _panel_integral(fams: Sequence[DeltaFamily], f: Callable) -> float:
+    """int prod_i delta_i(k) f(k) dk over the common support, one
+    Gauss-Legendre panel per piece between consecutive points of the union
+    of the breakpoints and 0.  Every profile is linear on each piece, so the
+    rule is exact for polynomial f of low degree and takes smooth f to
+    rounding; a jump of f at 0 falls on a panel edge."""
+    lo = max(fam.support[0] for fam in fams)
+    hi = min(fam.support[1] for fam in fams)
+    edges = np.array(sorted({p for fam in fams for p in fam.breakpoints
+                             if lo < p < hi} | {lo, 0.0, hi}))
+    k, w = gauss_legendre(edges[:-1], edges[1:])
+    out = w * f(k)
+    for fam in fams:
+        out = out * eval_family(fam, k)
+    return float(np.sum(out))
 
 
 def _filter_once(family: DeltaFamily, n: int, f: Callable,
@@ -269,12 +271,7 @@ def _filter_once(family: DeltaFamily, n: int, f: Callable,
     fam = family.with_index(n)
     if fam.shape is DeltaShape.PRINCIPAL_VALUE:
         return _pv_filter(n, f, spec)
-    lo, hi = fam.support
-
-    def g(k):
-        return eval_family(fam, k) * f(k)
-
-    return quad_careful(g, lo, hi, spec, points=fam.breakpoints + [0.0])
+    return _panel_integral([fam], f)
 
 
 def _pv_filter(n: int, f: Callable, spec: QuadratureSpec,
@@ -303,18 +300,21 @@ def _pv_filter(n: int, f: Callable, spec: QuadratureSpec,
                                 wvar=float(n))
 
 
-def filtering_integral(family: DeltaFamily, f: Callable[[float], float],
+def filtering_integral(family: DeltaFamily,
+                       f: Callable[[np.ndarray], np.ndarray],
                        spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """lim_n int delta_n(k) f(k) dk by index sweep with extrapolation.
 
-    Converges to (f(0-) + f(0+))/2 for piecewise-continuous bounded f.
+    Converges to (f(0-) + f(0+))/2 for piecewise-continuous bounded f.  f
+    maps an array of points to an array of values (or to one scalar, for a
+    constant); for the principal-value family it must take floats too.
     """
     return sweep_limit(lambda n: _filter_once(family, n, f, spec),
                        spec).expect_finite()
 
 
 def product_filtering_integral(families: Sequence[DeltaFamily],
-                               f: Callable[[float], float],
+                               f: Callable[[np.ndarray], np.ndarray],
                                spec: QuadratureSpec = DEFAULT_SPEC,
                                reverse_order: bool = False) -> LimitResult:
     """Nested-limit integral of a product of delta sequences against f.
@@ -325,7 +325,7 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
     the profiles rise with slope O(n^2) at the origin, so an inner index
     growing faster than the square of the outer one reproduces the iterated
     limit, and the outer sweep extrapolates in n.  All factors must belong
-    to one multiplication class.
+    to one multiplication class.  f takes arrays, as in filtering_integral.
     """
     if not families:
         raise DomainError("need at least one family")
@@ -347,25 +347,13 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
         fams = [None] * len(families)
         for rank, pos in enumerate(order):
             fams[pos] = families[pos].with_index(n ** 3 ** rank)
-        pts = sorted({p for fam in fams for p in fam.breakpoints}) + [0.0]
-        lo = max(fam.support[0] for fam in fams)
-        hi = min(fam.support[1] for fam in fams)
-        if hi <= lo:
-            return 0.0
-
-        def g(k):
-            out = f(k)
-            for fam in fams:
-                out = out * eval_family(fam, k)
-            return out
-
-        return quad_careful(g, lo, hi, spec, points=pts)
+        return _panel_integral(fams, f)
 
     return sweep_limit(evaluate, spec, start=4, max_doublings=8)
 
 
 def power_filtering_integral(family: DeltaFamily, power: int,
-                             f: Callable[[float], float],
+                             f: Callable[[np.ndarray], np.ndarray],
                              spec: QuadratureSpec = DEFAULT_SPEC) -> LimitResult:
     """int delta(k)^power f(k) dk as a nested limit, one index per factor.
 

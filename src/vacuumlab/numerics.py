@@ -1,7 +1,12 @@
-"""Shared numerical plumbing: quadrature settings, limit sweeps, tagged results.
+"""Shared numerical plumbing: quadrature rules, limit sweeps, tagged results.
 
-quad_careful is the package's single quadpack entry point: no other module
-imports scipy.integrate, so every quadrature honours a QuadratureSpec.
+The package has two quadrature rules and both live here:
+
+* quad_careful, adaptive quadpack honouring a QuadratureSpec, is the only
+  quadpack caller: no other module imports scipy.integrate;
+* gauss_legendre, fixed 20-point Gauss-Legendre panels, for integrands whose
+  smooth pieces are known in advance (casimir's graded panels and contour
+  tail, deltaseq's piecewise-polynomial filtering integrals).
 
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,6 +95,23 @@ def quad_careful(f: Callable[[float], float], a: float, b: float,
     if not math.isfinite(val):
         raise NonConvergence(f"quadrature returned non-finite value on [{a}, {b}]")
     return val
+
+
+@cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """20-point Gauss-Legendre nodes and weights on [-1, 1].  Built on first
+    use, not at import: leggauss goes through LAPACK, whose set-up costs
+    every process that imports the package but never integrates."""
+    return np.polynomial.legendre.leggauss(20)
+
+
+def gauss_legendre(lo: np.ndarray, hi: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, as (panels, 20) arrays, of 20-point Gauss-Legendre
+    panels on [lo, hi]: exact for polynomials of degree <= 39 on each."""
+    nodes, weights = _gl_rule()
+    half = 0.5 * (hi - lo)[:, None]
+    return lo[:, None] + half * (nodes + 1.0), half * weights
 
 
 def richardson(values: Sequence[float]) -> np.ndarray:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from vacuumlab.deltaseq import (DeltaFamily, DeltaShape, eval_family,
+from vacuumlab.deltaseq import (DeltaFamily, DeltaShape, _cos_tail,
+                                _filter_once, _panel_integral, eval_family,
                                 filtering_integral, fourier, fourier_integral,
                                 power_filtering_integral,
                                 product_filtering_integral)
-from vacuumlab.errors import IncompatibleClasses
-from vacuumlab.numerics import QuadratureSpec, quad_careful
+from vacuumlab.errors import DomainError, IncompatibleClasses
+from vacuumlab.numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
 
 LAM = DeltaFamily(DeltaShape.LAMBDA_TRIANGLE, n=8)
 MSH = DeltaFamily(DeltaShape.M_SHAPE, n=2, a=1.0)        # epsilon = 1/2
@@ -16,9 +17,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def step(k):
-    if k > 0:
-        return 1.0
-    return 0.5 if k == 0 else 0.0
+    return np.where(k > 0, 1.0, np.where(k == 0, 0.5, 0.0))
 
 
 class TestEval:
@@ -96,7 +95,7 @@ class TestEval:
         tol = 4 * np.spacing(float(n))
         values = eval_family(fam, ks)
         assert np.max(np.abs(values - ref(ks))) <= tol
-        # the plain-float path does the array path's operations
+        # a float takes the array path's operations as a 0-d array
         for k, v_array in zip(ks.tolist(), values.tolist()):
             v = eval_family(fam, k)
             assert type(v) is float and v == v_array
@@ -153,23 +152,23 @@ class TestFourier:
     def test_transform_integral_dichotomy(self):
         assert fourier_integral(
             DeltaFamily(DeltaShape.LAMBDA_TRIANGLE, n=4)) == pytest.approx(
-            4.0, rel=1e-6)
-        assert fourier_integral(SP1) == pytest.approx(0.0, abs=1e-6)
+            4.0, rel=1e-14)
+        assert fourier_integral(SP1) == pytest.approx(0.0, abs=1e-14)
         assert fourier_integral(
             DeltaFamily(DeltaShape.SHIFTED_PAIR, n=3, j=2)) == pytest.approx(
-            0.0, abs=1e-6)
+            0.0, abs=1e-14)
 
     def test_transform_integral_recovers_m_height(self):
-        assert fourier_integral(MSH) == pytest.approx(1.0, abs=1e-6)
+        assert fourier_integral(MSH) == pytest.approx(1.0, abs=1e-14)
         assert fourier_integral(
             DeltaFamily(DeltaShape.M_SHAPE, n=5, a=0.0)) == pytest.approx(
-            0.0, abs=1e-6)
+            0.0, abs=1e-14)
 
 
 class TestFiltering:
     def test_step_gives_half(self):
-        assert filtering_integral(LAM, step) == pytest.approx(0.5, abs=1e-8)
-        assert filtering_integral(SP1, step) == pytest.approx(0.5, abs=1e-8)
+        assert filtering_integral(LAM, step) == pytest.approx(0.5, abs=1e-14)
+        assert filtering_integral(SP1, step) == pytest.approx(0.5, abs=1e-14)
 
     def test_continuous_function(self):
         assert filtering_integral(LAM, np.cos) == pytest.approx(1.0, abs=1e-8)
@@ -248,3 +247,93 @@ class TestPowers:
         rev = product_filtering_integral([fam, fam], np.cos,
                                          reverse_order=True)
         assert fwd.value == pytest.approx(rev.value, abs=1e-8)
+
+
+class TestDomainErrors:
+    PV = DeltaFamily(DeltaShape.PRINCIPAL_VALUE, n=3)
+
+    @pytest.mark.parametrize("kwargs", [dict(n=0), dict(j=-1), dict(a=-0.5)],
+                             ids=["n", "j", "a"])
+    def test_family_parameters(self, kwargs):
+        with pytest.raises(DomainError):
+            DeltaFamily(DeltaShape.M_SHAPE, **kwargs)
+
+    @pytest.mark.parametrize("k", [0.0, np.array([-1.0, 0.0, 2.0])],
+                             ids=["float", "array"])
+    def test_principal_value_at_origin(self, k):
+        with pytest.raises(DomainError):
+            eval_family(self.PV, k)
+
+    def test_principal_value_origin_value(self):
+        with pytest.raises(DomainError):
+            self.PV.origin_value
+
+    def test_principal_value_transform_integral(self):
+        with pytest.raises(DomainError):
+            fourier_integral(self.PV)
+
+    def test_power_below_one(self):
+        with pytest.raises(DomainError):
+            power_filtering_integral(LAM, 0, lambda k: 1.0)
+
+    def test_empty_product(self):
+        with pytest.raises(DomainError):
+            product_filtering_integral([], lambda k: 1.0)
+
+
+def _quadpack_filter(fams, f):
+    """int prod delta_i f over the common support by quadpack, split at the
+    union of the breakpoints and 0: the independent oracle of the panels."""
+    lo = max(fam.support[0] for fam in fams)
+    hi = min(fam.support[1] for fam in fams)
+
+    def g(k):
+        out = f(k)
+        for fam in fams:
+            out = out * eval_family(fam, k)
+        return float(out)
+
+    pts = [p for fam in fams for p in fam.breakpoints] + [0.0]
+    return quad_careful(g, lo, hi, points=pts)
+
+
+TEST_FUNCTIONS = {"one": lambda k: 1.0, "cos": lambda k: np.cos(k - 0.4),
+                  "square": lambda k: k * k, "step": step}
+COMPACT = {"lambda": DeltaFamily(DeltaShape.LAMBDA_TRIANGLE),
+           "m_shape": DeltaFamily(DeltaShape.M_SHAPE, a=2.0),
+           "shifted": DeltaFamily(DeltaShape.SHIFTED_PAIR, j=1)}
+
+
+class TestPanelRoutes:
+    """The panel routes per index against quadpack, and the closed-form
+    cosine tail against mpmath."""
+
+    @pytest.mark.parametrize("f", TEST_FUNCTIONS.values(),
+                             ids=TEST_FUNCTIONS.keys())
+    @pytest.mark.parametrize("n", [1, 7, 64, 10 ** 4])
+    @pytest.mark.parametrize("family", COMPACT.values(), ids=COMPACT.keys())
+    def test_filter_matches_quadpack(self, family, n, f):
+        panel = _filter_once(family, n, f, DEFAULT_SPEC)
+        oracle = _quadpack_filter([family.with_index(n)], f)
+        assert abs(panel - oracle) <= 1e-14
+
+    @pytest.mark.parametrize("f", TEST_FUNCTIONS.values(),
+                             ids=TEST_FUNCTIONS.keys())
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("family", COMPACT.values(), ids=COMPACT.keys())
+    def test_staircase_pair_matches_quadpack(self, family, n, f):
+        # one rung of product_filtering_integral's staircase (n, n^3)
+        fams = [family.with_index(n), family.with_index(n ** 3)]
+        panel = _panel_integral(fams, f)
+        oracle = _quadpack_filter(fams, f)
+        assert abs(panel - oracle) <= 1e-14 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("a", [0.0, 2.0, 4.0, 6.0])
+    def test_cos_tail_matches_mpmath(self, a):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            # int_pi^inf e^{i a u} / u^2 du = E_2(-i a pi) / pi
+            ref = float(mp.re(mp.expint(2, -1j * a * mp.pi)) / mp.pi)
+        # the closed form subtracts two terms of size 1/pi, so its error is
+        # bounded relative to them, not to the (a^-2 smaller) difference
+        assert abs(_cos_tail(a) - ref) <= 1e-14 / np.pi

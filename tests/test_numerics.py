@@ -1,6 +1,7 @@
-"""The single quadpack entry point: quad_careful against scipy's quad, the
-QuadratureSpec rules, and the rule that no other module imports
-scipy.integrate."""
+"""The package's two quadrature rules: quad_careful against scipy's quad,
+the QuadratureSpec rules, and the rules that no other module imports
+scipy.integrate or builds a Gauss-Legendre rule, and that deltaseq keeps
+quadpack to its principal-value filter."""
 
 import ast
 import math
@@ -97,6 +98,72 @@ def test_only_numerics_imports_scipy_integrate():
                  if path.name != "numerics.py"}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
     assert _scipy_integrate_imports(Path(numerics.__file__).read_text())
+
+
+def _references_outside(source: str, name: str,
+                        allowed: str | None = None) -> list[int]:
+    """Line numbers at which source reaches name, as a bare name or an
+    attribute, outside the top-level function allowed.  With no function
+    allowed, a from-import of name counts too, which catches an alias."""
+    tree = ast.parse(source)
+    inside = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == allowed:
+            inside.update(id(node) for node in ast.walk(stmt))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and node.id == name \
+                or isinstance(node, ast.Attribute) and node.attr == name:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and allowed is None \
+                and any(alias.name == name for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_rule_detector_sees_references_outside_the_allowed_function():
+    allowed = "def _pv_filter(f):\n    return quad_careful(f, 0, 1)\n"
+    for source in ("def g(f):\n    return quad_careful(f, 0, 1)",
+                   "def g(f):\n    return numerics.quad_careful(f, 0, 1)",
+                   "def g(f, q=quad_careful):\n    return q(f, 0, 1)",
+                   "INTEGRATE = quad_careful",
+                   "class A:\n    def _pv_filter(self, f):\n"
+                   "        return quad_careful(f, 0, 1)"):
+        assert _references_outside(allowed + source, "quad_careful",
+                                   "_pv_filter"), source
+    assert not _references_outside(
+        "from .numerics import quad_careful\n" + allowed, "quad_careful",
+        "_pv_filter")
+
+
+def test_deltaseq_calls_quadpack_only_in_its_principal_value_filter():
+    source = (Path(numerics.__file__).parent / "deltaseq.py").read_text()
+    assert _references_outside(source, "quad_careful", "_pv_filter") == []
+    assert _references_outside(source, "quad_careful") != []
+
+
+def test_rule_detector_sees_every_leggauss_form():
+    for source in ("np.polynomial.legendre.leggauss(20)",
+                   "from numpy.polynomial.legendre import leggauss",
+                   "from numpy.polynomial import legendre\n"
+                   "legendre.leggauss(8)",
+                   "def f():\n    from numpy.polynomial.legendre import "
+                   "leggauss as lg\n    return lg(4)"):
+        assert _references_outside(source, "leggauss"), source
+    assert not _references_outside("np.polynomial.legendre.legval(x, c)",
+                                   "leggauss")
+
+
+def test_only_numerics_builds_a_gauss_legendre_rule():
+    package = Path(numerics.__file__).parent
+    offenders = {path.name: _references_outside(path.read_text(), "leggauss")
+                 for path in sorted(package.glob("*.py"))
+                 if path.name != "numerics.py"}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+    assert _references_outside(Path(numerics.__file__).read_text(),
+                               "leggauss")
 
 
 def _private_package_imports(source: str) -> list[str]:
