@@ -196,8 +196,6 @@ def _sinc_sq(u):
 
 def _cos_tail(a: float) -> float:
     """int_pi^inf cos(a u) / u^2 du = cos(a pi)/pi - a (pi/2 - Si(a pi))."""
-    if a == 0.0:
-        return 1.0 / np.pi
     return np.cos(a * np.pi) / np.pi \
         - a * (np.pi / 2.0 - sine_integral(a * np.pi))
 

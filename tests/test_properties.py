@@ -49,15 +49,18 @@ def mp_k0_scaled(z: complex) -> complex:
        arg=st.floats(-(math.pi / 2 - 1e-3), math.pi / 2 - 1e-3))
 @example(modulus=10.0 ** 0.3, arg=0.0)
 @example(modulus=1.998, arg=0.0)
+@example(modulus=1.949, arg=1e-6)
 def test_k0_complex_matches_mpmath(modulus, arg):
     w = complex(modulus * math.cos(arg), modulus * math.sin(arg))
     ref = mp_k0_scaled(w)
     # unlike K0 (condition number ~ |w|), e^w K0(w) is well conditioned:
-    # |w (1 - K1(w)/K0(w))| is of order one.  Worst seen 7.1 eps over 3,000
-    # random points off the real axis, but 14.8 eps on it, in a band
-    # 1.7 <= w <= 2.0 (at w = 1.998; 36 of 3,001 points of [1, 4] exceed
-    # 8 eps there)
-    assert abs(kve(0, w) - ref) <= 16 * EPS * abs(ref)
+    # |w (1 - K1(w)/K0(w))| is of order one.  Worst seen 7.8 eps over
+    # 16,000 points of this range outside 1.5 <= |w| < 2.  Inside, the
+    # last stretch of Amos's power series (used up to |w| = 2) gives up to
+    # 19.4 eps, near the real axis (at |w| = 1.949, arg = 1e-6; 14.8 eps
+    # on the axis at w = 1.998)
+    bound = 24 if 1.5 <= modulus < 2.0 else 8
+    assert abs(kve(0, w) - ref) <= bound * EPS * abs(ref)
 
 
 @PROPERTY
