@@ -8,7 +8,8 @@ r(k) = 1/(1 - 2ik/alpha)^2):
   integral, and the 1/n^2 tail is closed with Euler-Maclaurin corrections;
   all terms are one matrix product on a shared Gauss-Legendre grid, within
   about 1e-15 relative of an mpmath reference for alpha in [1e-3, 1e6] and
-  L in [0.05, 20];
+  L in [0.05, 20], in 0.1-0.3 ms per call for alpha L >= 1e-3 (the grid
+  grows like log(1/(alpha L)) below that: ~1 ms at 1e-10, ~5 ms at 1e-80);
 * quadrature: p = (1/2pi) int_0^inf k [(1-|r|^2)/|1 - r e^{2ikL}|^2 - 1] dk,
   integrated on the real axis over Gauss-Legendre panels graded into k = 0
   and the first 24 quasi-resonant peaks, at their true positions
@@ -16,8 +17,8 @@ r(k) = 1/(1 - 2ik/alpha)^2):
   integrand's analytic continuation decays there and all its poles lie
   below the real axis) on one fixed Gauss-Legendre rule; for
   1e-70 <= alpha L <= 1e76, within 1.2e-12 relative of an mpmath
-  reference, in 0.4-3 ms per call up to alpha L = 1e8 and 30-40 ms at the
-  top of that range;
+  reference, in 0.3-3 ms per call up to alpha L = 1e8 and 25-31 ms at the
+  top of that range (timings: best of 7 on a 2-vCPU KVM machine);
 * Dirichlet comb: the cutoff-regularized mode-sum-minus-integral closed form
   (-L^2 kappa^2 + J pi (pi - 2 L kappa)) / (4 L^2 pi), J-independent only at
   kappa = pi/(2L) where it equals -pi/(16 L^2);
@@ -58,6 +59,8 @@ _UPPER_TAIL_SPEC = QuadratureSpec(1e-16, 1e-13, 200)
 # 1e-300..1e300, a factor ~1e8 inside the double range (the series' t w
 # products reach ~700/L^2; both routes overflowed below L ~ 1e-154)
 _GAP_RANGE = (1e-150, 1e150)
+# explicitly summed terms of the reflection series
+_SERIES_TERMS = 64
 
 
 def _check_gap(alpha: float, L: float, route: str) -> None:
@@ -79,13 +82,12 @@ def _normal_pressure(p: float, route: str) -> float:
     return p
 
 
-def pressure_1p1_series(alpha: float, L: float,
-                        explicit_terms: int = 64) -> float:
+def pressure_1p1_series(alpha: float, L: float) -> float:
     """Reflection-series pressure.
 
     The n-th term, rotated onto the imaginary axis, is
     -(1/pi) int_0^inf t e^{n h(t)} dt with h(t) = -2tL - 2 log(1+2t/alpha).
-    Terms n < N = max(8, explicit_terms) are summed explicitly; the ~1/n^2
+    Terms n < N = 64 (_SERIES_TERMS) are summed explicitly; the ~1/n^2
     remainder is closed with Euler-Maclaurin corrections through the fifth
     n-derivative (the m-th derivative brings down h^m).  All of them are
     one matrix product on a shared Gauss-Legendre grid in t: one panel on
@@ -95,17 +97,19 @@ def pressure_1p1_series(alpha: float, L: float,
     outside 1e-150..1e150 (_GAP_RANGE) and for a subnormal p.
     """
     _check_gap(alpha, L, "pressure_1p1_series")
-    N = max(8, explicit_terms)
+    N = _SERIES_TERMS
     s = 1.0 / (16.0 * N * (L + 1.0 / alpha))
     doublings = math.ceil(math.log2(26.0 / (L * s)))
     edges = np.concatenate(([0.0], s * 2.0 ** np.arange(doublings + 1)))
     t, w = (a.ravel() for a in gauss_legendre(edges[:-1], edges[1:]))
     h = -2.0 * t * L - 2.0 * np.log1p(2.0 * t / alpha)
     tw = t * w
-    explicit = np.exp(np.outer(np.arange(1, N), h)) @ tw
+    explicit = np.exp(np.arange(1.0, N)[:, None] * h) @ tw
     eN = np.exp(N * h)
-    # int_N^inf e^{nh} dn + f(N)/2 - f'(N)/12 + f^(3)(N)/720 - f^(5)(N)/30240
-    tail = eN * (-1.0 / h + 0.5 - h / 12.0 + h ** 3 / 720.0 - h ** 5 / 30240.0)
+    # int_N^inf e^{nh} dn + f(N)/2 - f'(N)/12 + f^(3)(N)/720 - f^(5)(N)/30240;
+    # odd powers by products, since h ** 3 calls libm pow per node
+    h3 = h * h * h
+    tail = eN * (-1.0 / h + 0.5 - h / 12.0 + h3 / 720.0 - h3 * h * h / 30240.0)
     total = -(math.fsum(explicit) + float(tail @ tw)) / math.pi
     if not np.isfinite(total):
         raise NonConvergence("series pressure did not converge")

@@ -225,15 +225,21 @@ def _two_mode_pmf(probs, intensities, N, ns) -> list[float]:
     (the common sweep case); one pass over them per n, so that memory stays
     O(N) however many n are asked for."""
     s = np.arange(N + 1)
-    log_coeff = (_log_comb(N, s) + xlogy(s, probs[0])
+    # log(N choose s): g = log(s!), and g[::-1] = log((N - s)!) exactly,
+    # being gammaln at the same integers
+    g = gammaln(s + 1.0)
+    log_coeff = (gammaln(N + 1.0) - g - g[::-1] + xlogy(s, probs[0])
                  + xlogy(N - s, probs[1]))
     nu = (s * intensities[0] + (N - s) * intensities[1]) / N
     positive = nu > 0
-    log_nu = np.log(np.where(positive, nu, 1.0))
+    every_positive = bool(positive.all())
+    log_nu = np.log(nu if every_positive else np.where(positive, nu, 1.0))
     out = []
     for n in ns:
-        log_pois = np.where(positive, n * log_nu - nu - math.lgamma(n + 1),
-                            0.0 if n == 0 else -np.inf)
+        log_pois = n * log_nu - nu - math.lgamma(n + 1)
+        if not every_positive:      # nu = 0: Poisson mass 1 at n = 0 only
+            log_pois = np.where(positive, log_pois,
+                                0.0 if n == 0 else -np.inf)
         out.append(float(np.sum(np.exp(log_coeff + log_pois))))
     return out
 
@@ -265,10 +271,6 @@ def _pattern_pmf(probs, intensities, N, ns) -> list[float]:
             for i, n in enumerate(ns):
                 totals[i] += math.exp(log_c + n * log_nu - nu - log_n_fact[i])
     return totals
-
-
-def _log_comb(N, s):
-    return gammaln(N + 1.0) - gammaln(s + 1.0) - gammaln(N - s + 1.0)
 
 
 def shannon_poisson_pmf(probs: Sequence[float],

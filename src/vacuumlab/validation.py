@@ -141,18 +141,16 @@ def check_casimir_3p1() -> list[CriterionResult]:
 _NORMALIZATION_SPEC = QuadratureSpec(0.0, 1e-13, 50)   # scipy's default limit
 
 
-def _normalization_quad(p: vacuum.VacuumProfile) -> float:
-    """int dk density by quadrature, the closed form's oracle: radially for
-    the box, in s = ln(y0 kappa) split at the peak s = ln(lambda) for the
-    exponential profile (for lambda^2 <= 1 the ends cut off < e^-1000)."""
-    if p.kind is vacuum.ProfileKind.BOX_SHELL:
-        return quad_careful(lambda k: p.Z * k, p.k1, p.k2,
-                            _NORMALIZATION_SPEC) / vacuum.FOUR_PI_SQ
-    lb = math.log(p.lambda2)
-    val = quad_careful(
+def _lorentz_s_integral(lambda2: float) -> float:
+    """The exponential profile's int dk density by quadrature, the closed
+    form's oracle, up to its factor norm_const/(4 pi^2 y0^2): in
+    s = ln(y0 kappa) the integrand exp(2s - e^s - lambda^2 e^-s) depends on
+    lambda^2 alone.  Split at the peak s = ln(lambda); for lambda^2 <= 1 the
+    ends cut off < e^-1000."""
+    lb = math.log(lambda2)
+    return quad_careful(
         lambda s: math.exp(2.0 * s - math.exp(s) - math.exp(lb - s)),
         lb - 7.0, 7.0, _NORMALIZATION_SPEC, points=[0.5 * lb])
-    return p.norm_const * val / (vacuum.FOUR_PI_SQ * p.y0 ** 2)
 
 
 def _density_sine_quad(p: vacuum.VacuumProfile, w: float) -> float:
@@ -185,17 +183,19 @@ def check_vacuum_normalization() -> list[CriterionResult]:
     out = []
     worst = 0.0
     for lam2 in (1e-12, 1e-6, 1e-2, 1.0):
+        s_integral = _lorentz_s_integral(lam2)      # one for every y0
         for y0 in (1e-3, 1.0, 10.0):
             p = vacuum.make_lorentz_profile(lam2, y0)
-            q = _normalization_quad(p)      # also the closed form's oracle
+            q = p.norm_const * s_integral / (vacuum.FOUR_PI_SQ * y0 ** 2)
             worst = max(worst, abs(q - 1.0),
                         abs(vacuum.density_integral(p) - q))
     out.append(_crit("lorentz_normalization", 0.0, worst, 1e-8))
     p = vacuum.make_box_profile(1.0, 3.0)
     out.append(_crit("box_peak_exact", 8.0 * math.pi ** 2 / 8.0, p.Z,
                      1e-15, "rel"))
-    out.append(_crit("box_normalization", 1.0, _normalization_quad(p),
-                     1e-12))
+    box = quad_careful(lambda k: p.Z * k, p.k1, p.k2,
+                       _NORMALIZATION_SPEC) / vacuum.FOUR_PI_SQ
+    out.append(_crit("box_normalization", 1.0, box, 1e-12))
     return out
 
 

@@ -7,6 +7,8 @@ report, or `vacuumlab validate` for the same content as JSON.
 import numpy as np
 import pytest
 
+from vacuumlab import validation
+from vacuumlab.numerics import quad_careful
 from vacuumlab.validation import ALL_CHECKS, _unitarity_draws, run_validation
 
 
@@ -41,3 +43,17 @@ def test_unitarity_draws_match_scalar_stream():
     scalar = [[rng.uniform(0.01, 50.0), rng.uniform(0.1, 5.0),
                rng.uniform(0.01, 80.0)] for _ in range(1000)]
     assert np.array_equal(_unitarity_draws(), np.array(scalar))
+
+
+def test_vacuum_normalization_integrates_once_per_lambda2(monkeypatch):
+    # the exponential profile's s-integral depends on lambda^2 alone: one
+    # quadrature for each of the four lambda^2, one for the box
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad_careful(*args, **kwargs)
+
+    monkeypatch.setattr(validation, "quad_careful", counting)
+    assert all(r.passed for r in validation.check_vacuum_normalization())
+    assert len(calls) == 5

@@ -558,11 +558,28 @@ GOLDEN_CSV = {
         "0,8,0.15915494309189535\n"
         "1,0,0.15894781799682109\n"
         "2,0,0.15832773611222947\n"),
+    # both 1+1 routes, p_series and p_quad, to the bit
+    ("casimir", "--sweep", "alpha", "--values", "10,100,1000,10000"): (
+        "# vacuumlab 0.1.0\n"
+        "# p_series: (1/2pi) sum_n int k r^n e^{2nikL} dk + c.c.\n"
+        "# p_quad:   (1/2pi) int k [(1-|r|^2)/|1-r e^{2ikL}|^2 - 1] dk\n"
+        "# p_comb16: -pi/(16 L^2) comb endpoint at kappa = pi/(2L)\n"
+        "# p_em24:   -pi/(24 L^2) Euler-Maclaurin endpoint\n"
+        "alpha,L,p_series,p_quad,p_comb16,p_em24\n"
+        "10,1,-0.093348335185337333,-0.093348335185336292,"
+        "-0.19634954084936207,-0.1308996938995747\n"
+        "100,1,-0.12586855904139357,-0.12586855904140087,"
+        "-0.19634954084936207,-0.1308996938995747\n"
+        "1000,1,-0.13037822975877891,-0.1303782297588075,"
+        "-0.19634954084936207,-0.1308996938995747\n"
+        "10000,1,-0.13084735545922443,-0.13084735545927018,"
+        "-0.19634954084936207,-0.1308996938995747\n"),
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_CSV), ids=[
-    "coulomb_box", "coulomb_lorentz", "stats", "cavity", "delta"])
+    "coulomb_box", "coulomb_lorentz", "stats", "cavity", "delta",
+    "casimir_alpha_sweep"])
 def test_golden_csv_bytes(argv, capsys):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == GOLDEN_CSV[argv]
