@@ -42,8 +42,7 @@ import numpy as np
 
 from .constants import PRESSURE_UNIT_PA
 from .errors import DomainError, NonConvergence
-from .numerics import (DEFAULT_SPEC, QuadratureSpec, gauss_legendre,
-                       quad_careful)
+from .numerics import QuadratureSpec, gauss_legendre, quad_careful
 from .specfun import bernoulli_number, gamma_from_zero
 from .vacuum import ProfileKind, VacuumProfile
 
@@ -51,6 +50,13 @@ TWO_PI = 2.0 * math.pi
 _ZETA3 = 1.2020569031595942      # Apery's constant zeta(3)
 # quadpack rule of _upper_tail_table's far tail
 _UPPER_TAIL_SPEC = QuadratureSpec(1e-16, 1e-13, 200)
+# the 3+1 mode sum's decay check: its last three terms below this fraction
+# of the total
+_MODE_SUM_DECAY = 1e-10
+# y0 and L of pressure_3p1, kept within 1e-75..1e75, a factor ~1e2 inside
+# the points where y0^4 and L^4 leave the normal double range (y0^4
+# underflowed to 0 below y0 ~ 1e-81, L^4 overflowed past L ~ 1e77)
+_3P1_SCALE_RANGE = (1e-75, 1e75)
 
 
 # ------------------------------------------------------------- 1+1 series
@@ -363,14 +369,15 @@ def stairs_gap(dx: float) -> float:
     return dx ** 3 * _ZETA3 / (4.0 * math.pi ** 2) + series
 
 
-def pressure_3p1(profile: VacuumProfile, L: float,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> PressureBreakdown:
+def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
     """Mode-sum-minus-continuum pressure for the exponentially cut vacuum.
 
     The discrete sum runs over j with weight
-    (Z j^2 pi/(2 L^3 y0)) Gamma(1, y0 j pi/L, lambda^2), truncated once
-    three consecutive terms fall below rel_tol times the partial sum; the
-    continuum part is (Z/(6 pi^2 y0^4)) Gamma(4, 0, lambda^2).
+    (Z j^2 pi/(2 L^3 y0)) Gamma(1, y0 j pi/L, lambda^2), exhausted to
+    j y0 pi/L <= 45; the continuum part is
+    (Z/(6 pi^2 y0^4)) Gamma(4, 0, lambda^2).  DomainError unless y0 and L
+    lie within 1e-75..1e75 (_3P1_SCALE_RANGE), where y0^4 and L^4 are
+    normal doubles, and y0/L < 0.1.
 
     For coarse mode spacing (x = pi y0/L >= 0.04, b > 0) the difference is
     taken between the directly summed modes and the continuum, about 240/x^4
@@ -384,9 +391,12 @@ def pressure_3p1(profile: VacuumProfile, L: float,
     """
     if profile.kind is not ProfileKind.LORENTZ_EXP:
         raise DomainError("pressure_3p1 requires a LORENTZ_EXP profile")
-    if L <= 0:
-        raise DomainError("plate separation must be positive")
     y0, b, Z = profile.y0, profile.lambda2, profile.Z
+    least, most = _3P1_SCALE_RANGE
+    if not (least <= y0 <= most and least <= L <= most):
+        raise DomainError(f"pressure_3p1 requires {least:g} <= y0, L <= "
+                          f"{most:g}, so that y0^4 and L^4 are normal "
+                          f"doubles; got y0 = {y0:g}, L = {L:g}")
     if y0 / L >= 0.1:
         raise DomainError("expansion regime requires y0/L < 0.1")
     x = math.pi * y0 / L
@@ -398,7 +408,7 @@ def pressure_3p1(profile: VacuumProfile, L: float,
 
     j_cap = int(45.0 / x) + 1
     if b > 0.0 and x >= 0.04:
-        mode_sum, terms_used = _mode_sum_direct(prefactor, x, b, spec)
+        mode_sum, terms_used = _mode_sum_direct(prefactor, x, b)
         continuum = Z / (6.0 * math.pi ** 2 * y0 ** 4) * gamma_from_zero(4.0, b)
         total = mode_sum - continuum
         y0_corr = total - leading - lam2_corr
@@ -420,22 +430,21 @@ def pressure_3p1(profile: VacuumProfile, L: float,
     )
 
 
-def _mode_sum_direct(prefactor: float, x: float, b: float,
-                     spec: QuadratureSpec):
+def _mode_sum_direct(prefactor: float, x: float, b: float):
     """prefactor * sum_j j^2 Gamma(1, j x, b) through a shared tail table.
 
     The cap j x <= 45 leaves a remainder below e^-45; the sum must be
     exhausted (not truncated against the partial sum) because the physical
     answer is the difference against a continuum term of almost the same
-    size.  Requires three trailing terms below rel_tol of the partial sum
-    as the decay check.
+    size.  Requires three trailing terms below 1e-10 (_MODE_SUM_DECAY) of
+    the sum as the decay check.
     """
     j_cap = int(45.0 / x) + 1
     j = np.arange(1, j_cap + 1, dtype=float)
     tails = _upper_tail_table(j * x, b)
     terms = prefactor * j ** 2 * tails
     total = float(np.sum(terms))
-    if np.any(np.abs(terms[-3:]) > spec.rel_tol * max(abs(total), 1e-300)):
+    if np.any(np.abs(terms[-3:]) > _MODE_SUM_DECAY * max(abs(total), 1e-300)):
         raise NonConvergence("3+1 mode sum failed to decay within the cap")
     return total, j_cap
 

@@ -18,9 +18,9 @@ z = +L/4; scattering_coeffs_batch evaluates its coefficients over arrays of
 momenta and configurations.  Right incidence is the left problem with the
 strengths interchanged.
 
-For alpha = beta the homogeneous system has nontrivial solutions only at
-complex wavenumbers expressible through Lambert W; those resonances are
-computed here.
+For equal barriers (CavityConfig: strength alpha at both) the homogeneous
+system has nontrivial solutions only at complex wavenumbers expressible
+through Lambert W; those resonances are computed here.
 """
 
 from __future__ import annotations
@@ -35,25 +35,29 @@ from .errors import DegenerateMode, DomainError
 from .specfun import lambert_w
 
 DELTA_TOL = 1e-12
+# resonance_roots verifies each root to this fraction of max(alpha^2, |k|^2)
+_RESIDUAL_TOL = 1e-8
+# the domain of resonance_roots: alpha >= 1e-150 and L within 1e-150..1e150,
+# where alpha^2 (the residual test's scale) and 1/L^2 (the equation's) are
+# normal doubles, and alpha L within 1e-140..1e3: past alpha L ~ 1.4e3 the
+# Lambert argument e^(alpha L/2) alpha L/2 overflowed, and below
+# alpha L ~ 1e-150 exp(ikL) of the residual test did on the branches n != 0
+_SCALE_RANGE = (1e-150, 1e150)
+_ALPHA_L_RANGE = (1e-140, 1e3)
 
 
 @dataclass(frozen=True)
 class CavityConfig:
-    """Barrier strengths and separation."""
+    """Equal barrier strengths alpha and their separation L."""
 
     alpha: float
-    beta: float
     L: float
 
     def __post_init__(self):
         if self.L <= 0:
             raise DomainError("plate separation L must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise DomainError("barrier strengths must be nonnegative")
-
-    @property
-    def symmetric(self) -> bool:
-        return self.alpha == self.beta
+        if self.alpha < 0:
+            raise DomainError("barrier strength must be nonnegative")
 
 
 def _sewing(k, a, b, s):
@@ -99,27 +103,35 @@ def scattering_coeffs_batch(k, alpha, beta, L):
 
 def resonance_equation(k: complex, cfg: CavityConfig) -> complex:
     """Determinant k^2 + 2 i alpha k + (exp(i k L) - 1) alpha^2 whose zeros
-    are the homogeneous-mode wavenumbers (alpha = beta)."""
-    if not cfg.symmetric:
-        raise DomainError("resonances require finite alpha = beta")
+    are the homogeneous-mode wavenumbers."""
     a = cfg.alpha
     return k * k + 2j * a * k + (cmath.exp(1j * k * cfg.L) - 1.0) * a * a
 
 
-def resonance_roots(cfg: CavityConfig, branches=range(0, 3),
-                    residual_tol: float = 1e-8) -> list[complex]:
-    """Complex homogeneous-mode wavenumbers for alpha = beta > 0:
+def resonance_roots(cfg: CavityConfig, branches=range(0, 3)) -> list[complex]:
+    """Complex homogeneous-mode wavenumbers for alpha > 0:
 
         k_{n,+-} = -i (L alpha - 2 W_n(+- e^{L alpha/2} L alpha / 2)) / L
 
     ordered (n, +), (n, -) over the requested branches.  Each root is
-    verified against the resonance equation to residual_tol * alpha^2.
+    verified against the resonance equation to 1e-8 (_RESIDUAL_TOL) times
+    max(alpha^2, |k|^2), DegenerateMode otherwise.  DomainError unless
+    alpha >= 1e-150, 1e-150 <= L <= 1e150 and 1e-140 <= alpha L <= 1e3
+    (_SCALE_RANGE, _ALPHA_L_RANGE).
     """
-    if not cfg.symmetric:
-        raise DomainError("resonance roots require finite alpha = beta")
     a, L = cfg.alpha, cfg.L
-    if a <= 0:
-        raise DomainError("resonance roots require alpha > 0")
+    least, most = _SCALE_RANGE
+    if not (least <= a and least <= L <= most):
+        raise DomainError(f"resonance_roots requires alpha >= {least:g} and "
+                          f"{least:g} <= L <= {most:g}, so that alpha^2 and "
+                          f"1/L^2 are normal doubles; got alpha = {a:g}, "
+                          f"L = {L:g}")
+    least, most = _ALPHA_L_RANGE
+    if not least <= a * L <= most:
+        raise DomainError(f"resonance_roots requires {least:g} <= alpha L "
+                          f"<= {most:g}, so that the Lambert argument "
+                          f"e^(alpha L/2) alpha L/2 and exp(ikL) are "
+                          f"doubles; got alpha L = {a * L:g}")
     arg = math.exp(L * a / 2.0) * L * a / 2.0
     roots = []
     for n in branches:
@@ -127,7 +139,7 @@ def resonance_roots(cfg: CavityConfig, branches=range(0, 3),
             w = lambert_w(n, sign * arg)
             k = -1j * (L * a - 2.0 * w) / L
             resid = abs(resonance_equation(k, cfg))
-            if resid > residual_tol * a * a * max(1.0, abs(k) ** 2 / (a * a)):
+            if resid > _RESIDUAL_TOL * a * a * max(1.0, abs(k) ** 2 / (a * a)):
                 raise DegenerateMode(
                     f"resonance root ({n}, {sign:+.0f}) residual {resid}")
             roots.append(k)

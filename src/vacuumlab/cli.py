@@ -143,7 +143,7 @@ def cmd_delta(args):
     shape = DeltaShape(args.shape)
     fam = DeltaFamily(shape, n=args.n, j=args.j, a=args.a)
     ks = np.linspace(args.kmin, args.kmax, args.samples)
-    rows = list(zip(ks.tolist(), np.real(eval_family(fam, ks)).tolist(),
+    rows = list(zip(ks.tolist(), eval_family(fam, ks).tolist(),
                     fourier(fam, ks).tolist()))
     return [(args.out, Table(
         [f"family {shape.value} n={args.n} j={args.j} a={args.a}",
@@ -183,7 +183,7 @@ def cmd_coulomb(args):
 
 
 def cmd_cavity(args):
-    cfg = cavity.CavityConfig(args.alpha, args.alpha, args.gap)
+    cfg = cavity.CavityConfig(args.alpha, args.gap)
     rows = []
     branches = range(0, args.branches)
     roots = cavity.resonance_roots(cfg, branches=branches)

@@ -32,6 +32,12 @@ from .specfun import sine_integral
 from .vacuum import ProfileKind, VacuumProfile, physical_charge
 
 HALF_PI = math.pi / 2.0
+# sign_change_radius's tolerance, relative to the root
+_ROOT_REL_TOL = 1e-10
+# expand_bracket's ladder: _LADDER_STEPS + 1 radii, each the previous one
+# times _LADDER_FACTOR
+_LADDER_FACTOR = 1.5
+_LADDER_STEPS = 200
 # expand_bracket's first slice, 32 steps of the ladder: from rmin = 0.1/k2
 # the box potential flips near 1.93/k1, at most 25 steps up for
 # k2/k1 <= 1e3; from rmin = 0.1 y0 the exponential one flips 10 to 80 steps
@@ -133,10 +139,9 @@ def potential(profile: VacuumProfile, q_ph: float, r):
 
 
 def sign_change_radius(potential: Callable[[float], float],
-                       bracket: tuple[float, float],
-                       rel_tol: float = 1e-10) -> float:
+                       bracket: tuple[float, float]) -> float:
     """Root of a sign-changing potential on the given bracket (Brent's
-    method), to rel_tol relative to the root."""
+    method), to 1e-10 (_ROOT_REL_TOL) relative to the root."""
     lo, hi = bracket
     if not 0 < lo < hi:
         raise DomainError("bracket must satisfy 0 < lo < hi")
@@ -150,9 +155,11 @@ def sign_change_radius(potential: Callable[[float], float],
     # brentq stops once the bracket is narrower than xtol + rtol * |root|;
     # the root lies above lo > 0, so the absolute part is left negligible.
     # Brent's method falls back to bisection, which needs at most
-    # log2(hi/(rel_tol lo)) halvings; cap its iterations at a few times that
-    bisections = math.ceil(math.log2(hi) - math.log2(lo) - math.log2(rel_tol))
-    root, info = brentq(potential, lo, hi, xtol=1e-300, rtol=rel_tol,
+    # log2(hi/(_ROOT_REL_TOL lo)) halvings; cap its iterations at a few
+    # times that
+    bisections = math.ceil(math.log2(hi) - math.log2(lo)
+                           - math.log2(_ROOT_REL_TOL))
+    root, info = brentq(potential, lo, hi, xtol=1e-300, rtol=_ROOT_REL_TOL,
                         maxiter=4 * bisections, full_output=True, disp=False)
     if not info.converged:
         raise NonConvergence(f"root search on {bracket}: {info.flag}")
@@ -160,29 +167,29 @@ def sign_change_radius(potential: Callable[[float], float],
 
 
 def expand_bracket(potential: Callable[[np.ndarray], np.ndarray],
-                   r_start: float, factor: float = 1.5,
-                   max_steps: int = 200) -> tuple[float, float]:
+                   r_start: float) -> tuple[float, float]:
     """Geometric search from r_start for a bracket with a sign flip: the
-    first neighbouring pair on the ladder r_start, r_start*factor, ...
-    (max_steps + 1 radii, each the previous one times factor, overflowing
-    to inf) whose potentials differ in sign bit.
+    first neighbouring pair on the ladder r_start, 1.5 r_start, ... (201
+    radii, each the previous one times 1.5, overflowing to inf) whose
+    potentials differ in sign bit.
 
     The potential is called on the ladder's first _HEAD_RUNGS radii and,
     only if they hold no flip, once more on the rest, so it must take an
     array of radii and return an array of values.
     """
-    ladder = np.full(max_steps + 1, float(factor))
+    ladder = np.full(_LADDER_STEPS + 1, _LADDER_FACTOR)
     ladder[0] = r_start
     with np.errstate(over="ignore"):
         np.multiply.accumulate(ladder, out=ladder)
     negative = np.signbit(potential(ladder[:_HEAD_RUNGS]))
-    if ladder.size > _HEAD_RUNGS and (negative == negative[0]).all():
+    if (negative == negative[0]).all():
         negative = np.concatenate(
             (negative, np.signbit(potential(ladder[_HEAD_RUNGS:]))))
     flips = np.flatnonzero(negative[1:] != negative[:-1])
     if flips.size == 0:
         raise NoSignChange(
-            f"no sign flip within {max_steps} geometric steps from {r_start}")
+            f"no sign flip within {_LADDER_STEPS} geometric steps from "
+            f"{r_start}")
     i = flips[0]
     return (float(ladder[i]), float(ladder[i + 1]))
 

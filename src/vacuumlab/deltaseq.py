@@ -5,28 +5,25 @@ integral whose filtering integrals converge,
 
     lim_n int delta_n(k) f(k) dk = (f(0-) + f(0+)) / 2.
 
-Four families are implemented:
+Three families are implemented:
 
 * LAMBDA_TRIANGLE -- the triangle of height n on [-1/n, 1/n] (the classical
   picture, delta_n(0) = n);
 * M_SHAPE -- the piecewise-linear "M" profile of width epsilon = 1/n whose
   value at the origin is a constant a for every n;
 * SHIFTED_PAIR -- the symmetrized pair of shifted triangles
-  (delta_n(k - j/n) + delta_n(-k - j/n)) / 2, vanishing at 0 for j >= 1;
-* PRINCIPAL_VALUE -- exp(i k n) / (i pi k), understood in the Cauchy
-  principal-value sense (complex valued).
+  (delta_n(k - j/n) + delta_n(-k - j/n)) / 2, vanishing at 0 for j >= 1.
 
 Families with the same origin value delta(0) form one multiplication class:
 powers of a family are defined through nested limits with one independent
 index per factor, swept innermost first.  Squares of the triangle family
 diverge; that outcome is reported as a tagged LimitResult, never as inf.
 
-Test functions f take arrays: for the compact families every index of a
-sweep evaluates f once, at the nodes of 20-point Gauss-Legendre panels
-(numerics.gauss_legendre), one per piece between consecutive breakpoints,
-where every profile is linear.  The principal-value filter stays on
-adaptive quadpack and calls f with floats as well.  fourier_integral is a
-sum of cos(a u)/u^2 pieces, in closed form (through Si) on [pi, inf).
+Test functions f take arrays: every index of a sweep evaluates f once, at
+the nodes of 20-point Gauss-Legendre panels (numerics.gauss_legendre), one
+per piece between consecutive breakpoints, where every profile is linear;
+nothing here calls quadpack.  fourier_integral is a sum of cos(a u)/u^2
+pieces, in closed form (through Si) on [pi, inf).
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, IncompatibleClasses
-from .numerics import (DEFAULT_SPEC, LimitResult, QuadratureSpec, divergent,
-                       finite, gauss_legendre, quad_careful, sweep_limit)
+from .numerics import (LimitResult, divergent, finite, gauss_legendre,
+                       sweep_limit)
 from .specfun import sine_integral
 
 TWO_PI = 2.0 * np.pi
@@ -49,7 +46,6 @@ class DeltaShape(Enum):
     LAMBDA_TRIANGLE = "lambda_triangle"
     M_SHAPE = "m_shape"
     SHIFTED_PAIR = "shifted_pair"
-    PRINCIPAL_VALUE = "principal_value"
 
 
 @dataclass(frozen=True)
@@ -83,9 +79,7 @@ class DeltaFamily:
             return float(self.n)
         if self.shape is DeltaShape.M_SHAPE:
             return self.a
-        if self.shape is DeltaShape.SHIFTED_PAIR:
-            return float(self.n) if self.j == 0 else 0.0
-        raise DomainError("principal-value family has no origin value")
+        return float(self.n) if self.j == 0 else 0.0
 
     @property
     def multiplication_class(self) -> tuple:
@@ -94,10 +88,8 @@ class DeltaFamily:
             return ("divergent-at-zero",)
         if self.shape is DeltaShape.M_SHAPE:
             return ("regular-at-zero", self.a)
-        if self.shape is DeltaShape.SHIFTED_PAIR:
-            return ("divergent-at-zero",) if self.j == 0 \
-                else ("regular-at-zero", 0.0)
-        return ("principal-value",)
+        return ("divergent-at-zero",) if self.j == 0 \
+            else ("regular-at-zero", 0.0)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -106,9 +98,7 @@ class DeltaFamily:
         if self.shape is DeltaShape.M_SHAPE:
             eps = 1.0 / self.n
             return (-eps / 2.0, eps / 2.0)
-        if self.shape is DeltaShape.SHIFTED_PAIR:
-            return (-(self.j + 1.0) / self.n, (self.j + 1.0) / self.n)
-        return (-np.inf, np.inf)
+        return (-(self.j + 1.0) / self.n, (self.j + 1.0) / self.n)
 
     @property
     def breakpoints(self) -> list[float]:
@@ -119,12 +109,9 @@ class DeltaFamily:
         if self.shape is DeltaShape.M_SHAPE:
             eps = 1.0 / self.n
             return [c * eps for c in (-0.5, -0.25, 0.0, 0.25, 0.5)]
-        if self.shape is DeltaShape.SHIFTED_PAIR:
-            h = 1.0 / self.n
-            c = self.j * h
-            pts = [-c - h, -c, -c + h, c - h, c, c + h]
-            return sorted(set(pts))
-        return []
+        h = 1.0 / self.n
+        c = self.j * h
+        return sorted({-c - h, -c, -c + h, c - h, c, c + h})
 
 
 def _triangle(k, n):
@@ -139,27 +126,20 @@ def _m_profile(k, a, eps):
 
 
 def eval_family(family: DeltaFamily, k):
-    """Pointwise value delta_n(k), complex for the principal-value family.
+    """Pointwise value delta_n(k).
 
     An array k gives an array; a float k goes through the same numpy
-    operations as a 0-d array and gives a float (a complex for the
-    principal-value family), so it has the bits of the same point of an
-    array.
+    operations as a 0-d array and gives a float, so it has the bits of the
+    same point of an array.
     """
     n = family.n
     if family.shape is DeltaShape.LAMBDA_TRIANGLE:
         out = _triangle(k, n)
     elif family.shape is DeltaShape.M_SHAPE:
         out = _m_profile(k, family.a, 1.0 / n)
-    elif family.shape is DeltaShape.SHIFTED_PAIR:
+    else:
         c = family.j / n
         out = 0.5 * (_triangle(k - c, n) + _triangle(k + c, n))
-    else:
-        k = np.asarray(k, dtype=float)
-        if np.any(k == 0):
-            raise DomainError("principal-value profile is singular at k = 0")
-        out = np.exp(1j * k * n) / (1j * np.pi * k)
-        return complex(out) if out.ndim == 0 else out
     return float(out) if out.ndim == 0 else out
 
 
@@ -179,10 +159,8 @@ def fourier(family: DeltaFamily, x):
         u = eps * x / 8.0
         out = (eps * a + (4.0 - eps * a) * np.cos(2.0 * u)) \
             * _sinc_sq(u) / (8.0 * np.pi)
-    elif family.shape is DeltaShape.SHIFTED_PAIR:
-        out = _sinc_sq(x / (2.0 * n)) * np.cos(family.j * x / n) / TWO_PI
     else:
-        out = np.sign(x + n) / TWO_PI
+        out = _sinc_sq(x / (2.0 * n)) * np.cos(family.j * x / n) / TWO_PI
     return float(out) if out.ndim == 0 else out
 
 
@@ -225,9 +203,6 @@ def fourier_integral(family: DeltaFamily) -> float:
     cos(a u)/u^2 pieces, on Gauss-Legendre panels for u in [0, pi] and in
     closed form through Si on [pi, inf).
     """
-    if family.shape is DeltaShape.PRINCIPAL_VALUE:
-        raise DomainError("fourier_integral is defined for compactly "
-                          "supported families only")
     if family.shape is DeltaShape.M_SHAPE:
         # in u = eps x / 8 the transform reads
         # (eps a + (4 - eps a) cos 2u) sin^2 u / (8 pi u^2); expanding sin^2
@@ -264,56 +239,20 @@ def _panel_integral(fams: Sequence[DeltaFamily], f: Callable) -> float:
     return float(np.sum(out))
 
 
-def _filter_once(family: DeltaFamily, n: int, f: Callable,
-                 spec: QuadratureSpec) -> float:
-    fam = family.with_index(n)
-    if fam.shape is DeltaShape.PRINCIPAL_VALUE:
-        return _pv_filter(n, f, spec)
-    return _panel_integral([fam], f)
-
-
-def _pv_filter(n: int, f: Callable, spec: QuadratureSpec,
-               window: float = 60.0) -> float:
-    """Principal-value filtering for continuous f of moderate growth.
-
-    Real part of the symmetrized integrand,
-    (f(k) + f(-k)) sin(nk) / (2 pi k), integrated over 0 < k < W with the
-    exact Dirichlet part f(0) (2/pi) Si(nW) split off; the remainder is
-    continuous at 0 and handled by sine-weighted quadrature.  W is
-    phase-locked to n W = (m + 1/2) pi, which cancels the leading boundary
-    term of the neglected tail; for f without decay the residual error is
-    O(1/n^2), so a matching (looser) spec tolerance is required.
-    """
-    m = int(np.floor(window * n / np.pi))
-    W = (m + 0.5) * np.pi / n
-    f0 = 0.5 * (f(1e-12) + f(-1e-12))
-    exact = 2.0 * f0 / np.pi * sine_integral(n * W)
-
-    def rest(k):
-        if abs(k) < 1e-10:
-            return 0.0
-        return (f(k) + f(-k) - 2.0 * f0) / (np.pi * k)
-
-    return exact + quad_careful(rest, 0.0, W, spec, weight="sin",
-                                wvar=float(n))
-
-
 def filtering_integral(family: DeltaFamily,
-                       f: Callable[[np.ndarray], np.ndarray],
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                       f: Callable[[np.ndarray], np.ndarray]) -> float:
     """lim_n int delta_n(k) f(k) dk by index sweep with extrapolation.
 
     Converges to (f(0-) + f(0+))/2 for piecewise-continuous bounded f.  f
     maps an array of points to an array of values (or to one scalar, for a
-    constant); for the principal-value family it must take floats too.
+    constant).
     """
-    return sweep_limit(lambda n: _filter_once(family, n, f, spec),
-                       spec).expect_finite()
+    sweep = sweep_limit(lambda n: _panel_integral([family.with_index(n)], f))
+    return sweep.expect_finite()
 
 
 def product_filtering_integral(families: Sequence[DeltaFamily],
                                f: Callable[[np.ndarray], np.ndarray],
-                               spec: QuadratureSpec = DEFAULT_SPEC,
                                reverse_order: bool = False) -> LimitResult:
     """Nested-limit integral of a product of delta sequences against f.
 
@@ -331,11 +270,8 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
     if len(classes) > 1:
         raise IncompatibleClasses(
             f"delta product across distinct classes: {sorted(classes)}")
-    if families[0].shape is DeltaShape.PRINCIPAL_VALUE:
-        raise IncompatibleClasses(
-            "principal-value sequences do not admit products")
     if len(families) == 1:
-        return finite(filtering_integral(families[0], f, spec))
+        return finite(filtering_integral(families[0], f))
 
     order = list(range(len(families)))
     if reverse_order:
@@ -347,12 +283,12 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
             fams[pos] = families[pos].with_index(n ** 3 ** rank)
         return _panel_integral(fams, f)
 
-    return sweep_limit(evaluate, spec, start=4, max_doublings=8)
+    return sweep_limit(evaluate, start=4, max_doublings=8)
 
 
 def power_filtering_integral(family: DeltaFamily, power: int,
-                             f: Callable[[np.ndarray], np.ndarray],
-                             spec: QuadratureSpec = DEFAULT_SPEC) -> LimitResult:
+                             f: Callable[[np.ndarray], np.ndarray]
+                             ) -> LimitResult:
     """int delta(k)^power f(k) dk as a nested limit, one index per factor.
 
     Evaluates to delta(0)^(power-1) * (f(0-) + f(0+))/2: zero for families
@@ -362,16 +298,16 @@ def power_filtering_integral(family: DeltaFamily, power: int,
     if power < 1:
         raise DomainError("power must be a positive integer")
     fams = [family] * power
-    fwd = product_filtering_integral(fams, f, spec)
+    fwd = product_filtering_integral(fams, f)
     if power == 1:
         return fwd
-    rev = product_filtering_integral(fams, f, spec, reverse_order=True)
+    rev = product_filtering_integral(fams, f, reverse_order=True)
     if fwd.is_divergent != rev.is_divergent:
         return divergent(fwd.history + rev.history)
     if fwd.is_divergent:
         return fwd
-    tol = 1e-8 + spec.rel_tol * abs(fwd.value)
-    if abs(fwd.value - rev.value) > max(tol, 1e-8):
+    # the orderings agree to 1e-8 plus the sweeps' relative tolerance
+    if abs(fwd.value - rev.value) > 1e-8 + 1e-10 * abs(fwd.value):
         raise IncompatibleClasses(
             f"limit orderings disagree: {fwd.value} vs {rev.value}")
     return fwd

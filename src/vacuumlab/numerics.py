@@ -2,16 +2,18 @@
 
 The package has two quadrature rules and both live here:
 
-* quad_careful, adaptive quadpack honouring a QuadratureSpec, is the only
-  quadpack caller: no other module imports scipy.integrate;
+* quad_careful, adaptive quadpack on the QuadratureSpec its caller passes,
+  is the only quadpack caller (casimir's far tail, validation's oracles):
+  no other module imports scipy.integrate;
 * gauss_legendre, fixed 20-point Gauss-Legendre panels, for integrands whose
   smooth pieces are known in advance (casimir's graded panels and contour
   tail, deltaseq's piecewise-polynomial filtering integrals).
 
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
-(finite value), grows without bound (divergent), or raises NonConvergence.
-Divergence is always reported as a tagged result, never as float('inf').
+(finite value, to 1e-12 absolute plus 1e-10 relative), grows without bound
+(divergent), or raises NonConvergence.  Divergence is always reported as a
+tagged result, never as float('inf').
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import NonConvergence
+
+# sweep_limit's stability tolerances and its divergence ratio
+_SWEEP_ABS_TOL = 1e-12
+_SWEEP_REL_TOL = 1e-10
+_DIVERGENCE_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,6 @@ class QuadratureSpec:
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
 
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ def divergent(history: Sequence[float] = ()) -> LimitResult:
 
 
 def quad_careful(f: Callable[[float], float], a: float, b: float,
-                 spec: QuadratureSpec = DEFAULT_SPEC,
+                 spec: QuadratureSpec,
                  points: Sequence[float] | None = None,
                  weight: str | None = None,
                  wvar: float | None = None) -> float:
@@ -131,30 +136,30 @@ def richardson(values: Sequence[float]) -> np.ndarray:
 
 
 def sweep_limit(evaluate: Callable[[int], float],
-                spec: QuadratureSpec = DEFAULT_SPEC,
-                start: int = 16, max_doublings: int = 12,
-                divergence_ratio: float = 1.5) -> LimitResult:
+                start: int = 16, max_doublings: int = 12) -> LimitResult:
     """Estimate lim_{n->inf} evaluate(n) over n = start, 2*start, 4*start, ...
 
     Stability test: the last two Richardson extrapolants differ by less than
-    spec.abs_tol + spec.rel_tol * |value|.  Sustained geometric growth
-    (three consecutive doubling ratios above divergence_ratio) is tagged
-    divergent.  Anything else raises NonConvergence.
+    1e-12 + 1e-10 |value|; three values below 1e-12 in a row settle to 0.
+    Sustained geometric growth (three consecutive doubling ratios above 1.5)
+    is tagged divergent.  Anything else raises NonConvergence.
     """
     history: list[float] = []
     n = start
     for _ in range(max_doublings):
         history.append(evaluate(n))
         n *= 2
-        if len(history) >= 3 and all(abs(v) < spec.abs_tol for v in history[-3:]):
+        if len(history) >= 3 \
+                and all(abs(v) < _SWEEP_ABS_TOL for v in history[-3:]):
             return finite(0.0, history)
         if len(history) >= 4:
             tail = np.abs(history[-4:])
-            if np.all(tail[:-1] > 0) and np.all(tail[1:] / tail[:-1] > divergence_ratio):
+            if np.all(tail[:-1] > 0) \
+                    and np.all(tail[1:] / tail[:-1] > _DIVERGENCE_RATIO):
                 return divergent(history)
         if len(history) >= 3:
             ladder = richardson(history)
-            tol = spec.abs_tol + spec.rel_tol * abs(ladder[-1])
+            tol = _SWEEP_ABS_TOL + _SWEEP_REL_TOL * abs(ladder[-1])
             if abs(ladder[-1] - ladder[-2]) < tol:
                 return finite(ladder[-1], history)
     raise NonConvergence(

@@ -42,8 +42,10 @@ from .coulomb import potential
 from .errors import CombinatorialCap, DimensionCap, DomainError
 from .vacuum import VacuumProfile, density_integral, physical_charge
 
-DEFAULT_DIMENSION_CAP = 100_000
-DEFAULT_PATTERN_CAP = 2_000_000
+# largest truncated-representation dimension build_rep builds, and most
+# occupation patterns renyi_poisson_pmf walks
+DIMENSION_CAP = 100_000
+PATTERN_CAP = 2_000_000
 
 
 # ------------------------------------------------------------ representation
@@ -109,10 +111,11 @@ class TruncatedRep:
 
 
 def build_rep(omegas: Sequence[float], weights: Sequence[float], n_max: int,
-              N: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> TruncatedRep:
+              N: int) -> TruncatedRep:
     """Validate the ensemble and build its product vacuum and per-basis-state
     total occupation table as Kronecker chains of one-site vectors; the
-    N-site operators are built on first access (TruncatedRep)."""
+    N-site operators are built on first access (TruncatedRep).
+    DimensionCap past DIMENSION_CAP basis states."""
     omegas = tuple(float(w) for w in omegas)
     weights = tuple(float(p) for p in weights)
     if len(omegas) != len(set(omegas)):
@@ -126,9 +129,9 @@ def build_rep(omegas: Sequence[float], weights: Sequence[float], n_max: int,
     m = len(omegas)
     d1 = m * (n_max + 1)
     dim = d1 ** N
-    if dim > dimension_cap:
+    if dim > DIMENSION_CAP:
         raise DimensionCap(f"requested dimension {dim} exceeds cap "
-                           f"{dimension_cap}")
+                           f"{DIMENSION_CAP}")
     rep = TruncatedRep(omegas, weights, n_max, N)
     rep.dim = dim
     v1 = np.zeros(d1)
@@ -181,8 +184,7 @@ def _compositions(total: int, parts: int):
 
 
 def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
-                      N: int, n: int | Sequence[int],
-                      pattern_cap: int = DEFAULT_PATTERN_CAP):
+                      N: int, n: Sequence[int]) -> np.ndarray:
     """Finite-N deformed Poisson law by exact coefficient extraction.
 
     Expanding (sum_i p_i e^{lambda w_i/N})^N multinomially, each frequency
@@ -191,11 +193,11 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
 
         p(n, N) = sum_s C(N; s) prod_i p_i^{s_i} e^{-nu_s} nu_s^n / n!.
 
-    n is one excitation number (a float comes back) or a 1-d sequence of
-    them (an array of p(n, N), one per entry, comes back).  The pattern
-    weights C(N; s) prod_i p_i^{s_i} and the nu_s are formed once for all of
-    n; each p(n, N) is summed in the same order as a call with that n alone,
-    so both forms agree bit for bit.
+    n is a 1-d sequence of excitation numbers; an array of p(n, N), one per
+    entry, comes back.  The pattern weights C(N; s) prod_i p_i^{s_i} and the
+    nu_s are formed once for all of n; each p(n, N) is summed in the same
+    order whatever else n holds, so it has the same bits in every call.
+    CombinatorialCap past PATTERN_CAP patterns.
     """
     probs = [float(p) for p in probs]
     intensities = [float(w) for w in intensities]
@@ -203,21 +205,18 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
         raise DomainError("probs must be nonnegative and sum to 1")
     if any(w < 0 for w in intensities) or len(probs) != len(intensities):
         raise DomainError("intensities must be nonnegative, one per mode")
-    if np.ndim(n) > 1:
-        raise DomainError("n must be one excitation number or a 1-d sequence")
-    scalar = np.ndim(n) == 0
-    ns = [n] if scalar else list(n)
+    if np.ndim(n) != 1:
+        raise DomainError("n must be a 1-d sequence of excitation numbers")
+    ns = list(n)
     if any(v < 0 for v in ns) or N < 1:
         raise DomainError("n >= 0 and N >= 1 required")
     m = len(probs)
     n_patterns = comb(N + m - 1, m - 1)
-    if n_patterns > pattern_cap:
+    if n_patterns > PATTERN_CAP:
         raise CombinatorialCap(f"{n_patterns} occupation patterns exceed cap")
     if m == 2:
-        pmf = _two_mode_pmf(probs, intensities, N, ns)
-    else:
-        pmf = _pattern_pmf(probs, intensities, N, ns)
-    return pmf[0] if scalar else np.array(pmf)
+        return np.array(_two_mode_pmf(probs, intensities, N, ns))
+    return np.array(_pattern_pmf(probs, intensities, N, ns))
 
 
 def _two_mode_pmf(probs, intensities, N, ns) -> list[float]:

@@ -7,7 +7,7 @@ directly.  The pieces scipy does not provide are implemented here:
 
 * Lambert W on any integer branch (asymptotic initializer, Halley polish);
 * Gamma(alpha, 0, b) = int_0^inf t^(alpha-1) exp(-t - b/t) dt
-  = 2 b^(alpha/2) K_alpha(2 sqrt(b)), with its small-b series.
+  = 2 b^(alpha/2) K_alpha(2 sqrt(b)) for b > 0, with its small-b series.
 
 Everything is deterministic: no table interpolation, results are bit-stable
 across runs.
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, kv, sici
+from scipy.special import kv, sici
 
 from .errors import DomainError, NoConvergence, NonConvergence
 
@@ -37,6 +37,10 @@ def sine_integral(x):
 # --------------------------------------------------------------- Lambert W
 
 _BRANCH_POINT = -1.0 / math.e
+# lambert_w drives |w e^w - z| below _LAMBERT_TOL (1 + |z|) within
+# _LAMBERT_MAX_ITER Halley steps per seed
+_LAMBERT_TOL = 1e-13
+_LAMBERT_MAX_ITER = 120
 
 
 def _lambert_seeds(branch: int, z: complex):
@@ -60,12 +64,12 @@ def _lambert_seeds(branch: int, z: complex):
     return seeds
 
 
-def _halley(w: complex, z: complex, target: float, max_iter: int):
+def _halley(w: complex, z: complex, target: float):
     # a residual below target still leaves w off by about
     # target / |e^w (1 + w)|; one more (cubically convergent) step after
     # the residual test passes takes w to working precision
     polished = False
-    for _ in range(max_iter):
+    for _ in range(_LAMBERT_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - z
         if abs(f) <= target:
@@ -92,25 +96,25 @@ def _branch_index(w: complex, z: complex) -> int:
     return int(round(val.real))
 
 
-def lambert_w(branch: int, z: complex, tol: float = 1e-13,
-              max_iter: int = 120) -> complex:
+def lambert_w(branch: int, z: complex) -> complex:
     """Solve w * exp(w) = z on the given integer branch (Halley iteration).
 
     Seeds from the asymptotic expansion log z + 2 pi i n - log log z (plus
     branch-point and small-z series where relevant); the converged root is
     accepted only if it verifies w + ln w = ln z + 2 pi i * branch.
-    Residual |w e^w - z| is driven below tol * (1 + |z|); raises
-    NoConvergence otherwise.
+    Residual |w e^w - z| is driven below 1e-13 (1 + |z|) within 120 Halley
+    steps per seed (_LAMBERT_TOL, _LAMBERT_MAX_ITER); raises NoConvergence
+    otherwise.
     """
     z = complex(z)
     if z == 0:
         if branch == 0:
             return 0.0 + 0.0j
         raise DomainError("only the principal branch is defined at z = 0")
-    target = tol * (1.0 + abs(z))
+    target = _LAMBERT_TOL * (1.0 + abs(z))
     fallback = None
     for seed in _lambert_seeds(branch, z):
-        w = _halley(complex(seed), z, target, max_iter)
+        w = _halley(complex(seed), z, target)
         if w is None:
             continue
         if _branch_index(w, z) == branch:
@@ -120,10 +124,10 @@ def lambert_w(branch: int, z: complex, tol: float = 1e-13,
     if z.imag == 0:
         for eps in (1e-12, -1e-12):
             try:
-                w = lambert_w(branch, complex(z.real, eps), tol, max_iter)
+                w = lambert_w(branch, complex(z.real, eps))
             except NoConvergence:
                 continue
-            w = _halley(w, z, target, max_iter)
+            w = _halley(w, z, target)
             if w is not None:
                 return w
     raise NoConvergence(
@@ -133,19 +137,16 @@ def lambert_w(branch: int, z: complex, tol: float = 1e-13,
 # ----------------------------------------- generalized incomplete gamma at 0
 
 def gamma_from_zero(alpha: float, b: float) -> float:
-    """Gamma(alpha, 0, b) = 2 b^(alpha/2) K_alpha(2 sqrt(b)); finite for b > 0.
+    """Gamma(alpha, 0, b) = 2 b^(alpha/2) K_alpha(2 sqrt(b)) for b > 0
+    (DomainError otherwise).
 
     For integer alpha = n the expansion in b is
     sum_{k<n} (-1)^k Gamma(n-k)/k! b^k + O(b^n log b); it is used, truncated
     before the log term, only where that term is below half an ulp of the
     sum, which is also where K_n(2 sqrt(b)) would overflow.
     """
-    if b < 0:
-        raise DomainError("gamma_from_zero requires b >= 0")
-    if b == 0.0:
-        if alpha <= 0:
-            raise DomainError("Gamma(alpha, 0, 0) diverges for alpha <= 0")
-        return float(gamma_fn(alpha))
+    if not b > 0:
+        raise DomainError("gamma_from_zero requires b > 0")
     if alpha == int(alpha) and alpha > 0 and b < 1.0:
         n = int(alpha)
         # first dropped term: (-1)^n b^n (psi(1) + psi(n+1) - ln b)/n!,

@@ -15,6 +15,9 @@ Two rotationally invariant models are implemented:
                 the rest frame of the timelike scale vector.
 
 Z is the peak density and q_ph = q sqrt(Z) the renormalized charge.
+density_integral gives, in closed form, the two moments the package uses:
+the normalization and the first inverse moment behind the self-energy, for an
+infrared-admissible profile (k1 > 0, lambda^2 > 0).
 """
 
 from __future__ import annotations
@@ -153,33 +156,34 @@ def density(profile: VacuumProfile, k_abs: float) -> float:
 
 def density_integral(profile: VacuumProfile, inverse_power: int = 0) -> float:
     """int dk density(|k|) / |k|^n against the invariant measure, in closed
-    form, for n = inverse_power in 0..4 and an infrared-admissible profile.
+    form, for n = inverse_power in {0, 1} (the normalization and the
+    self-energy moment) and an infrared-admissible profile.
 
-    Box: Z (k2^(2-n) - k1^(2-n)) / ((2-n) 4 pi^2), Z ln(k2/k1) / 4 pi^2 at
-    n = 2.  Exponential: |C|^2 y0^(n-2) Gamma(2-n, 0, lambda^2) / 4 pi^2,
-    as |C|^2 Gamma(2, 0, lambda^2)/(4 pi^2 y0^2) (1 for a normalized profile)
-    times y0^n lambda^-n K_{2-n}/K_2 at 2 lambda, a ratio that needs only
-    t = K0/K1 from kve since K2 = K0 + K1/lambda; no e^(-2 lambda) is formed.
-    Within 1e-15 relative for lambda^2 <= 1.2e5; DomainError where the
-    moment is out of double range.
+    Box: Z (k2^(2-n) - k1^(2-n)) / ((2-n) 4 pi^2).  Exponential:
+    |C|^2 y0^(n-2) Gamma(2-n, 0, lambda^2) / 4 pi^2, as
+    |C|^2 Gamma(2, 0, lambda^2)/(4 pi^2 y0^2) (1 for a normalized profile)
+    times y0^n lambda^-n K_{2-n}/K_2 at 2 lambda, a ratio that is
+    y0/(1 + lambda t) at n = 1, with t = K0/K1 from kve, since
+    K2 = K0 + K1/lambda; no e^(-2 lambda) is formed.  Within 1e-15 relative
+    for lambda^2 <= 1.2e5; DomainError where the moment is out of double
+    range.
     """
     n = inverse_power
-    if not 0 <= n <= 4:
-        raise DomainError("density_integral requires 0 <= inverse_power <= 4")
-    if not infrared_condition_check(profile, 1):
+    if n not in (0, 1):
+        raise DomainError("density_integral requires inverse_power 0 or 1")
+    if not infrared_condition_check(profile):
         raise DomainError(f"{profile.tag} is not infrared admissible")
     if profile.kind is ProfileKind.BOX_SHELL:
         k1, k2 = profile.k1, profile.k2
-        shell = math.log(k2 / k1) if n == 2 \
-            else (k2 ** (2 - n) - k1 ** (2 - n)) / (2 - n)
+        shell = (k2 ** (2 - n) - k1 ** (2 - n)) / (2 - n)
         val = profile.Z * shell / FOUR_PI_SQ
     else:
         b, y0 = profile.lambda2, profile.y0
-        lam = math.sqrt(b)
-        t = kve(0, 2.0 * lam) / kve(1, 2.0 * lam)
-        d = 1.0 + lam * t                   # lambda K2/K1
-        ratio = (1.0, y0 / d, y0 * y0 * t / (lam * d), y0 ** 3 / b / d,
-                 y0 ** 4 / b / b)[n]
+        ratio = 1.0
+        if n == 1:
+            lam = math.sqrt(b)
+            t = kve(0, 2.0 * lam) / kve(1, 2.0 * lam)
+            ratio = y0 / (1.0 + lam * t)        # 1 + lam t = lambda K2/K1
         val = profile.norm_const * _gamma2(b) / FOUR_PI_SQ \
             / (y0 * y0) * ratio
     if not 0.0 < val < math.inf:
@@ -187,13 +191,11 @@ def density_integral(profile: VacuumProfile, inverse_power: int = 0) -> float:
     return val
 
 
-def infrared_condition_check(profile: VacuumProfile, n: int) -> bool:
-    """Infrared admissibility at order n (1 <= n <= 4): density(kappa)/kappa^n
-    must tend to 0 at the origin and int dk density/|k|^n must converge.
-    Exactly, at every order: a box iff k1 > 0, an exponential profile iff
-    lambda^2 > 0 (e^(-lambda^2/(y0 kappa)) beats every power of kappa)."""
-    if not 1 <= n <= 4:
-        raise DomainError("infrared order n must be in 1..4")
+def infrared_condition_check(profile: VacuumProfile) -> bool:
+    """Infrared admissibility: density(kappa)/kappa tends to 0 at the origin
+    and int dk density/|k| converges.  Exactly: a box iff k1 > 0, an
+    exponential profile iff lambda^2 > 0; the same then holds for every
+    power kappa^-n (e^(-lambda^2/(y0 kappa)) beats every power of kappa)."""
     if profile.kind is ProfileKind.BOX_SHELL:
         return profile.k1 > 0.0
     return profile.lambda2 > 0.0

@@ -48,11 +48,10 @@ def check_sign_change_constant() -> list[CriterionResult]:
 
 
 def check_lambert_resonances() -> list[CriterionResult]:
-    cfg = cavity.CavityConfig(1.0, 1.0, 1.0)
+    cfg = cavity.CavityConfig(1.0, 1.0)
     expected = [0.0 + 0.0j, -2.42855 - 1.90448j, -8.66349 - 4.46676j,
                 -15.1274 - 5.51848j, -21.5174 - 6.19436j, -27.8711 - 6.6961j]
-    roots = cavity.resonance_roots(cfg, branches=range(0, 3),
-                                   residual_tol=1e-8)
+    roots = cavity.resonance_roots(cfg)         # branches 0, 1, 2
     out = []
     for i, (root, ref) in enumerate(zip(roots, expected)):
         err = max(abs(root.real - ref.real), abs(root.imag - ref.imag))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,8 +9,16 @@ from vacuumlab.cavity import (CavityConfig, resonance_equation,
                               resonance_roots, scattering_coeffs_batch)
 from vacuumlab.errors import DegenerateMode, DomainError
 
-CFG = CavityConfig(1.5, 1.5, 2.0)
-FREE = CavityConfig(0.0, 0.0, 1.0)
+class Barriers(NamedTuple):
+    """Barrier strengths 2 alpha at z = -L/4 and 2 beta at z = +L/4."""
+
+    alpha: float
+    beta: float
+    L: float
+
+
+CFG = Barriers(1.5, 1.5, 2.0)
+FREE = Barriers(0.0, 0.0, 1.0)
 
 
 def coeffs(k, cfg):
@@ -49,7 +58,7 @@ def mode(kz, z, cfg, derivative=False):
 def field_mode(kz, z, cfg, derivative=False):
     """The field-operator mode (barriers alpha, beta at z = -+L/2): the
     vacuum-field mode at half strength and doubled separation."""
-    half = CavityConfig(cfg.alpha / 2.0, cfg.beta / 2.0, 2.0 * cfg.L)
+    half = Barriers(cfg.alpha / 2.0, cfg.beta / 2.0, 2.0 * cfg.L)
     return mode(kz, z, half, derivative)
 
 
@@ -80,7 +89,7 @@ class TestScatteringCoefficients:
         assert C == pytest.approx(1.0) and E == pytest.approx(1.0)
 
     def test_low_momentum_limit(self):
-        cfg = CavityConfig(1.7, 1.7, 2.3)
+        cfg = Barriers(1.7, 1.7, 2.3)
         B, C, D, E = coeffs(1e-9, cfg)
         assert B == pytest.approx(-1.0, abs=1e-6)
         assert abs(E) < 1e-6
@@ -95,25 +104,25 @@ class TestScatteringCoefficients:
 
     def test_strong_barrier_off_resonance(self):
         k, L = 3.0, 1.0  # e^{ikL} != 1
-        B, C, D, E = coeffs(k, CavityConfig(1e7, 1e7, L))
+        B, C, D, E = coeffs(k, Barriers(1e7, 1e7, L))
         assert B == pytest.approx(-cmath.exp(-0.5j * k * L), abs=1e-5)
         assert abs(C) < 1e-5 and abs(D) < 1e-5 and abs(E) < 1e-5
 
     def test_dirichlet_selection_large_alpha(self):
         k = 2 * math.pi * 3.0
-        _, C, _, E = coeffs(k, CavityConfig(1e6, 1e6, 1.0))
+        _, C, _, E = coeffs(k, Barriers(1e6, 1e6, 1.0))
         assert abs(C) == pytest.approx(0.5, abs=1e-4)
         assert abs(E) < 1e-4
 
     def test_high_momentum_transparency(self):
         for k in (1e3, 1e5):
-            E = coeffs(k, CavityConfig(1.0, 1.0, 1.0))[3]
+            E = coeffs(k, Barriers(1.0, 1.0, 1.0))[3]
             assert abs(E) == pytest.approx(1.0, abs=10.0 / k)
 
     def test_right_incidence_swaps_strengths(self):
         # right incidence is the left problem with the strengths swapped;
         # with it the scattering matrix is unitary and reciprocal
-        cfg = CavityConfig(0.8, 2.1, 1.3)
+        cfg = Barriers(0.8, 2.1, 1.3)
         k = np.array([0.3, 1.9, 7.4])
         B_left, _, _, E = coeffs(k, cfg)
         B_right, _, _, E_right = scattering_coeffs_batch(k, cfg.beta,
@@ -132,7 +141,7 @@ class TestScatteringCoefficients:
     def test_degenerate_determinant_raises(self):
         # |Delta| ~ k a (1 + a L/4) falls below 1e-12 a^2 for k << 4/a^2
         with pytest.raises(DegenerateMode):
-            coeffs(1e-12, CavityConfig(5e5, 5e5, 1.0))
+            coeffs(1e-12, Barriers(5e5, 5e5, 1.0))
 
 
 class TestScatteringBatch:
@@ -258,7 +267,7 @@ class TestResonances:
                 -15.1274 - 5.51848j, -21.5174 - 6.19436j, -27.8711 - 6.6961j]
 
     def test_reference_values(self):
-        roots = resonance_roots(CavityConfig(1.0, 1.0, 1.0),
+        roots = resonance_roots(CavityConfig(1.0, 1.0),
                                 branches=range(0, 3))
         assert len(roots) == 6
         for root, ref in zip(roots, self.EXPECTED):
@@ -266,13 +275,13 @@ class TestResonances:
             assert root.imag == pytest.approx(ref.imag, abs=1e-4)
 
     def test_residuals(self):
-        cfg = CavityConfig(1.0, 1.0, 1.0)
+        cfg = CavityConfig(1.0, 1.0)
         for root in resonance_roots(cfg, branches=range(0, 3)):
             assert abs(resonance_equation(root, cfg)) < 1e-8
 
     def test_trivial_root_always_present(self):
         for alpha, L in ((0.5, 1.0), (2.0, 0.7), (10.0, 3.0)):
-            roots = resonance_roots(CavityConfig(alpha, alpha, L),
+            roots = resonance_roots(CavityConfig(alpha, L),
                                     branches=range(0, 1))
             assert abs(roots[0]) < 1e-10
 
@@ -280,13 +289,34 @@ class TestResonances:
         # reported as an observation over a parameter grid, not a theorem
         for alpha in (0.5, 1.0, 4.0):
             for L in (0.5, 1.0, 2.0):
-                roots = resonance_roots(CavityConfig(alpha, alpha, L),
+                roots = resonance_roots(CavityConfig(alpha, L),
                                         branches=range(0, 3))
                 for root in roots[1:]:
                     assert root.imag < 0.0
 
-    def test_requires_symmetric_finite_barriers(self):
+    def test_requires_positive_alpha(self):
         with pytest.raises(DomainError):
-            resonance_roots(CavityConfig(1.0, 2.0, 1.0))
+            resonance_roots(CavityConfig(0.0, 1.0))
+
+    @pytest.mark.parametrize("alpha, L", [
+        (1e300, 1.0), (1.0, 1e300), (1e-300, 1.0),
+        (1e-151, 1e10), (1e10, 1e-151), (1e-10, 1e151),
+        (1.5e3, 1.0), (1e154, 1e-150), (1e-141, 1.0)])
+    def test_domain(self, alpha, L):
+        # alpha below 1e-150, L outside 1e-150..1e150, or alpha L outside
+        # 1e-140..1e3, before any arithmetic (the first three overflowed or
+        # divided by zero)
         with pytest.raises(DomainError):
-            resonance_roots(CavityConfig(0.0, 0.0, 1.0))
+            resonance_roots(CavityConfig(alpha, L))
+
+    @pytest.mark.parametrize("alpha, L, branches", [
+        (1e3, 1.0, range(0, 3)), (1e-140, 1.0, range(0, 1)),
+        (9e152, 1e-150, range(0, 3)), (1e-150, 1e150, range(0, 3))])
+    def test_domain_edges_give_verified_roots(self, alpha, L, branches):
+        cfg = CavityConfig(alpha, L)
+        roots = resonance_roots(cfg, branches=branches)
+        assert len(roots) == 2 * len(branches)
+        for root in roots:
+            resid = abs(resonance_equation(root, cfg))
+            assert math.isfinite(resid) \
+                and resid <= 1e-8 * max(alpha * alpha, abs(root) ** 2)

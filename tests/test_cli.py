@@ -361,6 +361,20 @@ BAD_INPUTS = {
     # alpha L = 1, but the pressure scale 1/L^2 = 1e600 is no double
     "pressure_scale_past_double_range": (
         ["casimir", "--alpha", "1e300", "--gap", "1e-300"], None),
+    # outside resonance_roots' and pressure_3p1's domains, checked before
+    # any arithmetic: each of these overflowed or divided by zero first
+    "cavity_alpha_past_domain": (["cavity", "--alpha", "1e300", "--gap", "1"],
+                                 None),
+    "cavity_gap_past_domain": (["cavity", "--alpha", "1", "--gap", "1e300"],
+                               None),
+    "cavity_alpha_below_domain": (
+        ["cavity", "--alpha", "1e-300", "--gap", "1"], None),
+    "casimir3_y0_below_domain": (
+        ["casimir3", "--lambda2", "1e-300", "--y0", "1e-300", "--gap", "1"],
+        None),
+    "casimir3_gap_past_domain": (
+        ["casimir3", "--lambda2", "1e-12", "--y0", "1e-4", "--gap", "1e300"],
+        None),
 }
 
 

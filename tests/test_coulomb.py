@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vacuumlab import coulomb
 from vacuumlab.constants import AU_KM, PLANCK_LENGTH_KM
 from vacuumlab.coulomb import (PotentialCurve, expand_bracket, potential,
                                potential_box, potential_curve,
@@ -184,8 +185,7 @@ class TestSignChange:
 
     def test_pure_coulomb_never_flips(self):
         with pytest.raises(NoSignChange):
-            expand_bracket(lambda r: -1.0 / (4 * math.pi * r), 0.5,
-                           max_steps=40)
+            expand_bracket(lambda r: -1.0 / (4 * math.pi * r), 0.5)
 
 
 def _scalar_ladder(potential, r_start, factor=1.5, max_steps=200):
@@ -210,12 +210,13 @@ def _outcome(search, pot, r_start, **kw):
         return str(exc)
 
 
-def _same_bracket(pot, r_start, **kw):
+def _same_bracket(pot, r_start, max_steps=200):
     """expand_bracket's bracket, bitwise equal to the scalar reference's
     (the ladder is the same sequence of roundings), or its NoSignChange
-    message, equal to the reference's."""
-    expect = _outcome(_scalar_ladder, pot, r_start, **kw)
-    got = _outcome(expand_bracket, pot, r_start, **kw)
+    message, equal to the reference's; max_steps other than the library's
+    200 takes the monkeypatched coulomb._LADDER_STEPS."""
+    expect = _outcome(_scalar_ladder, pot, r_start, max_steps=max_steps)
+    got = _outcome(expand_bracket, pot, r_start)
     assert got == expect
     return got if isinstance(got, str) else tuple(map(float.fromhex, got))
 
@@ -268,13 +269,14 @@ class TestExpandBracket:
             assert "no sign flip" in _same_bracket(
                 lambda r: potential(prof, 1.0, r), 1e300)
 
-    def test_same_message_when_steps_run_out(self):
+    def test_same_message_when_steps_run_out(self, monkeypatch):
         pot = lambda r: -1.0 / r
-        for r_start, steps in ((0.5, 40), (1e300, 30)):
+        for r_start, steps in ((0.5, 40), (1e300, 30), (0.5, 200)):
+            monkeypatch.setattr(coulomb, "_LADDER_STEPS", steps)
             assert _same_bracket(pot, r_start, max_steps=steps) \
                 == f"no sign flip within {steps} geometric steps from {r_start}"
 
-    def test_one_potential_call(self):
+    def test_one_potential_call(self, monkeypatch):
         # one call per slice: rungs 0-32, then the rest only when the first
         # slice holds no flip
         def counted(f):
@@ -286,12 +288,11 @@ class TestExpandBracket:
         for f, r_start, steps, expect in (
                 (np.cos, 0.1, 50, [(33,)]),             # flip at rung 7
                 (lambda r: 1e10 - r, 1.0, 50, [(33,), (18,)]),  # rung 57
-                (lambda r: 1e10 - r, 1.0, 20, [(21,)]),
-                (lambda r: 1e10 - r, 1.0, 32, [(33,)]),
-                (lambda r: 1e10 - r, 1.0, 33, [(33,), (1,)])):
+                (lambda r: 1e10 - r, 1.0, 33, [(33,), (1,)]),
+                (lambda r: 1e10 - r, 1.0, 200, [(33,), (168,)])):
+            monkeypatch.setattr(coulomb, "_LADDER_STEPS", steps)
             calls = []
-            assert _outcome(expand_bracket, counted(f), r_start,
-                            max_steps=steps) \
+            assert _outcome(expand_bracket, counted(f), r_start) \
                 == _outcome(_scalar_ladder, f, r_start, max_steps=steps)
             assert calls == expect
 

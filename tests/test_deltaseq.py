@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from vacuumlab.deltaseq import (DeltaFamily, DeltaShape, _cos_tail,
-                                _filter_once, _panel_integral, eval_family,
+                                _panel_integral, eval_family,
                                 filtering_integral, fourier, fourier_integral,
                                 power_filtering_integral,
                                 product_filtering_integral)
 from vacuumlab.errors import DomainError, IncompatibleClasses
-from vacuumlab.numerics import DEFAULT_SPEC, QuadratureSpec, quad_careful
+from vacuumlab.numerics import QuadratureSpec, quad_careful
 
 LAM = DeltaFamily(DeltaShape.LAMBDA_TRIANGLE, n=8)
 MSH = DeltaFamily(DeltaShape.M_SHAPE, n=2, a=1.0)        # epsilon = 1/2
 SP1 = DeltaFamily(DeltaShape.SHIFTED_PAIR, n=4, j=1)
 
 TWO_PI = 2.0 * np.pi
+SPEC = QuadratureSpec()         # the quadpack oracles' tolerances
 
 
 def step(k):
@@ -56,7 +57,7 @@ class TestEval:
     ])
     def test_unit_normalization(self, fam):
         lo, hi = fam.support
-        total = quad_careful(lambda k: eval_family(fam, k), lo, hi,
+        total = quad_careful(lambda k: eval_family(fam, k), lo, hi, SPEC,
                              points=fam.breakpoints)
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -100,24 +101,6 @@ class TestEval:
             v = eval_family(fam, k)
             assert type(v) is float and v == v_array
 
-    def test_principal_value_is_complex(self):
-        pv = DeltaFamily(DeltaShape.PRINCIPAL_VALUE, n=3)
-        v = eval_family(pv, 0.5)
-        assert isinstance(v, complex)
-        assert v == pytest.approx(np.exp(1.5j) / (0.5j * np.pi))
-
-    def test_principal_value_unit_mass(self):
-        # window quadrature of Re part plus the exact sine-integral tail;
-        # the odd imaginary part cancels over the symmetric window
-        from vacuumlab.specfun import sine_integral
-
-        n, R = 7, 40.0
-        pv = DeltaFamily(DeltaShape.PRINCIPAL_VALUE, n=n)
-        body = 2.0 * quad_careful(
-            lambda k: eval_family(pv, k).real, 1e-14, R)
-        tail = 1.0 - (2.0 / np.pi) * sine_integral(n * R)
-        assert body + tail == pytest.approx(1.0, abs=1e-10)
-
 
 class TestFourier:
     def test_triangle_origin_value(self):
@@ -140,7 +123,7 @@ class TestFourier:
             for x in (0.0, 1.3, -4.0):
                 oracle = quad_careful(
                     lambda k: eval_family(fam, k) * np.cos(k * x), lo, hi,
-                    points=fam.breakpoints) / TWO_PI
+                    SPEC, points=fam.breakpoints) / TWO_PI
                 assert fourier(fam, x) == pytest.approx(oracle, abs=1e-12)
 
     def test_shifted_pair_is_modulated_triangle(self):
@@ -180,17 +163,6 @@ class TestFiltering:
         f = lambda k: np.cos(k - 0.4)
         assert filtering_integral(SP1, f) == pytest.approx(np.cos(0.4),
                                                            abs=1e-8)
-
-    def test_principal_value_gaussian(self):
-        pv = DeltaFamily(DeltaShape.PRINCIPAL_VALUE, n=4)
-        f = lambda k: np.exp(-k * k / 2.0)
-        assert filtering_integral(pv, f) == pytest.approx(1.0, abs=1e-10)
-
-    def test_principal_value_nondecaying(self):
-        pv = DeltaFamily(DeltaShape.PRINCIPAL_VALUE, n=4)
-        loose = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
-        assert filtering_integral(pv, np.cos, loose) == pytest.approx(
-            1.0, abs=1e-4)
 
 
 class TestPowers:
@@ -250,27 +222,11 @@ class TestPowers:
 
 
 class TestDomainErrors:
-    PV = DeltaFamily(DeltaShape.PRINCIPAL_VALUE, n=3)
-
     @pytest.mark.parametrize("kwargs", [dict(n=0), dict(j=-1), dict(a=-0.5)],
                              ids=["n", "j", "a"])
     def test_family_parameters(self, kwargs):
         with pytest.raises(DomainError):
             DeltaFamily(DeltaShape.M_SHAPE, **kwargs)
-
-    @pytest.mark.parametrize("k", [0.0, np.array([-1.0, 0.0, 2.0])],
-                             ids=["float", "array"])
-    def test_principal_value_at_origin(self, k):
-        with pytest.raises(DomainError):
-            eval_family(self.PV, k)
-
-    def test_principal_value_origin_value(self):
-        with pytest.raises(DomainError):
-            self.PV.origin_value
-
-    def test_principal_value_transform_integral(self):
-        with pytest.raises(DomainError):
-            fourier_integral(self.PV)
 
     def test_power_below_one(self):
         with pytest.raises(DomainError):
@@ -294,7 +250,7 @@ def _quadpack_filter(fams, f):
         return float(out)
 
     pts = [p for fam in fams for p in fam.breakpoints] + [0.0]
-    return quad_careful(g, lo, hi, points=pts)
+    return quad_careful(g, lo, hi, SPEC, points=pts)
 
 
 TEST_FUNCTIONS = {"one": lambda k: 1.0, "cos": lambda k: np.cos(k - 0.4),
@@ -313,7 +269,7 @@ class TestPanelRoutes:
     @pytest.mark.parametrize("n", [1, 7, 64, 10 ** 4])
     @pytest.mark.parametrize("family", COMPACT.values(), ids=COMPACT.keys())
     def test_filter_matches_quadpack(self, family, n, f):
-        panel = _filter_once(family, n, f, DEFAULT_SPEC)
+        panel = _panel_integral([family.with_index(n)], f)
         oracle = _quadpack_filter([family.with_index(n)], f)
         assert abs(panel - oracle) <= 1e-14
 

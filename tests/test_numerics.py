@@ -1,7 +1,8 @@
 """The package's two quadrature rules: quad_careful against scipy's quad,
-the QuadratureSpec rules, and the rules that no other module imports
-scipy.integrate or builds a Gauss-Legendre rule, and that deltaseq keeps
-quadpack to its principal-value filter."""
+the QuadratureSpec rules, and the rules on the package's source: no other
+module imports scipy.integrate or builds a Gauss-Legendre rule, deltaseq
+never calls quadpack, the CLI or validate reaches every definition, and
+some caller sets every defaulted parameter."""
 
 import ast
 import math
@@ -100,48 +101,37 @@ def test_only_numerics_imports_scipy_integrate():
     assert _scipy_integrate_imports(Path(numerics.__file__).read_text())
 
 
-def _references_outside(source: str, name: str,
-                        allowed: str | None = None) -> list[int]:
-    """Line numbers at which source reaches name, as a bare name or an
-    attribute, outside the top-level function allowed.  With no function
-    allowed, a from-import of name counts too, which catches an alias."""
-    tree = ast.parse(source)
-    inside = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == allowed:
-            inside.update(id(node) for node in ast.walk(stmt))
+def _references(source: str, name: str) -> list[int]:
+    """Line numbers at which source reaches name, as a bare name, an
+    attribute or a from-import (which catches an alias)."""
     lines = []
-    for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and node.id == name \
-                or isinstance(node, ast.Attribute) and node.attr == name:
-            lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and allowed is None \
+                or isinstance(node, ast.Attribute) and node.attr == name \
+                or isinstance(node, ast.ImportFrom) \
                 and any(alias.name == name for alias in node.names):
             lines.append(node.lineno)
     return lines
 
 
-def test_rule_detector_sees_references_outside_the_allowed_function():
-    allowed = "def _pv_filter(f):\n    return quad_careful(f, 0, 1)\n"
+def test_rule_detector_sees_every_quad_careful_reference():
     for source in ("def g(f):\n    return quad_careful(f, 0, 1)",
                    "def g(f):\n    return numerics.quad_careful(f, 0, 1)",
                    "def g(f, q=quad_careful):\n    return q(f, 0, 1)",
                    "INTEGRATE = quad_careful",
-                   "class A:\n    def _pv_filter(self, f):\n"
+                   "from .numerics import quad_careful",
+                   "from .numerics import quad_careful as integrate",
+                   "class A:\n    def _filter(self, f):\n"
                    "        return quad_careful(f, 0, 1)"):
-        assert _references_outside(allowed + source, "quad_careful",
-                                   "_pv_filter"), source
-    assert not _references_outside(
-        "from .numerics import quad_careful\n" + allowed, "quad_careful",
-        "_pv_filter")
+        assert _references(source, "quad_careful"), source
+    assert not _references("from .numerics import gauss_legendre\n"
+                           "def quad(f):\n    return quad_careful_(f)",
+                           "quad_careful")
 
 
-def test_deltaseq_calls_quadpack_only_in_its_principal_value_filter():
+def test_deltaseq_never_calls_quadpack():
     source = (Path(numerics.__file__).parent / "deltaseq.py").read_text()
-    assert _references_outside(source, "quad_careful", "_pv_filter") == []
-    assert _references_outside(source, "quad_careful") != []
+    assert _references(source, "quad_careful") == []
 
 
 def test_rule_detector_sees_every_leggauss_form():
@@ -151,19 +141,18 @@ def test_rule_detector_sees_every_leggauss_form():
                    "legendre.leggauss(8)",
                    "def f():\n    from numpy.polynomial.legendre import "
                    "leggauss as lg\n    return lg(4)"):
-        assert _references_outside(source, "leggauss"), source
-    assert not _references_outside("np.polynomial.legendre.legval(x, c)",
-                                   "leggauss")
+        assert _references(source, "leggauss"), source
+    assert not _references("np.polynomial.legendre.legval(x, c)",
+                           "leggauss")
 
 
 def test_only_numerics_builds_a_gauss_legendre_rule():
     package = Path(numerics.__file__).parent
-    offenders = {path.name: _references_outside(path.read_text(), "leggauss")
+    offenders = {path.name: _references(path.read_text(), "leggauss")
                  for path in sorted(package.glob("*.py"))
                  if path.name != "numerics.py"}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
-    assert _references_outside(Path(numerics.__file__).read_text(),
-                               "leggauss")
+    assert _references(Path(numerics.__file__).read_text(), "leggauss")
 
 
 def _private_package_imports(source: str) -> list[str]:
@@ -294,3 +283,144 @@ def test_cli_or_validate_reaches_every_definition():
     unreached = _unreachable_definitions(sources, {"cli", "validation"})
     assert set(unreached) - {"__init__.__version__", "__init__.__all__"} \
         == set()
+
+
+def _same_value(node: ast.expr, default: ast.expr) -> bool:
+    """Whether an argument is the default again: the same expression, or a
+    literal of the same value."""
+    if ast.dump(node) == ast.dump(default):
+        return True
+    try:
+        return ast.literal_eval(node) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
+def _unset_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters ("module.function.parameter") of the package
+    {module name: source} that no call in it sets to anything but the
+    default.  A call reaches every function of its name (`f(...)` or
+    `m.f(...)`), positional arguments by position (after self, for a
+    method), `*args` and `**kwargs` every parameter.  Calls from inside the
+    function itself do not count, nor does an argument that is the default
+    again, nor a defaulted parameter of an enclosing function passed
+    through, unless some caller sets that one."""
+    functions = {}          # name -> [(module, def, positional names)]
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                if id(node) in methods:
+                    positional = positional[1:]
+                functions.setdefault(node.name, []).append(
+                    (mod, node, positional))
+
+    def defaults(fn):
+        a = fn.args
+        params = a.posonlyargs + a.args
+        pairs = zip(params[len(params) - len(a.defaults):], a.defaults)
+        kw = [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        return {p.arg: d for p, d in [*pairs, *kw]}
+
+    # (module, function, parameter) -> the (module, function, parameter)
+    # keys whose being set sets it, or True once a call sets it outright
+    setters = {(mod, fn.name, p): set() for entries in functions.values()
+               for mod, fn, _ in entries for p in defaults(fn)}
+
+    def visit(mod, node, scopes):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            own = {p.arg: None for p in
+                   a.posonlyargs + a.args + a.kwonlyargs}
+            if not isinstance(node, ast.Lambda):
+                own.update({p: (mod, node.name, p) for p in defaults(node)})
+            scopes = scopes + [(node, own)]
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name not in {getattr(f, "name", None) for f, _ in scopes}:
+                for target_mod, fn, positional in functions.get(name, []):
+                    own_defaults = defaults(fn)
+                    passed = []
+                    for i, arg in enumerate(node.args):
+                        if isinstance(arg, ast.Starred):
+                            passed += [(p, None) for p in positional[i:]]
+                            break
+                        if i < len(positional):
+                            passed.append((positional[i], arg))
+                    for kw in node.keywords:
+                        passed += [(kw.arg, kw.value)] if kw.arg else \
+                            [(p, None) for p in own_defaults]
+                    for param, arg in passed:
+                        key = (target_mod, fn.name, param)
+                        if param not in own_defaults or setters[key] is True:
+                            continue
+                        if arg is not None \
+                                and _same_value(arg, own_defaults[param]):
+                            continue
+                        source = None
+                        if isinstance(arg, ast.Name):
+                            for _, own in reversed(scopes):
+                                if arg.id in own:
+                                    source = own[arg.id]
+                                    break
+                        if source is None:
+                            setters[key] = True
+                        else:
+                            setters[key].add(source)
+        for child in ast.iter_child_nodes(node):
+            visit(mod, child, scopes)
+
+    for mod, src in sources.items():
+        visit(mod, ast.parse(src), [])
+    changed = True
+    while changed:
+        changed = False
+        for key, via in setters.items():
+            if via is not True and any(setters[k] is True for k in via):
+                setters[key], changed = True, True
+    return sorted(".".join(key) for key, via in setters.items()
+                  if via is not True)
+
+
+def test_rule_detector_sees_unset_defaults():
+    package = {
+        "a": "def f(x, scale=1.0, *, mode='abs', count=3, extra=None):\n"
+             "    return f(x, 2.0, mode='rel')\n"
+             "def g(x, tol=1e-8):\n    return f(x, extra=tol)\n"
+             "def h(x, cap=CAP):\n"
+             "    return f(x, mode=MODE, count=3.0) + g(x, cap)\n"
+             "def p(x, y=0):\n    return x + y\n"
+             "class K:\n    def m(self, y, flag=False):\n        return y\n"
+             "def k(x):\n    return K().m(x, True)",
+        "b": "from . import a\n"
+             "def run(v, cap=CAP):\n"
+             "    return (a.h(v, cap=CAP), a.p(*v),\n"
+             "            (lambda w: a.g(w, 1e-08))(v))\n"
+             "def main(argv=None):\n    return run(argv)",
+    }
+    # f.scale is set only by f itself, f.count only to its default's value,
+    # g.tol only to 1e-08 == 1e-8 and h.cap only to its default's
+    # expression; f.extra is g's unset tol passed through, as g(x, cap)
+    # passes h's unset cap; MODE sets f.mode, True sets K.m.flag after self,
+    # and *v every positional parameter of p
+    assert _unset_defaults(package) == [
+        "a.f.count", "a.f.extra", "a.f.scale", "a.g.tol", "a.h.cap",
+        "b.main.argv", "b.run.cap"]
+    package["b"] = package["b"].replace("cap=CAP)", "cap=2 * CAP)")
+    # h.cap is set now, and through it g.tol and f.extra
+    assert _unset_defaults(package) == [
+        "a.f.count", "a.f.scale", "b.main.argv", "b.run.cap"]
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    package = Path(numerics.__file__).parent
+    sources = {path.stem: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    assert set(_unset_defaults(sources)) - {"cli.main.argv"} == set()

@@ -13,6 +13,12 @@ from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
 
 
+def pmf(probs, intensities, N, n):
+    """p(n, N) alone, from a call with the one excitation number n."""
+    (p,) = renyi_poisson_pmf(probs, intensities, N, [n]).tolist()
+    return p
+
+
 class TestRepresentation:
     def test_single_frequency_is_standard_ladder(self):
         rep = build_rep([1.0], [1.0], n_max=5, N=1)
@@ -187,7 +193,7 @@ class TestBinomialLaw:
     def test_normalization(self):
         # with zero intensities every occupation pattern has nu = 0, so
         # p(0, N) is the sum of the binomial pattern weights
-        assert renyi_poisson_pmf([0.3, 0.7], [0.0, 0.0], 17, 0) \
+        assert pmf([0.3, 0.7], [0.0, 0.0], 17, 0) \
             == pytest.approx(1.0, rel=1e-12)
 
     def test_fair_coin(self):
@@ -201,7 +207,7 @@ class TestBinomialLaw:
         # = (p e^{-w/N} + 1 - p)^N, through the log-space binomial weights
         p, N, w = 0.3, 200, 40.0
         direct = (p * math.exp(-w / N) + 1.0 - p) ** N
-        assert renyi_poisson_pmf([p, 1.0 - p], [w, 0.0], N, 0) \
+        assert pmf([p, 1.0 - p], [w, 0.0], N, 0) \
             == pytest.approx(direct, rel=1e-12)
 
 
@@ -211,18 +217,18 @@ class TestDeformedPoisson:
 
     def test_single_mode_single_copy_is_poisson(self):
         for n in range(5):
-            assert renyi_poisson_pmf([1.0], [0.7], 1, n) == pytest.approx(
+            assert pmf([1.0], [0.7], 1, n) == pytest.approx(
                 math.exp(-0.7) * 0.7 ** n / math.factorial(n), rel=1e-12)
 
     def test_single_copy_is_mixture(self):
         for n in range(5):
             mix = sum(p * math.exp(-w) * w ** n / math.factorial(n)
                       for p, w in zip(self.PROBS, self.WS))
-            assert renyi_poisson_pmf(self.PROBS, self.WS, 1, n) \
+            assert pmf(self.PROBS, self.WS, 1, n) \
                 == pytest.approx(mix, rel=1e-12)
 
     def test_normalization(self):
-        total = sum(renyi_poisson_pmf(self.PROBS, self.WS, 7, n)
+        total = sum(pmf(self.PROBS, self.WS, 7, n)
                     for n in range(40))
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -235,20 +241,20 @@ class TestDeformedPoisson:
         state = coherent_state(rep, alphas)
         for n in range(7):
             brute = excitation_projector_expectation(rep, state, n)
-            assert renyi_poisson_pmf(self.PROBS, ws, N, n) == pytest.approx(
+            assert pmf(self.PROBS, ws, N, n) == pytest.approx(
                 brute, abs=1e-10)
 
     def test_three_mode_general_path_matches_two_mode(self):
         # third mode with zero probability must not change anything
         for n in range(4):
-            a = renyi_poisson_pmf(self.PROBS, self.WS, 6, n)
-            b = renyi_poisson_pmf(self.PROBS + [0.0], self.WS + [0.5], 6, n)
+            a = pmf(self.PROBS, self.WS, 6, n)
+            b = pmf(self.PROBS + [0.0], self.WS + [0.5], 6, n)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_shannon_limit_sweep(self):
         gaps = []
         for N in (10, 100, 1000, 10000):
-            gap = max(abs(renyi_poisson_pmf(self.PROBS, [0.7, 0.3], N, n)
+            gap = max(abs(pmf(self.PROBS, [0.7, 0.3], N, n)
                           - shannon_poisson_pmf(self.PROBS, [0.7, 0.3], n))
                       for n in range(6))
             gaps.append(gap)
@@ -259,8 +265,8 @@ class TestDeformedPoisson:
     def test_two_mode_certain_mode_matches_general_path(self, probs):
         # a zero-probability mode: the general path skips its patterns
         for n in range(4):
-            two = renyi_poisson_pmf(probs, [0.4, 0.9], 5, n)
-            three = renyi_poisson_pmf(probs + [0.0], [0.4, 0.9, 0.5], 5, n)
+            two = pmf(probs, [0.4, 0.9], 5, n)
+            three = pmf(probs + [0.0], [0.4, 0.9, 0.5], 5, n)
             assert math.isfinite(two)
             assert two == pytest.approx(three, rel=1e-14)
 
@@ -275,12 +281,13 @@ class TestDeformedPoisson:
         got = renyi_poisson_pmf(probs, ws, N, ns)
         assert isinstance(got, np.ndarray) and got.shape == (len(ns),)
         for n, p in zip(ns, got.tolist()):
-            alone = renyi_poisson_pmf(probs, ws, N, n)
-            assert isinstance(alone, float) and p == alone
+            assert pmf(probs, ws, N, n) == p
         assert renyi_poisson_pmf(probs, ws, N, range(3)).tolist() \
             == got[[0, 1, 3]].tolist()
 
     def test_n_sequence_domain(self):
+        with pytest.raises(DomainError):
+            renyi_poisson_pmf(self.PROBS, self.WS, 5, 3)
         with pytest.raises(DomainError):
             renyi_poisson_pmf(self.PROBS, self.WS, 5, [0, -1])
         with pytest.raises(DomainError):
@@ -288,7 +295,7 @@ class TestDeformedPoisson:
 
     def test_pattern_cap(self):
         with pytest.raises(CombinatorialCap):
-            renyi_poisson_pmf([0.25] * 4, [0.1] * 4, 10 ** 4, 1)
+            renyi_poisson_pmf([0.25] * 4, [0.1] * 4, 10 ** 4, [1])
 
     def test_shannon_degenerate(self):
         assert shannon_poisson_pmf([1.0], [0.0], 0) == 1.0

@@ -36,8 +36,7 @@ class TestBoxProfile:
         # (Z/4 pi^2) int_k1^k2 kappa^(1-n) dkappa, antiderivative by hand
         for k1, k2 in ((0.5, 2.0), (1.0, 3.0), (10.0, 11.0), (1e-5, 1e4)):
             p = make_box_profile(k1, k2)
-            shells = ((k2 ** 2 - k1 ** 2) / 2.0, k2 - k1, math.log(k2 / k1),
-                      1.0 / k1 - 1.0 / k2, (1.0 / k1 ** 2 - 1.0 / k2 ** 2) / 2.0)
+            shells = ((k2 ** 2 - k1 ** 2) / 2.0, k2 - k1)
             for n, shell in enumerate(shells):
                 expect = p.Z * shell / (4.0 * math.pi ** 2)
                 assert density_integral(p, n) == pytest.approx(
@@ -45,7 +44,7 @@ class TestBoxProfile:
 
     def test_moment_order_validated(self):
         p = make_box_profile(1.0, 3.0)
-        for n in (-1, 5):
+        for n in (-1, 2):
             with pytest.raises(DomainError):
                 density_integral(p, n)
 
@@ -177,49 +176,30 @@ class TestLorentzProfile:
 
 class TestInfraredConditions:
     def test_lorentz_all_orders(self):
-        p = make_lorentz_profile(1.0, 1.0)
-        for n in (1, 2, 3, 4):
-            assert infrared_condition_check(p, n)
+        assert infrared_condition_check(make_lorentz_profile(1.0, 1.0))
 
     def test_tiny_lambda_still_passes(self):
-        p = make_lorentz_profile(1e-12, 1e-3)
-        assert infrared_condition_check(p, 4)
+        assert infrared_condition_check(make_lorentz_profile(1e-12, 1e-3))
 
     def test_box_all_orders(self):
-        p = make_box_profile(1.0, 3.0)
-        for n in (1, 2, 3, 4):
-            assert infrared_condition_check(p, n)
+        assert infrared_condition_check(make_box_profile(1.0, 3.0))
 
     def test_box_without_infrared_cutoff_fails(self):
         raw = VacuumProfile(ProfileKind.BOX_SHELL, k1=0.0, k2=3.0,
                             Z=8 * math.pi ** 2 / 9.0,
                             norm_const=8 * math.pi ** 2 / 9.0)
-        for n in (1, 2, 3, 4):
-            assert not infrared_condition_check(raw, n)
+        assert not infrared_condition_check(raw)
 
     def test_moments_of_inadmissible_profiles_rejected(self):
         for raw in (VacuumProfile(ProfileKind.BOX_SHELL, k1=0.0, k2=3.0,
                                   Z=1.0, norm_const=1.0),
                     VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=0.0,
                                   y0=1.0, Z=1.0, norm_const=1.0)):
-            for n in range(5):
+            for n in range(2):
                 with pytest.raises(DomainError):
                     density_integral(raw, n)
 
     def test_lorentz_without_infrared_cutoff_fails(self):
         raw = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=0.0, y0=1.0,
                             Z=1.0, norm_const=1.0)
-        for n in (1, 2, 3, 4):
-            assert not infrared_condition_check(raw, n)
-
-    def test_order_validated(self):
-        p = make_box_profile(1.0, 3.0)
-        with pytest.raises(DomainError):
-            infrared_condition_check(p, 5)
-
-    def test_inverse_square_moment_finite(self):
-        # needed by the transient-field decay argument
-        for p in (make_box_profile(1.0, 3.0),
-                  make_lorentz_profile(0.01, 1.0)):
-            val = density_integral(p, inverse_power=2)
-            assert np.isfinite(val) and val > 0.0
+        assert not infrared_condition_check(raw)
