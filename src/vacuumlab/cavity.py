@@ -20,7 +20,7 @@ strengths interchanged.
 
 For equal barriers (CavityConfig: strength alpha at both) the homogeneous
 system has nontrivial solutions only at complex wavenumbers expressible
-through Lambert W; those resonances are computed here.
+through Lambert W (scipy's lambertw); those resonances are computed here.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import DegenerateMode, DomainError
-from .specfun import lambert_w
 
 DELTA_TOL = 1e-12
 # resonance_roots verifies each root to this fraction of max(alpha^2, |k|^2)
@@ -113,9 +113,10 @@ def resonance_roots(cfg: CavityConfig, branches=range(0, 3)) -> list[complex]:
 
         k_{n,+-} = -i (L alpha - 2 W_n(+- e^{L alpha/2} L alpha / 2)) / L
 
-    ordered (n, +), (n, -) over the requested branches.  Each root is
-    verified against the resonance equation to 1e-8 (_RESIDUAL_TOL) times
-    max(alpha^2, |k|^2), DegenerateMode otherwise.  DomainError unless
+    ordered (n, +), (n, -) over the requested branches, with W_n scipy's
+    lambertw.  Each root is verified against the resonance equation to
+    1e-8 (_RESIDUAL_TOL) times max(alpha^2, |k|^2), DegenerateMode
+    otherwise (also where lambertw gives NaN).  DomainError unless
     alpha >= 1e-150, 1e-150 <= L <= 1e150 and 1e-140 <= alpha L <= 1e3
     (_SCALE_RANGE, _ALPHA_L_RANGE).
     """
@@ -136,10 +137,10 @@ def resonance_roots(cfg: CavityConfig, branches=range(0, 3)) -> list[complex]:
     roots = []
     for n in branches:
         for sign in (+1.0, -1.0):
-            w = lambert_w(n, sign * arg)
+            w = complex(lambertw(sign * arg, n))
             k = -1j * (L * a - 2.0 * w) / L
             resid = abs(resonance_equation(k, cfg))
-            if resid > _RESIDUAL_TOL * a * a * max(1.0, abs(k) ** 2 / (a * a)):
+            if not resid <= _RESIDUAL_TOL * max(a * a, abs(k) ** 2):
                 raise DegenerateMode(
                     f"resonance root ({n}, {sign:+.0f}) residual {resid}")
             roots.append(k)

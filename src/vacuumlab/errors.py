@@ -13,10 +13,6 @@ class NonConvergence(VacuumlabError, RuntimeError):
     """A quadrature, series, or limit sweep failed its stability test."""
 
 
-class NoConvergence(NonConvergence):
-    """Iterative root polishing did not converge within the step cap."""
-
-
 class IncompatibleClasses(VacuumlabError, ValueError):
     """Product of delta sequences drawn from different equivalence classes."""
 

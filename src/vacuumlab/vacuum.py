@@ -33,6 +33,7 @@ from .errors import DomainError
 from .specfun import gamma_from_zero
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
+_SCALE_RANGE = (1e-150, 1e150)          # k2 and y0: squares normal doubles
 
 
 class ProfileKind(Enum):
@@ -65,10 +66,17 @@ class VacuumProfile:
 
 
 def make_box_profile(k1: float, k2: float) -> VacuumProfile:
-    """Shell profile: density Z = 8 pi^2/(k2^2 - k1^2) on k1 <= |k| <= k2."""
-    if k1 <= 0 or k1 >= k2:
-        raise DomainError("box profile requires 0 < k1 < k2")
+    """Shell profile: density Z = 8 pi^2/(k2^2 - k1^2) on k1 <= |k| <= k2.
+    DomainError unless 0 < k1 < k2 and 1e-150 <= k2 <= 1e150 (_SCALE_RANGE)
+    and Z is finite (not where k2^2 - k1^2 < 4.4e-307: k2/k1 - 1 < 2.2e-7
+    at k1 = 1e-150); a k1^2 that underflows is negligible against k2^2."""
+    least, most = _SCALE_RANGE
+    if not (0 < k1 < k2 and least <= k2 <= most):
+        raise DomainError(f"box profile requires 0 < k1 < k2 and {least:g} "
+                          f"<= k2 <= {most:g}; got k1 = {k1:g}, k2 = {k2:g}")
     Z = 8.0 * math.pi ** 2 / (k2 ** 2 - k1 ** 2)
+    if Z == math.inf:
+        raise DomainError("box profile density Z is out of double range")
     return VacuumProfile(ProfileKind.BOX_SHELL, k1=k1, k2=k2, Z=Z,
                          norm_const=Z)
 
@@ -118,11 +126,15 @@ def make_lorentz_profile(lambda2: float, y0: float) -> VacuumProfile:
 
     norm_const = 2 pi^2 y0^2 / (lambda^2 K2(2 lambda)) makes the invariant
     normalization exactly 1; the density peaks at kappa = lambda/y0 with
-    peak value Z = norm_const * exp(-2 lambda).  DomainError where
+    peak value Z = norm_const * exp(-2 lambda).  DomainError unless
+    lambda2 > 0 and 1e-150 <= y0 <= 1e150 (_SCALE_RANGE), and where
     norm_const leaves the double range (past lambda^2 ~ 1.26e5 at y0 = 1).
     """
-    if lambda2 <= 0 or y0 <= 0:
-        raise DomainError("lorentz profile requires lambda2 > 0 and y0 > 0")
+    least, most = _SCALE_RANGE
+    if not (lambda2 > 0 and least <= y0 <= most):
+        raise DomainError(f"lorentz profile requires lambda2 > 0 and "
+                          f"{least:g} <= y0 <= {most:g}; got lambda2 = "
+                          f"{lambda2:g}, y0 = {y0:g}")
     gamma2 = _gamma2(lambda2)
     norm_const = FOUR_PI_SQ * y0 ** 2 / gamma2 \
         if gamma2 >= sys.float_info.min else math.inf

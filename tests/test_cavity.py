@@ -274,6 +274,21 @@ class TestResonances:
             assert root.real == pytest.approx(ref.real, abs=1e-4)
             assert root.imag == pytest.approx(ref.imag, abs=1e-4)
 
+    def test_unit_cavity_root_formula(self):
+        # k = -i(L a - 2 W_0(-e^{La/2} La/2))/L at a = L = 1, correctly
+        # rounded from 50-digit mpmath
+        root = resonance_roots(CavityConfig(1.0, 1.0), branches=range(0, 1))[1]
+        assert abs(root - complex(-2.428547812098364, -1.9044828738912079)) \
+            <= 4e-15 * abs(root)
+
+    def test_nan_from_lambertw_raises(self, monkeypatch):
+        # scipy's lambertw returns NaN where it does not converge; such a
+        # root fails the residual test instead of being returned
+        monkeypatch.setattr("vacuumlab.cavity.lambertw",
+                            lambda z, k: complex("nan"))
+        with pytest.raises(DegenerateMode):
+            resonance_roots(CavityConfig(1.0, 1.0))
+
     def test_residuals(self):
         cfg = CavityConfig(1.0, 1.0)
         for root in resonance_roots(cfg, branches=range(0, 3)):

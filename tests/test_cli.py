@@ -267,6 +267,18 @@ class TestShiftAndCavity:
         assert len(rows) == 6
         assert all(float(r.split(",")[4]) < 1e-8 for r in rows)
 
+    def test_cavity_table_at_small_alpha_L(self, tmp_path):
+        # alpha L = 1e-12: the roots on the branches n >= 1 have |k| ~ 64,
+        # and every one passes the residual test
+        out = tmp_path / "res.csv"
+        assert run(["cavity", "--alpha", "1e-12", "--gap", "1",
+                    "--branches", "3", "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines()
+                if l and not l.startswith("#")][1:]
+        assert len(rows) == 6
+        values = [float(x) for r in rows for x in r.split(",")[2:]]
+        assert np.all(np.isfinite(values))
+
 
 class TestConfig:
     def test_file_seeds_defaults_flags_win(self, tmp_path):
@@ -375,6 +387,15 @@ BAD_INPUTS = {
     "casimir3_gap_past_domain": (
         ["casimir3", "--lambda2", "1e-12", "--y0", "1e-4", "--gap", "1e300"],
         None),
+    # outside the profile constructors' domains, checked before any
+    # arithmetic: y0^2 overflowed, k2^2 - k1^2 underflowed to 0
+    "casimir3_y0_past_domain": (
+        ["casimir3", "--lambda2", "1e-12", "--y0", "1e200", "--gap", "1e300"],
+        None),
+    "coulomb_lorentz_y0_past_domain": (
+        ["coulomb", "--profile", "lorentz", "--y0", "1e300"], None),
+    "shift_box_below_domain": (["shift", "--k1", "1e-200", "--k2", "2e-200"],
+                               None),
 }
 
 
@@ -554,13 +575,14 @@ GOLDEN_CSV = {
         "2,0.062368100337843811,0.062342725560848092,2.5374776995719384e-05\n"
         "3,0.0091741251713333832,0.0091435997489243744,"
         "3.0525422409008809e-05\n"),
+    # the (0, -) root correctly rounded: 50-digit mpmath agrees to the bit
     ("cavity", "--branches", "1"): (
         "# vacuumlab 0.1.0\n"
         "# roots of k^2 + 2 i alpha k + (exp(ikL) - 1) alpha^2 = 0\n"
         "# alpha=1.0 L=1.0\n"
         "branch,sign,re_k,im_k,residual\n"
         "0,+,0,-0,0\n"
-        "0,-,-2.4285478120983646,-1.9044828738912076,3.2023728339893768e-15\n"),
+        "0,-,-2.4285478120983641,-1.9044828738912079,8.8817841970012523e-16\n"),
     ("delta", "--samples", "5"): (
         "# vacuumlab 0.1.0\n"
         "# family lambda_triangle n=8 j=0 a=0.0\n"

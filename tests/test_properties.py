@@ -17,10 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
-from vacuumlab import (casimir, coulomb, oscillator, vacuum,  # noqa: E402
-                       validation)
+from vacuumlab import (casimir, cavity, coulomb, oscillator,  # noqa: E402
+                       vacuum, validation)
 from vacuumlab.errors import DomainError  # noqa: E402
-from vacuumlab.specfun import gamma_from_zero, lambert_w  # noqa: E402
+from vacuumlab.specfun import gamma_from_zero  # noqa: E402
 
 EPS = float(np.finfo(float).eps)
 DPS = 40
@@ -235,19 +235,35 @@ def test_density_integral_matches_mpmath(n, lambda2, y0):
         float(ref), rel=1e-14, abs=0)
 
 
-# -------------------------------------------------------------- Lambert W
+# ------------------------------------------------------- cavity resonances
+
+def mp_resonance_root(alpha, L, n, sign):
+    """k_{n,+-} = -i (L alpha - 2 W_n(+- e^{L alpha/2} L alpha/2))/L at the
+    given doubles alpha and L, in 50-digit arithmetic."""
+    with mp.workdps(50):
+        a, ll = mp.mpf(alpha), mp.mpf(L)
+        x = a * ll
+        w = mp.lambertw(sign * mp.exp(x / 2) * x / 2, n)
+        return complex(-1j * (x - 2 * w) / ll)
+
 
 @PROPERTY
-@given(branch=st.integers(-3, 3), modulus=log_uniform(1e-6, 1e6),
-       arg=st.floats(-math.pi, math.pi))
-def test_lambert_w_matches_mpmath(branch, modulus, arg):
-    z = complex(modulus * math.cos(arg), modulus * math.sin(arg))
-    with mp.workdps(DPS):
-        ref = complex(mp.lambertw(mp.mpc(z.real, z.imag), branch))
-    # 1/|1 + W| is the relative condition number of W at z; it only exceeds
-    # 1 near the branch point -1/e
-    cond = max(1.0, 1.0 / abs(1.0 + ref))
-    assert abs(lambert_w(branch, z) - ref) <= 6e-15 * cond * abs(ref)
+@given(alpha_L=log_uniform(1e-140, 1e3), L=log_uniform(1e-5, 1e5))
+@example(alpha_L=1e-12, L=1.0)
+@example(alpha_L=1.0232929922807535e-3, L=1.0)
+def test_resonance_roots_match_mpmath(alpha_L, L):
+    # every branch 0-5 over the whole alpha L domain; the worst seen over
+    # this range is 3.8e-16 max(|k|, alpha).  The bound is on that scale
+    # rather than |k|: the (0, +) root is 0, and L alpha - 2 W_0 cancels
+    # to it from terms of size alpha L
+    alpha = alpha_L / L
+    assume(1e-140 <= alpha * L <= 1e3)
+    branches = range(0, 6)
+    roots = cavity.resonance_roots(cavity.CavityConfig(alpha, L), branches)
+    refs = [mp_resonance_root(alpha, L, n, sign)
+            for n in branches for sign in (1, -1)]
+    for root, ref in zip(roots, refs):
+        assert abs(root - ref) <= 4e-15 * max(abs(ref), alpha)
 
 
 # ---------------------------------------------------- 1+1 Casimir pressure

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import k0, kv, kve, lambertw as scipy_lambertw
+from scipy.special import k0, kv, kve
 
 from vacuumlab.errors import DomainError, NonConvergence
-from vacuumlab.specfun import (bernoulli_number, gamma_from_zero, lambert_w,
-                               sine_integral)
+from vacuumlab.specfun import bernoulli_number, gamma_from_zero, sine_integral
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -124,50 +123,6 @@ class TestBesselK0Complex:
         asym = np.sqrt(math.pi / (2 * z)) \
             * (1 - 1 / (8 * z) + 9 / (128 * z ** 2))
         assert abs(kve(0, z) - asym) < 1e-6 * abs(asym)
-
-
-class TestLambertW:
-    def test_trivial_values(self):
-        assert lambert_w(0, 0.0) == 0.0
-        assert lambert_w(0, math.e) == pytest.approx(1.0, abs=1e-13)
-
-    def test_residuals_on_grid_all_branches(self):
-        rng = np.random.default_rng(7)
-        for branch in range(-3, 4):
-            pts = rng.uniform(-8, 8, size=(150, 2))
-            for re, im in pts:
-                z = complex(re, im)
-                if z == 0:
-                    continue
-                w = lambert_w(branch, z)
-                assert abs(w * np.exp(w) - z) < 1e-12 * (1 + abs(z))
-
-    def test_branches_match_scipy(self):
-        rng = np.random.default_rng(11)
-        for branch in (-2, -1, 0, 1, 2):
-            for _ in range(40):
-                z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-                if abs(z) < 1e-3:
-                    continue
-                w = lambert_w(branch, z)
-                ref = complex(scipy_lambertw(z, branch))
-                assert abs(w - ref) < 1e-8 * (1 + abs(ref))
-
-    def test_secondary_branch_real_segment(self):
-        w = lambert_w(-1, -0.2)
-        assert w.real == pytest.approx(-2.5426413577735265, abs=1e-10)
-        assert abs(w.imag) < 1e-10
-
-    def test_cavity_root_formula(self):
-        # k = -i(L a - 2 W_0(-e^{La/2} La/2))/L at a = L = 1
-        w = lambert_w(0, -math.exp(0.5) * 0.5)
-        k = -1j * (1.0 - 2.0 * w)
-        assert k.real == pytest.approx(-2.42855, abs=1e-4)
-        assert k.imag == pytest.approx(-1.90448, abs=1e-4)
-
-    def test_z_zero_nonprincipal(self):
-        with pytest.raises(DomainError):
-            lambert_w(1, 0.0)
 
 
 class TestGeneralizedGamma:

@@ -67,6 +67,19 @@ class TestBoxProfile:
             make_box_profile(0.0, 3.0)
         with pytest.raises(DomainError):
             make_box_profile(3.0, 1.0)
+        # k2^2 outside the normal doubles (k2^2 - k1^2 underflowed to 0, or
+        # k2^2 overflowed), and a Z past the double range
+        for k1, k2 in ((1e-200, 2e-200), (1.0, 1e200),
+                       (1e-150, 1.0000001e-150)):
+            with pytest.raises(DomainError):
+                make_box_profile(k1, k2)
+
+    def test_domain_edges(self):
+        assert make_box_profile(1e-150, 1e150).Z \
+            == pytest.approx(8.0 * math.pi ** 2 / 1e300, rel=1e-15)
+        assert math.isfinite(make_box_profile(1e-150, 1.000001e-150).Z)
+        # k1^2 underflows, negligibly against k2^2
+        assert make_box_profile(1e-300, 1.0).Z == 8.0 * math.pi ** 2
 
 
 class TestLorentzProfile:
@@ -168,6 +181,10 @@ class TestLorentzProfile:
             make_lorentz_profile(0.0, 1.0)
         with pytest.raises(DomainError):
             make_lorentz_profile(1.0, -1.0)
+        # y0^2 outside the normal doubles (it overflowed past y0 ~ 1.3e154)
+        for y0 in (1e200, 1e-300):
+            with pytest.raises(DomainError):
+                make_lorentz_profile(1e-12, y0)
         # norm_const ~ e^(2 lambda) leaves the double range past
         # lambda^2 ~ 1.26e5 at y0 = 1
         with pytest.raises(DomainError):
