@@ -105,8 +105,15 @@ def pressure_1p1_series(alpha: float, L: float) -> float:
     _check_gap(alpha, L, "pressure_1p1_series")
     N = _SERIES_TERMS
     s = 1.0 / (16.0 * N * (L + 1.0 / alpha))
-    doublings = math.ceil(math.log2(26.0 / (L * s)))
-    edges = np.concatenate(([0.0], s * 2.0 ** np.arange(doublings + 1)))
+    # log2(26/(L s)) = log2(26 16 N) + log2(1 + 1/(alpha L)), without alpha L
+    doublings = math.ceil(math.log2(26.0 * 16.0 * N) + np.logaddexp2(
+        0.0, -(math.log2(alpha) + math.log2(L))))
+    # s or 2t/alpha is no double only at alpha < 6e-157 (alpha L < 6e-307),
+    # where p ~ -alpha^2 ln(1/(alpha L))/(8 pi) is subnormal
+    if s == 0.0 or 2.0 * math.ldexp(s, doublings) / alpha == math.inf:
+        raise DomainError(f"pressure_1p1_series: alpha = {alpha:g} puts the "
+                          "pressure below the normal range")
+    edges = np.concatenate(([0.0], np.ldexp(s, np.arange(doublings + 1))))
     t, w = (a.ravel() for a in gauss_legendre(edges[:-1], edges[1:]))
     h = -2.0 * t * L - 2.0 * np.log1p(2.0 * t / alpha)
     tw = t * w

@@ -40,6 +40,8 @@ from .numerics import (LimitResult, divergent, finite, gauss_legendre,
 from .specfun import sine_integral
 
 TWO_PI = 2.0 * np.pi
+# past it u^2 is no double, and (sin u/u)^2 < 1/u^2 underflows to 0
+_SQRT_MAX = np.sqrt(np.finfo(float).max)
 
 
 class DeltaShape(Enum):
@@ -71,15 +73,6 @@ class DeltaFamily:
 
     def with_index(self, n: int) -> "DeltaFamily":
         return DeltaFamily(self.shape, n, self.j, self.a)
-
-    @property
-    def origin_value(self) -> float:
-        """delta_n(0), constant in n for M shapes and shifted pairs."""
-        if self.shape is DeltaShape.LAMBDA_TRIANGLE:
-            return float(self.n)
-        if self.shape is DeltaShape.M_SHAPE:
-            return self.a
-        return float(self.n) if self.j == 0 else 0.0
 
     @property
     def multiplication_class(self) -> tuple:
@@ -167,9 +160,11 @@ def fourier(family: DeltaFamily, x):
 def _sinc_sq(u):
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < 1e-6
-    safe = np.where(small, 1.0, u)
-    out = np.where(small, 1.0 - u * u / 3.0, np.sin(safe) ** 2 / safe ** 2)
-    return out
+    large = np.abs(u) > _SQRT_MAX
+    tiny = np.where(small, u, 0.0)
+    safe = np.where(small | large, 1.0, u)
+    return np.where(small, 1.0 - tiny * tiny / 3.0,
+                    np.where(large, 0.0, np.sin(safe) ** 2 / safe ** 2))
 
 
 def _cos_tail(a: float) -> float:

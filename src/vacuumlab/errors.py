@@ -29,10 +29,6 @@ class DimensionCap(VacuumlabError, ValueError):
     """Requested truncated representation exceeds the configured size cap."""
 
 
-class CombinatorialCap(VacuumlabError, ValueError):
-    """Requested exact expansion exceeds the configured pattern-count cap."""
-
-
 class ConfigError(VacuumlabError, ValueError):
     """Invalid run configuration (unknown key, bad range, missing parameter)."""
 

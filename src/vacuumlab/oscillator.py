@@ -16,36 +16,33 @@ the finite-N deformation of Poisson excitation statistics:
     p(n, N) = (1/n!) d^n/dlambda^n (sum_w p_w e^{lambda w_w / N})^N  at
     lambda = -1,
 
-computed exactly by multinomial expansion over frequency occupation
-patterns.  The module doubles as the brute-force oracle for those formulas
-(sparse N-site matrices, built on first use; displacement as the Kronecker
-product of N one-site matrix exponentials, exact because the generator is a
-sum of commuting one-site terms) and evaluates the vacuum-averaged
-self-energy shifts of a static point charge, free or facing a reflecting
-plane.
+the z^n coefficient of Q(z)^N, Q(z) = sum_w p_w e^{w_w (z - 1)/N}, taken by
+binary powering of a truncated series.  The module doubles as the
+brute-force oracle for p(n, N) (sparse N-site matrices, built on first use;
+displacement as the Kronecker product of N one-site matrix exponentials,
+exact because the generator is a sum of commuting one-site terms) and
+evaluates the vacuum-averaged self-energy shifts of a static point charge,
+free or facing a reflecting plane.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from math import comb
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
-from scipy.special import gammaln, xlogy
 
 from .coulomb import potential
-from .errors import CombinatorialCap, DimensionCap, DomainError
+from .errors import DimensionCap, DomainError
 from .vacuum import VacuumProfile, density_integral, physical_charge
 
-# largest truncated-representation dimension build_rep builds, and most
-# occupation patterns renyi_poisson_pmf walks
+# largest truncated-representation dimension build_rep builds
 DIMENSION_CAP = 100_000
-PATTERN_CAP = 2_000_000
 
 
 # ------------------------------------------------------------ representation
@@ -73,9 +70,6 @@ class TruncatedRep:
     I = property(lambda self: self._operators[2])        # omega -> I_w(N)
     n_tilde = property(lambda self: self._operators[3])  # omega -> nt_w(N)
 
-    def single_site_dim(self) -> int:
-        return len(self.omegas) * (self.n_max + 1)
-
     @cached_property
     def _operators(self) -> tuple[dict, dict, dict, dict]:
         """a, a_dag, I and n_tilde, read off the digit table.
@@ -88,7 +82,7 @@ class TruncatedRep:
         nt_w are diagonal (sites holding w, over N, and their occupations
         summed).
         """
-        N, dim, d1 = self.N, self.dim, self.single_site_dim()
+        N, dim, d1 = self.N, self.dim, len(self.omegas) * (self.n_max + 1)
         place = d1 ** np.arange(N - 1, -1, -1)
         digits = (np.arange(dim)[:, None] // place) % d1
         freq, occ = divmod(digits, self.n_max + 1)
@@ -173,31 +167,20 @@ def excitation_projector_expectation(rep: TruncatedRep, state: np.ndarray,
 
 # ------------------------------------------------------------- statistics
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer tuples of length `parts` summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
                       N: int, n: Sequence[int]) -> np.ndarray:
-    """Finite-N deformed Poisson law by exact coefficient extraction.
+    """Finite-N deformed Poisson law p(n, N) = [z^n] Q(z)^N, with
+    Q(z) = sum_w p_w e^{mu_w (z - 1)} and mu_w = w_w/N, as an array with
+    one p(n, N) per entry of the 1-d sequence n.
 
-    Expanding (sum_i p_i e^{lambda w_i/N})^N multinomially, each frequency
-    occupation pattern s (s_1 + ... + s_m = N) contributes an ordinary
-    Poisson factor with parameter nu_s = sum_i s_i w_i / N:
-
-        p(n, N) = sum_s C(N; s) prod_i p_i^{s_i} e^{-nu_s} nu_s^n / n!.
-
-    n is a 1-d sequence of excitation numbers; an array of p(n, N), one per
-    entry, comes back.  The pattern weights C(N; s) prod_i p_i^{s_i} and the
-    nu_s are formed once for all of n; each p(n, N) is summed in the same
-    order whatever else n holds, so it has the same bits in every call.
-    CombinatorialCap past PATTERN_CAP patterns.
+    p(n, N) = q0^N [z^n] R^N with R = Q/q0: r_0 = 1 and r_k >= 0 from
+    cumulative products mu_w/k, raised to the N-th power by binary powering
+    of the series cut past max(n); nothing subtracts.  log q0 is log1p of
+    an fsum of the probabilities, -1 and p_w expm1(-mu_w), which keeps the
+    probabilities' defect from 1 (log q0 itself below q0 = 1/2).  Each
+    p(n, N) has the same bits whatever else n holds.  DomainError where
+    q0^N is not a normal double, -N log q0 > 708.4 (R^N reaches q0^-N; by
+    Jensen, a mean intensity > 708).  A mode with mu_w > 745 drops out.
     """
     probs = [float(p) for p in probs]
     intensities = [float(w) for w in intensities]
@@ -210,66 +193,37 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
     ns = list(n)
     if any(v < 0 for v in ns) or N < 1:
         raise DomainError("n >= 0 and N >= 1 required")
-    m = len(probs)
-    n_patterns = comb(N + m - 1, m - 1)
-    if n_patterns > PATTERN_CAP:
-        raise CombinatorialCap(f"{n_patterns} occupation patterns exceed cap")
-    if m == 2:
-        return np.array(_two_mode_pmf(probs, intensities, N, ns))
-    return np.array(_pattern_pmf(probs, intensities, N, ns))
+    p, mu = np.array(probs), np.array(intensities) / N
+    shares = p * np.exp(-mu)                    # the modes' parts of q0
+    q0 = math.fsum(shares)
+    log_q0 = (math.log1p(math.fsum([*probs, -1.0, *(p * np.expm1(-mu))]))
+              if q0 > 0.5 else math.log(q0) if q0 > 0.0 else -math.inf)
+    if N * log_q0 < math.log(sys.float_info.min):
+        raise DomainError(f"p(0, N) = exp({N * log_q0:g}) is no normal "
+                          "double (a mean intensity past ~708)")
+    # row k: the modes' (p_w e^{-mu_w}/q0) mu_w^k/k!, none above p_w/q0
+    steps = np.vstack([shares / q0,
+                       mu / np.arange(1, max(ns, default=0) + 1)[:, None]])
+    r = np.cumprod(steps, axis=0).sum(axis=1)
+    r[0] = 1.0
+    return math.exp(N * log_q0) * _series_power(r, N)[ns]
 
 
-def _two_mode_pmf(probs, intensities, N, ns) -> list[float]:
-    """renyi_poisson_pmf for two modes, vectorized over the N + 1 patterns
-    (the common sweep case); one pass over them per n, so that memory stays
-    O(N) however many n are asked for."""
-    s = np.arange(N + 1)
-    # log(N choose s): g = log(s!), and g[::-1] = log((N - s)!) exactly,
-    # being gammaln at the same integers
-    g = gammaln(s + 1.0)
-    log_coeff = (gammaln(N + 1.0) - g - g[::-1] + xlogy(s, probs[0])
-                 + xlogy(N - s, probs[1]))
-    nu = (s * intensities[0] + (N - s) * intensities[1]) / N
-    positive = nu > 0
-    every_positive = bool(positive.all())
-    log_nu = np.log(nu if every_positive else np.where(positive, nu, 1.0))
-    out = []
-    for n in ns:
-        log_pois = n * log_nu - nu - math.lgamma(n + 1)
-        if not every_positive:      # nu = 0: Poisson mass 1 at n = 0 only
-            log_pois = np.where(positive, log_pois,
-                                0.0 if n == 0 else -np.inf)
-        out.append(float(np.sum(np.exp(log_coeff + log_pois))))
-    return out
+def _series_power(r: np.ndarray, N: int) -> np.ndarray:
+    """r(z)^N cut to len(r) terms, by binary powering over the bits of N.
+    Coefficient k of a product, sum_j a_j b_(k-j), is added in order of j
+    (bincount adds in input order), so it does not depend on len(r)."""
+    index = np.add.outer(np.arange(len(r)), np.arange(len(r))).ravel()
 
+    def product(a, b):
+        return np.bincount(index, np.multiply.outer(a, b).ravel())[:len(r)]
 
-def _pattern_pmf(probs, intensities, N, ns) -> list[float]:
-    """renyi_poisson_pmf for any number of modes: one walk over the
-    occupation patterns, each adding its Poisson term to every n's total."""
-    totals = [0.0] * len(ns)
-    log_n_fact = [math.lgamma(n + 1) for n in ns]
-    for pattern in _compositions(N, len(probs)):
-        log_c = math.lgamma(N + 1) - sum(math.lgamma(s + 1) for s in pattern)
-        skip = False
-        for s_i, p_i in zip(pattern, probs):
-            if p_i == 0.0:
-                if s_i > 0:
-                    skip = True
-                    break
-            else:
-                log_c += s_i * math.log(p_i)
-        if skip:
-            continue
-        nu = sum(s_i * w_i for s_i, w_i in zip(pattern, intensities)) / N
-        if nu == 0.0:
-            weight = math.exp(log_c)
-            for i, n in enumerate(ns):
-                totals[i] += weight * (1.0 if n == 0 else 0.0)
-        else:
-            log_nu = math.log(nu)
-            for i, n in enumerate(ns):
-                totals[i] += math.exp(log_c + n * log_nu - nu - log_n_fact[i])
-    return totals
+    power = r
+    for bit in bin(N)[3:]:
+        power = product(power, power)
+        if bit == "1":
+            power = product(power, r)
+    return power
 
 
 def shannon_poisson_pmf(probs: Sequence[float],
@@ -292,11 +246,13 @@ def radiative_shift(profile: VacuumProfile, q_charge: float,
 
     Free space: q^2 int dk density/|k| = q^2 density_integral(profile, 1)
     (an average over the vacuum ensemble, not a single eigenvalue shift);
-    DomainError for a profile that is not infrared admissible.  With a
-    reflecting plane at distance plane_gap the mode weight picks up
-    (1 - cos 2 k_z L), i.e. radially (1 - sin(2 kappa L)/(2 kappa L)); the
-    difference from free space is the mirror-image interaction, mirror_term.
+    DomainError for a profile that is not infrared admissible or a q that
+    physical_charge rejects.  With a reflecting plane at distance plane_gap
+    the mode weight picks up (1 - cos 2 k_z L), i.e. radially
+    (1 - sin(2 kappa L)/(2 kappa L)); the difference from free space is the
+    mirror-image interaction, mirror_term.
     """
+    physical_charge(q_charge, profile)
     free = q_charge ** 2 * density_integral(profile, 1)
     if plane_gap is None:
         return free

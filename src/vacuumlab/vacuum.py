@@ -104,6 +104,8 @@ def _gamma2(lambda2: float) -> float:
         return gamma_from_zero(2.0, lambda2)
     lam, residual = _sqrt_with_residual(lambda2)
     decay = math.exp(-lam)
+    if decay == 0.0:        # and e^(-2 residual) may be no double
+        return 0.0
     return _k2_sum(2.0 * lam) * decay * decay * math.exp(-2.0 * residual)
 
 
@@ -214,5 +216,9 @@ def infrared_condition_check(profile: VacuumProfile) -> bool:
 
 
 def physical_charge(q: float, profile: VacuumProfile) -> float:
-    """Renormalized charge q_ph = q sqrt(Z)."""
-    return q * math.sqrt(profile.Z)
+    """Renormalized charge q_ph = q sqrt(Z); DomainError where q^2 + q_ph^2
+    overflows (q^2 and q_ph^2 are factors of every potential and shift)."""
+    q_ph = q * math.sqrt(profile.Z)
+    if not math.isfinite(q * q + q_ph * q_ph):
+        raise DomainError(f"q^2 or q_ph^2 is out of double range at q = {q:g}")
+    return q_ph

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -396,6 +397,18 @@ BAD_INPUTS = {
         ["coulomb", "--profile", "lorentz", "--y0", "1e300"], None),
     "shift_box_below_domain": (["shift", "--k1", "1e-200", "--k2", "2e-200"],
                                None),
+    # q^2 or q_ph^2 out of double range: each overflowed first
+    "coulomb_q_past_double_range": (["coulomb", "--q", "1e200"], None),
+    "shift_q_past_double_range": (["shift", "--q", "1e300"], None),
+    # e^(-2 lambda) underflows, and the residual's factor overflowed
+    "coulomb_lorentz_lambda2_past_domain": (
+        ["coulomb", "--profile", "lorentz", "--lambda2", "1e236"], None),
+    # alpha L underflows; the series' grid divided by it
+    "casimir_alpha_L_underflows": (
+        ["casimir", "--alpha", "1.1e-289", "--gap", "1.1e-91"], None),
+    # p(0, N) = e^-800 is no normal double
+    "stats_p0_below_normal_range": (
+        ["stats", "--N", "1", "--probs", "1", "--intensities", "800"], None),
 }
 
 
@@ -423,6 +436,48 @@ class TestBadInputs:
                 == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_stats_exits_0_with_finite_numbers_or_2(self, capsys):
+        # derandomized draws over the accepted range: N up to 1e6, 1 to 5
+        # modes, intensities log-uniform in [1e-3, 1e3] or 0, nmax <= 40
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        intensity = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(
+            lambda u: 10.0 ** u))
+        modes = st.integers(1, 5).flatmap(lambda m: st.tuples(
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                     min_size=m, max_size=m).filter(any),
+            st.lists(intensity, min_size=m, max_size=m)))
+
+        @hyp.settings(derandomize=True, database=None, deadline=None,
+                      max_examples=200)
+        @hyp.given(N=st.integers(1, 10 ** 6), modes=modes,
+                   nmax=st.integers(0, 40))
+        # three modes past the old occupation-pattern cap
+        @hyp.example(N=10 ** 4, modes=([0.2, 0.3, 0.5], [0.4, 0.9, 0.1]),
+                     nmax=8)
+        # one mode's e^-w underflows, the other's does not
+        @hyp.example(N=1, modes=([1.0, 1.0], [1e3, 1e-3]), nmax=40)
+        # p(0, N) = e^-800 is no normal double: exit 2
+        @hyp.example(N=1, modes=([1.0], [800.0]), nmax=3)
+        def check(N, modes, nmax):
+            weights, intensities = modes
+            total = math.fsum(weights)
+            code = exit_code([
+                "stats", "--N", str(N), "--nmax", str(nmax),
+                "--probs", ",".join(repr(w / total) for w in weights),
+                "--intensities", ",".join(map(repr, intensities))])
+            out, err = capsys.readouterr()
+            assert code in (0, 2)
+            if code == 2:
+                assert out == "" and err.count("error:") == 1
+                return
+            rows = [l.split(",") for l in out.splitlines()
+                    if not l.startswith("#")][1:]
+            assert len(rows) == nmax + 1
+            assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+        check()
 
     @pytest.mark.parametrize("config, flags, same_as", [
         # a None default does not leave the config value a string
@@ -485,6 +540,17 @@ class TestDeltaCommand:
             assert value == eval_family(fam, k)
             assert transform == pytest.approx(
                 fourier(fam, k), rel=4 * np.finfo(float).eps, abs=0)
+
+    def test_huge_arguments_without_warnings(self, capsys):
+        # (sin u/u)^2 at u up to 1e227: no branch squares a u it discards
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["delta", "--shape", "shifted_pair", "--a", "8.7e107",
+                         "--kmin", "1.1e112", "--kmax", "3.3e227"]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                if not l.startswith("#")][1:]
+        assert len(rows) == 401
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
 
 
 class TestValidateCommand:
@@ -570,11 +636,11 @@ GOLDEN_CSV = {
         "# p_shannon: Poisson with parameter sum p w\n"
         "# N=100 probs=[0.35, 0.65] intensities=[0.7, 0.3]\n"
         "n,p_renyi,p_shannon,gap\n"
-        "0,0.64415359942756756,0.64403642108314141,0.00011717834442614983\n"
-        "1,0.28319325274897877,0.28337602527658218,-0.00018277252760340312\n"
-        "2,0.062368100337843811,0.062342725560848092,2.5374776995719384e-05\n"
-        "3,0.0091741251713333832,0.0091435997489243744,"
-        "3.0525422409008809e-05\n"),
+        "0,0.64415359942758321,0.64403642108314141,0.00011717834444180397\n"
+        "1,0.28319325274898571,0.28337602527658218,-0.00018277252759646423\n"
+        "2,0.062368100337845303,0.062342725560848092,2.5374776997211246e-05\n"
+        "3,0.0091741251713336087,0.0091435997489243744,"
+        "3.0525422409234323e-05\n"),
     # the (0, -) root correctly rounded: 50-digit mpmath agrees to the bit
     ("cavity", "--branches", "1"): (
         "# vacuumlab 0.1.0\n"

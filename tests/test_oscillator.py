@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vacuumlab.coulomb import potential_box, potential_lorentz
-from vacuumlab.errors import CombinatorialCap, DimensionCap, DomainError
+from vacuumlab.errors import DimensionCap, DomainError
 from vacuumlab.oscillator import (build_rep, coherent_state,
                                   excitation_projector_expectation,
                                   radiative_shift, renyi_poisson_pmf,
@@ -204,7 +204,7 @@ class TestBinomialLaw:
 
     def test_large_n_logspace_path(self):
         # intensities (w, 0): p(0, N) = sum_s Binom(N, s, p) e^{-s w/N}
-        # = (p e^{-w/N} + 1 - p)^N, through the log-space binomial weights
+        # = (p e^{-w/N} + 1 - p)^N, the scale q0^N alone
         p, N, w = 0.3, 200, 40.0
         direct = (p * math.exp(-w / N) + 1.0 - p) ** N
         assert pmf([p, 1.0 - p], [w, 0.0], N, 0) \
@@ -293,9 +293,23 @@ class TestDeformedPoisson:
         with pytest.raises(DomainError):
             renyi_poisson_pmf(self.PROBS, self.WS, 5, [[0, 1]])
 
-    def test_pattern_cap(self):
-        with pytest.raises(CombinatorialCap):
-            renyi_poisson_pmf([0.25] * 4, [0.1] * 4, 10 ** 4, [1])
+    def test_four_modes_at_large_N(self):
+        # within the O(1/N) gap of the Poisson limit
+        ws = [0.1, 0.2, 0.3, 0.4]
+        N = 10 ** 6
+        got = renyi_poisson_pmf([0.25] * 4, ws, N, range(3)).tolist()
+        for n, p in enumerate(got):
+            assert abs(p - shannon_poisson_pmf([0.25] * 4, ws, n)) < 1.0 / N
+
+    def test_p0_below_normal_range_rejected(self):
+        # p(0, N) = e^-800 at mean intensity 800 is no normal double; the
+        # coefficients of (Q/q0)^N would reach e^800
+        with pytest.raises(DomainError):
+            renyi_poisson_pmf([1.0], [800.0], 1, [0])
+        with pytest.raises(DomainError):
+            renyi_poisson_pmf([0.5, 0.5], [1e3, 1e3], 10 ** 4, [5])
+        # a mode past the range alone is fine: p(0, 1) = 0.5 + 0.5 e^-2000
+        assert pmf([0.5, 0.5], [0.0, 2000.0], 1, 0) == 0.5
 
     def test_shannon_degenerate(self):
         assert shannon_poisson_pmf([1.0], [0.0], 0) == 1.0
