@@ -71,9 +71,6 @@ class DeltaFamily:
         if self.a < 0:
             raise DomainError("M-shape height a must be nonnegative")
 
-    def with_index(self, n: int) -> "DeltaFamily":
-        return DeltaFamily(self.shape, n, self.j, self.a)
-
     @property
     def multiplication_class(self) -> tuple:
         """Key identifying the equivalence class under which products exist."""
@@ -84,27 +81,30 @@ class DeltaFamily:
         return ("divergent-at-zero",) if self.j == 0 \
             else ("regular-at-zero", 0.0)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.shape is DeltaShape.LAMBDA_TRIANGLE:
-            return (-1.0 / self.n, 1.0 / self.n)
-        if self.shape is DeltaShape.M_SHAPE:
-            eps = 1.0 / self.n
-            return (-eps / 2.0, eps / 2.0)
-        return (-(self.j + 1.0) / self.n, (self.j + 1.0) / self.n)
+    support = property(lambda self: _support(self, self.n))
+    breakpoints = property(lambda self: _breakpoints(self, self.n))
 
-    @property
-    def breakpoints(self) -> list[float]:
-        """Kink locations of the piecewise-linear profile."""
-        if self.shape is DeltaShape.LAMBDA_TRIANGLE:
-            h = 1.0 / self.n
-            return [-h, 0.0, h]
-        if self.shape is DeltaShape.M_SHAPE:
-            eps = 1.0 / self.n
-            return [c * eps for c in (-0.5, -0.25, 0.0, 0.25, 0.5)]
-        h = 1.0 / self.n
-        c = self.j * h
-        return sorted({-c - h, -c, -c + h, c - h, c, c + h})
+
+def _support(family: DeltaFamily, n) -> tuple[float, float]:
+    """The ends of the support of family's profile of index n."""
+    if family.shape is DeltaShape.LAMBDA_TRIANGLE:
+        return (-1.0 / n, 1.0 / n)
+    if family.shape is DeltaShape.M_SHAPE:
+        eps = 1.0 / n
+        return (-eps / 2.0, eps / 2.0)
+    return (-(family.j + 1.0) / n, (family.j + 1.0) / n)
+
+
+def _breakpoints(family: DeltaFamily, n) -> list[float]:
+    """Kink locations of family's piecewise-linear profile of index n,
+    ascending."""
+    h = 1.0 / n
+    if family.shape is DeltaShape.LAMBDA_TRIANGLE:
+        return [-h, 0.0, h]
+    if family.shape is DeltaShape.M_SHAPE:
+        return [c * h for c in (-0.5, -0.25, 0.0, 0.25, 0.5)]
+    c = family.j * h
+    return sorted({-c - h, -c, -c + h, c - h, c, c + h})
 
 
 def _triangle(k, n):
@@ -125,15 +125,20 @@ def eval_family(family: DeltaFamily, k):
     operations as a 0-d array and gives a float, so it has the bits of the
     same point of an array.
     """
-    n = family.n
-    if family.shape is DeltaShape.LAMBDA_TRIANGLE:
-        out = _triangle(k, n)
-    elif family.shape is DeltaShape.M_SHAPE:
-        out = _m_profile(k, family.a, 1.0 / n)
-    else:
-        c = family.j / n
-        out = 0.5 * (_triangle(k - c, n) + _triangle(k + c, n))
+    out = _profile(family, family.n, k)
     return float(out) if out.ndim == 0 else out
+
+
+def _profile(family: DeltaFamily, n, k):
+    """family's profile of index n at k: n an int, or an array of indices
+    broadcasting against k (each entry, an int below 2^53, gives the bits
+    of that int)."""
+    if family.shape is DeltaShape.LAMBDA_TRIANGLE:
+        return _triangle(k, n)
+    if family.shape is DeltaShape.M_SHAPE:
+        return _m_profile(k, family.a, 1.0 / n)
+    c = family.j / n
+    return 0.5 * (_triangle(k - c, n) + _triangle(k + c, n))
 
 
 def fourier(family: DeltaFamily, x):
@@ -217,20 +222,31 @@ def fourier_integral(family: DeltaFamily) -> float:
     return (2.0 * n / np.pi) * _cosine_pieces_integral(pieces)
 
 
-def _panel_integral(fams: Sequence[DeltaFamily], f: Callable) -> float:
-    """int prod_i delta_i(k) f(k) dk over the common support, one
-    Gauss-Legendre panel per piece between consecutive points of the union
-    of the breakpoints and 0.  Every profile is linear on each piece, so the
-    rule is exact for polynomial f of low degree and takes smooth f to
-    rounding; a jump of f at 0 falls on a panel edge."""
-    lo = max(fam.support[0] for fam in fams)
-    hi = min(fam.support[1] for fam in fams)
-    edges = np.array(sorted({p for fam in fams for p in fam.breakpoints
-                             if lo < p < hi} | {lo, 0.0, hi}))
+def _panel_integral(factors: Sequence[tuple[DeltaFamily, int]],
+                    f: Callable) -> float:
+    """int prod_i delta_i(k) f(k) dk over the common support, for factors
+    (family, index), one Gauss-Legendre panel per piece between consecutive
+    points of the union of the breakpoints and 0.  Every profile is linear
+    on each piece, so the rule is exact for polynomial f of low degree and
+    takes smooth f to rounding; a jump of f at 0 falls on a panel edge.
+    Factors of one family take one array operation, with the bits of each
+    alone."""
+    supports = [_support(fam, n) for fam, n in factors]
+    lo = max(a for a, _ in supports)
+    hi = min(b for _, b in supports)
+    edges = np.array(sorted({p for fam, n in factors
+                             for p in _breakpoints(fam, n) if lo < p < hi}
+                            | {lo, 0.0, hi}))
     k, w = gauss_legendre(edges[:-1], edges[1:])
     out = w * f(k)
-    for fam in fams:
-        out = out * eval_family(fam, k)
+    family = factors[0][0]
+    if all(fam == family for fam, _ in factors):
+        index = np.array([n for _, n in factors], dtype=float)
+        profiles = _profile(family, index[:, None, None], k)
+    else:
+        profiles = [_profile(fam, n, k) for fam, n in factors]
+    for profile in profiles:
+        out = out * profile
     return float(np.sum(out))
 
 
@@ -242,7 +258,7 @@ def filtering_integral(family: DeltaFamily,
     maps an array of points to an array of values (or to one scalar, for a
     constant).
     """
-    sweep = sweep_limit(lambda n: _panel_integral([family.with_index(n)], f))
+    sweep = sweep_limit(lambda n: _panel_integral([(family, n)], f))
     return sweep.expect_finite()
 
 
@@ -273,10 +289,10 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
         order.reverse()
 
     def evaluate(n: int) -> float:
-        fams = [None] * len(families)
+        factors = [None] * len(families)
         for rank, pos in enumerate(order):
-            fams[pos] = families[pos].with_index(n ** 3 ** rank)
-        return _panel_integral(fams, f)
+            factors[pos] = (families[pos], n ** 3 ** rank)
+        return _panel_integral(factors, f)
 
     return sweep_limit(evaluate, start=4, max_doublings=8)
 

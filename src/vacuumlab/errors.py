@@ -25,10 +25,6 @@ class NoSignChange(VacuumlabError, ValueError):
     """Bisection bracket has the same sign at both endpoints."""
 
 
-class DimensionCap(VacuumlabError, ValueError):
-    """Requested truncated representation exceeds the configured size cap."""
-
-
 class ConfigError(VacuumlabError, ValueError):
     """Invalid run configuration (unknown key, bad range, missing parameter)."""
 

@@ -3,11 +3,12 @@
 The package has two quadrature rules and both live here:
 
 * quad_careful, adaptive quadpack on the QuadratureSpec its caller passes,
-  is the only quadpack caller (casimir's far tail, validation's oracles):
-  no other module imports scipy.integrate;
+  is the only quadpack caller (casimir's far tail): no other module imports
+  scipy.integrate;
 * gauss_legendre, fixed 20-point Gauss-Legendre panels, for integrands whose
   smooth pieces are known in advance (casimir's graded panels and contour
-  tail, deltaseq's piecewise-polynomial filtering integrals).
+  tail, deltaseq's piecewise-polynomial filtering integrals, validation's
+  normalization and mirror-identity oracles).
 
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
@@ -80,23 +81,11 @@ def divergent(history: Sequence[float] = ()) -> LimitResult:
 
 
 def quad_careful(f: Callable[[float], float], a: float, b: float,
-                 spec: QuadratureSpec,
-                 points: Sequence[float] | None = None,
-                 weight: str | None = None,
-                 wvar: float | None = None) -> float:
-    """scipy.integrate.quad wrapper honoring a QuadratureSpec.
-
-    Breakpoints outside (a, b) are dropped; infinite ranges ignore points
-    (scipy restriction).  weight/wvar select quadpack's weighted rules, as in
-    scipy, e.g. weight="sin", wvar=w for int f(x) sin(w x) dx (QAWO).
-    """
-    kwargs = dict(limit=spec.max_subdivisions, epsabs=spec.abs_tol,
-                  epsrel=spec.rel_tol, weight=weight, wvar=wvar)
-    if points is not None and math.isfinite(a) and math.isfinite(b):
-        pts = sorted({p for p in points if a < p < b})
-        if pts:
-            kwargs["points"] = pts
-    val, err = quad(f, a, b, **kwargs)
+                 spec: QuadratureSpec) -> float:
+    """scipy.integrate.quad on spec's tolerances and subdivision limit;
+    NonConvergence on a non-finite value."""
+    val, _ = quad(f, a, b, limit=spec.max_subdivisions,
+                  epsabs=spec.abs_tol, epsrel=spec.rel_tol)
     if not math.isfinite(val):
         raise NonConvergence(f"quadrature returned non-finite value on [{a}, {b}]")
     return val

@@ -1,168 +1,36 @@
-"""Indefinite-frequency oscillator ensembles and their statistics.
+"""Excitation statistics of indefinite-frequency oscillator ensembles, and
+the self-energy shifts of a static point charge.
 
-A single oscillator carries a frequency register (one slot per eigenvalue
-omega) tensored with a truncated number ladder.  The N-fold bosonic
-extension uses symmetrized one-site operators with normalization 1/sqrt(N):
-
-    a_w(N) = (a_w x 1 ... + ... + 1 x ... x a_w)/sqrt(N)
-    I_w(N) = (P_w x 1 ... + ... + 1 x ... x P_w)/N
-    nt_w(N) = sum over sites of P_w x n-ladder   (no normalization)
-
-satisfying [a_w(N), a_v(N)^+] = delta_wv I_w(N) and
-[a_w(N), nt_v(N)] = delta_wv a_w(N) exactly below the occupation cutoff.
-I_w(N) has the binomial frequency-of-successes spectrum s/N, which drives
-the finite-N deformation of Poisson excitation statistics:
+N oscillators whose frequencies are the eigenvalues omega of an operator,
+drawn with probabilities p_w, each displaced with intensity w_w, have the
+finite-N deformation of the Poisson law as their total excitation law:
 
     p(n, N) = (1/n!) d^n/dlambda^n (sum_w p_w e^{lambda w_w / N})^N  at
     lambda = -1,
 
 the z^n coefficient of Q(z)^N, Q(z) = sum_w p_w e^{w_w (z - 1)/N}, taken by
-binary powering of a truncated series.  The module doubles as the
-brute-force oracle for p(n, N) (sparse N-site matrices, built on first use;
-displacement as the Kronecker product of N one-site matrix exponentials,
-exact because the generator is a sum of commuting one-site terms) and
-evaluates the vacuum-averaged self-energy shifts of a static point charge,
-free or facing a reflecting plane.
+binary powering of a truncated series; as N -> inf it tends to the plain
+Poisson law with the mode-averaged intensity.  The operator algebra behind
+it (the N-site symmetrized ladder operators and the binomial spectrum s/N
+of the frequency-of-successes element) lives in the tests, with the
+brute-force oracle built on it; `validate` checks p(n, N) against the
+N-fold convolution of one site's displaced-ladder distribution.  The
+module also evaluates the vacuum-averaged self-energy shifts of a static
+point charge, free or facing a reflecting plane.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
 
 from .coulomb import potential
-from .errors import DimensionCap, DomainError
+from .errors import DomainError
 from .vacuum import VacuumProfile, density_integral, physical_charge
-
-# largest truncated-representation dimension build_rep builds
-DIMENSION_CAP = 100_000
-
-
-# ------------------------------------------------------------ representation
-
-@dataclass
-class TruncatedRep:
-    """Finite-matrix realization of N symmetrized indefinite-frequency
-    oscillators with occupation cutoff n_max per site.
-
-    The product vacuum and the per-basis-state total occupation are built
-    with the representation; the N-site operators a, a_dag, I and n_tilde
-    (dicts omega -> sparse matrix) are built on first access.
-    """
-
-    omegas: tuple
-    weights: tuple
-    n_max: int
-    N: int
-    dim: int = field(init=False)
-    vacuum: np.ndarray = field(init=False, repr=False)
-    total_occupation: np.ndarray = field(init=False, repr=False)
-
-    a = property(lambda self: self._operators[0])        # omega -> a_w(N)
-    a_dag = property(lambda self: self._operators[1])
-    I = property(lambda self: self._operators[2])        # omega -> I_w(N)
-    n_tilde = property(lambda self: self._operators[3])  # omega -> nt_w(N)
-
-    @cached_property
-    def _operators(self) -> tuple[dict, dict, dict, dict]:
-        """a, a_dag, I and n_tilde, read off the digit table.
-
-        Basis state j lists its N single-site states as base-d1 digits,
-        site 0 most significant (the order of the Kronecker product), with
-        d1 = m (n_max + 1); digit = frequency index * (n_max + 1) +
-        occupation.  a_w holds sqrt(occ)/sqrt(N) at (j - d1^(N-1-s), j) for
-        each site s of state j that holds frequency w with occ > 0; I_w and
-        nt_w are diagonal (sites holding w, over N, and their occupations
-        summed).
-        """
-        N, dim, d1 = self.N, self.dim, len(self.omegas) * (self.n_max + 1)
-        place = d1 ** np.arange(N - 1, -1, -1)
-        digits = (np.arange(dim)[:, None] // place) % d1
-        freq, occ = divmod(digits, self.n_max + 1)
-        amp = np.sqrt(occ) / math.sqrt(N)
-
-        def diagonal(values):
-            j = np.flatnonzero(values)
-            return sparse.csr_matrix((values[j], (j, j)), shape=(dim, dim))
-
-        a, a_dag, I, n_tilde = {}, {}, {}, {}
-        for i, w in enumerate(self.omegas):
-            at_w = freq == i
-            j, s = np.nonzero(at_w & (occ > 0))
-            a[w] = sparse.csr_matrix((amp[j, s], (j - place[s], j)),
-                                     shape=(dim, dim))
-            a_dag[w] = a[w].T.tocsr()
-            I[w] = diagonal(at_w.sum(1) / N)
-            n_tilde[w] = diagonal(np.where(at_w, occ, 0).sum(1).astype(float))
-        return a, a_dag, I, n_tilde
-
-
-def build_rep(omegas: Sequence[float], weights: Sequence[float], n_max: int,
-              N: int) -> TruncatedRep:
-    """Validate the ensemble and build its product vacuum and per-basis-state
-    total occupation table as Kronecker chains of one-site vectors; the
-    N-site operators are built on first access (TruncatedRep).
-    DimensionCap past DIMENSION_CAP basis states."""
-    omegas = tuple(float(w) for w in omegas)
-    weights = tuple(float(p) for p in weights)
-    if len(omegas) != len(set(omegas)):
-        raise DomainError("frequencies must be distinct")
-    if any(w <= 0 for w in omegas):
-        raise DomainError("frequencies must be positive")
-    if abs(sum(weights) - 1.0) > 1e-12 or any(p < 0 for p in weights):
-        raise DomainError("weights must be nonnegative and sum to 1")
-    if n_max < 1 or N < 1:
-        raise DomainError("n_max and N must be positive")
-    m = len(omegas)
-    d1 = m * (n_max + 1)
-    dim = d1 ** N
-    if dim > DIMENSION_CAP:
-        raise DimensionCap(f"requested dimension {dim} exceeds cap "
-                           f"{DIMENSION_CAP}")
-    rep = TruncatedRep(omegas, weights, n_max, N)
-    rep.dim = dim
-    v1 = np.zeros(d1)
-    v1[::n_max + 1] = np.sqrt(weights)
-    rep.vacuum = reduce(np.kron, [v1] * N)
-    rep.total_occupation = reduce(np.add.outer,
-                                  [np.tile(np.arange(n_max + 1), m)] * N).ravel()
-    return rep
-
-
-def coherent_state(rep: TruncatedRep, alphas: Sequence[complex]) -> np.ndarray:
-    """exp(sum_w alpha_w a_w^+ - conj(alpha_w) a_w) applied to the vacuum
-    (exact up to the occupation cutoff).
-
-    The generator is a sum of commuting one-site terms, each truncated per
-    site, and the vacuum is a product, so the state is the N-fold Kronecker
-    product of one site vector: per frequency block, sqrt(p_w) times the
-    first column of expm((alpha_w L^+ - conj(alpha_w) L)/sqrt(N)) on the
-    (n_max + 1)-level ladder L.  Real amplitudes keep the exponentials in
-    real arithmetic; the state is returned complex either way.  The N-site
-    operators are not built.
-    """
-    if len(alphas) != len(rep.omegas):
-        raise DomainError("one displacement amplitude per frequency required")
-    ladder = np.diag(np.sqrt(np.arange(1.0, rep.n_max + 1)), 1) \
-        / math.sqrt(rep.N)
-    site = np.concatenate([
-        math.sqrt(p) * expm(al * ladder.T - np.conj(al) * ladder)[:, 0]
-        for p, al in zip(rep.weights, alphas)])
-    return reduce(np.kron, [site] * rep.N).astype(complex)
-
-
-def excitation_projector_expectation(rep: TruncatedRep, state: np.ndarray,
-                                     n: int) -> float:
-    """<state| P(total occupation = n) |state>."""
-    mask = rep.total_occupation == n
-    return float(np.sum(np.abs(state[mask]) ** 2))
 
 
 # ------------------------------------------------------------- statistics
@@ -180,7 +48,10 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
     probabilities' defect from 1 (log q0 itself below q0 = 1/2).  Each
     p(n, N) has the same bits whatever else n holds.  DomainError where
     q0^N is not a normal double, -N log q0 > 708.4 (R^N reaches q0^-N; by
-    Jensen, a mean intensity > 708).  A mode with mu_w > 745 drops out.
+    Jensen, a mean intensity > 708).  A mode whose first term
+    p_w e^{-mu_w}/q0 is below the normal range (mu_w past ~708) takes its
+    terms (p_w/q0) e^{-mu_w} mu_w^k/k! from _poisson_pmf one k at a time,
+    where the cumulative product would start from 0 or a subnormal.
     """
     probs = [float(p) for p in probs]
     intensities = [float(w) for w in intensities]
@@ -204,7 +75,11 @@ def renyi_poisson_pmf(probs: Sequence[float], intensities: Sequence[float],
     # row k: the modes' (p_w e^{-mu_w}/q0) mu_w^k/k!, none above p_w/q0
     steps = np.vstack([shares / q0,
                        mu / np.arange(1, max(ns, default=0) + 1)[:, None]])
-    r = np.cumprod(steps, axis=0).sum(axis=1)
+    terms = np.cumprod(steps, axis=0)
+    for w in np.flatnonzero((p > 0) & (steps[0] < sys.float_info.min)):
+        terms[:, w] = [p[w] / q0 * _poisson_pmf(float(mu[w]), k)
+                       for k in range(len(terms))]
+    r = terms.sum(axis=1)
     r[0] = 1.0
     return math.exp(N * log_q0) * _series_power(r, N)[ns]
 
@@ -229,13 +104,96 @@ def _series_power(r: np.ndarray, N: int) -> np.ndarray:
 def shannon_poisson_pmf(probs: Sequence[float],
                         intensities: Sequence[float], n: int) -> float:
     """Plain Poisson with the mode-averaged parameter sum_i p_i w_i (the
-    N -> inf limit of the deformed law)."""
+    N -> inf limit of the deformed law), by _poisson_pmf."""
     lam = float(sum(p * w for p, w in zip(probs, intensities)))
     if n < 0:
         raise DomainError("n must be nonnegative")
+    return _poisson_pmf(lam, n)
+
+
+def _poisson_pmf(lam: float, n: int) -> float:
+    """e^-lam lam^n/n! to a few ulps wherever it is a normal double.
+
+    Its logarithm n log(lam) - lam - log(n!) is a list of doubles whose
+    exact sum is it to ~1e-20 relative (products by the large terms of
+    _log_terms split exactly by _two_prod), summed by fsum into hi + lo, and
+    the value is e^hi e^lo: the rounding of an exponent near -700 does not
+    enter.  log(n!) is the log of n! itself up to n = 22 (an exact double);
+    past it, Loader's (n + 1/2) log n - n + log(2 pi)/2 + stirlerr(n), with
+    stirlerr's asymptotic series to its 1/n^9 term (< 3e-18 off).
+    """
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+    terms = [-lam, *_scaled_terms(n, _log_terms(lam))]
+    if n <= 22:
+        log_factorial = _exact_log_factorial(n)
+    else:
+        nn = float(n) * n
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn)
+                                         / nn) / nn) / nn) / n
+        log_factorial = [*_scaled_terms(n + 0.5, _log_terms(float(n))), -n,
+                         *_HALF_LOG_2PI, stirlerr]
+    terms += [-t for t in log_factorial]
+    hi = math.fsum(terms)
+    return math.exp(hi) * math.exp(math.fsum([*terms, -hi]))
+
+
+# ln 2 in two parts, the first with 32 significant bits, so that e ln 2 is
+# exact in them for |e| < 2^21 (fdlibm's ln2_hi, ln2_lo); log(2 pi)/2 in two
+_LN2 = (6.93147180369123816490e-01, 1.90821492927058770002e-10)
+_HALF_LOG_2PI = (0.9189385332046728, -3.8782941580672414e-17)
+# Horner coefficients of the atanh series past its u^3 term, 1/25 ... 1/5
+_ATANH_TAIL = tuple(1.0 / k for k in range(25, 3, -2))
+
+
+@cache
+def _exact_log_factorial(n: int) -> tuple[float, ...]:
+    """_log_terms of n!, an exact double for n <= 22."""
+    return tuple(_log_terms(float(math.factorial(n))))
+
+
+def _log_terms(x: float) -> list[float]:
+    """Doubles whose exact sum is log x > 0 to ~1e-20 relative, the three
+    large ones first: x = m 2^e with m in [1/sqrt 2, sqrt 2), and
+    log m = 2 atanh(U) = 2 U + 2 U^3/3 + ..., U = (m - 1)/(m + 1) = u + u_lo
+    with |u| < 0.172, its first two terms in two parts each and the rest of
+    the series to its u^25 term."""
+    m, e = math.frexp(x)
+    if m < 0.7071067811865476:
+        m, e = 2.0 * m, e - 1
+    f = m - 1.0                         # exact
+    d = 2.0 + f
+    d_lo = (2.0 - d) + f                # 2 + f = d + d_lo exactly
+    u = f / d
+    p, p_lo = _two_prod(u, d)
+    u_lo = ((f - p) - p_lo - u * d_lo) / d
+    v, v_lo = _two_prod(u, u)
+    c, c_lo = _two_prod(v, u)           # u^3 = c + c_lo + u v_lo
+    t = c / 3.0
+    p, p_lo = _two_prod(t, 3.0)
+    t_lo = ((c - p) - p_lo + c_lo + u * v_lo) / 3.0     # u^3/3 = t + t_lo
+    tail = 0.0
+    for coefficient in _ATANH_TAIL:     # sum_j v^j/(2j + 5), j <= 10
+        tail = tail * v + coefficient
+    return [e * _LN2[0], 2.0 * u, 2.0 * t, e * _LN2[1],
+            2.0 * (u_lo + t_lo + v * u_lo), 2.0 * u * v * v * tail]
+
+
+def _scaled_terms(c: float, terms: list[float]) -> list[float]:
+    """c times the sum of _log_terms, as doubles whose exact sum is it to
+    the same relative accuracy: the three large terms' products exactly."""
+    return [*_two_prod(c, terms[0]), *_two_prod(c, terms[1]),
+            *_two_prod(c, terms[2]), *(c * t for t in terms[3:])]
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """(p, err) with p = a b rounded and p + err = a b exactly: Dekker's
+    product of Veltkamp halves (split by 2^27 + 1; |a|, |b| < 1e300)."""
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 # --------------------------------------------------------- radiative shifts

@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
 from scipy.special import kve
 
 from .errors import DomainError
@@ -150,22 +151,30 @@ def make_lorentz_profile(lambda2: float, y0: float) -> VacuumProfile:
                          Z=Z, norm_const=norm_const)
 
 
-def density(profile: VacuumProfile, k_abs: float) -> float:
-    """|O(k)|^2 at radial momentum k_abs >= 0."""
-    if k_abs < 0:
+def density(profile: VacuumProfile, k_abs):
+    """|O(k)|^2 at radial momenta k_abs >= 0.
+
+    An array k_abs gives an array; a float goes through the same numpy
+    operations as a 0-d array and gives a float, so it has the bits of the
+    same point of an array.
+    """
+    k = np.asarray(k_abs, dtype=float)
+    if np.any(k < 0):
         raise DomainError("radial momentum must be nonnegative")
     if profile.kind is ProfileKind.BOX_SHELL:
-        return profile.Z if profile.k1 <= k_abs <= profile.k2 else 0.0
-    if k_abs == 0.0:
-        return 0.0
-    # norm_const e^(-lambda^2/(y0 k) - y0 k) = Z e^(-(lambda - y0 k)^2/(y0 k)):
-    # the exponent with 2 lambda folded in, so that its rounding scales with
-    # the exponent itself and the density does not underflow before its
-    # value does
-    lam, residual = _sqrt_with_residual(profile.lambda2)
-    yk = profile.y0 * k_abs
-    g = (lam - yk) + residual
-    return profile.Z * math.exp(-g * g / yk)
+        out = np.where((profile.k1 <= k) & (k <= profile.k2), profile.Z, 0.0)
+    else:
+        # norm_const e^(-lambda^2/(y0 k) - y0 k)
+        #   = Z e^(-(lambda - y0 k)^2/(y0 k)):
+        # the exponent with 2 lambda folded in, so that its rounding scales
+        # with the exponent itself and the density does not underflow before
+        # its value does; 0 where y0 k is 0
+        lam, residual = _sqrt_with_residual(profile.lambda2)
+        yk = profile.y0 * k
+        safe = np.where(yk > 0.0, yk, 1.0)
+        g = (lam - safe) + residual
+        out = np.where(yk > 0.0, profile.Z * np.exp(-g * g / safe), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def density_integral(profile: VacuumProfile, inverse_power: int = 0) -> float:

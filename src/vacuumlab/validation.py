@@ -10,10 +10,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import casimir, cavity, coulomb, deltaseq, oscillator, specfun, vacuum
 from .constants import AU_KM, PLANCK_LENGTH_KM
-from .numerics import QuadratureSpec, gauss_legendre, quad_careful
+from .numerics import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -137,45 +138,45 @@ def check_casimir_3p1() -> list[CriterionResult]:
     return out
 
 
-_NORMALIZATION_SPEC = QuadratureSpec(0.0, 1e-13, 50)   # scipy's default limit
-
-
 def _lorentz_s_integral(lambda2: float) -> float:
     """The exponential profile's int dk density by quadrature, the closed
     form's oracle, up to its factor norm_const/(4 pi^2 y0^2): in
     s = ln(y0 kappa) the integrand exp(2s - e^s - lambda^2 e^-s) depends on
-    lambda^2 alone.  Split at the peak s = ln(lambda); for lambda^2 <= 1 the
-    ends cut off < e^-1000."""
+    lambda^2 alone.  Gauss-Legendre panels at most one unit of s wide on
+    [ln lambda^2 - 7, 7], split at the peak s = ln(lambda); for
+    lambda^2 <= 1 the ends cut off < e^-1000."""
     lb = math.log(lambda2)
-    return quad_careful(
-        lambda s: math.exp(2.0 * s - math.exp(s) - math.exp(lb - s)),
-        lb - 7.0, 7.0, _NORMALIZATION_SPEC, points=[0.5 * lb])
+    lo, peak, hi = lb - 7.0, 0.5 * lb, 7.0
+    edges = np.concatenate([
+        np.linspace(lo, peak, math.ceil(peak - lo) + 1)[:-1],
+        np.linspace(peak, hi, math.ceil(hi - peak) + 1)])
+    s, w = gauss_legendre(edges[:-1], edges[1:])
+    return float(np.sum(w * np.exp(2.0 * s - np.exp(s) - np.exp(lb - s))))
 
 
-def _density_sine_quad(p: vacuum.VacuumProfile, w: float) -> float:
-    """int dkappa density(kappa) sin(w kappa)/kappa for w > 0 by quadrature,
-    the oracle of the closed-form potential: V(w) of bare charge q is
-    -q^2/(2 pi^2 w) times it.  Box: one sine-weighted rule on [k1, k2].
-    Exponential profile: in x = y0 kappa over [lambda^2 e^-7,
-    max(60, 10 lambda)], in decade panels with one sine-weighted rule each.
-    For small lambda density/kappa peaks near x = lambda^2, not lambda, and
-    below the lower end e^(-lambda^2/x) < e^-1000 cuts it off.  Each rule
-    is held to 1e-8 relative or 1e-10 of the peak density Z absolute.
-    """
-    spec = QuadratureSpec(1e-10 * p.Z, 1e-8)
-    density = vacuum.density
+def _density_sine_panels(p: vacuum.VacuumProfile, w: float) -> float:
+    """int dkappa density(kappa) sin(w kappa)/kappa for w > 0 on
+    Gauss-Legendre panels at most a quarter period of the sine wide, the
+    oracle of the closed-form potential: V(w) of bare charge q is
+    -q^2/(2 pi^2 w) times it.  The exponential profile's density is
+    Z e^(-(lambda - x)^2/x) in x = y0 kappa, below e^-40 Z outside
+    [lambda^2 e^-7, lambda + 20 + sqrt(400 + 40 lambda)] (below e^-1000 Z
+    under its lower end); its panels double in width from the lower end up
+    to a quarter period, through the peak of density/kappa near
+    lambda^2/y0 at small lambda."""
+    quarter = 0.5 * math.pi / w
     if p.kind is vacuum.ProfileKind.BOX_SHELL:
-        return quad_careful(lambda k: density(p, k) / k, p.k1, p.k2,
-                            spec, weight="sin", wvar=w)
-    y0, lam = p.y0, math.sqrt(p.lambda2)
-    lo, hi = p.lambda2 * math.exp(-7.0), max(60.0, 10.0 * lam)
-    # the first panel, one to two decades wide, lies below lambda^2/10,
-    # where e^(-lambda^2/x) < e^-10
-    decades = range(math.floor(math.log10(lo)) + 2, math.ceil(math.log10(hi)))
-    edges = [lo, *(10.0 ** e for e in decades), hi]
-    return sum(quad_careful(lambda x: density(p, x / y0) / x, a, b,
-                            spec, weight="sin", wvar=w / y0)
-               for a, b in zip(edges[:-1], edges[1:]))
+        lo, hi, doubling = p.k1, p.k2, 0
+    else:
+        lam = math.sqrt(p.lambda2)
+        lo = p.lambda2 * math.exp(-7.0) / p.y0
+        hi = (lam + 20.0 + math.sqrt(400.0 + 40.0 * lam)) / p.y0
+        doubling = max(math.ceil(math.log2(quarter / lo)), 0)
+    top = lo * 2.0 ** doubling
+    edges = np.concatenate([lo * 2.0 ** np.arange(doubling), np.linspace(
+        top, hi, math.ceil((hi - top) / quarter) + 1)])
+    k, wt = gauss_legendre(edges[:-1], edges[1:])
+    return float(np.sum(wt * vacuum.density(p, k) * np.sin(w * k) / k))
 
 
 def check_vacuum_normalization() -> list[CriterionResult]:
@@ -192,8 +193,9 @@ def check_vacuum_normalization() -> list[CriterionResult]:
     p = vacuum.make_box_profile(1.0, 3.0)
     out.append(_crit("box_peak_exact", 8.0 * math.pi ** 2 / 8.0, p.Z,
                      1e-15, "rel"))
-    box = quad_careful(lambda k: p.Z * k, p.k1, p.k2,
-                       _NORMALIZATION_SPEC) / vacuum.FOUR_PI_SQ
+    # the integrand Z k is linear, so one panel is exact
+    k, w = gauss_legendre(np.array([p.k1]), np.array([p.k2]))
+    box = float(np.sum(w * p.Z * k)) / vacuum.FOUR_PI_SQ
     out.append(_crit("box_normalization", 1.0, box, 1e-12))
     return out
 
@@ -291,16 +293,32 @@ def check_delta_calculus() -> list[CriterionResult]:
     return out
 
 
+def _occupation_law(probs, alphas, N: int, n_max: int) -> np.ndarray:
+    """Law of the total occupation of N sites in the coherent state of
+    amplitudes alphas, each site's ladder L cut at n_max: the state is a
+    product of site vectors, so it is the N-fold convolution of one site's
+    sum_w p_w |expm(G_w)[:, 0]|^2, G_w = (alpha_w L^+ - conj(alpha_w) L)/
+    sqrt(N).  Through expm, not the Poisson formula."""
+    ladder = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1) / math.sqrt(N)
+    generators = np.array([a * ladder.T - np.conj(a) * ladder
+                           for a in alphas])
+    columns = np.abs(expm(generators)[:, :, 0]) ** 2
+    site = np.asarray(probs) @ columns
+    law = site
+    for _ in range(N - 1):
+        law = np.convolve(law, site)
+    return law
+
+
 def check_statistics_oracle() -> list[CriterionResult]:
     probs = [0.35, 0.65]
     alphas = [0.45, 0.31]
     ws = [abs(a) ** 2 for a in alphas]
-    rep = oscillator.build_rep([1.0, 2.0], probs, n_max=5, N=4)
-    state = oscillator.coherent_state(rep, alphas)
-    exact = oscillator.renyi_poisson_pmf(probs, ws, 4, range(7)).tolist()
-    worst = max(abs(oscillator.excitation_projector_expectation(rep, state, n)
-                    - exact[n]) for n in range(7))
-    out = [_crit("pmf_vs_brute_force", 0.0, worst, 1e-10)]
+    # at n_max = 10 cutting the ladder moves p(n, 4) by less than 1e-16
+    brute = _occupation_law(probs, alphas, 4, n_max=10)[:7]
+    exact = oscillator.renyi_poisson_pmf(probs, ws, 4, range(7))
+    worst = float(np.max(np.abs(brute - exact)))
+    out = [_crit("pmf_vs_brute_force", 0.0, worst, 1e-14)]
     renyi = oscillator.renyi_poisson_pmf(probs, [0.7, 0.3], 10000,
                                          range(6)).tolist()
     gap = max(abs(renyi[n]
@@ -313,7 +331,7 @@ def check_statistics_oracle() -> list[CriterionResult]:
 def check_mirror_identity() -> list[CriterionResult]:
     """The self-energy change at a plane, half the closed-form potential
     V(2 L), against the mode sum -q^2/(8 pi^2 L) int dkappa density
-    sin(2 L kappa)/kappa taken by quadrature."""
+    sin(2 L kappa)/kappa taken on fixed panels."""
     out = []
     q = 1.1
     for name, prof in (("box", vacuum.make_box_profile(1.0, 3.0)),
@@ -323,7 +341,7 @@ def check_mirror_identity() -> list[CriterionResult]:
             lhs = oscillator.radiative_shift(prof, q, plane_gap=L) \
                 - oscillator.radiative_shift(prof, q)
             rhs = -q ** 2 / (8.0 * math.pi ** 2 * L) \
-                * _density_sine_quad(prof, 2.0 * L)
+                * _density_sine_panels(prof, 2.0 * L)
             worst = max(worst, abs(lhs - rhs))
         out.append(_crit(f"mirror_identity_{name}", 0.0, worst, 1e-8))
     return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vacuumlab import validation
-from vacuumlab.numerics import quad_careful
+from vacuumlab.numerics import gauss_legendre
 from vacuumlab.validation import ALL_CHECKS, _unitarity_draws, run_validation
 
 
@@ -47,13 +47,13 @@ def test_unitarity_draws_match_scalar_stream():
 
 def test_vacuum_normalization_integrates_once_per_lambda2(monkeypatch):
     # the exponential profile's s-integral depends on lambda^2 alone: one
-    # quadrature for each of the four lambda^2, one for the box
+    # panel rule for each of the four lambda^2, one for the box
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return quad_careful(*args, **kwargs)
+        return gauss_legendre(*args)
 
-    monkeypatch.setattr(validation, "quad_careful", counting)
+    monkeypatch.setattr(validation, "gauss_legendre", counting)
     assert all(r.passed for r in validation.check_vacuum_normalization())
     assert len(calls) == 5

@@ -638,9 +638,9 @@ GOLDEN_CSV = {
         "n,p_renyi,p_shannon,gap\n"
         "0,0.64415359942758321,0.64403642108314141,0.00011717834444180397\n"
         "1,0.28319325274898571,0.28337602527658218,-0.00018277252759646423\n"
-        "2,0.062368100337845303,0.062342725560848092,2.5374776997211246e-05\n"
-        "3,0.0091741251713336087,0.0091435997489243744,"
-        "3.0525422409234323e-05\n"),
+        "2,0.062368100337845303,0.062342725560848078,2.5374776997225124e-05\n"
+        "3,0.0091741251713336087,0.0091435997489243831,"
+        "3.052542240922565e-05\n"),
     # the (0, -) root correctly rounded: 50-digit mpmath agrees to the bit
     ("cavity", "--branches", "1"): (
         "# vacuumlab 0.1.0\n"

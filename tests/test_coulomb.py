@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import density_sine_quad
 from vacuumlab import coulomb
 from vacuumlab.constants import AU_KM, PLANCK_LENGTH_KM
 from vacuumlab.coulomb import (PotentialCurve, expand_bracket, potential,
@@ -11,7 +12,6 @@ from vacuumlab.coulomb import (PotentialCurve, expand_bracket, potential,
                                potential_lorentz, sign_change_radius,
                                yukawa_bound_check)
 from vacuumlab.errors import DomainError, NoSignChange
-from vacuumlab.validation import _density_sine_quad
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
 
@@ -19,7 +19,7 @@ from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
 def radial_quad(q, prof, r):
     """Averaged potential of bare charge q by quadrature of the density:
     -(q^2/(2 pi^2 r)) int dkappa density sin(kappa r)/kappa."""
-    return -q ** 2 / (2.0 * math.pi ** 2 * r) * _density_sine_quad(prof, r)
+    return -q ** 2 / (2.0 * math.pi ** 2 * r) * density_sine_quad(prof, r)
 
 
 class TestBoxPotential:

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import quadpack
 from vacuumlab.deltaseq import (DeltaFamily, DeltaShape, _cos_tail,
                                 _panel_integral, eval_family,
                                 filtering_integral, fourier, fourier_integral,
                                 power_filtering_integral,
                                 product_filtering_integral)
 from vacuumlab.errors import DomainError, IncompatibleClasses
-from vacuumlab.numerics import QuadratureSpec, quad_careful
+from vacuumlab.numerics import QuadratureSpec
 
 LAM = DeltaFamily(DeltaShape.LAMBDA_TRIANGLE, n=8)
 MSH = DeltaFamily(DeltaShape.M_SHAPE, n=2, a=1.0)        # epsilon = 1/2
@@ -57,8 +60,8 @@ class TestEval:
     ])
     def test_unit_normalization(self, fam):
         lo, hi = fam.support
-        total = quad_careful(lambda k: eval_family(fam, k), lo, hi, SPEC,
-                             points=fam.breakpoints)
+        total = quadpack(lambda k: eval_family(fam, k), lo, hi, SPEC,
+                         points=fam.breakpoints)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("fam", [
@@ -121,7 +124,7 @@ class TestFourier:
         for fam in (LAM, MSH, SP1):
             lo, hi = fam.support
             for x in (0.0, 1.3, -4.0):
-                oracle = quad_careful(
+                oracle = quadpack(
                     lambda k: eval_family(fam, k) * np.cos(k * x), lo, hi,
                     SPEC, points=fam.breakpoints) / TWO_PI
                 assert fourier(fam, x) == pytest.approx(oracle, abs=1e-12)
@@ -250,7 +253,7 @@ def _quadpack_filter(fams, f):
         return float(out)
 
     pts = [p for fam in fams for p in fam.breakpoints] + [0.0]
-    return quad_careful(g, lo, hi, SPEC, points=pts)
+    return quadpack(g, lo, hi, SPEC, points=pts)
 
 
 TEST_FUNCTIONS = {"one": lambda k: 1.0, "cos": lambda k: np.cos(k - 0.4),
@@ -269,8 +272,8 @@ class TestPanelRoutes:
     @pytest.mark.parametrize("n", [1, 7, 64, 10 ** 4])
     @pytest.mark.parametrize("family", COMPACT.values(), ids=COMPACT.keys())
     def test_filter_matches_quadpack(self, family, n, f):
-        panel = _panel_integral([family.with_index(n)], f)
-        oracle = _quadpack_filter([family.with_index(n)], f)
+        panel = _panel_integral([(family, n)], f)
+        oracle = _quadpack_filter([replace(family, n=n)], f)
         assert abs(panel - oracle) <= 1e-14
 
     @pytest.mark.parametrize("f", TEST_FUNCTIONS.values(),
@@ -279,10 +282,24 @@ class TestPanelRoutes:
     @pytest.mark.parametrize("family", COMPACT.values(), ids=COMPACT.keys())
     def test_staircase_pair_matches_quadpack(self, family, n, f):
         # one rung of product_filtering_integral's staircase (n, n^3)
-        fams = [family.with_index(n), family.with_index(n ** 3)]
-        panel = _panel_integral(fams, f)
-        oracle = _quadpack_filter(fams, f)
+        panel = _panel_integral([(family, n), (family, n ** 3)], f)
+        oracle = _quadpack_filter([replace(family, n=n),
+                                   replace(family, n=n ** 3)], f)
         assert abs(panel - oracle) <= 1e-14 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("f", TEST_FUNCTIONS.values(),
+                             ids=TEST_FUNCTIONS.keys())
+    @pytest.mark.parametrize("family", COMPACT.values(), ids=COMPACT.keys())
+    def test_one_family_in_one_array_keeps_the_bits(self, family, f):
+        # factors of one family are evaluated together; the same factors
+        # with a family that differs only in its own index take the
+        # factor-by-factor path
+        other = replace(family, n=family.n + 1)
+        for n in (4, 16, 128):
+            for ranks in ((1, 3), (3, 1), (1, 3, 9)):
+                factors = [(family, n ** r) for r in ranks]
+                assert _panel_integral(factors, f) == _panel_integral(
+                    [(other, factors[0][1])] + factors[1:], f)
 
     @pytest.mark.parametrize("a", [0.0, 2.0, 4.0, 6.0])
     def test_cos_tail_matches_mpmath(self, a):

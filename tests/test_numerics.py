@@ -1,6 +1,7 @@
 """The package's two quadrature rules: quad_careful against scipy's quad,
 the QuadratureSpec rules, and the rules on the package's source: no other
-module imports scipy.integrate or builds a Gauss-Legendre rule, deltaseq
+module imports scipy.integrate or builds a Gauss-Legendre rule, no module
+imports scipy.sparse and only validation imports scipy.linalg, deltaseq
 never calls quadpack, the CLI or validate reaches every definition, and
 some caller sets every defaulted parameter."""
 
@@ -20,29 +21,22 @@ SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=120)
 SCIPY_SETTINGS = dict(limit=120, epsabs=1e-11, epsrel=1e-9)
 
 
-@pytest.mark.parametrize("f, a, b, extra", [
-    (lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 2.0, {}),
-    (lambda x: abs(x - 0.3) ** 0.5, 0.0, 1.0, {"points": [0.3]}),
-    (lambda x: 1.0 / (1.0 + x * x), 0.0, 10.0, {"weight": "sin", "wvar": 5.0}),
-    (lambda x: 1.0 / (1.0 + x * x), 0.0, 10.0, {"weight": "cos", "wvar": 5.0}),
-    (lambda x: math.exp(-x) / (1.0 + x), 1.0, math.inf, {}),
-], ids=["plain", "points", "sin", "cos", "to_inf"])
-def test_quad_careful_is_scipy_quad_bit_for_bit(f, a, b, extra):
-    assert quad_careful(f, a, b, SPEC, **extra) \
-        == quad(f, a, b, **SCIPY_SETTINGS, **extra)[0]
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 2.0),
+    (lambda x: math.exp(-x) / (1.0 + x), 1.0, math.inf),
+], ids=["plain", "to_inf"])
+def test_quad_careful_is_scipy_quad_bit_for_bit(f, a, b):
+    assert quad_careful(f, a, b, SPEC) == quad(f, a, b, **SCIPY_SETTINGS)[0]
 
 
-@pytest.mark.parametrize("a, b, extra", [
-    (0.0, 10.0, {}),
-    (0.0, 10.0, {"weight": "cos", "wvar": 3.0}),
-    (0.0, math.inf, {}),
-], ids=["plain", "weighted", "to_inf"])
-def test_non_finite_integral_raises(a, b, extra):
+@pytest.mark.parametrize("a, b", [(0.0, 10.0), (0.0, math.inf)],
+                         ids=["plain", "to_inf"])
+def test_non_finite_integral_raises(a, b):
     # the integral of 1e308 over each range overflows the double range
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         with pytest.raises(NonConvergence):
-            quad_careful(lambda x: 1e308, a, b, SPEC, **extra)
+            quad_careful(lambda x: 1e308, a, b, SPEC)
 
 
 def test_spec_accepts_a_pure_relative_rule():
@@ -60,9 +54,10 @@ def test_spec_rejects_bad_tolerances(tols):
         QuadratureSpec(**tols)
 
 
-def _scipy_integrate_imports(source: str) -> list[int]:
-    """Line numbers at which source imports scipy.integrate or reaches it
+def _scipy_imports(source: str, subpackage: str) -> list[int]:
+    """Line numbers at which source imports scipy.<subpackage> or reaches it
     as an attribute of scipy."""
+    target = f"scipy.{subpackage}"
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -70,35 +65,50 @@ def _scipy_integrate_imports(source: str) -> list[int]:
         elif isinstance(node, ast.ImportFrom) and node.module:
             names = [node.module] + [f"{node.module}.{alias.name}"
                                      for alias in node.names]
-        elif isinstance(node, ast.Attribute) and node.attr == "integrate" \
+        elif isinstance(node, ast.Attribute) and node.attr == subpackage \
                 and isinstance(node.value, ast.Name) \
                 and node.value.id == "scipy":
-            names = ["scipy.integrate"]
+            names = [target]
         else:
             continue
-        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
-               for n in names):
+        if any(n == target or n.startswith(target + ".") for n in names):
             lines.append(node.lineno)
     return lines
 
 
+def _package_imports(subpackage: str) -> dict[str, list[int]]:
+    """{module file name: lines} of the package's modules that import
+    scipy.<subpackage>."""
+    package = Path(numerics.__file__).parent
+    found = {path.name: _scipy_imports(path.read_text(), subpackage)
+             for path in sorted(package.glob("*.py"))}
+    return {name: lines for name, lines in found.items() if lines}
+
+
 def test_rule_detector_sees_every_import_form():
-    for source in ("from scipy.integrate import quad",
-                   "import scipy.integrate as si",
-                   "from scipy import integrate",
-                   "def f():\n    from scipy.integrate import quad",
-                   "import scipy\nscipy.integrate.quad"):
-        assert _scipy_integrate_imports(source), source
-    assert not _scipy_integrate_imports("from scipy.special import kv")
+    for sub in ("integrate", "sparse", "linalg"):
+        for source in (f"from scipy.{sub} import quad",
+                       f"import scipy.{sub} as si",
+                       f"from scipy import {sub}",
+                       f"def f():\n    from scipy.{sub} import quad",
+                       f"import scipy\nscipy.{sub}.quad",
+                       f"from scipy.{sub}.linalg import expm_multiply"):
+            assert _scipy_imports(source, sub), source
+        assert not _scipy_imports("from scipy.special import kv", sub)
+    assert not _scipy_imports("from scipy.sparse.linalg import spsolve",
+                              "linalg")
 
 
 def test_only_numerics_imports_scipy_integrate():
-    package = Path(numerics.__file__).parent
-    offenders = {path.name: _scipy_integrate_imports(path.read_text())
-                 for path in sorted(package.glob("*.py"))
-                 if path.name != "numerics.py"}
-    assert {name: lines for name, lines in offenders.items() if lines} == {}
-    assert _scipy_integrate_imports(Path(numerics.__file__).read_text())
+    assert list(_package_imports("integrate")) == ["numerics.py"]
+
+
+def test_no_module_imports_scipy_sparse():
+    assert _package_imports("sparse") == {}
+
+
+def test_only_validation_imports_scipy_linalg():
+    assert set(_package_imports("linalg")) <= {"validation.py"}
 
 
 def _references(source: str, name: str) -> list[int]:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (DimensionCap, build_rep, coherent_state,
+                     excitation_projector_expectation)
 from vacuumlab.coulomb import potential_box, potential_lorentz
-from vacuumlab.errors import DimensionCap, DomainError
-from vacuumlab.oscillator import (build_rep, coherent_state,
-                                  excitation_projector_expectation,
-                                  radiative_shift, renyi_poisson_pmf,
+from vacuumlab.errors import DomainError
+from vacuumlab.oscillator import (radiative_shift, renyi_poisson_pmf,
                                   shannon_poisson_pmf)
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
@@ -310,6 +310,19 @@ class TestDeformedPoisson:
             renyi_poisson_pmf([0.5, 0.5], [1e3, 1e3], 10 ** 4, [5])
         # a mode past the range alone is fine: p(0, 1) = 0.5 + 0.5 e^-2000
         assert pmf([0.5, 0.5], [0.0, 2000.0], 1, 0) == 0.5
+
+    def test_mode_past_the_exponent_range_kept(self):
+        # e^-mu_w underflows at mu_w = 800, yet the mode's terms at n = 40
+        # and 60 are normal doubles: p(n, 1) = Poisson(n; 800)/2, and at
+        # N = 2 (mu_w = 800 again) the Poisson(n; 1600)/4 part of p(n, 2)
+        # is below the double range
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = [float(mp.exp(-800) * mp.mpf(800) ** n / mp.factorial(n)
+                         / 2) for n in (40, 60)]
+        for N, ws in ((1, [0.0, 800.0]), (2, [0.0, 1600.0])):
+            got = renyi_poisson_pmf([0.5, 0.5], ws, N, [40, 60]).tolist()
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_shannon_degenerate(self):
         assert shannon_poisson_pmf([1.0], [0.0], 0) == 1.0

@@ -17,8 +17,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
+from oracles import density_sine_quad  # noqa: E402
 from vacuumlab import (casimir, cavity, coulomb, oscillator,  # noqa: E402
-                       vacuum, validation)
+                       vacuum)
 from vacuumlab.errors import DomainError  # noqa: E402
 from vacuumlab.specfun import gamma_from_zero  # noqa: E402
 
@@ -194,7 +195,7 @@ def test_potential_matches_radial_quadrature(kind, u, v, f):
     q = 1.0
     q_ph = vacuum.physical_charge(q, prof)
     oracle = -q ** 2 / (2.0 * math.pi ** 2 * r) \
-        * validation._density_sine_quad(prof, r)
+        * density_sine_quad(prof, r)
     # the absolute floor, 1e-9 of the bare Coulomb value, only matters at a
     # sign change of V
     assert coulomb.potential(prof, q_ph, r) == pytest.approx(
@@ -428,3 +429,18 @@ def test_one_mode_renyi_pmf_is_poisson(w, N, n):
         ref = mp.exp(-w) * mp.mpf(w) ** n / mp.factorial(n)
     (got,) = oscillator.renyi_poisson_pmf([1.0], [w], N, [n]).tolist()
     assert abs(got - ref) <= 1e-13 * abs(ref) + np.finfo(float).tiny
+
+
+@PROPERTY
+@given(lam=log_uniform(1e-3, 1e3),
+       n=st.one_of(st.integers(0, 40), st.integers(0, 1000)))
+@example(lam=500.0, n=500)
+@example(lam=700.0, n=650)
+def test_shannon_pmf_matches_mpmath(lam, n):
+    # worst measured 3.2e-16 relative over 6,000 random draws of this range;
+    # exp(n log lam - lam - lgamma(n + 1)) was 3.3e-14 off at lam = n = 500
+    # and 5.95e-13 at lam = 700, n = 650
+    with mp.workdps(40):
+        ref = mp.exp(-lam) * mp.mpf(lam) ** n / mp.factorial(n)
+    got = oscillator.shannon_poisson_pmf([1.0], [lam], n)
+    assert abs(got - ref) <= 1e-14 * abs(ref) + np.finfo(float).tiny
