@@ -129,10 +129,8 @@ def eval_family(family: DeltaFamily, k):
     return float(out) if out.ndim == 0 else out
 
 
-def _profile(family: DeltaFamily, n, k):
-    """family's profile of index n at k: n an int, or an array of indices
-    broadcasting against k (each entry, an int below 2^53, gives the bits
-    of that int)."""
+def _profile(family: DeltaFamily, n: int, k):
+    """family's profile of index n at k."""
     if family.shape is DeltaShape.LAMBDA_TRIANGLE:
         return _triangle(k, n)
     if family.shape is DeltaShape.M_SHAPE:
@@ -228,9 +226,7 @@ def _panel_integral(factors: Sequence[tuple[DeltaFamily, int]],
     (family, index), one Gauss-Legendre panel per piece between consecutive
     points of the union of the breakpoints and 0.  Every profile is linear
     on each piece, so the rule is exact for polynomial f of low degree and
-    takes smooth f to rounding; a jump of f at 0 falls on a panel edge.
-    Factors of one family take one array operation, with the bits of each
-    alone."""
+    takes smooth f to rounding; a jump of f at 0 falls on a panel edge."""
     supports = [_support(fam, n) for fam, n in factors]
     lo = max(a for a, _ in supports)
     hi = min(b for _, b in supports)
@@ -239,14 +235,8 @@ def _panel_integral(factors: Sequence[tuple[DeltaFamily, int]],
                             | {lo, 0.0, hi}))
     k, w = gauss_legendre(edges[:-1], edges[1:])
     out = w * f(k)
-    family = factors[0][0]
-    if all(fam == family for fam, _ in factors):
-        index = np.array([n for _, n in factors], dtype=float)
-        profiles = _profile(family, index[:, None, None], k)
-    else:
-        profiles = [_profile(fam, n, k) for fam, n in factors]
-    for profile in profiles:
-        out = out * profile
+    for fam, n in factors:
+        out = out * _profile(fam, n, k)
     return float(np.sum(out))
 
 

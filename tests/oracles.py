@@ -17,8 +17,6 @@
   satisfying [a_w(N), a_v(N)^+] = delta_wv I_w(N) and
   [a_w(N), nt_v(N)] = delta_wv a_w(N) exactly below the occupation cutoff.
   I_w(N) has the binomial frequency-of-successes spectrum s/N.
-* quadpack: scipy's adaptive quad on a QuadratureSpec's tolerances, with
-  breakpoints and quadpack's sin/cos-weighted rules.
 * density_sine_quad: int dkappa density(kappa) sin(w kappa)/kappa by
   sine-weighted quadpack rules (QAWO), the quadrature oracle of the
   closed-form averaged potential.
@@ -37,8 +35,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from vacuumlab import vacuum
-from vacuumlab.errors import DomainError, NonConvergence
-from vacuumlab.numerics import QuadratureSpec
+from vacuumlab.errors import DomainError
 
 # largest truncated-representation dimension build_rep builds
 DIMENSION_CAP = 100_000
@@ -168,30 +165,6 @@ def excitation_projector_expectation(rep: TruncatedRep, state: np.ndarray,
     return float(np.sum(np.abs(state[mask]) ** 2))
 
 
-# ---------------------------------------------------------------- quadpack
-
-def quadpack(f, a: float, b: float, spec: QuadratureSpec,
-             points: Sequence[float] | None = None,
-             weight: str | None = None, wvar: float | None = None) -> float:
-    """scipy.integrate.quad on spec's tolerances and subdivision limit.
-
-    Breakpoints outside (a, b) are dropped; infinite ranges ignore points
-    (scipy restriction).  weight/wvar select quadpack's weighted rules, as in
-    scipy, e.g. weight="sin", wvar=w for int f(x) sin(w x) dx (QAWO).
-    NonConvergence on a non-finite value.
-    """
-    kwargs = dict(limit=spec.max_subdivisions, epsabs=spec.abs_tol,
-                  epsrel=spec.rel_tol, weight=weight, wvar=wvar)
-    if points is not None and math.isfinite(a) and math.isfinite(b):
-        pts = sorted({p for p in points if a < p < b})
-        if pts:
-            kwargs["points"] = pts
-    val, _ = quad(f, a, b, **kwargs)
-    if not math.isfinite(val):
-        raise NonConvergence(f"quadrature returned non-finite value on [{a}, {b}]")
-    return val
-
-
 def density_sine_quad(p: vacuum.VacuumProfile, w: float) -> float:
     """int dkappa density(kappa) sin(w kappa)/kappa for w > 0 by quadrature,
     the oracle of the closed-form potential: V(w) of bare charge q is
@@ -202,17 +175,16 @@ def density_sine_quad(p: vacuum.VacuumProfile, w: float) -> float:
     below the lower end e^(-lambda^2/x) < e^-1000 cuts it off.  Each rule
     is held to 1e-8 relative or 1e-10 of the peak density Z absolute.
     """
-    spec = QuadratureSpec(1e-10 * p.Z, 1e-8)
+    rule = dict(epsabs=1e-10 * p.Z, epsrel=1e-8, limit=300, weight="sin")
     density = vacuum.density
     if p.kind is vacuum.ProfileKind.BOX_SHELL:
-        return quadpack(lambda k: density(p, k) / k, p.k1, p.k2,
-                        spec, weight="sin", wvar=w)
+        return quad(lambda k: density(p, k) / k, p.k1, p.k2, wvar=w, **rule)[0]
     y0, lam = p.y0, math.sqrt(p.lambda2)
     lo, hi = p.lambda2 * math.exp(-7.0), max(60.0, 10.0 * lam)
     # the first panel, one to two decades wide, lies below lambda^2/10,
     # where e^(-lambda^2/x) < e^-10
     decades = range(math.floor(math.log10(lo)) + 2, math.ceil(math.log10(hi)))
     edges = [lo, *(10.0 ** e for e in decades), hi]
-    return sum(quadpack(lambda x: density(p, x / y0) / x, a, b,
-                        spec, weight="sin", wvar=w / y0)
+    return sum(quad(lambda x: density(p, x / y0) / x, a, b, wvar=w / y0,
+                    **rule)[0]
                for a, b in zip(edges[:-1], edges[1:]))
