@@ -13,12 +13,13 @@ r(k) = 1/(1 - 2ik/alpha)^2):
 * quadrature: p = (1/2pi) int_0^inf k [(1-|r|^2)/|1 - r e^{2ikL}|^2 - 1] dk,
   integrated on the real axis over Gauss-Legendre panels graded into k = 0
   and the first 24 quasi-resonant peaks, at their true positions
-  kL + atan(2k/alpha) = m pi, and past them along a vertical contour (the
-  integrand's analytic continuation decays there and all its poles lie
-  below the real axis) on one fixed Gauss-Legendre rule; for
-  1e-70 <= alpha L <= 1e76, within 1.2e-12 relative of an mpmath
-  reference, in 0.3-3 ms per call up to alpha L = 1e8 and 25-31 ms at the
-  top of that range (timings: best of 7 on a 2-vCPU KVM machine);
+  kL + atan(2k/alpha) = m pi, one panel per doubling cell, and past them
+  along a vertical contour (the integrand's analytic continuation decays
+  there and all its poles lie below the real axis) on one fixed
+  Gauss-Legendre rule; for 1e-70 <= alpha L <= 1e76, within 1.1e-12
+  relative of an mpmath reference, in 0.2-1.4 ms per call up to
+  alpha L = 1e8 and 13-15 ms at the top of that range (timings: best of 7
+  on a 2-vCPU KVM machine);
 * Dirichlet comb: the cutoff-regularized mode-sum-minus-integral closed form
   (-L^2 kappa^2 + J pi (pi - 2 L kappa)) / (4 L^2 pi), J-independent only at
   kappa = pi/(2L) where it equals -pi/(16 L^2);
@@ -206,8 +207,8 @@ def _peak_panels(width: np.ndarray, left: np.ndarray, right: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Panels around a run of centres, as (centre index, lo, hi) with lo and
     hi offsets from the centre.  Cell edges sit at offsets doubling from
-    each centre's width out to its bounds left and right of it; every cell
-    is split into 2 equal panels."""
+    each centre's width out to its bounds left and right of it, one panel
+    per cell."""
     reach = float(np.max(np.maximum(left, right) / width))
     doublings = math.ceil(math.log2(max(1.0, reach)))
     offsets = width[:, None] * 2.0 ** np.arange(doublings)
@@ -220,11 +221,7 @@ def _peak_panels(width: np.ndarray, left: np.ndarray, right: np.ndarray
         owner.append(np.nonzero(keep)[0])
         lo.append(-b[keep] if mirror else a[keep])
         hi.append(-a[keep] if mirror else b[keep])
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    mid = 0.5 * (lo + hi)
-    return (np.repeat(np.concatenate(owner), 2),
-            np.column_stack((lo, mid)).ravel(),
-            np.column_stack((mid, hi)).ravel())
+    return np.concatenate(owner), np.concatenate(lo), np.concatenate(hi)
 
 
 def _contour_tail(K: float, alpha: float, L: float) -> float:
@@ -249,25 +246,27 @@ def pressure_1p1_quad(alpha: float, L: float) -> float:
     integrated up to K, halfway between the 24th and 25th peaks, for every
     alpha and L.  Around k = 0 and each of the 24 peaks the panel edges sit
     at offsets doubling from that width (from 1e-6 min(alpha, 1/L) at
-    k = 0) out to the midpoints between neighbouring peaks; every cell is
-    split into 2 equal 20-point Gauss-Legendre panels, evaluated a fixed
-    number of panels at a time.  Nodes are kept as offsets d from their
-    peak, and the phase enters through tan(dL) alone (_mode_density), so
-    the narrowest peak is resolved as finely as a broad one.  Past K the
-    remainder is taken along the vertical contour k = K + ix/L, where the
-    continued integrand decays like e^{-2x} and is pole-free (all
-    resonances lie in the lower half-plane), on 9 fixed Gauss-Legendre
-    panels out to x = 32 (_contour_tail); at K the phase is near pi/2, so
-    |1 - w| >= 1 there.
+    k = 0) out to the midpoints between neighbouring peaks; each cell is
+    one 20-point Gauss-Legendre panel, evaluated a fixed number of panels
+    at a time.  On the correctly rounded rule (numerics._gl_rule), 2 or 4
+    panels per cell move the result no more than each other, by the
+    rounding of the sum: <= 2.2e-13 relative up to alpha L = 1e8.  Nodes
+    are kept as offsets d from their peak, and the phase enters through
+    tan(dL) alone (_mode_density), so the narrowest peak is resolved as
+    finely as a broad one.  Past K the remainder is taken along the
+    vertical contour k = K + ix/L, where the continued integrand decays
+    like e^{-2x} and is pole-free (all resonances lie in the lower
+    half-plane), on 9 fixed Gauss-Legendre panels out to x = 32
+    (_contour_tail); at K the phase is near pi/2, so |1 - w| >= 1 there.
 
-    The work grows only with the depth of the grading, by the same ~650
-    panels per decade of alpha L: about 1,750 panels at alpha L = 1e4,
-    3,700 at 1e7 and 48,000 at 1e76, which take about 1.6, 2.2 and 30 ms.
-    Within 1.2e-12 relative of a 30-digit mpmath reference for
-    1e-70 <= alpha L <= 1e76 (the worst of 331 scanned points, L from 1e-3
-    to 1e3); outside that range u^4 in the integrand leaves the double
-    range, and DomainError is raised, as it is for L outside 1e-150..1e150
-    (_GAP_RANGE) and for a subnormal p.
+    The work grows only with the depth of the grading, by the same ~320
+    panels per decade of alpha L: 876 panels at alpha L = 1e4, 1,832 at
+    1e7 and 23,842 at 1e76, which take about 0.55, 1.0 and 14 ms.
+    Within 1.1e-12 relative of a 30-digit mpmath reference for
+    1e-70 <= alpha L <= 1e76 (1.05e-12, the worst of 331 scanned points, L
+    from 1e-3 to 1e3; median 2.0e-13); outside that range u^4 in the
+    integrand leaves the double range, and DomainError is raised, as it
+    is for L outside 1e-150..1e150 (_GAP_RANGE) and for a subnormal p.
     """
     _check_gap(alpha, L, "pressure_1p1_quad")
     least, most = _QUAD_ALPHA_L

@@ -123,14 +123,14 @@ def check_casimir_3p1() -> list[CriterionResult]:
                                 lambda2=0.0, y0=1e-6, Z=Z, norm_const=Z)
     bd = casimir.pressure_3p1(prof, 1.0)
     out.append(_crit("leading_term_ratio", 1.0,
-                     bd.total / (-Z * math.pi ** 2 / 240.0), 1e-6))
+                     bd.total / (-Z * math.pi ** 2 / 240.0), 1e-10))
     y0 = 1e-38 / PLANCK_LENGTH_KM
     L = 1e-12 / PLANCK_LENGTH_KM      # one nanometer
     prof2 = vacuum.VacuumProfile(vacuum.ProfileKind.LORENTZ_EXP,
                                  lambda2=1e-49, y0=y0, Z=Z, norm_const=Z)
     bd2 = casimir.pressure_3p1(prof2, L)
     out.append(_crit("lambda2_negligible", 0.0,
-                     abs(bd2.lambda2_correction / bd2.leading), 1e-10))
+                     abs(bd2.lambda2_correction / bd2.leading), 1e-21))
     out.append(_crit("breakdown_additivity", 0.0,
                      abs(bd2.total - (bd2.leading + bd2.y0_corrections
                                       + bd2.lambda2_correction))
@@ -189,7 +189,7 @@ def check_vacuum_normalization() -> list[CriterionResult]:
             q = p.norm_const * s_integral / (vacuum.FOUR_PI_SQ * y0 ** 2)
             worst = max(worst, abs(q - 1.0),
                         abs(vacuum.density_integral(p) - q))
-    out.append(_crit("lorentz_normalization", 0.0, worst, 1e-8))
+    out.append(_crit("lorentz_normalization", 0.0, worst, 5e-14))
     p = vacuum.make_box_profile(1.0, 3.0)
     out.append(_crit("box_peak_exact", 8.0 * math.pi ** 2 / 8.0, p.Z,
                      1e-15, "rel"))
@@ -234,7 +234,7 @@ def check_scattering_unitarity() -> list[CriterionResult]:
     alpha, L, k = _unitarity_draws().T
     B, _, _, E = cavity.scattering_coeffs_batch(k, alpha, alpha, L)
     worst = float(np.max(np.abs(np.abs(B) ** 2 + np.abs(E) ** 2 - 1.0)))
-    out = [_crit("unitarity", 0.0, worst, 1e-12)]
+    out = [_crit("unitarity", 0.0, worst, 1e-13)]
     # free barriers at k = 5, nearly Dirichlet ones on the resonance
     # k = 6 pi, unit barriers at k = 1e5: one batch of three
     strength = np.array([0.0, 1e6, 1.0])
@@ -246,7 +246,7 @@ def check_scattering_unitarity() -> list[CriterionResult]:
     out.append(_crit("dirichlet_interior_half", 0.5, float(abs(C[1])), 1e-4))
     out.append(_crit("dirichlet_transmission_zero", 0.0, float(abs(E[1])),
                      1e-4))
-    out.append(_crit("high_k_transparent", 1.0, float(abs(E[2])), 1e-4))
+    out.append(_crit("high_k_transparent", 1.0, float(abs(E[2])), 1e-11))
     return out
 
 
@@ -343,7 +343,7 @@ def check_mirror_identity() -> list[CriterionResult]:
             rhs = -q ** 2 / (8.0 * math.pi ** 2 * L) \
                 * _density_sine_panels(prof, 2.0 * L)
             worst = max(worst, abs(lhs - rhs))
-        out.append(_crit(f"mirror_identity_{name}", 0.0, worst, 1e-8))
+        out.append(_crit(f"mirror_identity_{name}", 0.0, worst, 1e-14))
     return out
 
 

@@ -668,13 +668,13 @@ GOLDEN_CSV = {
         "# p_comb16: -pi/(16 L^2) comb endpoint at kappa = pi/(2L)\n"
         "# p_em24:   -pi/(24 L^2) Euler-Maclaurin endpoint\n"
         "alpha,L,p_series,p_quad,p_comb16,p_em24\n"
-        "10,1,-0.093348335185337333,-0.093348335185336292,"
+        "10,1,-0.093348335185337347,-0.093348335185336348,"
         "-0.19634954084936207,-0.1308996938995747\n"
-        "100,1,-0.12586855904139357,-0.12586855904140087,"
+        "100,1,-0.1258685590413936,-0.12586855904139554,"
         "-0.19634954084936207,-0.1308996938995747\n"
-        "1000,1,-0.13037822975877891,-0.1303782297588075,"
+        "1000,1,-0.13037822975877894,-0.13037822975879504,"
         "-0.19634954084936207,-0.1308996938995747\n"
-        "10000,1,-0.13084735545922443,-0.13084735545927018,"
+        "10000,1,-0.13084735545922443,-0.13084735545926662,"
         "-0.19634954084936207,-0.1308996938995747\n"),
 }
 

@@ -1,9 +1,10 @@
 """The package's two quadrature rules: quad_careful against scipy's quad,
-the QuadratureSpec rules, and the rules on the package's source: no other
-module imports scipy.integrate or builds a Gauss-Legendre rule, no module
-imports scipy.sparse and only validation imports scipy.linalg, deltaseq
-never calls quadpack, the CLI or validate reaches every definition, and
-some caller sets every defaulted parameter."""
+the QuadratureSpec rules, the Gauss-Legendre rule against 40-digit mpmath,
+and the rules on the package's source: no other module imports
+scipy.integrate or builds a Gauss-Legendre rule, no module imports
+scipy.sparse and only validation imports scipy.linalg, deltaseq never calls
+quadpack, the CLI or validate reaches every definition, and some caller sets
+every defaulted parameter."""
 
 import ast
 import math
@@ -37,6 +38,21 @@ def test_non_finite_integral_raises(a, b):
         warnings.simplefilter("ignore", IntegrationWarning)
         with pytest.raises(NonConvergence):
             quad_careful(lambda x: 1e308, a, b, SPEC)
+
+
+def test_gauss_legendre_rule_is_correctly_rounded():
+    # leggauss's own weights are up to 353 ulp off at the end nodes
+    mp = pytest.importorskip("mpmath").mp
+    nodes, weights = numerics._gl_rule()
+    assert list(nodes) == [-x for x in nodes[::-1]]
+    assert list(weights) == list(weights[::-1])
+    with mp.workdps(40):
+        for x, w in zip(nodes, weights):
+            root = mp.findroot(lambda t: mp.legendre(20, t), mp.mpf(x))
+            slope = 20 * (root * mp.legendre(20, root)
+                          - mp.legendre(19, root)) / (root ** 2 - 1)
+            assert x == float(root)
+            assert w == float(2 / ((1 - root ** 2) * slope ** 2))
 
 
 def test_spec_accepts_a_pure_relative_rule():

@@ -346,8 +346,8 @@ def test_casimir_series_matches_mpmath(alpha, L):
 @example(alpha_L=2.44e67, L=0.111)
 @example(alpha_L=1e76, L=1e3)
 def test_casimir_quadrature_matches_mpmath(alpha_L, L):
-    # worst measured 1.2e-12 over 331 points of the domain (L from 1e-3 to
-    # 1e3); 7.6e-13 for alpha L <= 1e8
+    # worst measured 1.05e-12 over 331 points of the domain (L from 1e-3 to
+    # 1e3); 6.8e-13 for alpha L <= 1e8
     alpha = alpha_L / L
     assume(1e-70 <= alpha * L <= 1e76)
     ref = mp_casimir_reference(alpha, L)

@@ -76,7 +76,7 @@ class TestBoxProfile:
 
     def test_domain_edges(self):
         assert make_box_profile(1e-150, 1e150).Z \
-            == pytest.approx(8.0 * math.pi ** 2 / 1e300, rel=1e-15)
+            == pytest.approx(8.0 * math.pi ** 2 / 1e300, rel=1e-15, abs=0.0)
         assert math.isfinite(make_box_profile(1e-150, 1.000001e-150).Z)
         # k1^2 underflows, negligibly against k2^2
         assert make_box_profile(1e-300, 1.0).Z == 8.0 * math.pi ** 2
