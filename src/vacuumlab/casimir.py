@@ -43,17 +43,17 @@ import numpy as np
 
 from .constants import PRESSURE_UNIT_PA
 from .errors import DomainError, NonConvergence
-from .numerics import QuadratureSpec, gauss_legendre, quad_careful
+from .numerics import gauss_legendre
 from .specfun import bernoulli_number, gamma_from_zero
 from .vacuum import ProfileKind, VacuumProfile
 
 TWO_PI = 2.0 * math.pi
 _ZETA3 = 1.2020569031595942      # Apery's constant zeta(3)
-# quadpack rule of _upper_tail_table's far tail
-_UPPER_TAIL_SPEC = QuadratureSpec(1e-16, 1e-13, 200)
-# the 3+1 mode sum's decay check: its last three terms below this fraction
-# of the total
-_MODE_SUM_DECAY = 1e-10
+# the 3+1 mode sum runs over j x <= 45 + 2 lambda, where e^{-t - lambda^2/t}
+# is below e^-45 of its peak e^{-2 lambda}: (t - lambda)^2/t >= 45 there
+_MODE_SUM_REACH = 45.0
+# DomainError where the 3+1 mode sum exceeds the total by more than this
+_CANCELLATION_LIMIT = 1e9
 # y0 and L of pressure_3p1, kept within 1e-75..1e75, a factor ~1e2 inside
 # the points where y0^4 and L^4 leave the normal double range (y0^4
 # underflowed to 0 below y0 ~ 1e-81, L^4 overflowed past L ~ 1e77)
@@ -145,6 +145,9 @@ _PANEL_BLOCK = 256
 _QUAD_ALPHA_L = (1e-70, 1e76)
 # panel edges in x of the contour tail k = K + i x/L: 0, 1/8, 1/4, ..., 32
 _TAIL_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-3, 6)))
+# panel edges, offsets from X, of the 3+1 far tail int_X^inf e^{-t - b/t} dt:
+# 0, 1/8, 1/4, ..., 64, where the integrand has fallen by e^-64
+_FAR_TAIL_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-3, 7)))
 
 
 def _mode_density(centre: np.ndarray, d: np.ndarray, alpha: float,
@@ -379,18 +382,25 @@ def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
     """Mode-sum-minus-continuum pressure for the exponentially cut vacuum.
 
     The discrete sum runs over j with weight
-    (Z j^2 pi/(2 L^3 y0)) Gamma(1, y0 j pi/L, lambda^2), exhausted to
-    j y0 pi/L <= 45; the continuum part is
-    (Z/(6 pi^2 y0^4)) Gamma(4, 0, lambda^2).  DomainError unless y0 and L
-    lie within 1e-75..1e75 (_3P1_SCALE_RANGE), where y0^4 and L^4 are
-    normal doubles, and y0/L < 0.1.
+    (Z j^2 pi/(2 L^3 y0)) Gamma(1, j x, lambda^2), x = pi y0/L; the
+    continuum part is (Z/(6 pi^2 y0^4)) Gamma(4, 0, lambda^2).  DomainError
+    unless y0 and L lie within 1e-75..1e75 (_3P1_SCALE_RANGE), where y0^4
+    and L^4 are normal doubles, and y0/L < 0.1.
 
-    For coarse mode spacing (x = pi y0/L >= 0.04, b > 0) the difference is
-    taken between the directly summed modes and the continuum, about 240/x^4
-    times the total, which leaves a rounding floor near 1e-8 relative at
-    x = 0.04.  For finer spacing the cancellation is done analytically: the
-    leading term and the Bernoulli-series remainder carry the b = 0 part,
-    and the b-linear part enters through the staircase defect of
+    For coarse mode spacing (x >= 0.04, b > 0) the continuum is subtracted
+    from the modes summed directly, exhausted to j x <= 45 + 2 lambda
+    (_MODE_SUM_REACH) through one table of Gamma(1, j x, b).  The error is
+    about 5e-16 times |mode sum/total| (~240/x^4 at small b): at most
+    1.03e-15 (median 2e-16) over 310 random accepted inputs, x in
+    [0.04, 0.314] and b in [1e-12, 316], against a 25-digit mpmath
+    reference summed by parts, most of it the continuum's K_4.  DomainError
+    where that ratio exceeds 1e9 (_CANCELLATION_LIMIT): in a narrow band
+    around each sign change of the total, and past lambda^2 ~ 0.07 at
+    x = 0.04, 0.65 at x = 0.1, 3.2 at x = 0.2 and 6.7 at x = 0.314.
+
+    For finer spacing the cancellation is done analytically: the leading
+    term and the Bernoulli-series remainder carry the b = 0 part, and the
+    b-linear part enters through the staircase defect of
     int x^2 Gamma(0, x) dx.  That path drops the O(b^2) terms, so it accepts
     b <= 1e-6 only: across x = 0.04 the two paths agree to 1.5e-8 for
     b <= 1e-6 but differ by 3e-5 relative at b = 1e-4.
@@ -412,11 +422,16 @@ def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
     gap = stairs_gap(x) if b > 0.0 else 0.0
     lam2_corr = lam2_scale * gap
 
-    j_cap = int(45.0 / x) + 1
+    j_cap = int((_MODE_SUM_REACH + 2.0 * math.sqrt(b)) / x) + 1
     if b > 0.0 and x >= 0.04:
-        mode_sum, terms_used = _mode_sum_direct(prefactor, x, b)
+        j = np.arange(1, j_cap + 1, dtype=float)
+        mode_sum = float(np.sum(prefactor * j ** 2
+                                * _upper_tail_table(j * x, b)))
         continuum = Z / (6.0 * math.pi ** 2 * y0 ** 4) * gamma_from_zero(4.0, b)
         total = mode_sum - continuum
+        if abs(mode_sum) > _CANCELLATION_LIMIT * abs(total):
+            raise DomainError(f"pressure_3p1: the mode sum {mode_sum:g} "
+                              f"cancels to {total:g}, below its rounding")
         y0_corr = total - leading - lam2_corr
     elif b > 1e-6:
         raise DomainError("lambda2 too large for the fine-spacing expansion "
@@ -426,42 +441,27 @@ def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
         # without forming the large cancelling pair
         y0_corr = prefactor * _mode_sum_defect_series(x)
         total = leading + y0_corr + lam2_corr
-        terms_used = j_cap
     return PressureBreakdown(
         total=total,
         leading=leading,
         y0_corrections=y0_corr,
         lambda2_correction=lam2_corr,
-        terms_used=terms_used,
+        terms_used=j_cap,
     )
-
-
-def _mode_sum_direct(prefactor: float, x: float, b: float):
-    """prefactor * sum_j j^2 Gamma(1, j x, b) through a shared tail table.
-
-    The cap j x <= 45 leaves a remainder below e^-45; the sum must be
-    exhausted (not truncated against the partial sum) because the physical
-    answer is the difference against a continuum term of almost the same
-    size.  Requires three trailing terms below 1e-10 (_MODE_SUM_DECAY) of
-    the sum as the decay check.
-    """
-    j_cap = int(45.0 / x) + 1
-    j = np.arange(1, j_cap + 1, dtype=float)
-    tails = _upper_tail_table(j * x, b)
-    terms = prefactor * j ** 2 * tails
-    total = float(np.sum(terms))
-    if np.any(np.abs(terms[-3:]) > _MODE_SUM_DECAY * max(abs(total), 1e-300)):
-        raise NonConvergence("3+1 mode sum failed to decay within the cap")
-    return total, j_cap
 
 
 def _upper_tail_table(xs: np.ndarray, b: float) -> np.ndarray:
     """Gamma(1, x, b) = int_x^inf e^{-t - b/t} dt, b > 0, for every x in the
     ascending, evenly spaced array xs, via per-interval 20-point
     Gauss-Legendre panels (machine accurate for spacing << 1) accumulated
-    from the far tail inward."""
-    far = quad_careful(lambda t: math.exp(-t - b / t), float(xs[-1]), np.inf,
-                       _UPPER_TAIL_SPEC)
+    from the far tail inward.  The far tail past X = xs[-1] takes 10 panels
+    on X + [0, 1/8, 1/4, ..., 64] (_FAR_TAIL_EDGES), doubling in width to
+    where the integrand has fallen by e^-64: for b <= 316, within 5e-16
+    relative of 30-digit mpmath at X in (45, 45.32] and 6.5e-16 at
+    pressure_3p1's X = 45 + 2 sqrt(b) + O(x), the rounding of t ~ X."""
+    X = xs[-1]
+    t, w = gauss_legendre(X + _FAR_TAIL_EDGES[:-1], X + _FAR_TAIL_EDGES[1:])
+    far = np.sum(w * np.exp(-t - b / t))
     # panel integrals int_{x_j}^{x_{j+1}} e^{-t - b/t} dt, all panels at once
     t, w = gauss_legendre(xs[:-1], xs[1:])
     panels = np.sum(w * np.exp(-t - b / t), axis=1)

@@ -43,6 +43,9 @@ _LADDER_STEPS = 200
 # k2/k1 <= 1e3; from rmin = 0.1 y0 the exponential one flips 10 to 80 steps
 # up, within 32 for about a third of perfbench's coulomb requests
 _HEAD_RUNGS = 33
+# |w| past which scipy's kve returns NaN: Amos's argument limit is
+# 2^30 - 1/2, and the margin of 1/2 covers the rounding of |w|
+_KVE_ARG_LIMIT = 2.0 ** 30 - 1.0
 
 
 @dataclass(frozen=True)
@@ -118,16 +121,31 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r):
     e^{2 lambda} alone would not.  A float r (a root search's argument)
     skips the array wrapping; the arithmetic is the array path's, with
     numpy's sqrt and exp on the scalar, so it returns that path's bits.
+
+    Past |w| = 2^30 - 1 (_KVE_ARG_LIMIT), where kve returns NaN,
+    Re w - 2 lambda >= |w|/sqrt(2) - 2 lambda ~ 7.6e8 for every accepted
+    lambda, so V has underflowed: it is +0.0, without kve, from
+    r = y0 (_KVE_ARG_LIMIT/(2 lambda))^2 on (|w| >= 2 lambda sqrt(r/y0)).
     """
     if isinstance(r, float):
         if lambda2 <= 0 or y0 <= 0 or r <= 0:
             raise DomainError("potential_lorentz requires positive parameters")
+        if r > _kve_reach(lambda2, y0):
+            return 0.0
         return float(_lorentz(q_ph, lambda2, y0, r))
     r = np.asarray(r, dtype=float)
     if lambda2 <= 0 or y0 <= 0 or (r <= 0).any():
         raise DomainError("potential_lorentz requires positive parameters")
-    v = _lorentz(q_ph, lambda2, y0, r)
+    v = np.zeros_like(r)
+    near = r <= _kve_reach(lambda2, y0)
+    v[near] = _lorentz(q_ph, lambda2, y0, r[near])
     return float(v) if v.ndim == 0 else v
+
+
+def _kve_reach(lambda2: float, y0: float) -> float:
+    """The radius past which |w| > _KVE_ARG_LIMIT, or inf."""
+    s = _KVE_ARG_LIMIT / (2.0 * math.sqrt(lambda2))
+    return y0 * s * s
 
 
 def potential(profile: VacuumProfile, q_ph: float, r):

@@ -1,15 +1,12 @@
-"""Shared numerical plumbing: quadrature rules, limit sweeps, tagged results.
+"""Numerical plumbing: the quadrature rule, limit sweeps, tagged results.
 
-The package has two quadrature rules and both live here:
-
-* quad_careful, adaptive quadpack on the QuadratureSpec its caller passes,
-  is the only quadpack caller (casimir's far tail): no other module imports
-  scipy.integrate;
-* gauss_legendre, fixed 20-point Gauss-Legendre panels, for integrands whose
-  smooth pieces are known in advance (casimir's graded panels and contour
-  tail, deltaseq's piecewise-polynomial filtering integrals, validation's
-  normalization and mirror-identity oracles), on a correctly rounded rule:
-  numpy's leggauss weights are up to 353 ulp off at the end nodes.
+The package has one quadrature rule, gauss_legendre: fixed 20-point
+Gauss-Legendre panels for integrands whose smooth pieces are known in
+advance (casimir's graded panels, contour tail and 3+1 tail table,
+deltaseq's piecewise-polynomial filtering integrals, validation's
+normalization and mirror-identity oracles), on a correctly rounded rule:
+numpy's leggauss weights are up to 353 ulp off at the end nodes.  No module
+imports scipy.integrate.
 
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
@@ -20,13 +17,11 @@ tagged result, never as float('inf').
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonConvergence
 
@@ -34,25 +29,6 @@ from .errors import NonConvergence
 _SWEEP_ABS_TOL = 1e-12
 _SWEEP_REL_TOL = 1e-10
 _DIVERGENCE_RATIO = 1.5
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision limit for improper/oscillatory integrals."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 300
-
-    def __post_init__(self):
-        # abs_tol = 0 is a pure relative rule, which quadpack accepts
-        tols = (self.abs_tol, self.rel_tol)
-        if not all(math.isfinite(t) and t >= 0 for t in tols) or not any(tols):
-            raise ValueError("tolerances must be finite and non-negative, "
-                             "and not both zero")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-
 
 
 @dataclass(frozen=True)
@@ -79,17 +55,6 @@ def finite(value: float, history: Sequence[float] = ()) -> LimitResult:
 
 def divergent(history: Sequence[float] = ()) -> LimitResult:
     return LimitResult("divergent", None, tuple(history))
-
-
-def quad_careful(f: Callable[[float], float], a: float, b: float,
-                 spec: QuadratureSpec) -> float:
-    """scipy.integrate.quad on spec's tolerances and subdivision limit;
-    NonConvergence on a non-finite value."""
-    val, _ = quad(f, a, b, limit=spec.max_subdivisions,
-                  epsabs=spec.abs_tol, epsrel=spec.rel_tol)
-    if not math.isfinite(val):
-        raise NonConvergence(f"quadrature returned non-finite value on [{a}, {b}]")
-    return val
 
 
 @cache

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -296,6 +297,86 @@ class TestPressure3p1:
     def test_largest_lambda2_at_fine_spacing_accepted(self):
         bd = pressure_3p1(make_lorentz_profile(1e-6, 1e-4), 1.0)
         assert math.isfinite(bd.total) and bd.total < 0.0
+
+    def test_cancellation_past_rounding_rejected(self):
+        # x = 0.2765, lambda^2 = 67.89: the mode sum is 3e13 times the true
+        # total +8.1e-20, and the direct sum returned -6.2e-11
+        y0 = 0.0099
+        prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=67.89, y0=y0,
+                             Z=1.0, norm_const=1.0)
+        with pytest.raises(DomainError):
+            pressure_3p1(prof, math.pi * y0 / 0.2765)
+
+    def test_far_tail_matches_mpmath(self):
+        # the last entry of the tail table is the far tail alone,
+        # int_X^inf e^{-t - b/t} dt; mpmath integrates it scaled by e^X
+        mp = pytest.importorskip("mpmath")
+        from vacuumlab.casimir import _upper_tail_table
+
+        for X in (45.0 + 1e-9, 45.16, 45.32):
+            for b in (1e-12, 1e-6, 1e-2, 1.0, 10.0, 67.89, 170.0):
+                tail = _upper_tail_table(np.array([X - 0.1, X]), b)[-1]
+                with mp.workdps(30):
+                    ref = mp.exp(-X) * mp.quad(
+                        lambda s: mp.exp(-s - b / (X + s)),
+                        [0, 1, 4, 16, 64, mp.inf])
+                assert abs(tail - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("x, lambda2, y0", [
+        (0.04, 1e-12, 1e-3), (0.07, 1e-4, 0.3), (0.12, 0.01, 2.0),
+        (0.18, 0.3, 1e-2), (0.25, 2.0, 10.0), (0.314, 5.0, 50.0)])
+    def test_direct_path_matches_mpmath(self, x, lambda2, y0):
+        # within 1e-15 of the mode sum, which the total undercuts by up to
+        # the 1e9 the guard allows
+        L = math.pi * y0 / x
+        prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=lambda2, y0=y0,
+                             Z=1.0, norm_const=1.0)
+        total, mode_sum = mp_pressure_3p1(1.0, y0, lambda2, L)
+        assert abs(pressure_3p1(prof, L).total - total) \
+            <= 1e-15 * abs(mode_sum)
+
+
+@functools.cache
+def _mp_gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] to 35 digits."""
+    mp = pytest.importorskip("mpmath")
+    rule = []
+    with mp.workdps(35):
+        for start in np.polynomial.legendre.leggauss(n)[0]:
+            x = mp.findroot(lambda t: mp.legendre(n, t), mp.mpf(start))
+            slope = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) \
+                / (x * x - 1)
+            rule.append((x, 2 / ((1 - x * x) * slope * slope)))
+    return rule
+
+
+def mp_pressure_3p1(Z, y0, b, L):
+    """(total, mode sum) of the 3+1 pressure's direct form, b > 0, in 25
+    digits.  The mode sum is taken by parts,
+
+        sum_j j^2 Gamma(1, j x, b) = sum_j S(j) int_{jx}^{(j+1)x} e^{-t-b/t} dt
+
+    with S(j) = j(j+1)(2j+1)/6 and x = pi y0/L, each cell on 12-point
+    Gauss-Legendre out to j x = 70 + 2 sqrt(b), past which the summand is
+    below e^-70 of its peak; 20 points on each half cell in 40 digits
+    moved it by 1.2e-25 at most at four points.  The continuum is
+    (Z/(6 pi^2 y0^4)) 2 b^2 K_4(2 sqrt(b))."""
+    mp = pytest.importorskip("mpmath")
+    rule = _mp_gauss_legendre(12)
+    with mp.workdps(25):
+        Z, y0, b, L = (mp.mpf(v) for v in (Z, y0, b, L))
+        x = mp.pi * y0 / L
+        h = x / 2
+        cells = []
+        for j in range(1, int((70 + 2 * mp.sqrt(b)) / x) + 1):
+            c = j * x + h
+            cell = h * mp.fsum(w * mp.exp(-(c + h * u) - b / (c + h * u))
+                               for u, w in rule)
+            cells.append(j * (j + 1) * (2 * j + 1) * cell / 6)
+        mode_sum = Z * mp.pi / (2 * L ** 3 * y0) * mp.fsum(cells)
+        continuum = Z / (6 * mp.pi ** 2 * y0 ** 4) \
+            * 2 * b ** 2 * mp.besselk(4, 2 * mp.sqrt(b))
+        return mode_sum - continuum, mode_sum
 
 
 def mp_stairs_gap(h):

@@ -205,6 +205,31 @@ class TestCoulombCommand:
         q_ph = physical_charge(1.0, make_box_profile(k1, k2))
         assert values[:3] == [potential_box(q_ph, k1, k2, 0.0)] * 3
 
+    @pytest.mark.parametrize("argv", [
+        ["coulomb", "--profile", "lorentz", "--lambda2", "1e-2", "--y0", "1",
+         "--rmin", "1e20", "--rmax", "1e21"],
+        ["shift", "--profile", "lorentz", "--gap", "1e300"],
+        ["coulomb", "--profile", "lorentz", "--y0", "1e-100",
+         "--rmax", "1e300"],
+    ], ids=["coulomb_far", "shift_far", "coulomb_r_over_y0_overflows"])
+    def test_past_the_kernels_argument_limit(self, argv, capsys):
+        # past |w| = 2^30 scipy's kve returned NaN with exit 0, and r/y0
+        # overflowed on the way there; e^{2 lambda - w} and V are 0 by then
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "shift":
+            payload = json.loads(out)
+            assert payload["mirror_term"] == 0.0
+            assert payload["plane"] == payload["free"]
+            assert all(math.isfinite(v) for v in payload.values()
+                       if isinstance(v, float))
+        else:
+            rows = [l.split(",") for l in out.splitlines()
+                    if not l.startswith("#")][1:]
+            assert [float(r[1]) for r in rows] == [0.0] * len(rows)
+
     def test_unrepresentable_lorentz_profile_rejected(self, tmp_path, capsys):
         rc = run(["coulomb", "--profile", "lorentz", "--lambda2", "2e5",
                   "--y0", "1", "--out", str(tmp_path / "c.csv")])
@@ -388,6 +413,11 @@ BAD_INPUTS = {
     "casimir3_gap_past_domain": (
         ["casimir3", "--lambda2", "1e-12", "--y0", "1e-4", "--gap", "1e300"],
         None),
+    # x = 0.04: the mode sum cancels against the continuum past 1e9 times
+    # the total, which came out -4.5e-13 where the true value is positive
+    "casimir3_cancellation_past_rounding": (
+        ["casimir3", "--lambda2", "3", "--y0", "0.01",
+         "--gap", "0.7853981633974483"], None),
     # outside the profile constructors' domains, checked before any
     # arithmetic: y0^2 overflowed, k2^2 - k1^2 underflowed to 0
     "casimir3_y0_past_domain": (
