@@ -11,7 +11,11 @@ integral difference; for the exponentially cut profile it closes to an
 imaginary part of K0 at a complex argument, so nothing here is computed by
 quadrature.  Where the infrared cutoff bites, the potential changes sign at
 finite radius; that radius and the experimental Yukawa-window inequality
-are exposed here.
+are exposed here.  The radius is found by a copy of scipy's brentq loop
+(scipy/optimize/Zeros/brentq.c) that returns brentq's bits: importing
+scipy.optimize, with the scipy.linalg and scipy.sparse it loads, cost more
+than every root search of a run, so the package imports only scipy.special
+from scipy here.
 
 All lengths are dimensionless (Planck units); unit conversions live in the
 CLI layer.
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import kve
 
 from .errors import DomainError, NoSignChange, NonConvergence
@@ -159,37 +162,123 @@ def potential(profile: VacuumProfile, q_ph: float, r):
 def sign_change_radius(potential: Callable[[float], float],
                        bracket: tuple[float, float]) -> float:
     """Root of a sign-changing potential on the given bracket (Brent's
-    method), to 1e-10 (_ROOT_REL_TOL) relative to the root."""
+    method), to 1e-10 (_ROOT_REL_TOL) relative to the root.
+
+    The search is _brent, a copy of the loop of scipy's brentq
+    (scipy/optimize/Zeros/brentq.c) that returns brentq's bits.  The
+    potential is called at the radii brentq would call it at, once each:
+    _brent is handed the values at the bracket's ends instead of computing
+    them again.  It is a copy because importing scipy.optimize, which loads
+    scipy.linalg and scipy.sparse, costs more than every root search of a
+    run.  A NaN potential raises NonConvergence naming its radius.
+    """
     lo, hi = bracket
-    if not 0 < lo < hi:
-        raise DomainError("bracket must satisfy 0 < lo < hi")
-    f_lo, f_hi = potential(lo), potential(hi)
+    if not 0 < lo < hi < math.inf:
+        raise DomainError("bracket must satisfy 0 < lo < hi < inf")
+    lo, hi = float(lo), float(hi)
+    f_lo, f_hi = _value(potential, lo), _value(potential, hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChange(f"potential has the same sign at {lo} and {hi}")
-    # brentq stops once the bracket is narrower than xtol + rtol * |root|;
-    # the root lies above lo > 0, so the absolute part is left negligible.
-    # Brent's method falls back to bisection, which needs at most
-    # log2(hi/(_ROOT_REL_TOL lo)) halvings; cap its iterations at a few
-    # times that
+    # the search stops once the bracket is narrower than
+    # xtol + rtol * |root| (_brent's delta); the root lies above lo > 0, so
+    # the absolute part is left negligible.  Brent's method falls back to
+    # bisection, which needs at most log2(hi/(_ROOT_REL_TOL lo)) halvings;
+    # cap its iterations at a few times that
     bisections = math.ceil(math.log2(hi) - math.log2(lo)
                            - math.log2(_ROOT_REL_TOL))
-    root, info = brentq(potential, lo, hi, xtol=1e-300, rtol=_ROOT_REL_TOL,
-                        maxiter=4 * bisections, full_output=True, disp=False)
-    if not info.converged:
-        raise NonConvergence(f"root search on {bracket}: {info.flag}")
-    return root
+    return _brent(potential, lo, hi, f_lo, f_hi, 4 * bisections)
+
+
+def _value(potential: Callable[[float], float], r: float) -> float:
+    """The potential at r as a float; NonConvergence where it is NaN."""
+    v = float(potential(r))
+    if v != v:
+        raise NonConvergence(f"potential is NaN at r = {r!r}")
+    return v
+
+
+def _brent(f: Callable[[float], float], xpre: float, xcur: float,
+           fpre: float, fcur: float, iterations: int) -> float:
+    """brentq.c's loop on the bracket (xpre, xcur) with f's values fpre and
+    fcur there, nonzero and of opposite signs, operation for operation,
+    with xtol = 1e-300 and rtol = _ROOT_REL_TOL.
+    A C division by zero gives an infinite or NaN step, which fails the
+    step test; here ZeroDivisionError gives an infinite one.  C's
+    MIN(a, b) is `a if a < b else b`.  NonConvergence after `iterations`
+    calls of f."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(iterations):
+        # C's signbit(fpre) != signbit(fcur): no value here is NaN, and a
+        # nonzero one is negative exactly where its sign bit is set
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (1e-300 + _ROOT_REL_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            a, b = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (a if a < b else b):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += (delta if sbis > 0 else -delta)
+
+        fcur = _value(f, xcur)
+    raise NonConvergence(
+        f"root search did not converge in {iterations} iterations")
 
 
 def expand_bracket(potential: Callable[[np.ndarray], np.ndarray],
                    r_start: float) -> tuple[float, float]:
-    """Geometric search from r_start for a bracket with a sign flip: the
-    first neighbouring pair on the ladder r_start, 1.5 r_start, ... (201
-    radii, each the previous one times 1.5, overflowing to inf) whose
-    potentials differ in sign bit.
+    """Geometric search from r_start for a bracket with a sign flip on the
+    ladder r_start, 1.5 r_start, ... (201 radii, each the previous one times
+    1.5, overflowing to inf).  A rung where the potential is +0.0 or -0.0
+    carries no sign: the bracket is the first pair of nonzero rungs with no
+    nonzero rung between them whose values differ in sign bit, and it spans
+    the zero rungs between them.
 
     The potential is called on the ladder's first _HEAD_RUNGS radii and,
     only if they hold no flip, once more on the rest, so it must take an
@@ -199,17 +288,25 @@ def expand_bracket(potential: Callable[[np.ndarray], np.ndarray],
     ladder[0] = r_start
     with np.errstate(over="ignore"):
         np.multiply.accumulate(ladder, out=ladder)
-    negative = np.signbit(potential(ladder[:_HEAD_RUNGS]))
-    if (negative == negative[0]).all():
-        negative = np.concatenate(
-            (negative, np.signbit(potential(ladder[_HEAD_RUNGS:]))))
-    flips = np.flatnonzero(negative[1:] != negative[:-1])
+    values = potential(ladder[:_HEAD_RUNGS])
+    rungs, flips = _flips(values)
+    if flips.size == 0:
+        values = np.concatenate((values, potential(ladder[_HEAD_RUNGS:])))
+        rungs, flips = _flips(values)
     if flips.size == 0:
         raise NoSignChange(
             f"no sign flip within {_LADDER_STEPS} geometric steps from "
             f"{r_start}")
     i = flips[0]
-    return (float(ladder[i]), float(ladder[i + 1]))
+    return (float(ladder[rungs[i]]), float(ladder[rungs[i + 1]]))
+
+
+def _flips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the nonzero values (NaN among them), and the positions
+    i in that list where the sign bit changes from entry i to entry i + 1."""
+    rungs = np.flatnonzero(values)
+    negative = np.signbit(values[rungs])
+    return rungs, np.flatnonzero(negative[1:] != negative[:-1])
 
 
 def yukawa_bound_check(k1: float, lambda_min_ratio: float,

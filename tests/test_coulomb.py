@@ -11,7 +11,8 @@ from vacuumlab.coulomb import (PotentialCurve, expand_bracket, potential,
                                potential_box, potential_curve,
                                potential_lorentz, sign_change_radius,
                                yukawa_bound_check)
-from vacuumlab.errors import DomainError, NoSignChange
+from vacuumlab.errors import DomainError, NoSignChange, NonConvergence
+from vacuumlab.specfun import sine_integral
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
 
@@ -187,16 +188,126 @@ class TestSignChange:
         with pytest.raises(NoSignChange):
             expand_bracket(lambda r: -1.0 / (4 * math.pi * r), 0.5)
 
+    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (2.0, 1.0),
+                                         (1.0, math.inf)])
+    def test_bracket_domain(self, bracket):
+        with pytest.raises(DomainError):
+            sign_change_radius(math.cos, bracket)
+
+    @pytest.mark.parametrize("pot, radius", [
+        (lambda r: math.nan if 1.4 < r < 1.6 else math.cos(r), None),
+        (lambda r: math.nan if r == 2.0 else math.cos(r), 2.0),
+        (lambda r: -math.nan if r == 1.0 else math.cos(r), 1.0),
+    ], ids=["inside", "upper_end", "lower_end"])
+    def test_nan_potential_raises_nonconvergence(self, pot, radius):
+        # a typed error, which the CLI reports as a null radius with a note
+        with pytest.raises(NonConvergence, match="NaN at r = ") as exc:
+            sign_change_radius(pot, (1.0, 2.0))
+        r = float(str(exc.value).rsplit(" ", 1)[1])
+        assert math.isnan(pot(r))
+        if radius is not None:
+            assert r == radius
+
+    def test_iteration_cap(self):
+        with pytest.raises(NonConvergence, match="in 3 iterations"):
+            coulomb._brent(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0),
+                           3)
+
+
+def _box_starts():
+    """(potential, ladder start) of 40 random box profiles."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        k1 = 10 ** rng.uniform(-2, 0)
+        k2 = k1 * 10 ** rng.uniform(0.5, 3)
+        prof = make_box_profile(k1, k2)
+        q_ph = physical_charge(1.0, prof)
+        yield (lambda r, prof=prof, q_ph=q_ph: potential(prof, q_ph, r),
+               10 ** rng.uniform(-4, 1) / k2)
+
+
+def _exponential_starts():
+    """(potential, ladder start) of 40 random exponential profiles."""
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        y0 = 10 ** rng.uniform(-4, 0)
+        prof = make_lorentz_profile(10 ** rng.uniform(-12, 0), y0)
+        q_ph = physical_charge(1.0, prof)
+        yield (lambda r, prof=prof, q_ph=q_ph: potential(prof, q_ph, r),
+               y0 * 10 ** rng.uniform(-2, 1))
+
+
+def _planck_potential(r):
+    """validate's exponential profile at the Planck scale."""
+    return potential(make_lorentz_profile(1e-49, 1e-38 / PLANCK_LENGTH_KM),
+                     1.0, r)
+
+
+def _same_root_as_brentq(pot, bracket):
+    """sign_change_radius's root, bitwise equal to scipy's brentq at the
+    same tolerances, from a potential called at brentq's radii: brentq's
+    calls at the bracket's ends are the endpoint values that
+    sign_change_radius computes itself.  sign_change_radius caps its
+    iterations itself; brentq's cap is set out of reach."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    ours, theirs = [], []
+
+    def counted(calls):
+        def f(r):
+            calls.append(r)
+            return pot(r)
+        return f
+
+    got = sign_change_radius(counted(ours), bracket)
+    expect = brentq(counted(theirs), *bracket, xtol=1e-300, rtol=1e-10,
+                    maxiter=10 ** 4)
+    assert got.hex() == expect.hex()
+    assert ours == theirs
+    return got
+
+
+class TestBrentqOracle:
+    def test_box_brackets(self):
+        for pot, r_start in _box_starts():
+            _same_root_as_brentq(pot, expand_bracket(pot, r_start))
+
+    def test_exponential_brackets(self):
+        for pot, r_start in _exponential_starts():
+            _same_root_as_brentq(pot, expand_bracket(pot, r_start))
+
+    def test_validate_roots(self):
+        _same_root_as_brentq(lambda x: math.pi / 2.0 - sine_integral(x),
+                             (1.0, math.pi))
+        _same_root_as_brentq(_planck_potential,
+                             expand_bracket(_planck_potential, 1e47))
+
+    @pytest.mark.parametrize("pot, bracket", [(math.cos, (1.0, 2.0)),
+                                              (math.log, (1e-300, 1e300))],
+                             ids=["cos", "log"])
+    def test_elementary_functions(self, pot, bracket):
+        _same_root_as_brentq(pot, bracket)
+
+    def test_tiny_values(self):
+        # values whose products underflow: the loop tests sign bits, not
+        # the sign of f(a) f(b)
+        for scale in (1e-200, 1e-300):
+            _same_root_as_brentq(lambda r: scale * math.atan(30 * (r - 1.3)),
+                                 (0.2, 4.7))
+
 
 def _scalar_ladder(potential, r_start, factor=1.5, max_steps=200):
-    """Reference bracket search: one scalar potential call per rung."""
+    """Reference bracket search: one scalar potential call per rung, zero
+    rungs carrying no sign."""
     lo = r_start
     f_lo = potential(lo)
     hi = lo
     for _ in range(max_steps):
         hi *= factor
         f_hi = potential(hi)
-        if math.copysign(1.0, f_lo) != math.copysign(1.0, f_hi):
+        if f_hi == 0.0:
+            continue
+        if f_lo != 0.0 \
+                and math.copysign(1.0, f_lo) != math.copysign(1.0, f_hi):
             return (lo, hi)
         lo, f_lo = hi, f_hi
     raise NoSignChange(
@@ -223,40 +334,45 @@ def _same_bracket(pot, r_start, max_steps=200):
 
 class TestExpandBracket:
     def test_box_profiles_at_random_starts(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            k1 = 10 ** rng.uniform(-2, 0)
-            k2 = k1 * 10 ** rng.uniform(0.5, 3)
-            prof = make_box_profile(k1, k2)
-            q_ph = physical_charge(1.0, prof)
-            _same_bracket(lambda r: potential(prof, q_ph, r),
-                          10 ** rng.uniform(-4, 1) / k2)
+        for pot, r_start in _box_starts():
+            _same_bracket(pot, r_start)
 
     def test_exponential_profiles_at_random_starts(self):
-        rng = np.random.default_rng(12)
-        for _ in range(40):
-            y0 = 10 ** rng.uniform(-4, 0)
-            prof = make_lorentz_profile(10 ** rng.uniform(-12, 0), y0)
-            q_ph = physical_charge(1.0, prof)
-            _same_bracket(lambda r: potential(prof, q_ph, r),
-                          y0 * 10 ** rng.uniform(-2, 1))
+        for pot, r_start in _exponential_starts():
+            _same_bracket(pot, r_start)
 
     def test_validation_planck_case(self):
-        prof = make_lorentz_profile(1e-49, 1e-38 / PLANCK_LENGTH_KM)
-        _same_bracket(lambda r: potential(prof, 1.0, r), 1e47)
+        _same_bracket(_planck_potential, 1e47)
 
     def test_flip_at_first_step(self):
         assert _same_bracket(lambda r: r - 1.2, 1.0) == (1.0, 1.5)
 
     def test_signed_zeros(self):
-        # +0.0 counts as positive and -0.0 as negative, as copysign reads them
-        pots = [lambda r: np.where(r < 5.0, 0.0, -0.0),
-                lambda r: np.where(r < 3.0, 1.0, np.where(r < 9.0, 0.0, -0.0)),
-                lambda r: np.where(r < 3.0, -1.0, 0.0),
-                lambda r: np.where(r < 3.0, -0.0, np.nan),
-                lambda r: np.where(r < 3.0, np.nan, -np.nan)]
-        for pot in pots:
-            _same_bracket(pot, 1.0)
+        # +0.0 and -0.0 carry no sign, so an underflowed potential has no
+        # flip; a flip between nonzero rungs spans the zero rungs between
+        # them; NaN carries its sign bit
+        no_flip = [lambda r: np.where(r < 5.0, 0.0, -0.0),
+                   lambda r: np.where(r < 3.0, 1.0,
+                                      np.where(r < 9.0, 0.0, -0.0)),
+                   lambda r: np.where(r < 3.0, -1.0, 0.0),
+                   lambda r: np.where(r < 3.0, 0.0,
+                                      np.where(r < 9.0, -1.0, 0.0)),
+                   lambda r: np.where(r < 3.0, -0.0, np.nan)]
+        for pot in no_flip:
+            assert "no sign flip" in _same_bracket(pot, 1.0)
+        assert _same_bracket(
+            lambda r: np.where(r < 3.0, 1.0, np.where(r < 9.0, -0.0, -2.0)),
+            1.0) == (2.25, 11.390625)
+        assert _same_bracket(
+            lambda r: np.where(r < 3.0, np.nan, -np.nan), 1.0) == (2.25, 3.375)
+
+    def test_zero_rungs_across_the_first_slice(self):
+        # the last nonzero rung of the first slice pairs with the first
+        # nonzero rung of the rest
+        lo, hi = _same_bracket(
+            lambda r: np.where(r < 40.0, -1.0, np.where(r < 1e8, 0.0, 1.0)),
+            1.0)
+        assert lo < 40.0 and hi >= 1e8
 
     def test_ladder_overflowing_to_inf(self):
         lo, hi = _same_bracket(lambda r: np.where(np.isinf(r), 1.0, -1.0),

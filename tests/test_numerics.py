@@ -1,10 +1,13 @@
 """The package's one quadrature rule, Gauss-Legendre, against 40-digit
 mpmath, and the rules on the package's source: no module imports
-scipy.integrate or scipy.sparse, only numerics builds a Gauss-Legendre rule,
-only validation imports scipy.linalg, the CLI or validate reaches every
-definition, and some caller sets every defaulted parameter."""
+scipy.integrate, scipy.optimize or scipy.sparse, only numerics builds a
+Gauss-Legendre rule, only validation imports scipy.linalg, a fresh import of
+the CLI loads none of those four subpackages, the CLI or validate reaches
+every definition, and some caller sets every defaulted parameter."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,7 +62,7 @@ def _package_imports(subpackage: str) -> dict[str, list[int]]:
 
 
 def test_rule_detector_sees_every_import_form():
-    for sub in ("integrate", "sparse", "linalg"):
+    for sub in ("integrate", "optimize", "sparse", "linalg"):
         for source in (f"from scipy.{sub} import quad",
                        f"import scipy.{sub} as si",
                        f"from scipy import {sub}",
@@ -76,12 +79,31 @@ def test_no_module_imports_scipy_integrate():
     assert _package_imports("integrate") == {}
 
 
+def test_no_module_imports_scipy_optimize():
+    assert _package_imports("optimize") == {}
+
+
 def test_no_module_imports_scipy_sparse():
     assert _package_imports("sparse") == {}
 
 
 def test_only_validation_imports_scipy_linalg():
     assert set(_package_imports("linalg")) <= {"validation.py"}
+
+
+def test_fresh_cli_import_loads_no_heavy_subpackage():
+    # catches what the source rules cannot see: a subpackage that another
+    # import pulls in (scipy.optimize loads scipy.linalg and scipy.sparse)
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
+             "scipy.linalg"]
+    package_root = str(Path(numerics.__file__).parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {package_root!r}); "
+         "import vacuumlab.cli; "
+         f"print(sorted(set({heavy!r}) & set(sys.modules)))"],
+        capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 def _references(source: str, name: str) -> list[int]:
