@@ -153,12 +153,13 @@ def cmd_delta(args):
 
 
 def cmd_coulomb(args):
+    if not 0 < args.rmin < args.rmax:
+        raise ConfigError("radii must satisfy 0 < --rmin < --rmax")
     profile = _profile_from_args(args)
     q_ph = vacuum.physical_charge(args.q, profile)
     rs = np.geomspace(args.rmin, args.rmax, args.samples)
-    curve = coulomb.potential_curve(profile, args.q, rs)
-    rows = list(zip(curve.r_values, curve.v_values,
-                    [curve.profile_tag] * len(rs)))
+    v = coulomb.potential(profile, q_ph, rs)
+    rows = list(zip(rs.tolist(), v.tolist(), [profile.tag] * len(rs)))
     outputs = [(args.out, Table(
         ["V(r) = -q_ph^2/(4 pi r) * (2/pi)(Si(k2 r) - Si(k1 r)) "
          "for the box shell",
@@ -169,7 +170,7 @@ def cmd_coulomb(args):
     if not args.summary:
         return outputs
 
-    summary = {"profile": curve.profile_tag, "q": args.q, "q_ph": q_ph}
+    summary = {"profile": profile.tag, "q": args.q, "q_ph": q_ph}
     try:
         pot = lambda r: coulomb.potential(profile, q_ph, r)
         bracket = coulomb.expand_bracket(pot, args.rmin)
@@ -385,18 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_validate)
 
-    # `sweep --command C --parameter P ...` is another spelling of
-    # `C --sweep P ...`; main rewrites the one into the other
-    p = sub.add_parser("sweep", help="sweep a parameter of another command")
-    p.add_argument("--command", dest="swept_command", required=True,
-                   choices=["delta", "coulomb", "cavity", "casimir",
-                            "casimir3", "stats", "shift"])
-    p.add_argument("--parameter", required=True)
-    p.add_argument("--values", required=True)
-    # the file configures the swept command, so only that command reads it
-    p.add_argument("--config", dest="forward_config",
-                   help="flat key=value config file of the swept command")
-    p.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
@@ -408,17 +397,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # ------------------------------------------------------------------ driver
-
-def _sweep_argv(args) -> list[str]:
-    """The `COMMAND --sweep` spelling of a `sweep` command line."""
-    argv = [args.swept_command, f"--sweep={args.parameter}",
-            f"--values={args.values}"]
-    if args.forward_config:
-        argv.append(f"--config={args.forward_config}")
-    if args.out:
-        argv.append(f"--out={args.out}")
-    return argv
-
 
 def _config_argv(args, argv: list[str]) -> list[str]:
     """argv with the config file's values put in front as --key=value flags:
@@ -473,9 +451,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            argv = _sweep_argv(args)
-            args = parser.parse_args(argv)
         if args.config is not None:
             argv = _config_argv(args, argv)
             args = parser.parse_args(argv)

@@ -24,7 +24,6 @@ CLI layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from scipy.special import kve
 
 from .errors import DomainError, NoSignChange, NonConvergence
 from .specfun import sine_integral
-from .vacuum import ProfileKind, VacuumProfile, physical_charge
+from .vacuum import ProfileKind, VacuumProfile
 
 HALF_PI = math.pi / 2.0
 # sign_change_radius's tolerance, relative to the root
@@ -49,22 +48,6 @@ _HEAD_RUNGS = 33
 # |w| past which scipy's kve returns NaN: Amos's argument limit is
 # 2^30 - 1/2, and the margin of 1/2 covers the rounding of |w|
 _KVE_ARG_LIMIT = 2.0 ** 30 - 1.0
-
-
-@dataclass(frozen=True)
-class PotentialCurve:
-    """Sampled potential: strictly increasing radii with matching values."""
-
-    r_values: tuple
-    v_values: tuple
-    profile_tag: str
-
-    def __post_init__(self):
-        r = np.asarray(self.r_values, dtype=float)
-        if len(r) != len(self.v_values):
-            raise DomainError("r and V arrays must have matching length")
-        if np.any(np.diff(r) <= 0):
-            raise DomainError("radii must be strictly increasing")
 
 
 def _box(q_ph: float, k1: float, k2: float, r):
@@ -326,11 +309,3 @@ def yukawa_bound_check(k1: float, lambda_min_ratio: float,
         - sine_integral(k1 * r)
     return bool(np.all(lhs >= -1e-12))
 
-
-def potential_curve(profile: VacuumProfile, q: float,
-                    r_values: Sequence[float]) -> PotentialCurve:
-    """Closed-form potential sampled on a radius grid (bare charge q);
-    the profile's q_ph enters through q^2 Z internally."""
-    r = np.asarray(r_values, dtype=float)
-    v = potential(profile, physical_charge(q, profile), r)
-    return PotentialCurve(tuple(r.tolist()), tuple(v.tolist()), profile.tag)

@@ -198,31 +198,24 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 
 # --------------------------------------------------------- radiative shifts
 
-def radiative_shift(profile: VacuumProfile, q_charge: float,
-                    plane_gap: float | None = None) -> float:
-    """Vacuum-averaged self-energy of a static point charge, in closed form.
-
-    Free space: q^2 int dk density/|k| = q^2 density_integral(profile, 1)
-    (an average over the vacuum ensemble, not a single eigenvalue shift);
+def radiative_shift(profile: VacuumProfile, q_charge: float) -> float:
+    """Vacuum-averaged self-energy of a static point charge in free space,
+    in closed form: q^2 int dk density/|k| = q^2 density_integral(profile, 1)
+    (an average over the vacuum ensemble, not a single eigenvalue shift).
     DomainError for a profile that is not infrared admissible or a q that
-    physical_charge rejects.  With a reflecting plane at distance plane_gap
-    the mode weight picks up (1 - cos 2 k_z L), i.e. radially
-    (1 - sin(2 kappa L)/(2 kappa L)); the difference from free space is the
-    mirror-image interaction, mirror_term.
+    physical_charge rejects.  A reflecting plane adds mirror_term.
     """
     physical_charge(q_charge, profile)
-    free = q_charge ** 2 * density_integral(profile, 1)
-    if plane_gap is None:
-        return free
-    return free + mirror_term(profile, q_charge, plane_gap)
+    return q_charge ** 2 * density_integral(profile, 1)
 
 
-def mirror_term(profile: VacuumProfile, q_charge: float,
-                plane_gap: float) -> float:
-    """Self-energy change of a point charge at distance L = plane_gap from a
-    reflecting plane, by the method of images: half the closed-form
-    averaged potential V(2 L) between the charge and its image."""
-    if plane_gap <= 0:
-        raise DomainError("plane_gap must be positive")
+def mirror_term(profile: VacuumProfile, q_charge: float, gap: float) -> float:
+    """Self-energy change of a point charge at distance L = gap from a
+    reflecting plane: the plane turns the mode weight into (1 - cos 2 k_z L),
+    radially (1 - sin(2 kappa L)/(2 kappa L)), and the change is the
+    mirror-image interaction, half the closed-form averaged potential V(2 L)
+    between the charge and its image."""
+    if gap <= 0:
+        raise DomainError("the plane's gap must be positive")
     q_ph = physical_charge(q_charge, profile)
-    return 0.5 * potential(profile, q_ph, 2.0 * plane_gap)
+    return 0.5 * potential(profile, q_ph, 2.0 * gap)

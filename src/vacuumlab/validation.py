@@ -329,17 +329,16 @@ def check_statistics_oracle() -> list[CriterionResult]:
 
 
 def check_mirror_identity() -> list[CriterionResult]:
-    """The self-energy change at a plane, half the closed-form potential
-    V(2 L), against the mode sum -q^2/(8 pi^2 L) int dkappa density
-    sin(2 L kappa)/kappa taken on fixed panels."""
+    """The self-energy change at a plane, mirror_term (half the closed-form
+    potential V(2 L)), against the mode sum -q^2/(8 pi^2 L) int dkappa
+    density sin(2 L kappa)/kappa taken on fixed panels."""
     out = []
     q = 1.1
     for name, prof in (("box", vacuum.make_box_profile(1.0, 3.0)),
                        ("lorentz", vacuum.make_lorentz_profile(0.01, 0.5))):
         worst = 0.0
         for L in (0.7, 2.0):
-            lhs = oscillator.radiative_shift(prof, q, plane_gap=L) \
-                - oscillator.radiative_shift(prof, q)
+            lhs = oscillator.mirror_term(prof, q, L)
             rhs = -q ** 2 / (8.0 * math.pi ** 2 * L) \
                 * _density_sine_panels(prof, 2.0 * L)
             worst = max(worst, abs(lhs - rhs))

@@ -63,22 +63,12 @@ class TestCasimirCommand:
                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_standalone_sweep_command(self, tmp_path):
-        out = tmp_path / "sw.csv"
-        rc = run(["sweep", "--command", "casimir", "--parameter", "alpha",
-                  "--values", "10,100", "--out", str(out)])
-        assert rc == 0
-        rows = [l for l in out.read_text().splitlines()
-                if l and not l.startswith("#")][1:]
-        assert len(rows) == 2
-
     def test_standalone_sweep_reads_the_commands_config(self, tmp_path):
         cfg = tmp_path / "stats.cfg"
         cfg.write_text("nmax = 3\n")
         out = tmp_path / "sw.csv"
-        rc = run(["sweep", "--command", "stats", "--parameter", "N",
-                  "--values", "10,20", "--config", str(cfg),
-                  "--out", str(out)])
+        rc = run(["stats", "--sweep", "N", "--values", "10,20",
+                  "--config", str(cfg), "--out", str(out)])
         direct = tmp_path / "direct.csv"
         run(["stats", "--sweep", "N", "--values", "10,20", "--nmax", "3",
              "--out", str(direct)])
@@ -97,8 +87,8 @@ class TestUnsupportedSweep:
 
     def test_sweep_command_on_shift_rejected(self, tmp_path, capsys):
         out = tmp_path / "s.json"
-        rc = run(["sweep", "--command", "shift", "--parameter", "q",
-                  "--values", "1,2", "--out", str(out)])
+        rc = run(["shift", "--sweep", "q", "--values", "1,2",
+                  "--out", str(out)])
         assert rc == 2
         assert "shift cannot sweep" in capsys.readouterr().err
         assert not out.exists()
@@ -146,8 +136,8 @@ class TestParserReuse:
             ["coulomb", "--profile", "box", "--k1", "1.0", "--k2", "50",
              "--samples", "9", "--summary", str(tmp_path / "s.json")],
             ["delta", "--n", "4", "--samples", "11"],
-            ["sweep", "--command", "stats", "--parameter", "N",
-             "--values", "10,20", "--config", str(stats_cfg)],
+            ["stats", "--sweep", "N", "--values", "10,20",
+             "--config", str(stats_cfg)],
             ["stats", "--N", "20", "--nmax", "3"],
             ["cavity", "--alpha", "1.0", "--branches", "2"],
             ["delta", "--sweep", "n", "--values", "2,4"],
@@ -251,6 +241,24 @@ class TestCoulombCommand:
         payload = json.loads(summary.read_text())
         assert payload["sign_change_radius"] is None
         assert payload["note"].startswith("no sign flip")
+
+    @pytest.mark.parametrize("argv", [
+        ["--rmin", "-1", "--samples", "3"],
+        ["--profile", "lorentz", "--q", "1e83", "--rmax", "7.3e-273",
+         "--samples", "3"],
+        ["--rmin", "10", "--rmax", "1"],
+    ], ids=["negative_rmin", "rmax_below_rmin_overflows", "reversed"])
+    def test_radii_checked_before_the_grid(self, argv, tmp_path, capsys):
+        # checked before the grid and the potential: geomspace's log10 of a
+        # negative radius, and V's prefactor at a tiny one, would warn first
+        out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["coulomb", *argv, "--out", str(out),
+                        "--summary", str(summary)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists() and not summary.exists()
 
     def test_unrepresentable_lorentz_profile_rejected(self, tmp_path, capsys):
         rc = run(["coulomb", "--profile", "lorentz", "--lambda2", "2e5",

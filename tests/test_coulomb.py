@@ -7,8 +7,7 @@ import pytest
 from oracles import density_sine_quad
 from vacuumlab import coulomb
 from vacuumlab.constants import AU_KM, PLANCK_LENGTH_KM
-from vacuumlab.coulomb import (PotentialCurve, expand_bracket, potential,
-                               potential_box, potential_curve,
+from vacuumlab.coulomb import (expand_bracket, potential, potential_box,
                                potential_lorentz, sign_change_radius,
                                yukawa_bound_check)
 from vacuumlab.errors import DomainError, NoSignChange, NonConvergence
@@ -428,24 +427,3 @@ class TestYukawaBound:
     def test_trivial_at_zero_k1(self):
         assert yukawa_bound_check(0.0, self.LAM_RATIO, self.R_GRID)
 
-
-class TestCurve:
-    def test_curve_export_shape(self):
-        prof = make_box_profile(1.0, 3.0)
-        rs = np.geomspace(0.1, 10.0, 20)
-        curve = potential_curve(prof, 1.0, rs)
-        assert len(curve.r_values) == len(curve.v_values) == 20
-        assert curve.profile_tag.startswith("box")
-
-    def test_curve_matches_pointwise_potential(self):
-        prof = make_lorentz_profile(0.04, 0.3)
-        rs = np.geomspace(0.1, 10.0, 9)
-        curve = potential_curve(prof, 1.0, rs)
-        q_ph = physical_charge(1.0, prof)
-        assert list(curve.v_values) == [potential(prof, q_ph, float(r))
-                                        for r in rs]
-        assert all(isinstance(v, float) for v in curve.v_values)
-
-    def test_curve_validates_monotone_radii(self):
-        with pytest.raises(DomainError):
-            PotentialCurve((1.0, 0.5), (0.0, 0.0), "box")

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import (DimensionCap, build_rep, coherent_state,
-                     excitation_projector_expectation)
-from vacuumlab.coulomb import potential_box, potential_lorentz
+                     density_sine_quad, excitation_projector_expectation)
 from vacuumlab.errors import DomainError
-from vacuumlab.oscillator import (radiative_shift, renyi_poisson_pmf,
-                                  shannon_poisson_pmf)
+from vacuumlab.oscillator import (mirror_term, radiative_shift,
+                                  renyi_poisson_pmf, shannon_poisson_pmf)
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
                               physical_charge)
 
@@ -358,32 +357,25 @@ class TestRadiativeShift:
             assert radiative_shift(prof, q) == pytest.approx(expect,
                                                              rel=1e-13)
 
-    def test_mirror_identity_box(self):
-        prof = make_box_profile(1.0, 3.0)
+    @staticmethod
+    def _mirror_identity(prof):
+        """mirror_term against the mode sum -q^2/(8 pi^2 L) int dkappa
+        density sin(2 L kappa)/kappa, by quadpack's sine-weighted rules."""
         q = 1.1
-        q_ph = physical_charge(q, prof)
         for L in (0.7, 2.0):
-            lhs = radiative_shift(prof, q, plane_gap=L) \
-                - radiative_shift(prof, q)
-            rhs = 0.5 * potential_box(q_ph, prof.k1, prof.k2, 2.0 * L)
-            assert lhs == pytest.approx(rhs, abs=1e-8)
+            rhs = -q ** 2 / (8.0 * math.pi ** 2 * L) \
+                * density_sine_quad(prof, 2.0 * L)
+            assert mirror_term(prof, q, L) == pytest.approx(rhs, abs=1e-8)
+
+    def test_mirror_identity_box(self):
+        self._mirror_identity(make_box_profile(1.0, 3.0))
 
     def test_mirror_identity_lorentz(self):
-        prof = make_lorentz_profile(0.01, 0.5)
-        q = 1.1
-        q_ph = physical_charge(q, prof)
-        for L in (0.7, 2.0):
-            lhs = radiative_shift(prof, q, plane_gap=L) \
-                - radiative_shift(prof, q)
-            rhs = 0.5 * potential_lorentz(q_ph, prof.lambda2, prof.y0,
-                                          2.0 * L)
-            assert lhs == pytest.approx(rhs, abs=1e-8)
+        self._mirror_identity(make_lorentz_profile(0.01, 0.5))
 
     def test_distant_plane_recovers_free_space(self):
         prof = make_box_profile(1.0, 3.0)
-        free = radiative_shift(prof, 1.0)
-        far = radiative_shift(prof, 1.0, plane_gap=1e7)
-        assert far == pytest.approx(free, abs=1e-10)
+        assert mirror_term(prof, 1.0, 1e7) == pytest.approx(0.0, abs=1e-10)
 
     def test_infrared_violating_profile_rejected(self):
         from vacuumlab.vacuum import ProfileKind, VacuumProfile
