@@ -60,25 +60,6 @@ class CavityConfig:
             raise DomainError("barrier strength must be nonnegative")
 
 
-def _sewing(k, a, b, s):
-    """Raw left-incidence coefficients (B, C, D, E) for barriers a, b at
-    z = -s, +s: one numpy kernel over arrays that broadcast together.
-    DegenerateMode if the determinant vanishes anywhere in the batch."""
-    e2 = np.exp(4j * k * s)             # phase across the full cavity
-    delta = k * k + 0.5j * (a + b) * k + (e2 - 1.0) * a * b / 4.0
-    degenerate = np.abs(delta) < DELTA_TOL * np.maximum(np.maximum(1.0, k * k),
-                                                        a * b)
-    if degenerate.any():
-        k_bad = np.broadcast_to(k, degenerate.shape)[degenerate][0]
-        raise DegenerateMode(f"sewing determinant vanished at k={k_bad}")
-    B = -1j * np.exp(-2j * k * s) \
-        * (0.5 * k * (a + b * e2) - 0.25j * (e2 - 1.0) * a * b) / delta
-    C = k * (k + 0.5j * b) / delta
-    D = -1j * np.exp(2j * k * s) * 0.5 * k * b / delta
-    E = k * k / delta
-    return B, C, D, E
-
-
 def scattering_coeffs_batch(k, alpha, beta, L):
     """Left-incidence sewing coefficients of the vacuum-field mode for many
     momenta and configurations in one numpy pass: k, alpha, beta and L are
@@ -98,7 +79,20 @@ def scattering_coeffs_batch(k, alpha, beta, L):
         raise DomainError("barrier strengths must be nonnegative")
     if not np.all(k > 0):
         raise DomainError("scattering_coeffs_batch requires k > 0")
-    return _sewing(k, 2.0 * alpha, 2.0 * beta, L / 4.0)
+    a, b, s = 2.0 * alpha, 2.0 * beta, L / 4.0
+    e2 = np.exp(4j * k * s)             # phase across the full cavity
+    delta = k * k + 0.5j * (a + b) * k + (e2 - 1.0) * a * b / 4.0
+    degenerate = np.abs(delta) < DELTA_TOL * np.maximum(np.maximum(1.0, k * k),
+                                                        a * b)
+    if degenerate.any():
+        raise DegenerateMode(
+            f"sewing determinant vanished at k={k[degenerate][0]}")
+    B = -1j * np.exp(-2j * k * s) \
+        * (0.5 * k * (a + b * e2) - 0.25j * (e2 - 1.0) * a * b) / delta
+    C = k * (k + 0.5j * b) / delta
+    D = -1j * np.exp(2j * k * s) * 0.5 * k * b / delta
+    E = k * k / delta
+    return B, C, D, E
 
 
 def resonance_equation(k: complex, cfg: CavityConfig) -> complex:

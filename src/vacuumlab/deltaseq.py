@@ -280,7 +280,7 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
         return _panel_integral([(fam, n ** 3 ** rank)
                                 for rank, fam in enumerate(families)], f)
 
-    return sweep_limit(evaluate, start=4, max_doublings=8)
+    return sweep_limit(evaluate, start=4)
 
 
 def power_filtering_integral(family: DeltaFamily, power: int,

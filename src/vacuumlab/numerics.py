@@ -1,4 +1,5 @@
-"""Numerical plumbing: the quadrature rule, limit sweeps, tagged results.
+"""Numerical plumbing: the quadrature rule, the exact product, limit
+sweeps, tagged results.
 
 The package has one quadrature rule, gauss_legendre: fixed 20-point
 Gauss-Legendre panels for integrands whose smooth pieces are known in
@@ -11,8 +12,8 @@ imports scipy.integrate.
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
 (finite value, to 1e-12 absolute plus 1e-10 relative), grows without bound
-(divergent), or raises NonConvergence.  Divergence is always reported as a
-tagged result, never as float('inf').
+(divergent), or raises NonConvergence after 12 doublings.  Divergence is
+always reported as a tagged result, never as float('inf').
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ import numpy as np
 
 from .errors import NonConvergence
 
-# sweep_limit's stability tolerances and its divergence ratio
+# sweep_limit's stability tolerances, its divergence ratio and its cap on
+# doublings
 _SWEEP_ABS_TOL = 1e-12
 _SWEEP_REL_TOL = 1e-10
 _DIVERGENCE_RATIO = 1.5
+_SWEEP_DOUBLINGS = 12
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,18 @@ def gauss_legendre(lo: np.ndarray, hi: np.ndarray
     return lo[:, None] + half * (nodes + 1.0), half * weights
 
 
+def two_prod(a: float, b: float) -> tuple[float, float]:
+    """(p, err) with p = a b rounded and p + err = a b exactly: Dekker's
+    product of Veltkamp halves (split by 2^27 + 1; |a|, |b| < 1e300, and
+    |a b| >= 2^-969 ~ 2e-292, below which err's partial products are
+    subnormal and err is only approximate)."""
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def richardson(values: Sequence[float]) -> np.ndarray:
     """One Richardson triangle row per order, assuming error ~ c/n on an
     index grid that doubles (n, 2n, 4n, ...). Returns the extrapolant ladder,
@@ -110,17 +125,19 @@ def richardson(values: Sequence[float]) -> np.ndarray:
 
 
 def sweep_limit(evaluate: Callable[[int], float],
-                start: int = 16, max_doublings: int = 12) -> LimitResult:
+                start: int = 16) -> LimitResult:
     """Estimate lim_{n->inf} evaluate(n) over n = start, 2*start, 4*start, ...
 
     Stability test: the last two Richardson extrapolants differ by less than
     1e-12 + 1e-10 |value|; three values below 1e-12 in a row settle to 0.
     Sustained geometric growth (three consecutive doubling ratios above 1.5)
-    is tagged divergent.  Anything else raises NonConvergence.
+    is tagged divergent.  A sweep stops at its first passing doubling;
+    anything else after 12 doublings (_SWEEP_DOUBLINGS) raises
+    NonConvergence.
     """
     history: list[float] = []
     n = start
-    for _ in range(max_doublings):
+    for _ in range(_SWEEP_DOUBLINGS):
         history.append(evaluate(n))
         n *= 2
         if len(history) >= 3 \

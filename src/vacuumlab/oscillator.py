@@ -30,6 +30,7 @@ import numpy as np
 
 from .coulomb import potential
 from .errors import DomainError
+from .numerics import two_prod
 from .vacuum import VacuumProfile, density_integral, physical_charge
 
 
@@ -116,7 +117,7 @@ def _poisson_pmf(lam: float, n: int) -> float:
 
     Its logarithm n log(lam) - lam - log(n!) is a list of doubles whose
     exact sum is it to ~1e-20 relative (products by the large terms of
-    _log_terms split exactly by _two_prod), summed by fsum into hi + lo, and
+    _log_terms split exactly by two_prod), summed by fsum into hi + lo, and
     the value is e^hi e^lo: the rounding of an exponent near -700 does not
     enter.  log(n!) is the log of n! itself up to n = 22 (an exact double);
     past it, Loader's (n + 1/2) log n - n + log(2 pi)/2 + stirlerr(n), with
@@ -165,12 +166,12 @@ def _log_terms(x: float) -> list[float]:
     d = 2.0 + f
     d_lo = (2.0 - d) + f                # 2 + f = d + d_lo exactly
     u = f / d
-    p, p_lo = _two_prod(u, d)
+    p, p_lo = two_prod(u, d)
     u_lo = ((f - p) - p_lo - u * d_lo) / d
-    v, v_lo = _two_prod(u, u)
-    c, c_lo = _two_prod(v, u)           # u^3 = c + c_lo + u v_lo
+    v, v_lo = two_prod(u, u)
+    c, c_lo = two_prod(v, u)            # u^3 = c + c_lo + u v_lo
     t = c / 3.0
-    p, p_lo = _two_prod(t, 3.0)
+    p, p_lo = two_prod(t, 3.0)
     t_lo = ((c - p) - p_lo + c_lo + u * v_lo) / 3.0     # u^3/3 = t + t_lo
     tail = 0.0
     for coefficient in _ATANH_TAIL:     # sum_j v^j/(2j + 5), j <= 10
@@ -182,18 +183,8 @@ def _log_terms(x: float) -> list[float]:
 def _scaled_terms(c: float, terms: list[float]) -> list[float]:
     """c times the sum of _log_terms, as doubles whose exact sum is it to
     the same relative accuracy: the three large terms' products exactly."""
-    return [*_two_prod(c, terms[0]), *_two_prod(c, terms[1]),
-            *_two_prod(c, terms[2]), *(c * t for t in terms[3:])]
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """(p, err) with p = a b rounded and p + err = a b exactly: Dekker's
-    product of Veltkamp halves (split by 2^27 + 1; |a|, |b| < 1e300)."""
-    ca, cb = 134217729.0 * a, 134217729.0 * b
-    ah, bh = ca - (ca - a), cb - (cb - b)
-    al, bl = a - ah, b - bh
-    p = a * b
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return [*two_prod(c, terms[0]), *two_prod(c, terms[1]),
+            *two_prod(c, terms[2]), *(c * t for t in terms[3:])]
 
 
 # --------------------------------------------------------- radiative shifts

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.special import kve
 
 from .errors import DomainError
+from .numerics import two_prod
 from .specfun import gamma_from_zero
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -112,16 +113,14 @@ def _gamma2(lambda2: float) -> float:
 
 def _sqrt_with_residual(x: float) -> tuple[float, float]:
     """(r, d) with r = sqrt(x) rounded and d = sqrt(x) - r to a few ulps of
-    itself: x - r^2 is formed exactly from a Veltkamp split r = h + t into
-    26-bit halves (Dekker's product), and d = (x - r^2)/(2r); (0, 0) at
-    x = 0."""
+    itself (for x >= ~2e-292, where two_prod is exact; below, to ~1e-23 of
+    r): x - r^2 = (x - p) - e from the exact product r^2 = p + e
+    (two_prod), and d = (x - r^2)/(2r); (0, 0) at x = 0."""
     r = math.sqrt(x)
     if r == 0.0:
         return 0.0, 0.0
-    c = 134217729.0 * r             # 2^27 + 1
-    h = c - (c - r)
-    t = r - h
-    return r, ((x - h * h) - 2.0 * h * t - t * t) / (2.0 * r)
+    p, e = two_prod(r, r)
+    return r, ((x - p) - e) / (2.0 * r)
 
 
 def make_lorentz_profile(lambda2: float, y0: float) -> VacuumProfile:

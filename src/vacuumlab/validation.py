@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import casimir, cavity, coulomb, deltaseq, oscillator, specfun, vacuum
 from .constants import AU_KM, PLANCK_LENGTH_KM
+from .errors import DomainError
 from .numerics import gauss_legendre
 
 
@@ -293,16 +293,34 @@ def check_delta_calculus() -> list[CriterionResult]:
     return out
 
 
+# _occupation_law's Taylor series: its highest power of G, and the largest
+# column sum of |G| it accepts, where that term is 2^24/24! < 3e-17
+_SERIES_TERMS = 24
+_SERIES_NORM = 2.0
+
+
 def _occupation_law(probs, alphas, N: int, n_max: int) -> np.ndarray:
     """Law of the total occupation of N sites in the coherent state of
     amplitudes alphas, each site's ladder L cut at n_max: the state is a
     product of site vectors, so it is the N-fold convolution of one site's
-    sum_w p_w |expm(G_w)[:, 0]|^2, G_w = (alpha_w L^+ - conj(alpha_w) L)/
-    sqrt(N).  Through expm, not the Poisson formula."""
+    sum_w p_w |exp(G_w) e_0|^2, G_w = (alpha_w L^+ - conj(alpha_w) L)/
+    sqrt(N).  exp(G_w) e_0 is the Taylor series of v_k = G_w v_(k-1)/k
+    from v_0 = e_0 to k = 24, added from the smallest term up; DomainError
+    where a column sum of |G_w| passes 2, past which the terms left out are
+    not negligible.  The exponential of the truncated ladder, not the
+    Poisson formula."""
     ladder = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1) / math.sqrt(N)
     generators = np.array([a * ladder.T - np.conj(a) * ladder
                            for a in alphas])
-    columns = np.abs(expm(generators)[:, :, 0]) ** 2
+    norm = float(np.max(np.sum(np.abs(generators), axis=1)))
+    if norm > _SERIES_NORM:
+        raise DomainError(f"the one-site series needs column sums of |G| "
+                          f"<= {_SERIES_NORM:g}; got {norm:g}")
+    terms = [np.zeros((len(alphas), n_max + 1, 1), dtype=complex)]
+    terms[0][:, 0] = 1.0
+    for k in range(1, _SERIES_TERMS + 1):
+        terms.append(generators @ terms[-1] / k)
+    columns = np.abs(sum(reversed(terms))[:, :, 0]) ** 2
     site = np.asarray(probs) @ columns
     law = site
     for _ in range(N - 1):

@@ -221,7 +221,8 @@ class TestPowers:
         m0 = DeltaFamily(DeltaShape.M_SHAPE, n=1, a=0.0)
         sp1 = DeltaFamily(DeltaShape.SHIFTED_PAIR, n=1, j=1)
         sp2 = DeltaFamily(DeltaShape.SHIFTED_PAIR, n=1, j=2)
-        for fams, f in (([m0, sp1], lambda k: 1.0), ([sp1, sp2], np.cos)):
+        for fams, f in (([m0, sp1], lambda k: 1.0), ([m0, sp1], np.cos),
+                        ([sp1, sp2], np.cos)):
             fwd = product_filtering_integral(fams, f)
             rev = product_filtering_integral(fams[::-1], f)
             assert not fwd.is_divergent and not rev.is_divergent

@@ -1,11 +1,12 @@
 """The package's one quadrature rule, Gauss-Legendre, against 40-digit
 mpmath, and the rules on the package's source: no module imports
-scipy.integrate, scipy.optimize or scipy.sparse, only numerics builds a
-Gauss-Legendre rule, only validation imports scipy.linalg, a fresh import of
-the CLI loads none of those four subpackages, the CLI or validate reaches
-every definition, and some caller sets every defaulted parameter."""
+scipy.integrate, scipy.optimize, scipy.sparse or scipy.linalg, only numerics
+builds a Gauss-Legendre rule, neither a fresh import of the CLI nor a
+validate run loads any of those four subpackages, the CLI or validate
+reaches every definition, and some caller sets every defaulted parameter."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -87,23 +88,28 @@ def test_no_module_imports_scipy_sparse():
     assert _package_imports("sparse") == {}
 
 
-def test_only_validation_imports_scipy_linalg():
-    assert set(_package_imports("linalg")) <= {"validation.py"}
+def test_no_module_imports_scipy_linalg():
+    assert _package_imports("linalg") == {}
 
 
-def test_fresh_cli_import_loads_no_heavy_subpackage():
+def test_fresh_cli_import_loads_no_heavy_subpackage(tmp_path):
     # catches what the source rules cannot see: a subpackage that another
-    # import pulls in (scipy.optimize loads scipy.linalg and scipy.sparse)
+    # import pulls in (scipy.optimize loads scipy.linalg and scipy.sparse),
+    # also where only a request imports it (validate imports validation)
     heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
              "scipy.linalg"]
     package_root = str(Path(numerics.__file__).parents[1])
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {package_root!r}); "
-         "import vacuumlab.cli; "
-         f"print(sorted(set({heavy!r}) & set(sys.modules)))"],
-        capture_output=True, text=True, check=True).stdout
-    assert loaded.strip() == "[]"
+    report = str(tmp_path / "report.json")
+    validate = f"vacuumlab.cli.main(['validate', '--out', {report!r}]); "
+    for run in ("", validate):
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {package_root!r}); "
+             f"import vacuumlab.cli; {run}"
+             f"print(sorted(set({heavy!r}) & set(sys.modules)))"],
+            capture_output=True, text=True, check=True).stdout
+        assert loaded.splitlines()[-1] == "[]", run
+    assert json.loads(Path(report).read_text())["passed"]
 
 
 def _references(source: str, name: str) -> list[int]:

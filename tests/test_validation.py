@@ -1,14 +1,19 @@
 """validate's own oracles against independent references: the statistics
-oracle's convolution against the N-site brute force, and the fixed-panel
-normalization and mirror-identity integrals against mpmath and against the
-sine-weighted quadpack oracle, at the points validate uses."""
+oracle's one-site series against scipy's expm and its convolution against
+the N-site brute force, and the fixed-panel normalization and
+mirror-identity integrals against mpmath and against the sine-weighted
+quadpack oracle, at the points validate uses."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from oracles import (build_rep, coherent_state, density_sine_quad,
                      excitation_projector_expectation)
 from vacuumlab import vacuum, validation
+from vacuumlab.errors import DomainError
 
 # check_statistics_oracle's ensemble
 PROBS, ALPHAS = [0.35, 0.65], [0.45, 0.31]
@@ -31,6 +36,27 @@ def test_occupation_law_matches_n_site_brute_force(N):
     law = validation._occupation_law(PROBS, ALPHAS, N, n_max)
     assert law.shape == (N * n_max + 1,)
     assert np.max(np.abs(law - brute)) <= 1e-15
+
+
+@pytest.mark.parametrize("N, n_max",
+                         [(4, 10), (1, 5), (2, 5), (3, 5), (4, 5)])
+def test_occupation_law_site_columns_match_expm(N, n_max):
+    # one mode of amplitude alpha/sqrt(N) at N = 1 is the site column
+    # |exp(G) e_0|^2 of amplitude alpha among N sites, unconvolved;
+    # validate's inputs and the brute-force test's
+    for alpha in ALPHAS:
+        a = alpha / math.sqrt(N)
+        ladder = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+        ref = np.abs(expm(a * ladder.T - a * ladder)[:, 0]) ** 2
+        column = validation._occupation_law([1.0], [a], 1, n_max)
+        assert np.max(np.abs(column - ref)) <= 1e-16
+
+
+def test_occupation_law_series_guard():
+    # a column sum of |G| passes 2: 2 (sqrt 4 + sqrt 5) = 8.5 at n_max = 5;
+    # the brute-force test's N = 1 (0.45 (sqrt 4 + sqrt 5) = 1.91) passes
+    with pytest.raises(DomainError):
+        validation._occupation_law([1.0], [2.0], 1, 5)
 
 
 @pytest.mark.parametrize("lambda2", LAMBDA2S)
