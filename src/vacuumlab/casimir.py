@@ -31,6 +31,9 @@ r(k) = 1/(1 - 2ik/alpha)^2):
         - (Z/(6 pi^2 y0^4)) Gamma(4, 0, lambda^2),
 
 reported as a breakdown around the leading term -Z pi^2/(240 L^4).
+
+Pressures are dimensionless (Planck units); the CLI converts to pascal
+with constants.PRESSURE_UNIT_PA.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PRESSURE_UNIT_PA
 from .errors import DomainError, NonConvergence
 from .numerics import gauss_legendre
 from .specfun import bernoulli_number, gamma_from_zero
@@ -469,8 +471,3 @@ def _upper_tail_table(xs: np.ndarray, b: float) -> np.ndarray:
     tails[-1] = far
     tails[:-1] = far + np.cumsum(panels[::-1])[::-1]
     return tails
-
-
-def to_physical_pressure(p_dimensionless: float) -> float:
-    """Convert a dimensionless pressure to pascal (factor c hbar / ell^4)."""
-    return p_dimensionless * PRESSURE_UNIT_PA

@@ -18,17 +18,16 @@ z = +L/4; scattering_coeffs_batch evaluates its coefficients over arrays of
 momenta and configurations.  Right incidence is the left problem with the
 strengths interchanged.
 
-For equal barriers (CavityConfig: strength alpha at both) the homogeneous
+For equal barriers (strength alpha at both, separation L) the homogeneous
 system has nontrivial solutions only at complex wavenumbers expressible
-through Lambert W (scipy's lambertw); those resonances are computed here.
+through Lambert W (scipy's lambertw); resonance_roots(alpha, L) computes
+those resonances.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import lambertw
 
@@ -46,28 +45,14 @@ _SCALE_RANGE = (1e-150, 1e150)
 _ALPHA_L_RANGE = (1e-140, 1e3)
 
 
-@dataclass(frozen=True)
-class CavityConfig:
-    """Equal barrier strengths alpha and their separation L."""
-
-    alpha: float
-    L: float
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise DomainError("plate separation L must be positive")
-        if self.alpha < 0:
-            raise DomainError("barrier strength must be nonnegative")
-
-
 def scattering_coeffs_batch(k, alpha, beta, L):
     """Left-incidence sewing coefficients of the vacuum-field mode for many
     momenta and configurations in one numpy pass: k, alpha, beta and L are
     arrays (or floats) that broadcast together, with k > 0, L > 0 and
-    alpha, beta >= 0 everywhere (DomainError otherwise, as CavityConfig
-    checks them).  Returns the complex arrays (B, C, D, E) of the module
-    docstring, with a = 2 alpha, b = 2 beta and s = L/4; DegenerateMode if
-    any entry's sewing determinant vanishes.  Right incidence is the left
+    alpha, beta >= 0 everywhere (DomainError otherwise).  Returns the
+    complex arrays (B, C, D, E) of the module docstring, with a = 2 alpha,
+    b = 2 beta and s = L/4; DegenerateMode if any entry's sewing determinant
+    vanishes.  Right incidence is the left
     problem mirrored (z -> -z) with alpha and beta swapped, so the call with
     the strengths swapped gives its amplitudes.
     """
@@ -95,15 +80,18 @@ def scattering_coeffs_batch(k, alpha, beta, L):
     return B, C, D, E
 
 
-def resonance_equation(k: complex, cfg: CavityConfig) -> complex:
+def resonance_equation(k: complex, alpha: float, L: float) -> complex:
     """Determinant k^2 + 2 i alpha k + (exp(i k L) - 1) alpha^2 whose zeros
-    are the homogeneous-mode wavenumbers."""
-    a = cfg.alpha
-    return k * k + 2j * a * k + (cmath.exp(1j * k * cfg.L) - 1.0) * a * a
+    are the homogeneous-mode wavenumbers of two barriers of strength alpha
+    at separation L."""
+    return k * k + 2j * alpha * k \
+        + (cmath.exp(1j * k * L) - 1.0) * alpha * alpha
 
 
-def resonance_roots(cfg: CavityConfig, branches=range(0, 3)) -> list[complex]:
-    """Complex homogeneous-mode wavenumbers for alpha > 0:
+def resonance_roots(alpha: float, L: float,
+                    branches=range(0, 3)) -> list[complex]:
+    """Complex homogeneous-mode wavenumbers of two barriers of strength
+    alpha > 0 at separation L:
 
         k_{n,+-} = -i (L alpha - 2 W_n(+- e^{L alpha/2} L alpha / 2)) / L
 
@@ -112,29 +100,29 @@ def resonance_roots(cfg: CavityConfig, branches=range(0, 3)) -> list[complex]:
     1e-8 (_RESIDUAL_TOL) times max(alpha^2, |k|^2), DegenerateMode
     otherwise (also where lambertw gives NaN).  DomainError unless
     alpha >= 1e-150, 1e-150 <= L <= 1e150 and 1e-140 <= alpha L <= 1e3
-    (_SCALE_RANGE, _ALPHA_L_RANGE).
+    (_SCALE_RANGE, _ALPHA_L_RANGE), which also rejects alpha < 0 and
+    L <= 0.
     """
-    a, L = cfg.alpha, cfg.L
     least, most = _SCALE_RANGE
-    if not (least <= a and least <= L <= most):
+    if not (least <= alpha and least <= L <= most):
         raise DomainError(f"resonance_roots requires alpha >= {least:g} and "
                           f"{least:g} <= L <= {most:g}, so that alpha^2 and "
-                          f"1/L^2 are normal doubles; got alpha = {a:g}, "
+                          f"1/L^2 are normal doubles; got alpha = {alpha:g}, "
                           f"L = {L:g}")
     least, most = _ALPHA_L_RANGE
-    if not least <= a * L <= most:
+    if not least <= alpha * L <= most:
         raise DomainError(f"resonance_roots requires {least:g} <= alpha L "
                           f"<= {most:g}, so that the Lambert argument "
                           f"e^(alpha L/2) alpha L/2 and exp(ikL) are "
-                          f"doubles; got alpha L = {a * L:g}")
-    arg = math.exp(L * a / 2.0) * L * a / 2.0
+                          f"doubles; got alpha L = {alpha * L:g}")
+    arg = math.exp(L * alpha / 2.0) * L * alpha / 2.0
     roots = []
     for n in branches:
         for sign in (+1.0, -1.0):
             w = complex(lambertw(sign * arg, n))
-            k = -1j * (L * a - 2.0 * w) / L
-            resid = abs(resonance_equation(k, cfg))
-            if not resid <= _RESIDUAL_TOL * max(a * a, abs(k) ** 2):
+            k = -1j * (L * alpha - 2.0 * w) / L
+            resid = abs(resonance_equation(k, alpha, L))
+            if not resid <= _RESIDUAL_TOL * max(alpha * alpha, abs(k) ** 2):
                 raise DegenerateMode(
                     f"resonance root ({n}, {sign:+.0f}) residual {resid}")
             roots.append(k)

@@ -12,7 +12,10 @@ value); the other subcommands reject --sweep, and all of them reject
 the type their option declares: a value that does not convert, a float that
 is not finite (nan, inf), a count below its least value (1 for --samples,
 --branches, --N and --n; 0 for --nmax and --j), and an unknown config key,
-exit 2 with one `error:` line and write nothing.
+exit 2 with one `error:` line and write nothing.  A negative value may
+follow its flag after a space in any form, -0.5, -.5 or -5e-1 (so may a
+--values list that starts with one); a value that starts with a dash and
+no digit, such as -x, is read as an option.
 
     vacuumlab casimir --alpha 100 --gap 1.0 --out out.csv
     vacuumlab casimir --sweep alpha --values 10,100,1000 --out sweep.csv
@@ -28,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -35,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, casimir, cavity, coulomb, oscillator, vacuum
-from .constants import AU_KM, PLANCK_LENGTH_KM
+from .constants import AU_KM, PLANCK_LENGTH_KM, PRESSURE_UNIT_PA
 from .errors import ConfigError, IoError, VacuumlabError
 
 
@@ -184,13 +188,12 @@ def cmd_coulomb(args):
 
 
 def cmd_cavity(args):
-    cfg = cavity.CavityConfig(args.alpha, args.gap)
     rows = []
     branches = range(0, args.branches)
-    roots = cavity.resonance_roots(cfg, branches=branches)
+    roots = cavity.resonance_roots(args.alpha, args.gap, branches=branches)
     for i, root in enumerate(roots):
         n, sign = divmod(i, 2)
-        resid = abs(cavity.resonance_equation(root, cfg))
+        resid = abs(cavity.resonance_equation(root, args.alpha, args.gap))
         rows.append((n, "+" if sign == 0 else "-", root.real, root.imag,
                      resid))
     return [(args.out, Table(
@@ -221,7 +224,7 @@ def cmd_casimir3(args):
         "y0_corrections": bd.y0_corrections,
         "lambda2_correction": bd.lambda2_correction,
         "terms_used": bd.terms_used,
-        "total_pascal": casimir.to_physical_pressure(bd.total),
+        "total_pascal": bd.total * PRESSURE_UNIT_PA,
         "parameters": {"lambda2": args.lambda2, "y0": args.y0, "L": args.gap,
                        "Z": profile.Z},
     })]
@@ -386,6 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_validate)
 
+    # a value that starts like a negative number (-1e-3, -.5, -1e-3,2) is
+    # one, not an option: argparse's own pattern takes only -1 and -.5, and
+    # no option here starts with a digit; the pattern is a private attribute
+    negative = re.compile(r"^-\.?\d")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = negative
     return parser
 
 

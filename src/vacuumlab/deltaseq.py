@@ -15,9 +15,10 @@ Three families are implemented:
   (delta_n(k - j/n) + delta_n(-k - j/n)) / 2, vanishing at 0 for j >= 1.
 
 Families with the same origin value delta(0) form one multiplication class:
-powers of a family are defined through nested limits with one independent
-index per factor, swept innermost first.  Squares of the triangle family
-diverge; that outcome is reported as a tagged LimitResult, never as inf.
+products are defined through nested limits with one independent index per
+factor, swept innermost first, and a power of a family is the product of
+[family] * power.  Squares of the triangle family diverge; that outcome is
+a LimitResult whose value is None, never inf.
 
 Test functions f take arrays: every index of a sweep evaluates f once, at
 the nodes of 20-point Gauss-Legendre panels (numerics.gauss_legendre), one
@@ -35,12 +36,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, IncompatibleClasses
-from .numerics import LimitResult, finite, gauss_legendre, sweep_limit
+from .numerics import LimitResult, gauss_legendre, sweep_limit
 from .specfun import sine_integral
 
 TWO_PI = 2.0 * np.pi
+_DOUBLE_MAX = float(np.finfo(float).max)
 # past it u^2 is no double, and (sin u/u)^2 < 1/u^2 underflows to 0
-_SQRT_MAX = np.sqrt(np.finfo(float).max)
+_SQRT_MAX = np.sqrt(_DOUBLE_MAX)
 
 
 class DeltaShape(Enum):
@@ -55,6 +57,8 @@ class DeltaFamily:
 
     n is the sequence index (epsilon = 1/n for the M shape), j the shift of
     the SHIFTED_PAIR family, a the origin height of the M shape.
+    DomainError unless n >= 1 with n^2 a double (n below ~1.3e154),
+    j >= 0, and a >= 0 with 1.5 a a double (a below ~1.2e308).
     """
 
     shape: DeltaShape
@@ -65,10 +69,16 @@ class DeltaFamily:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("sequence index n must be a positive integer")
+        if self.n * self.n > _DOUBLE_MAX:
+            raise DomainError("sequence index n is out of range: n^2 must "
+                              "be a double (n below ~1.3e154)")
         if self.j < 0:
             raise DomainError("shift j must be nonnegative")
         if self.a < 0:
             raise DomainError("M-shape height a must be nonnegative")
+        if 1.5 * self.a > _DOUBLE_MAX:
+            raise DomainError(f"M-shape height a = {self.a:g} is out of "
+                              "range: 1.5 a must be a double")
 
     @property
     def multiplication_class(self) -> tuple:
@@ -80,7 +90,6 @@ class DeltaFamily:
         return ("divergent-at-zero",) if self.j == 0 \
             else ("regular-at-zero", 0.0)
 
-    support = property(lambda self: _support(self, self.n))
     breakpoints = property(lambda self: _breakpoints(self, self.n))
 
 
@@ -107,13 +116,18 @@ def _breakpoints(family: DeltaFamily, n) -> list[float]:
 
 
 def _triangle(k, n):
-    return np.maximum(n - n * n * np.abs(k), 0.0)
+    # |k| clipped past the support, where the value is 0 either way, so
+    # that n^2 |k| stays a double
+    return np.maximum(n - n * n * np.minimum(np.abs(k), 2.0 / n), 0.0)
 
 
 def _m_profile(k, a, eps):
+    # each piece on |k| clipped at its own end, so that neither overflows
+    # where np.where discards it
     k = np.abs(k)
-    inner = (4.0 * k / eps) * (2.0 / eps - 1.5 * a) + a
-    outer = (2.0 - 4.0 * k / eps) * (2.0 / eps - 0.5 * a)
+    k_in, k_out = np.minimum(k, 0.25 * eps), np.minimum(k, 0.5 * eps)
+    inner = (4.0 * k_in / eps) * (2.0 / eps - 1.5 * a) + a
+    outer = (2.0 - 4.0 * k_out / eps) * (2.0 / eps - 0.5 * a)
     return np.where(k < 0.25 * eps, inner, np.where(k < 0.5 * eps, outer, 0.0))
 
 
@@ -264,8 +278,14 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
     limit, and the outer sweep extrapolates in n.  The list order fixes the
     ladder: the first family takes n, the last one, innermost, the largest
     index; the other limit order is the reversed list.  All factors must
-    belong to one multiplication class.  f takes arrays, as in
+    belong to one multiplication class (IncompatibleClasses otherwise) and
+    the list must not be empty (DomainError).  f takes arrays, as in
     filtering_integral.
+
+    A power of a family is [family] * power: it evaluates to
+    delta(0)^(power-1) (f(0-) + f(0+))/2, zero for families vanishing at the
+    origin and divergent (value None) for the triangle family with
+    power >= 2.
     """
     if not families:
         raise DomainError("need at least one family")
@@ -274,24 +294,10 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
         raise IncompatibleClasses(
             f"delta product across distinct classes: {sorted(classes)}")
     if len(families) == 1:
-        return finite(filtering_integral(families[0], f))
+        return LimitResult(filtering_integral(families[0], f))
 
     def evaluate(n: int) -> float:
         return _panel_integral([(fam, n ** 3 ** rank)
                                 for rank, fam in enumerate(families)], f)
 
     return sweep_limit(evaluate, start=4)
-
-
-def power_filtering_integral(family: DeltaFamily, power: int,
-                             f: Callable[[np.ndarray], np.ndarray]
-                             ) -> LimitResult:
-    """int delta(k)^power f(k) dk as a nested limit, one index per factor.
-
-    Evaluates to delta(0)^(power-1) * (f(0-) + f(0+))/2: zero for families
-    vanishing at the origin, divergent (tagged) for the triangle family with
-    power >= 2.
-    """
-    if power < 1:
-        raise DomainError("power must be a positive integer")
-    return product_filtering_integral([family] * power, f)

@@ -1,5 +1,5 @@
 """Numerical plumbing: the quadrature rule, the exact product, limit
-sweeps, tagged results.
+sweeps and their results.
 
 The package has one quadrature rule, gauss_legendre: fixed 20-point
 Gauss-Legendre panels for integrands whose smooth pieces are known in
@@ -12,8 +12,8 @@ imports scipy.integrate.
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
 (finite value, to 1e-12 absolute plus 1e-10 relative), grows without bound
-(divergent), or raises NonConvergence after 12 doublings.  Divergence is
-always reported as a tagged result, never as float('inf').
+(divergent: a LimitResult whose value is None), or raises NonConvergence
+after 12 doublings.  Divergence is never reported as float('inf').
 """
 
 from __future__ import annotations
@@ -36,28 +36,20 @@ _SWEEP_DOUBLINGS = 12
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Outcome of a limit sweep: a finite value or an explicit divergence tag."""
+    """Outcome of a limit sweep: the finite value, or None where the sweep
+    diverged, and the values it swept."""
 
-    kind: str  # "finite" | "divergent"
-    value: float | None = None
+    value: float | None
     history: tuple = field(default=(), compare=False)
 
     @property
     def is_divergent(self) -> bool:
-        return self.kind == "divergent"
+        return self.value is None
 
     def expect_finite(self) -> float:
-        if self.kind != "finite":
+        if self.value is None:
             raise NonConvergence("limit sweep diverged; no finite value available")
         return self.value
-
-
-def finite(value: float, history: Sequence[float] = ()) -> LimitResult:
-    return LimitResult("finite", float(value), tuple(history))
-
-
-def divergent(history: Sequence[float] = ()) -> LimitResult:
-    return LimitResult("divergent", None, tuple(history))
 
 
 @cache
@@ -131,7 +123,7 @@ def sweep_limit(evaluate: Callable[[int], float],
     Stability test: the last two Richardson extrapolants differ by less than
     1e-12 + 1e-10 |value|; three values below 1e-12 in a row settle to 0.
     Sustained geometric growth (three consecutive doubling ratios above 1.5)
-    is tagged divergent.  A sweep stops at its first passing doubling;
+    is divergent (value None).  A sweep stops at its first passing doubling;
     anything else after 12 doublings (_SWEEP_DOUBLINGS) raises
     NonConvergence.
     """
@@ -142,17 +134,17 @@ def sweep_limit(evaluate: Callable[[int], float],
         n *= 2
         if len(history) >= 3 \
                 and all(abs(v) < _SWEEP_ABS_TOL for v in history[-3:]):
-            return finite(0.0, history)
+            return LimitResult(0.0, tuple(history))
         if len(history) >= 4:
             tail = np.abs(history[-4:])
             if np.all(tail[:-1] > 0) \
                     and np.all(tail[1:] / tail[:-1] > _DIVERGENCE_RATIO):
-                return divergent(history)
+                return LimitResult(None, tuple(history))
         if len(history) >= 3:
             ladder = richardson(history)
             tol = _SWEEP_ABS_TOL + _SWEEP_REL_TOL * abs(ladder[-1])
             if abs(ladder[-1] - ladder[-2]) < tol:
-                return finite(ladder[-1], history)
+                return LimitResult(float(ladder[-1]), tuple(history))
     raise NonConvergence(
         f"index sweep failed stability test after {len(history)} doublings; "
         f"history={history}")

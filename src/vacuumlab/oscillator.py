@@ -191,13 +191,13 @@ def _scaled_terms(c: float, terms: list[float]) -> list[float]:
 
 def radiative_shift(profile: VacuumProfile, q_charge: float) -> float:
     """Vacuum-averaged self-energy of a static point charge in free space,
-    in closed form: q^2 int dk density/|k| = q^2 density_integral(profile, 1)
+    in closed form: q^2 int dk density/|k| = q^2 density_integral(profile)
     (an average over the vacuum ensemble, not a single eigenvalue shift).
     DomainError for a profile that is not infrared admissible or a q that
     physical_charge rejects.  A reflecting plane adds mirror_term.
     """
     physical_charge(q_charge, profile)
-    return q_charge ** 2 * density_integral(profile, 1)
+    return q_charge ** 2 * density_integral(profile)
 
 
 def mirror_term(profile: VacuumProfile, q_charge: float, gap: float) -> float:

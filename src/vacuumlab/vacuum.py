@@ -14,10 +14,11 @@ Two rotationally invariant models are implemented:
                 |C|^2 = 2 pi^2 y0^2 / (lambda^2 K2(2 lambda)), evaluated in
                 the rest frame of the timelike scale vector.
 
-Z is the peak density and q_ph = q sqrt(Z) the renormalized charge.
-density_integral gives, in closed form, the two moments the package uses:
-the normalization and the first inverse moment behind the self-energy, for an
-infrared-admissible profile (k1 > 0, lambda^2 > 0).
+Z is the peak density and q_ph = q sqrt(Z) the renormalized charge.  The
+constructors choose Z and norm_const so that the normalization is 1
+(validate checks it by quadrature).  density_integral gives, in closed form,
+the one moment the package uses, int dk density/|k| behind the self-energy,
+for an infrared-admissible profile (k1 > 0, lambda^2 > 0).
 """
 
 from __future__ import annotations
@@ -176,40 +177,30 @@ def density(profile: VacuumProfile, k_abs):
     return float(out) if out.ndim == 0 else out
 
 
-def density_integral(profile: VacuumProfile, inverse_power: int = 0) -> float:
-    """int dk density(|k|) / |k|^n against the invariant measure, in closed
-    form, for n = inverse_power in {0, 1} (the normalization and the
-    self-energy moment) and an infrared-admissible profile.
+def density_integral(profile: VacuumProfile) -> float:
+    """The self-energy moment int dk density(|k|)/|k| against the invariant
+    measure, in closed form, for an infrared-admissible profile.
 
-    Box: Z (k2^(2-n) - k1^(2-n)) / ((2-n) 4 pi^2).  Exponential:
-    |C|^2 y0^(n-2) Gamma(2-n, 0, lambda^2) / 4 pi^2, as
-    |C|^2 Gamma(2, 0, lambda^2)/(4 pi^2 y0^2) (1 for a normalized profile)
-    times y0^n lambda^-n K_{2-n}/K_2 at 2 lambda, a ratio that is
-    y0/(1 + lambda t) at n = 1, with t = K0/K1 from kve, since
-    K2 = K0 + K1/lambda; no e^(-2 lambda) is formed.  Within 1e-15 relative
-    for lambda^2 <= 1.2e5; DomainError where the moment is out of double
-    range.
+    Box: Z (k2 - k1) / 4 pi^2.  Exponential: |C|^2 Gamma(1, 0, lambda^2) /
+    (4 pi^2 y0), as |C|^2 Gamma(2, 0, lambda^2)/(4 pi^2 y0^2) (the
+    normalization, 1) times y0 lambda^-1 K1/K2 at 2 lambda, a ratio that is
+    y0/(1 + lambda t) with t = K0/K1 from kve, since K2 = K0 + K1/lambda;
+    no e^(-2 lambda) is formed.  Within 1e-15 relative for
+    lambda^2 <= 1.2e5; DomainError where the moment is out of double range.
     """
-    n = inverse_power
-    if n not in (0, 1):
-        raise DomainError("density_integral requires inverse_power 0 or 1")
     if not infrared_condition_check(profile):
         raise DomainError(f"{profile.tag} is not infrared admissible")
     if profile.kind is ProfileKind.BOX_SHELL:
-        k1, k2 = profile.k1, profile.k2
-        shell = (k2 ** (2 - n) - k1 ** (2 - n)) / (2 - n)
-        val = profile.Z * shell / FOUR_PI_SQ
+        val = profile.Z * (profile.k2 - profile.k1) / FOUR_PI_SQ
     else:
         b, y0 = profile.lambda2, profile.y0
-        ratio = 1.0
-        if n == 1:
-            lam = math.sqrt(b)
-            t = kve(0, 2.0 * lam) / kve(1, 2.0 * lam)
-            ratio = y0 / (1.0 + lam * t)        # 1 + lam t = lambda K2/K1
+        lam = math.sqrt(b)
+        t = kve(0, 2.0 * lam) / kve(1, 2.0 * lam)
+        ratio = y0 / (1.0 + lam * t)            # 1 + lam t = lambda K2/K1
         val = profile.norm_const * _gamma2(b) / FOUR_PI_SQ \
             / (y0 * y0) * ratio
     if not 0.0 < val < math.inf:
-        raise DomainError(f"moment {n} of {profile.tag} is out of range")
+        raise DomainError(f"moment 1 of {profile.tag} is out of range")
     return val
 
 

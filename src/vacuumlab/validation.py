@@ -20,8 +20,8 @@ from .numerics import gauss_legendre
 @dataclass(frozen=True)
 class CriterionResult:
     criterion: str
-    expected: float | str
-    measured: float | str
+    expected: float
+    measured: float
     tolerance: float
     passed: bool
 
@@ -49,14 +49,13 @@ def check_sign_change_constant() -> list[CriterionResult]:
 
 
 def check_lambert_resonances() -> list[CriterionResult]:
-    cfg = cavity.CavityConfig(1.0, 1.0)
     expected = [0.0 + 0.0j, -2.42855 - 1.90448j, -8.66349 - 4.46676j,
                 -15.1274 - 5.51848j, -21.5174 - 6.19436j, -27.8711 - 6.6961j]
-    roots = cavity.resonance_roots(cfg)         # branches 0, 1, 2
+    roots = cavity.resonance_roots(1.0, 1.0)    # branches 0, 1, 2
     out = []
     for i, (root, ref) in enumerate(zip(roots, expected)):
         err = max(abs(root.real - ref.real), abs(root.imag - ref.imag))
-        resid = abs(cavity.resonance_equation(root, cfg))
+        resid = abs(cavity.resonance_equation(root, 1.0, 1.0))
         out.append(_crit(f"resonance_root_{i}", 0.0, err, 1e-4))
         out.append(_crit(f"resonance_residual_{i}", 0.0, resid, 1e-8))
     return out
@@ -101,18 +100,18 @@ def check_casimir_1p1_oracle() -> list[CriterionResult]:
     # must track the true peak positions
     out.append(_crit("series_vs_quad_rel_alpha=1e4", 0.0,
                      deviation(1e4, 1.0), 3e-11))
-    # alpha sweep: record which analytic endpoint the finite-alpha values
-    # approach (reported, not asserted as a numeric criterion)
-    ratios24 = [series[a, 1.0] * (-24.0 / math.pi)
-                for a in (10.0, 100.0, 1000.0, 10000.0)]
+    # alpha sweep at L = 1: the ratio to the Dirichlet endpoint
+    # -pi/(24 L^2) rises to 1 as 1 - 4/(alpha L) + O((alpha L)^-2), so
+    # (1 - ratio) alpha L is 4 to within a bound 20/(alpha L) on the rest
+    ratios24 = [series[10.0 ** e, 1.0] * (-24.0 / math.pi)
+                for e in (1, 2, 3, 4)]
     monotone = all(ratios24[i] < ratios24[i + 1] for i in range(3))
     out.append(_crit("alpha_sweep_monotone", 1.0, 1.0 if monotone else 0.0,
                      0.5))
-    out.append(CriterionResult(
-        "alpha_sweep_endpoint",
-        "ratio to -pi/(24 L^2) -> 1, ratio to -pi/(16 L^2) -> 2/3",
-        f"ratios24={[round(r, 6) for r in ratios24]}",
-        0.0, True))
+    for e, ratio in zip((2, 3, 4), ratios24[1:]):
+        alpha_L = 10.0 ** e
+        out.append(_crit(f"dirichlet_rate_alphaL=1e{e}", 4.0,
+                         (1.0 - ratio) * alpha_L, 20.0 / alpha_L))
     return out
 
 
@@ -187,8 +186,7 @@ def check_vacuum_normalization() -> list[CriterionResult]:
         for y0 in (1e-3, 1.0, 10.0):
             p = vacuum.make_lorentz_profile(lam2, y0)
             q = p.norm_const * s_integral / (vacuum.FOUR_PI_SQ * y0 ** 2)
-            worst = max(worst, abs(q - 1.0),
-                        abs(vacuum.density_integral(p) - q))
+            worst = max(worst, abs(q - 1.0))
     out.append(_crit("lorentz_normalization", 0.0, worst, 5e-14))
     p = vacuum.make_box_profile(1.0, 3.0)
     out.append(_crit("box_peak_exact", 8.0 * math.pi ** 2 / 8.0, p.Z,
@@ -282,12 +280,14 @@ def check_delta_calculus() -> list[CriterionResult]:
     out.append(_crit("transform_integral_vanishing", 0.0, v1, 2e-14))
 
     one = lambda k: 1.0
-    sq_m = deltaseq.power_filtering_integral(
-        deltaseq.DeltaFamily(deltaseq.DeltaShape.SHIFTED_PAIR, 1, j=1), 2, one)
+    sq_m = deltaseq.product_filtering_integral(
+        [deltaseq.DeltaFamily(deltaseq.DeltaShape.SHIFTED_PAIR, 1, j=1)] * 2,
+        one)
     out.append(_crit("squared_m_shaped", 0.0,
                      sq_m.value if not sq_m.is_divergent else math.nan, 1e-14))
-    sq_l = deltaseq.power_filtering_integral(
-        deltaseq.DeltaFamily(deltaseq.DeltaShape.LAMBDA_TRIANGLE, 1), 2, one)
+    sq_l = deltaseq.product_filtering_integral(
+        [deltaseq.DeltaFamily(deltaseq.DeltaShape.LAMBDA_TRIANGLE, 1)] * 2,
+        one)
     out.append(_crit("squared_lambda_divergent", 1.0,
                      1.0 if sq_l.is_divergent else 0.0, 0.5))
     return out

@@ -8,8 +8,7 @@ import pytest
 from vacuumlab.casimir import (PressureBreakdown, pressure_1p1_quad,
                                pressure_1p1_series, pressure_3p1,
                                pressure_dirichlet_comb,
-                               pressure_euler_maclaurin, stairs_gap,
-                               to_physical_pressure)
+                               pressure_euler_maclaurin, stairs_gap)
 from vacuumlab.constants import PLANCK_LENGTH_M, PRESSURE_UNIT_PA
 from vacuumlab.errors import DomainError
 from vacuumlab.vacuum import ProfileKind, VacuumProfile, make_lorentz_profile
@@ -432,10 +431,6 @@ class TestStairsGap:
 
 
 class TestUnits:
-    def test_zero_and_sign(self):
-        assert to_physical_pressure(0.0) == 0.0
-        assert to_physical_pressure(-1.0) < 0.0
-
     def test_planck_factors_cancel(self):
         # -pi^2/(240 L^4) with L = L0/ell must equal -hbar c pi^2/(240 L0^4)
         L0 = 1e-6  # one micrometre
@@ -443,7 +438,7 @@ class TestUnits:
         dimensionless = -math.pi ** 2 / (240.0 * L ** 4)
         expected = -PRESSURE_UNIT_PA * PLANCK_LENGTH_M ** 4 \
             * math.pi ** 2 / (240.0 * L0 ** 4)
-        assert to_physical_pressure(dimensionless) == pytest.approx(
+        assert dimensionless * PRESSURE_UNIT_PA == pytest.approx(
             expected, rel=1e-12)
 
     def test_breakdown_is_frozen_dataclass(self):

@@ -5,8 +5,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from vacuumlab.cavity import (CavityConfig, resonance_equation,
-                              resonance_roots, scattering_coeffs_batch)
+from vacuumlab.cavity import (resonance_equation, resonance_roots,
+                              scattering_coeffs_batch)
 from vacuumlab.errors import DegenerateMode, DomainError
 
 class Barriers(NamedTuple):
@@ -267,8 +267,7 @@ class TestResonances:
                 -15.1274 - 5.51848j, -21.5174 - 6.19436j, -27.8711 - 6.6961j]
 
     def test_reference_values(self):
-        roots = resonance_roots(CavityConfig(1.0, 1.0),
-                                branches=range(0, 3))
+        roots = resonance_roots(1.0, 1.0, branches=range(0, 3))
         assert len(roots) == 6
         for root, ref in zip(roots, self.EXPECTED):
             assert root.real == pytest.approx(ref.real, abs=1e-4)
@@ -277,7 +276,7 @@ class TestResonances:
     def test_unit_cavity_root_formula(self):
         # k = -i(L a - 2 W_0(-e^{La/2} La/2))/L at a = L = 1, correctly
         # rounded from 50-digit mpmath
-        root = resonance_roots(CavityConfig(1.0, 1.0), branches=range(0, 1))[1]
+        root = resonance_roots(1.0, 1.0, branches=range(0, 1))[1]
         assert abs(root - complex(-2.428547812098364, -1.9044828738912079)) \
             <= 4e-15 * abs(root)
 
@@ -287,51 +286,48 @@ class TestResonances:
         monkeypatch.setattr("vacuumlab.cavity.lambertw",
                             lambda z, k: complex("nan"))
         with pytest.raises(DegenerateMode):
-            resonance_roots(CavityConfig(1.0, 1.0))
+            resonance_roots(1.0, 1.0)
 
     def test_residuals(self):
-        cfg = CavityConfig(1.0, 1.0)
-        for root in resonance_roots(cfg, branches=range(0, 3)):
-            assert abs(resonance_equation(root, cfg)) < 1e-8
+        for root in resonance_roots(1.0, 1.0, branches=range(0, 3)):
+            assert abs(resonance_equation(root, 1.0, 1.0)) < 1e-8
 
     def test_trivial_root_always_present(self):
         for alpha, L in ((0.5, 1.0), (2.0, 0.7), (10.0, 3.0)):
-            roots = resonance_roots(CavityConfig(alpha, L),
-                                    branches=range(0, 1))
+            roots = resonance_roots(alpha, L, branches=range(0, 1))
             assert abs(roots[0]) < 1e-10
 
     def test_nonzero_roots_have_negative_imaginary_part(self):
         # reported as an observation over a parameter grid, not a theorem
         for alpha in (0.5, 1.0, 4.0):
             for L in (0.5, 1.0, 2.0):
-                roots = resonance_roots(CavityConfig(alpha, L),
-                                        branches=range(0, 3))
+                roots = resonance_roots(alpha, L, branches=range(0, 3))
                 for root in roots[1:]:
                     assert root.imag < 0.0
 
     def test_requires_positive_alpha(self):
         with pytest.raises(DomainError):
-            resonance_roots(CavityConfig(0.0, 1.0))
+            resonance_roots(0.0, 1.0)
 
     @pytest.mark.parametrize("alpha, L", [
         (1e300, 1.0), (1.0, 1e300), (1e-300, 1.0),
         (1e-151, 1e10), (1e10, 1e-151), (1e-10, 1e151),
-        (1.5e3, 1.0), (1e154, 1e-150), (1e-141, 1.0)])
+        (1.5e3, 1.0), (1e154, 1e-150), (1e-141, 1.0),
+        (-1.0, 1.0), (1.0, -1.0), (1.0, 0.0)])
     def test_domain(self, alpha, L):
         # alpha below 1e-150, L outside 1e-150..1e150, or alpha L outside
         # 1e-140..1e3, before any arithmetic (the first three overflowed or
-        # divided by zero)
+        # divided by zero); negative strengths and separations among them
         with pytest.raises(DomainError):
-            resonance_roots(CavityConfig(alpha, L))
+            resonance_roots(alpha, L)
 
     @pytest.mark.parametrize("alpha, L, branches", [
         (1e3, 1.0, range(0, 3)), (1e-140, 1.0, range(0, 1)),
         (9e152, 1e-150, range(0, 3)), (1e-150, 1e150, range(0, 3))])
     def test_domain_edges_give_verified_roots(self, alpha, L, branches):
-        cfg = CavityConfig(alpha, L)
-        roots = resonance_roots(cfg, branches=branches)
+        roots = resonance_roots(alpha, L, branches=branches)
         assert len(roots) == 2 * len(branches)
         for root in roots:
-            resid = abs(resonance_equation(root, cfg))
+            resid = abs(resonance_equation(root, alpha, L))
             assert math.isfinite(resid) \
                 and resid <= 1e-8 * max(alpha * alpha, abs(root) ** 2)

@@ -7,6 +7,7 @@ import pytest
 
 from vacuumlab import cli
 from vacuumlab.cli import build_parser, load_config, main
+from vacuumlab.constants import PRESSURE_UNIT_PA
 from vacuumlab.coulomb import potential, potential_box
 from vacuumlab.errors import ConfigError
 from vacuumlab.vacuum import (make_box_profile, make_lorentz_profile,
@@ -314,6 +315,13 @@ class TestShiftAndCavity:
         assert payload["mirror_term"] == pytest.approx(expect, rel=1e-12,
                                                        abs=0.0)
 
+    def test_casimir3_pascal_is_the_unit_times_the_total(self, tmp_path):
+        out = tmp_path / "c3.json"
+        assert run(["casimir3", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["total"] < 0.0
+        assert payload["total_pascal"] == payload["total"] * PRESSURE_UNIT_PA
+
     def test_cavity_table(self, tmp_path):
         out = tmp_path / "res.csv"
         run(["cavity", "--alpha", "1.0", "--gap", "1.0", "--branches", "3",
@@ -437,6 +445,15 @@ BAD_INPUTS = {
                                None),
     "cavity_alpha_below_domain": (
         ["cavity", "--alpha", "1e-300", "--gap", "1"], None),
+    "cavity_alpha_negative": (["cavity", "--alpha", "-1"], None),
+    "cavity_gap_negative": (["cavity", "--gap", "-1"], None),
+    # 1.5 a, a factor of the M profile's inner piece, is no double
+    "delta_a_past_double_range": (
+        ["delta", "--shape", "m_shape", "--a", "1.3e308"], None),
+    # n^2 is no double: the profile's int-to-float conversion raised
+    # OverflowError, a traceback
+    "delta_n_square_past_double_range": (["delta", "--n", "1" + "0" * 160],
+                                         None),
     "casimir3_y0_below_domain": (
         ["casimir3", "--lambda2", "1e-300", "--y0", "1e-300", "--gap", "1"],
         None),
@@ -612,6 +629,43 @@ class TestDeltaCommand:
         assert len(rows) == 401
         assert all(math.isfinite(float(v)) for r in rows for v in r)
 
+    @pytest.mark.parametrize("argv", [
+        ["--kmin=-1e307", "--kmax", "1e307", "--samples", "3"],
+        ["--shape", "shifted_pair", "--j", "3", "--kmin=-1e307",
+         "--kmax", "1e307", "--samples", "3"],
+        ["--n", "1000000000", "--kmin=-1e300", "--kmax", "1e300",
+         "--samples", "3"],
+        ["--shape", "m_shape", "--kmin=-1e306", "--kmax", "1e306",
+         "--samples", "3"],
+        ["--shape", "m_shape", "--a", "1e307", "--samples", "5"]])
+    def test_far_outside_the_support_without_warnings(self, argv, capsys):
+        # every profile piece is evaluated on |k| clipped at its own end,
+        # so none overflows where it is thrown away
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["delta", *argv]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                if not l.startswith("#")][1:]
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+
+class TestNegativeValues:
+    def test_exponent_form_after_a_space(self, tmp_path, capsys):
+        assert main(["coulomb", "--q", "-1e-3", "--samples", "2"]) == 0
+        assert "q=-0.001 " in capsys.readouterr().out
+        assert main(["delta", "--kmin", "-5E-1", "--samples", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2].startswith("-0.5,")
+
+    def test_sweep_values_starting_negative(self, capsys):
+        # parsed: the error is pressure_1p1_series' domain, not argparse's
+        assert main(["casimir", "--sweep", "alpha", "--values",
+                     "-1e-3,2"]) == 2
+        assert "pressure_1p1_series requires" in capsys.readouterr().err
+
+    def test_dash_without_a_digit_is_an_option(self, capsys):
+        assert exit_code(["coulomb", "--q", "-x"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_report_schema(self, tmp_path):
@@ -622,6 +676,8 @@ class TestValidateCommand:
         for entry in payload["criteria"]:
             assert set(entry) == {"criterion", "expected", "measured",
                                   "tolerance", "pass"}
+            assert type(entry["expected"]) is float
+            assert type(entry["measured"]) is float
 
 
 class TestCsvWriter:
