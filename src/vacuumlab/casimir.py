@@ -3,23 +3,15 @@
 1+1 routes (barrier strength alpha, separation L, reflection coefficient
 r(k) = 1/(1 - 2ik/alpha)^2):
 
-* series: p = (1/2pi) sum_n int_0^inf k r^n e^{2nikL} dk + c.c.; each term
-  is rotated onto the imaginary axis where it is a smooth positive-decay
-  integral, and the 1/n^2 tail is closed with Euler-Maclaurin corrections;
-  all terms are one matrix product on a shared Gauss-Legendre grid, within
-  about 1e-15 relative of an mpmath reference for alpha in [1e-3, 1e6] and
-  L in [0.05, 20], in 0.1-0.3 ms per call for alpha L >= 1e-3 (the grid
-  grows like log(1/(alpha L)) below that: ~1 ms at 1e-10, ~5 ms at 1e-80);
-* quadrature: p = (1/2pi) int_0^inf k [(1-|r|^2)/|1 - r e^{2ikL}|^2 - 1] dk,
-  integrated on the real axis over Gauss-Legendre panels graded into k = 0
-  and the first 24 quasi-resonant peaks, at their true positions
-  kL + atan(2k/alpha) = m pi, one panel per doubling cell, and past them
-  along a vertical contour (the integrand's analytic continuation decays
-  there and all its poles lie below the real axis) on one fixed
-  Gauss-Legendre rule; for 1e-70 <= alpha L <= 1e76, within 1.1e-12
-  relative of an mpmath reference, in 0.2-1.4 ms per call up to
-  alpha L = 1e8 and 13-15 ms at the top of that range (timings: best of 7
-  on a 2-vCPU KVM machine);
+* series: p = (1/2pi) sum_n int_0^inf k r^n e^{2nikL} dk + c.c., each term
+  rotated onto the imaginary axis and the sum over n taken under the
+  integral; within 5.3e-16 relative of an mpmath reference for
+  1e-191 <= alpha L <= 2e4 (the 63-term matrix it replaced returned wrong
+  numbers below alpha L ~ 1e-155), in ~25 us per call at alpha L >= 10;
+* quadrature: p = (1/2pi) int_0^inf k [(1-|r|^2)/|1 - r e^{2ikL}|^2 - 1] dk
+  on Gauss-Legendre panels graded into k = 0 and the first 24 peaks of the
+  real axis, then along a vertical contour; within 1.1e-12 relative of an
+  mpmath reference for 1e-70 <= alpha L <= 1e76 (pressure_1p1_quad);
 * Dirichlet comb: the cutoff-regularized mode-sum-minus-integral closed form
   (-L^2 kappa^2 + J pi (pi - 2 L kappa)) / (4 L^2 pi), J-independent only at
   kappa = pi/(2L) where it equals -pi/(16 L^2);
@@ -64,12 +56,12 @@ _3P1_SCALE_RANGE = (1e-75, 1e75)
 
 # ------------------------------------------------------------- 1+1 series
 
-# the gaps L of both 1+1 routes: the pressure scales like 1/L^2, kept within
-# 1e-300..1e300, a factor ~1e8 inside the double range (the series' t w
-# products reach ~700/L^2; both routes overflowed below L ~ 1e-154)
+# the gaps L of both 1+1 routes: the pressure scale 1/L^2 is kept within
+# 1e-300..1e300, a factor ~1e8 inside the double range
 _GAP_RANGE = (1e-150, 1e150)
-# explicitly summed terms of the reflection series
-_SERIES_TERMS = 64
+# the series integrand is taken out to t L = 24, where e^{-2tL} = e^-48 and
+# the rest of the integral is below 1e-19 of the pressure
+_SERIES_REACH = 24.0
 
 
 def _check_gap(alpha: float, L: float, route: str) -> None:
@@ -92,44 +84,41 @@ def _normal_pressure(p: float, route: str) -> float:
 
 
 def pressure_1p1_series(alpha: float, L: float) -> float:
-    """Reflection-series pressure.
+    """Reflection-series pressure, summed under the integral.
 
-    The n-th term, rotated onto the imaginary axis, is
-    -(1/pi) int_0^inf t e^{n h(t)} dt with h(t) = -2tL - 2 log(1+2t/alpha).
-    Terms n < N = 64 (_SERIES_TERMS) are summed explicitly; the ~1/n^2
-    remainder is closed with Euler-Maclaurin corrections through the fifth
-    n-derivative (the m-th derivative brings down h^m).  All of them are
-    one matrix product on a shared Gauss-Legendre grid in t: one panel on
-    [0, s] with s = 1/(16 N (L + 1/alpha)), an eighth of the decay length
-    of the N-th term, then panels doubling in width out to t = 26/L, where
-    every term has fallen below e^-52 of its scale.  DomainError for L
-    outside 1e-150..1e150 (_GAP_RANGE) and for a subnormal p.
+    The n-th term on the imaginary axis k = it is -(1/pi) int t e^{nh} dt,
+    h(t) = -2tL - 2 log(1+2t/alpha); summed over n >= 1 the integrand is
+    t e^h/(1 - e^h).  Its poles, where e^{2tL}(1+2t/alpha)^2 = 1, lie in
+    Re t <= 0, more than 2s from 0, s = 1/(L + 2/alpha) (-h ~ 2t/s near 0):
+    in tau = t/s one Gauss-Legendre panel on [0, 1] and panels doubling out
+    to tL = 24 (_SERIES_REACH) take it to rounding, 6 panels at
+    alpha L >= 10 and 273 at 1e-80.  With q = 1/(1 + 2t/alpha) and c = sL,
+    the weighted integrand (tau q)(w q) e^{-2c tau}/(-expm1(h)) stays normal
+    where q^2 = e^h e^{2tL} underflows (alpha L < ~1e-153).  Within 5.3e-16
+    relative of mpmath for 1e-191 <= alpha L <= 2e4, in ~25 us per call
+    at alpha L >= 10 and 0.3 ms at 1e-80.  DomainError for L outside
+    1e-150..1e150 (_GAP_RANGE) and for a subnormal p.
     """
     _check_gap(alpha, L, "pressure_1p1_series")
-    N = _SERIES_TERMS
-    s = 1.0 / (16.0 * N * (L + 1.0 / alpha))
-    # log2(26/(L s)) = log2(26 16 N) + log2(1 + 1/(alpha L)), without alpha L
-    doublings = math.ceil(math.log2(26.0 * 16.0 * N) + np.logaddexp2(
-        0.0, -(math.log2(alpha) + math.log2(L))))
-    # s or 2t/alpha is no double only at alpha < 6e-157 (alpha L < 6e-307),
-    # where p ~ -alpha^2 ln(1/(alpha L))/(8 pi) is subnormal
-    if s == 0.0 or 2.0 * math.ldexp(s, doublings) / alpha == math.inf:
+    g = 2.0 / alpha
+    d = L + g
+    c = L / d
+    # the last edge 2^doublings >= 24/c (or 2/alpha, where c = 0) is no
+    # double only at alpha L < 5.3e-307, so alpha < 5.3e-157 (L >= 1e-150),
+    # where p ~ -alpha^2 ln(1/(alpha L))/(4 pi) is subnormal
+    if c < math.ldexp(_SERIES_REACH, -1023):
         raise DomainError(f"pressure_1p1_series: alpha = {alpha:g} puts the "
                           "pressure below the normal range")
-    edges = np.concatenate(([0.0], np.ldexp(s, np.arange(doublings + 1))))
-    t, w = (a.ravel() for a in gauss_legendre(edges[:-1], edges[1:]))
-    h = -2.0 * t * L - 2.0 * np.log1p(2.0 * t / alpha)
-    tw = t * w
-    explicit = np.exp(np.arange(1.0, N)[:, None] * h) @ tw
-    eN = np.exp(N * h)
-    # int_N^inf e^{nh} dn + f(N)/2 - f'(N)/12 + f^(3)(N)/720 - f^(5)(N)/30240;
-    # odd powers by products, since h ** 3 calls libm pow per node
-    h3 = h * h * h
-    tail = eN * (-1.0 / h + 0.5 - h / 12.0 + h3 / 720.0 - h3 * h * h / 30240.0)
-    total = -(math.fsum(explicit) + float(tail @ tw)) / math.pi
-    if not np.isfinite(total):
-        raise NonConvergence("series pressure did not converge")
-    return _normal_pressure(total, "pressure_1p1_series")
+    doublings = math.ceil(math.log2(_SERIES_REACH / c))
+    edges = np.concatenate(([0.0], np.ldexp(1.0, np.arange(doublings + 1))))
+    tau, w = (a.ravel() for a in gauss_legendre(edges[:-1], edges[1:]))
+    u = (g / d) * tau
+    q = 1.0 / (1.0 + u)
+    x = c * tau
+    f = (tau * q) * (w * q) * np.exp(-2.0 * x) \
+        / -np.expm1(-2.0 * x - 2.0 * np.log1p(u))
+    return _normal_pressure(-math.fsum(f.tolist()) / d / d / math.pi,
+                            "pressure_1p1_series")
 
 
 # --------------------------------------------------------- 1+1 quadrature

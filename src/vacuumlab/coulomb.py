@@ -111,21 +111,31 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r):
     Past |w| = 2^30 - 1 (_KVE_ARG_LIMIT), where kve returns NaN,
     Re w - 2 lambda >= |w|/sqrt(2) - 2 lambda ~ 7.6e8 for every accepted
     lambda, so V has underflowed: it is +0.0, without kve, from
-    r = y0 (_KVE_ARG_LIMIT/(2 lambda))^2 on (|w| >= 2 lambda sqrt(r/y0)).
+    r = y0 (_KVE_ARG_LIMIT/(2 lambda))^2 on (|w| >= 2 lambda sqrt(r/y0)); a
+    radius before it where r/y0 overflows (lambda^2 < ~1.6e-291) raises
+    DomainError.
     """
     if isinstance(r, float):
         if lambda2 <= 0 or y0 <= 0 or r <= 0:
             raise DomainError("potential_lorentz requires positive parameters")
         if r > _kve_reach(lambda2, y0):
             return 0.0
+        _check_ratio(r, y0)
         return float(_lorentz(q_ph, lambda2, y0, r))
     r = np.asarray(r, dtype=float)
     if lambda2 <= 0 or y0 <= 0 or (r <= 0).any():
         raise DomainError("potential_lorentz requires positive parameters")
     v = np.zeros_like(r)
     near = r <= _kve_reach(lambda2, y0)
+    _check_ratio(float(r.max(initial=0.0, where=near)), y0)
     v[near] = _lorentz(q_ph, lambda2, y0, r[near])
     return float(v) if v.ndim == 0 else v
+
+
+def _check_ratio(r: float, y0: float) -> None:
+    """DomainError unless r/y0 is a double."""
+    if r / y0 == math.inf:
+        raise DomainError(f"potential_lorentz: r/y0 overflows at r = {r:g}")
 
 
 def _kve_reach(lambda2: float, y0: float) -> float:

@@ -166,7 +166,7 @@ def fourier(family: DeltaFamily, x):
         eps = 1.0 / n
         a = family.a
         u = eps * x / 8.0
-        out = (eps * a + (4.0 - eps * a) * np.cos(2.0 * u)) \
+        out = (4.0 * np.cos(2.0 * u) + 2.0 * eps * a * np.sin(u) ** 2) \
             * _sinc_sq(u) / (8.0 * np.pi)
     else:
         out = _sinc_sq(x / (2.0 * n)) * np.cos(family.j * x / n) / TWO_PI

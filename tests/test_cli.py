@@ -221,27 +221,33 @@ class TestCoulombCommand:
                     if not l.startswith("#")][1:]
             assert [float(r[1]) for r in rows] == [0.0] * len(rows)
 
-    @pytest.mark.parametrize("argv", [
-        ["--lambda2", "1e-2", "--y0", "1", "--rmin", "3.375e7",
-         "--rmax", "1e9"],
-        ["--lambda2", "1e-300", "--y0", "1e-150", "--rmin", "1e150",
-         "--rmax", "1e157"],
+    @pytest.mark.parametrize("argv, note", [
+        (["--lambda2", "1e-2", "--y0", "1", "--rmin", "3.375e7",
+          "--rmax", "1e9"], "no sign flip"),
+        (["--lambda2", "1e-300", "--y0", "1e-150", "--rmin", "1e150",
+          "--rmax", "1e157"], "potential_lorentz: r/y0"),
     ], ids=["mixed_signed_zeros", "underflowed_everywhere"])
-    def test_underflowed_potential_has_no_sign_change(self, argv, tmp_path,
-                                                      capsys):
+    def test_underflowed_potential_has_no_sign_change(self, argv, note,
+                                                      tmp_path, capsys):
         # V is +0.0 or -0.0 on every rung of the bracket search: no sign
-        # change, where comparing sign bits had reported the first rung
+        # change, where comparing sign bits had reported the first rung.
+        # The second ladder's top rungs put r/y0 past the double range
+        # (V was NaN there, with a RuntimeWarning); that is a DomainError
         summary = tmp_path / "s.json"
-        with warnings.catch_warnings():
-            # the second ladder's top rungs put r/y0 past the double range,
-            # where V is NaN (an open defect of potential_lorentz)
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert run(["coulomb", "--profile", "lorentz", *argv,
-                        "--samples", "3", "--summary", str(summary)]) == 0
+        assert run(["coulomb", "--profile", "lorentz", *argv,
+                    "--samples", "3", "--summary", str(summary)]) == 0
         capsys.readouterr()
         payload = json.loads(summary.read_text())
         assert payload["sign_change_radius"] is None
-        assert payload["note"].startswith("no sign flip")
+        assert payload["note"].startswith(note)
+
+    def test_ratio_past_the_double_range_exits_2(self, capsys):
+        # r/y0 overflows on every row; the rows printed V = nan with exit 0
+        assert run(["coulomb", "--profile", "lorentz", "--lambda2", "1e-300",
+                    "--y0", "1e-150", "--rmin", "1e160",
+                    "--rmax", "1e165"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: potential_lorentz")
 
     @pytest.mark.parametrize("argv", [
         ["--rmin", "-1", "--samples", "3"],
@@ -648,6 +654,16 @@ class TestDeltaCommand:
                 if not l.startswith("#")][1:]
         assert all(math.isfinite(float(v)) for r in rows for v in r)
 
+    def test_m_shape_huge_height_transform_at_the_origin(self, capsys):
+        # the transform at k = 0 is 1/(2 pi) for every height; it printed 0
+        assert main(["delta", "--shape", "m_shape", "--a", "1e307",
+                     "--samples", "5"]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                if not l.startswith("#")][1:]
+        assert float(rows[2][0]) == 0.0
+        assert float(rows[2][2]) == pytest.approx(1 / (2 * math.pi),
+                                                  rel=1e-15)
+
 
 class TestNegativeValues:
     def test_exponent_form_after_a_space(self, tmp_path, capsys):
@@ -788,9 +804,9 @@ GOLDEN_CSV = {
         "-0.19634954084936207,-0.1308996938995747\n"
         "100,1,-0.1258685590413936,-0.12586855904139554,"
         "-0.19634954084936207,-0.1308996938995747\n"
-        "1000,1,-0.13037822975877894,-0.13037822975879504,"
+        "1000,1,-0.13037822975877897,-0.13037822975879504,"
         "-0.19634954084936207,-0.1308996938995747\n"
-        "10000,1,-0.13084735545922443,-0.13084735545926662,"
+        "10000,1,-0.13084735545922446,-0.13084735545926662,"
         "-0.19634954084936207,-0.1308996938995747\n"),
 }
 

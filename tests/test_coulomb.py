@@ -117,6 +117,19 @@ class TestLorentzPotential:
         with pytest.raises(DomainError):
             potential_lorentz(1.0, 0.04, 0.3, np.array([1.0, 0.0]))
 
+    def test_ratio_past_the_double_range(self):
+        # at lambda^2 = 1e-300, y0 = 1e-150, V is +0.0 only past
+        # r ~ 2.9e167, but r/y0 overflows from r ~ 1.8e158: V was NaN there
+        for r in (1e160, np.array([1e150, 1e165])):
+            with pytest.raises(DomainError, match="r/y0"):
+                potential_lorentz(1.0, 1e-300, 1e-150, r)
+        assert potential_lorentz(1.0, 1e-300, 1e-150, 1e157) == 0.0
+        # past the kve cut-off radius V is +0.0 whatever r/y0 is
+        assert potential_lorentz(1.0, 1e-2, 1e-100, 1e300) == 0.0
+        assert potential_lorentz(1.0, 1e-2, 1e-100,
+                                 np.array([1e-99, 1e300, math.inf]))[1:] \
+            .tolist() == [0.0, 0.0]
+
     def test_array_of_radii(self):
         rs = np.geomspace(0.1, 100.0, 7)
         v = potential_lorentz(1.0, 0.04, 0.3, rs)

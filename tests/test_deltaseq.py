@@ -118,6 +118,12 @@ class TestFourier:
         for x in (0.1, 3.7, -11.0):
             assert fourier(fam, x) == pytest.approx(1 / TWO_PI, abs=1e-7)
 
+    @pytest.mark.parametrize("a", [1e17, 1e18, 1e307])
+    def test_m_shape_origin_value_at_huge_height(self, a):
+        # eps a + (4 - eps a) cos 2u cancelled to 0 at x = 0 past eps a ~ 2^55
+        fam = DeltaFamily(DeltaShape.M_SHAPE, n=8, a=a)
+        assert fourier(fam, 0.0) == pytest.approx(1 / TWO_PI, rel=1e-15)
+
     def test_matches_direct_transform(self):
         for fam in (LAM, MSH, SP1):
             lo, hi = _support(fam, fam.n)
