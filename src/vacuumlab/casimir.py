@@ -11,7 +11,8 @@ r(k) = 1/(1 - 2ik/alpha)^2):
 * quadrature: p = (1/2pi) int_0^inf k [(1-|r|^2)/|1 - r e^{2ikL}|^2 - 1] dk
   on Gauss-Legendre panels graded into k = 0 and the first 24 peaks of the
   real axis, then along a vertical contour; within 1.1e-12 relative of an
-  mpmath reference for 1e-70 <= alpha L <= 1e76 (pressure_1p1_quad);
+  mpmath reference for 1e-70 <= alpha L <= 1e76, for a float pair or for
+  arrays of (alpha, L) pairs in one call (pressure_1p1_quad);
 * Dirichlet comb: the cutoff-regularized mode-sum-minus-integral closed form
   (-L^2 kappa^2 + J pi (pi - 2 L kappa)) / (4 L^2 pi), J-independent only at
   kappa = pi/(2L) where it equals -pi/(16 L^2);
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -141,11 +143,13 @@ _TAIL_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-3, 6)))
 _FAR_TAIL_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-3, 7)))
 
 
-def _mode_density(centre: np.ndarray, d: np.ndarray, alpha: float,
+def _mode_density(centre: np.ndarray, d: np.ndarray, alpha: np.ndarray,
                   L: float) -> np.ndarray:
     """(k/pi) Re[w/(1-w)] at k = centre + d, with w = r e^{2ikL} =
     rho e^{2i phi}, rho = 1/(1+u^2), phi = kL + atan(u), u = 2k/alpha;
-    centre is 0 or a peak k_m, where k_m L - m pi = -atan(u_m).
+    centre is 0 or a peak k_m, where k_m L - m pi = -atan(u_m).  d is a
+    (20, panels) block of nodes; centre and alpha hold one value per panel,
+    broadcast along its rows.
 
     Re[w/(1-w)] = (rho cos 2phi - rho^2)/((1-rho)^2 + 4 rho sin^2 phi)
                 = (u^2 (1+t^2) - 2(t+u)^2)/(u^4 (1+t^2) + 4(t+u)^2)
@@ -163,36 +167,46 @@ def _mode_density(centre: np.ndarray, d: np.ndarray, alpha: float,
     peak, which grows with alpha L.  The denominator is a sum of positive
     terms.
     """
-    uc = (2.0 / alpha) * centre
+    g = 2.0 / alpha
+    uc = g * centre
     a = 1.0 + uc * uc
-    du = (2.0 / alpha) * d
+    du = g * d
     s = np.tan(d * L)
     n = du * (1.0 + uc * s)
     n /= a
     n += s                          # (t + u) D/(1 + u_m^2)
     n *= n
-    n *= a                          # (t + u)^2 D^2/(1 + u_m^2)
+    n *= a + a                      # 2 (t + u)^2 D^2/(1 + u_m^2)
     u = uc + du
     u *= u
     b = s * s
     b += 1.0
     b *= u                          # u^2 (1 + t^2) D^2/(1 + u_m^2)
-    return ((centre + d) / math.pi) * (b - 2.0 * n) / (u * b + 4.0 * n)
+    return ((centre + d) / math.pi) * (b - n) / (u * b + 2.0 * n)
 
 
-def _peak_positions(alpha: float, L: float, M: int) -> np.ndarray:
-    """k_m, m = 1..M, solving kL + atan(2k/alpha) = m pi (where
-    arg(r e^{2ikL}) = 2 m pi) by Newton's method from the left end of each
-    bracket ((m - 1/2) pi/L, m pi/L); the left side is concave and
-    increasing, so the iterates rise monotonically to the root."""
+def _peak_positions(beta, M: int) -> np.ndarray:
+    """kappa_m = k_m L, m = 1..M, solving kappa + atan(2 kappa/beta) = m pi
+    (where arg(r e^{2ikL}) = 2 m pi, beta = alpha L) by Newton's method.
+    It starts from one fixed-point step off m pi, m pi - atan(2 m pi/beta),
+    which lies between the left end (m - 1/2) pi of the bracket and the
+    root; the left side is concave and increasing, so the iterates rise
+    monotonically to the root.  With f the left side minus m pi,
+    |f''|/(2 f') <= 0.11 for kappa >= pi/2, so a step of at most
+    1e-9 kappa leaves an error below 1e-17 kappa: the peak stops moving
+    there.  Each peak stops on its own, so for an array
+    of n values beta the (n, M) result holds the bits of each beta solved
+    alone."""
+    g = 2.0 / np.asarray(beta)[..., None]
     target = np.arange(1, M + 1) * math.pi
-    k = (target - 0.5 * math.pi) / L
+    k = target - np.arctan(g * target)
+    moving = np.ones(k.shape, dtype=bool)
     for _ in range(100):
-        u = 2.0 * k / alpha
-        step = (k * L + np.arctan(u) - target) \
-            / (L + (2.0 / alpha) / (1.0 + u * u))
-        k = k - step
-        if np.all(np.abs(step) <= 1e-13 * k):
+        u = g * k
+        step = (k + np.arctan(u) - target) / (1.0 + g / (1.0 + u * u))
+        np.subtract(k, step, out=k, where=moving)
+        moving &= ~(np.abs(step) <= 1e-9 * k)
+        if not moving.any():
             return k
     raise NonConvergence("resonance positions did not converge")
 
@@ -200,96 +214,143 @@ def _peak_positions(alpha: float, L: float, M: int) -> np.ndarray:
 def _peak_panels(width: np.ndarray, left: np.ndarray, right: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Panels around a run of centres, as (centre index, lo, hi) with lo and
-    hi offsets from the centre.  Cell edges sit at offsets doubling from
-    each centre's width out to its bounds left and right of it, one panel
-    per cell."""
+    hi offsets from the centre, in ascending order of centre and of offset.
+    Cell edges sit at offsets doubling from each centre's width out to its
+    bounds left and right of it, one panel per cell; doublings past a
+    centre's own reach clip to zero-width cells, which are dropped."""
     reach = float(np.max(np.maximum(left, right) / width))
     doublings = math.ceil(math.log2(max(1.0, reach)))
     offsets = width[:, None] * 2.0 ** np.arange(doublings)
-    owner, lo, hi = [], [], []
-    for side, mirror in ((right, False), (left, True)):
-        e = np.hstack((np.zeros((len(side), 1)),
-                       np.minimum(offsets, side[:, None]), side[:, None]))
-        a, b = e[:, :-1], e[:, 1:]
-        keep = b > a
-        owner.append(np.nonzero(keep)[0])
-        lo.append(-b[keep] if mirror else a[keep])
-        hi.append(-a[keep] if mirror else b[keep])
-    return np.concatenate(owner), np.concatenate(lo), np.concatenate(hi)
+    # each centre's edges: -left, ..., -width, 0, width, ..., right
+    edges = np.empty((len(width), 2 * doublings + 3))
+    edges[:, 0] = -left
+    np.negative(np.minimum(offsets[:, ::-1], left[:, None]),
+                out=edges[:, 1:doublings + 1])
+    edges[:, doublings + 1] = 0.0
+    np.minimum(offsets, right[:, None], out=edges[:, doublings + 2:-1])
+    edges[:, -1] = right
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    keep = hi > lo
+    return np.nonzero(keep)[0], lo[keep], hi[keep]
 
 
-def _contour_tail(K: float, alpha: float, L: float) -> float:
+@cache
+def _tail_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contour tail's 180 nodes x, their weights and e^{-2x}, built on
+    first use."""
+    x, wx = (a.ravel() for a in gauss_legendre(_TAIL_EDGES[:-1],
+                                               _TAIL_EDGES[1:]))
+    return x, wx, np.exp(-2.0 * x)
+
+
+def _contour_tail(K, alpha, L):
     """The pressure integral past K, along the vertical contour k = K + ix/L:
     (1/(pi L)) int_0^inf Re[i k w/(1-w)] dx with w = r e^{2ikL}.  The
     continued integrand decays like e^{-2x} at any L and its nearest
     singularities lie about pi/2 off the real x-axis, so one fixed rule,
     20-point Gauss-Legendre panels on [0, 1/8, 1/4, ..., 32] (e^-64 at the
-    end), takes it to rounding."""
-    x, wx = gauss_legendre(_TAIL_EDGES[:-1], _TAIL_EDGES[1:])
+    end), takes it to rounding.  K, alpha and L are floats or arrays of
+    one shape; each pair's 180 nodes are summed on their own."""
+    x, wx, decay = _tail_rule()
+    K, alpha, L = (np.asarray(v)[..., None] for v in (K, alpha, L))
     k = K + (1j / L) * x
-    w = np.exp(2j * K * L - 2.0 * x) / (1.0 - (2j / alpha) * k) ** 2
-    return float(np.sum(wx * (1j * k * w / (1.0 - w)).real)) / (math.pi * L)
+    w = np.exp(2j * K * L) * decay / (1.0 - (2j / alpha) * k) ** 2
+    # Re[i z] = -Im z
+    return (wx * (k * w / (1.0 - w)).imag).sum(axis=-1) \
+        / (-math.pi * L[..., 0])
 
 
-def pressure_1p1_quad(alpha: float, L: float) -> float:
-    """Direct quadrature of the mode-density form of the pressure.
+def pressure_1p1_quad(alpha, L):
+    """Direct quadrature of the mode-density form of the pressure, for a
+    pair of floats or for 1-d arrays of n pairs (alpha, L) at once; a float
+    call is an array call of one pair and returns a float.
 
-    The integrand k/(2pi) [(1-|r|^2)/|1-r e^{2ikL}|^2 - 1], equal to
+    The pressure is f(alpha L)/L^2, and f is integrated at L = 1.  The
+    integrand k/(2pi) [(1-|r|^2)/|1-r e^{2ikL}|^2 - 1], equal to
     (k/pi) Re[w/(1-w)], peaks at k_m where k_m L + atan(2k_m/alpha) = m pi,
     with width (1-rho)/(2L sqrt(rho)), rho = |r|.  The real axis is
     integrated up to K, halfway between the 24th and 25th peaks, for every
     alpha and L.  Around k = 0 and each of the 24 peaks the panel edges sit
     at offsets doubling from that width (from 1e-6 min(alpha, 1/L) at
     k = 0) out to the midpoints between neighbouring peaks; each cell is
-    one 20-point Gauss-Legendre panel, evaluated a fixed number of panels
-    at a time.  On the correctly rounded rule (numerics._gl_rule), 2 or 4
-    panels per cell move the result no more than each other, by the
-    rounding of the sum: <= 2.2e-13 relative up to alpha L = 1e8.  Nodes
-    are kept as offsets d from their peak, and the phase enters through
-    tan(dL) alone (_mode_density), so the narrowest peak is resolved as
-    finely as a broad one.  Past K the remainder is taken along the
-    vertical contour k = K + ix/L, where the continued integrand decays
-    like e^{-2x} and is pole-free (all resonances lie in the lower
-    half-plane), on 9 fixed Gauss-Legendre panels out to x = 32
+    one 20-point Gauss-Legendre panel.  On the correctly rounded rule
+    (numerics._gl_rule), 2 or 4 panels per cell move the result no more
+    than each other, by the rounding of the sum: <= 2.2e-13 relative up to
+    alpha L = 1e8.  Nodes are kept as offsets d from their peak, and the
+    phase enters through tan(dL) alone (_mode_density), so the narrowest
+    peak is resolved as finely as a broad one.  Past K the remainder is
+    taken along the vertical contour k = K + ix/L, where the continued
+    integrand decays like e^{-2x} and is pole-free (all resonances lie in
+    the lower half-plane), on 9 fixed Gauss-Legendre panels out to x = 32
     (_contour_tail); at K the phase is near pi/2, so |1 - w| >= 1 there.
 
-    The work grows only with the depth of the grading, by the same ~320
-    panels per decade of alpha L: 876 panels at alpha L = 1e4, 1,832 at
-    1e7 and 23,842 at 1e76, which take about 0.55, 1.0 and 14 ms.
-    Within 1.1e-12 relative of a 30-digit mpmath reference for
-    1e-70 <= alpha L <= 1e76 (1.05e-12, the worst of 331 scanned points, L
-    from 1e-3 to 1e3; median 2.0e-13); outside that range u^4 in the
-    integrand leaves the double range, and DomainError is raised, as it
-    is for L outside 1e-150..1e150 (_GAP_RANGE) and for a subnormal p.
+    All pairs share one Newton solve for their peaks, one panel builder
+    and one contour tail.  Their panels are evaluated together, at most
+    256 at a time (_PANEL_BLOCK); each panel's 20 nodes are added in order
+    and each pair's panel sums pairwise, so a pair gets the same bits alone
+    or among others.  The work grows only with the depth of the grading,
+    by the same ~320 panels per decade of alpha L: 876 panels at
+    alpha L = 1e4, 1,832 at 1e7 and 23,842 at 1e76, which a float call
+    takes in about 0.54, 0.95 and 12 ms on a 2-vCPU KVM machine;
+    validate's 10 pairs take about 2.0 ms in one call.  Within 1.1e-12
+    relative of a 30-digit mpmath reference for 1e-70 <= alpha L <= 1e76
+    (6.4e-13, the worst of 950 seeded draws with L from 1e-3 to 1e3,
+    against pressure_1p1_series, itself within 5.3e-16 of mpmath); outside
+    that range u^4 in the integrand leaves the double range, and
+    DomainError is raised, as it is for L outside 1e-150..1e150
+    (_GAP_RANGE) and for a subnormal p, if any one pair is outside.
     """
-    _check_gap(alpha, L, "pressure_1p1_quad")
+    scalar = np.ndim(alpha) == 0 and np.ndim(L) == 0
+    alpha = np.array(alpha, dtype=float, ndmin=1)
+    L = np.array(L, dtype=float, ndmin=1)
+    if alpha.ndim != 1 or alpha.shape != L.shape:
+        raise ValueError("pressure_1p1_quad takes floats or 1-d arrays of "
+                         "one length")
     least, most = _QUAD_ALPHA_L
-    if not least <= alpha * L <= most:
-        raise DomainError(f"pressure_1p1_quad requires {least:g} <= alpha L "
-                          f"<= {most:g}, got {alpha * L:g}")
-    k_m = _peak_positions(alpha, L, _PEAKS + 1)
+    for a, gap in zip(alpha.tolist(), L.tolist()):
+        _check_gap(a, gap, "pressure_1p1_quad")
+        if not least <= a * gap <= most:
+            raise DomainError(f"pressure_1p1_quad requires {least:g} <= "
+                              f"alpha L <= {most:g}, got {a * gap:g}")
+    beta = alpha * L
+    n = len(beta)
+    k_m = _peak_positions(beta, _PEAKS + 1)
     # centres k = 0, k_1 .. k_24 (k = 0 is graded like a peak) and the cell
     # bounds between them, the last one between k_24 and k_25
-    centres = np.concatenate(([0.0], k_m[:-1]))
+    centres = np.zeros((n, _PEAKS + 1))
+    centres[:, 1:] = k_m[:, :-1]
     bounds = 0.5 * (centres + k_m)
-    q = (2.0 * centres / alpha) ** 2
-    width = q / (2.0 * L * np.sqrt(1.0 + q))    # (1 - rho)/(2 L sqrt(rho))
-    width[0] = 1e-6 * min(alpha, 1.0 / L)
+    q = (2.0 / beta)[:, None] * centres
+    q *= q
+    width = q / (2.0 * np.sqrt(1.0 + q))    # (1 - rho)/(2 sqrt(rho))
+    width[:, 0] = 1e-6 * np.minimum(beta, 1.0)
     # both differences are exact (Sterbenz's lemma), so the cells of
     # neighbouring centres meet exactly at their shared bound
-    left = centres - np.concatenate(([0.0], bounds[:-1]))
+    left = np.zeros_like(centres)
+    left[:, 1:] = centres[:, 1:] - bounds[:, :-1]
     right = bounds - centres
-    owner, lo, hi = _peak_panels(width, left, right)
-    total = 0.0
-    for i in range(0, len(lo), _PANEL_BLOCK):
-        j = slice(i, i + _PANEL_BLOCK)
-        d, w = gauss_legendre(lo[j], hi[j])
-        total += float(np.sum(w * _mode_density(centres[owner[j, None]], d,
-                                                alpha, L)))
-    total += _contour_tail(float(bounds[-1]), alpha, L)
-    if not math.isfinite(total):
-        raise NonConvergence("quadrature pressure did not converge")
-    return _normal_pressure(total, "pressure_1p1_quad")
+    owner, lo, hi = _peak_panels(width.ravel(), left.ravel(), right.ravel())
+    pair = owner // (_PEAKS + 1)
+    centre, beta_p = centres.ravel()[owner], beta[pair]
+    # blocks of near-equal size: a block of one panel would sum its nodes
+    # pairwise, not in order
+    blocks = -(-len(lo) // _PANEL_BLOCK)
+    edges = [len(lo) * i // blocks for i in range(blocks + 1)]
+    sums = np.empty(len(lo))
+    for i, j in zip(edges[:-1], edges[1:]):
+        d, w = gauss_legendre(lo[i:j], hi[i:j])
+        w *= _mode_density(centre[i:j], d, beta_p[i:j], 1.0)
+        w.sum(axis=0, out=sums[i:j])
+    # each pair's panel sums added pairwise, on their own
+    cuts = np.searchsorted(pair, np.arange(n + 1)).tolist()
+    total = np.array([sums[i:j].sum() for i, j in zip(cuts[:-1], cuts[1:])])
+    total += _contour_tail(bounds[:, -1], beta, 1.0)
+    total /= L * L
+    for p in total.tolist():
+        if not math.isfinite(p):
+            raise NonConvergence("quadrature pressure did not converge")
+        _normal_pressure(p, "pressure_1p1_quad")
+    return float(total[0]) if scalar else total
 
 
 # ----------------------------------------------------- Dirichlet endpoints
@@ -455,7 +516,7 @@ def _upper_tail_table(xs: np.ndarray, b: float) -> np.ndarray:
     far = np.sum(w * np.exp(-t - b / t))
     # panel integrals int_{x_j}^{x_{j+1}} e^{-t - b/t} dt, all panels at once
     t, w = gauss_legendre(xs[:-1], xs[1:])
-    panels = np.sum(w * np.exp(-t - b / t), axis=1)
+    panels = np.sum(w * np.exp(-t - b / t), axis=0)
     tails = np.empty_like(xs)
     tails[-1] = far
     tails[:-1] = far + np.cumsum(panels[::-1])[::-1]

@@ -24,6 +24,7 @@ CLI layer.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,17 +82,23 @@ def potential_box(q_ph: float, k1: float, k2: float, r):
     return float(v) if v.ndim == 0 else v
 
 
-def _lorentz(q_ph: float, lambda2: float, y0: float, r):
-    """The exponential potential's arithmetic at r > 0, a float or an
-    array."""
+def _lorentz_im(lambda2: float, y0: float, r):
+    """e^{2 lambda} Im K0(2 lambda sqrt(1 + i r/y0)) at r > 0, a float or
+    an array."""
     lam = math.sqrt(lambda2)
     w = 2.0 * lam * np.sqrt(1.0 + 1j * (r / y0))
     k = kve(0, w)
     # Im(k e^{2 lambda - w}) in real arithmetic: numpy's complex
     # product rounds differently for scalars and arrays, this form does not
     e = np.exp(2.0 * lam - w)
-    return q_ph ** 2 / (math.pi ** 2 * r) \
-        * (k.real * e.imag + k.imag * e.real)
+    return k.real * e.imag + k.imag * e.real
+
+
+def _charge_product(q_ph: float, im, r):
+    """V = (q_ph^2/(pi^2 r)) im, with im/r formed first: q_ph^2/(pi^2 r)
+    alone overflows at small r where V does not."""
+    a = q_ph / math.pi
+    return a * (a * (im / r))
 
 
 def potential_lorentz(q_ph: float, lambda2: float, y0: float, r):
@@ -111,31 +118,53 @@ def potential_lorentz(q_ph: float, lambda2: float, y0: float, r):
     Past |w| = 2^30 - 1 (_KVE_ARG_LIMIT), where kve returns NaN,
     Re w - 2 lambda >= |w|/sqrt(2) - 2 lambda ~ 7.6e8 for every accepted
     lambda, so V has underflowed: it is +0.0, without kve, from
-    r = y0 (_KVE_ARG_LIMIT/(2 lambda))^2 on (|w| >= 2 lambda sqrt(r/y0)); a
-    radius before it where r/y0 overflows (lambda^2 < ~1.6e-291) raises
-    DomainError.
+    r = y0 (_KVE_ARG_LIMIT/(2 lambda))^2 on (|w| >= 2 lambda sqrt(r/y0)).
+    DomainError at a radius before it where r/y0 overflows
+    (lambda^2 < ~1.6e-291), at one where r/y0 is below the normal range
+    (the kernel's imaginary part, all of V, has lost its digits there),
+    and where V itself leaves the double range.
     """
     if isinstance(r, float):
         if lambda2 <= 0 or y0 <= 0 or r <= 0:
             raise DomainError("potential_lorentz requires positive parameters")
         if r > _kve_reach(lambda2, y0):
             return 0.0
-        _check_ratio(r, y0)
-        return float(_lorentz(q_ph, lambda2, y0, r))
+        _check_ratio(r, r, y0)
+        # Python floats: an overflow gives inf, checked below, not a warning
+        v = _charge_product(q_ph, float(_lorentz_im(lambda2, y0, r)),
+                            float(r))
+        if not math.isfinite(v):
+            raise DomainError(f"potential_lorentz: V leaves the double "
+                              f"range at r = {r:g}")
+        return v
     r = np.asarray(r, dtype=float)
-    if lambda2 <= 0 or y0 <= 0 or (r <= 0).any():
+    least = float(r.min(initial=math.inf))
+    if lambda2 <= 0 or y0 <= 0 or not least > 0:
         raise DomainError("potential_lorentz requires positive parameters")
     v = np.zeros_like(r)
     near = r <= _kve_reach(lambda2, y0)
-    _check_ratio(float(r.max(initial=0.0, where=near)), y0)
-    v[near] = _lorentz(q_ph, lambda2, y0, r[near])
+    _check_ratio(least, float(r.max(initial=0.0, where=near)), y0)
+    r = r[near]
+    im = _lorentz_im(lambda2, y0, r)
+    # the floating-point flags catch an overflow without a pass over V
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            v[near] = _charge_product(q_ph, im, r)
+    except FloatingPointError:
+        raise DomainError("potential_lorentz: V leaves the double range "
+                          "in the array of radii") from None
     return float(v) if v.ndim == 0 else v
 
 
-def _check_ratio(r: float, y0: float) -> None:
-    """DomainError unless r/y0 is a double."""
-    if r / y0 == math.inf:
-        raise DomainError(f"potential_lorentz: r/y0 overflows at r = {r:g}")
+def _check_ratio(least: float, most: float, y0: float) -> None:
+    """DomainError unless r/y0 is a normal double from the least radius
+    computed to the most."""
+    if most / y0 == math.inf:
+        raise DomainError(f"potential_lorentz: r/y0 overflows at r = "
+                          f"{most:g}")
+    if least / y0 < sys.float_info.min:
+        raise DomainError(f"potential_lorentz: r/y0 is below the normal "
+                          f"range at r = {least:g}")
 
 
 def _kve_reach(lambda2: float, y0: float) -> float:

@@ -81,11 +81,13 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre(lo: np.ndarray, hi: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights, as (panels, 20) arrays, of 20-point Gauss-Legendre
-    panels on [lo, hi]: exact for polynomials of degree <= 39 on each."""
+    """Nodes and weights, as (20, panels) arrays, of 20-point Gauss-Legendre
+    panels on [lo, hi]: exact for polynomials of degree <= 39 on each.
+    Panels run along rows, so per-panel arrays broadcast over a block as
+    rows and a sum over axis 0 adds each panel's nodes in order."""
     nodes, weights = _gl_rule()
-    half = 0.5 * (hi - lo)[:, None]
-    return lo[:, None] + half * (nodes + 1.0), half * weights
+    half = 0.5 * (hi - lo)
+    return lo + half * (nodes + 1.0)[:, None], half * weights[:, None]
 
 
 def two_prod(a: float, b: float) -> tuple[float, float]:

@@ -82,36 +82,54 @@ def check_casimir_endpoints() -> list[CriterionResult]:
     return out
 
 
+# ratio24 = p (-24 L^2/pi) = sum_k c_k (alpha L)^-k, asymptotic in
+# 1/(alpha L), cut after k = 6: c_k = (6/pi^2) (-1)^k (k+1)!
+# sum_n C(2n+k-1, k)/n^(k+2); c_2 = 12 + 36 zeta(3)/pi^2
+_RATIO24_COEFFS = (1.0, -4.0, 16.384577816408631, -77.604200559097697,
+                   437.95989963996783, -2933.4994063148521,
+                   22884.766066019086)
+
+
+def _ratio24_expansion(alpha_L: float) -> float:
+    """The truncated expansion of ratio24 in 1/(alpha L), by Horner's rule."""
+    x = 1.0 / alpha_L
+    total = 0.0
+    for c in reversed(_RATIO24_COEFFS):
+        total = total * x + c
+    return total
+
+
 def check_casimir_1p1_oracle() -> list[CriterionResult]:
     out = []
     grid = [(alpha, L) for alpha in (10.0, 100.0, 1000.0)
             for L in (0.5, 1.0, 2.0)]
+    pairs = grid + [(1e4, 1.0)]
     # each series value once: the alpha sweep below reuses those at L = 1
-    series = {key: casimir.pressure_1p1_series(*key)
-              for key in grid + [(1e4, 1.0)]}
-
-    def deviation(alpha, L):
-        ps = series[alpha, L]
-        return abs(ps - casimir.pressure_1p1_quad(alpha, L)) / abs(ps)
-
-    worst = max(deviation(*key) for key in grid)
-    out.append(_crit("series_vs_quad_rel", 0.0, worst, 3e-11))
+    series = {key: casimir.pressure_1p1_series(*key) for key in pairs}
+    # every quadrature pair in one array call
+    quad = casimir.pressure_1p1_quad(*np.array(pairs).T)
+    deviation = [abs(series[key] - pq) / abs(series[key])
+                 for key, pq in zip(pairs, quad.tolist())]
+    out.append(_crit("series_vs_quad_rel", 0.0, max(deviation[:-1]), 3e-11))
     # narrow resonances (width ~ 2e-7 at the first peak), where the quadrature
     # must track the true peak positions
-    out.append(_crit("series_vs_quad_rel_alpha=1e4", 0.0,
-                     deviation(1e4, 1.0), 3e-11))
+    out.append(_crit("series_vs_quad_rel_alpha=1e4", 0.0, deviation[-1],
+                     3e-11))
     # alpha sweep at L = 1: the ratio to the Dirichlet endpoint
-    # -pi/(24 L^2) rises to 1 as 1 - 4/(alpha L) + O((alpha L)^-2), so
-    # (1 - ratio) alpha L is 4 to within a bound 20/(alpha L) on the rest
+    # -pi/(24 L^2) rises to 1 as 1 - 4/(alpha L) + O((alpha L)^-2).  At
+    # alpha L = 1e2, where the cut expansion is not exact, (1 - ratio)
+    # alpha L is 4 to within a bound 20/(alpha L) on the rest; at 1e3 and
+    # 1e4 the ratio is the expansion to rounding
     ratios24 = [series[10.0 ** e, 1.0] * (-24.0 / math.pi)
                 for e in (1, 2, 3, 4)]
     monotone = all(ratios24[i] < ratios24[i + 1] for i in range(3))
     out.append(_crit("alpha_sweep_monotone", 1.0, 1.0 if monotone else 0.0,
                      0.5))
-    for e, ratio in zip((2, 3, 4), ratios24[1:]):
-        alpha_L = 10.0 ** e
-        out.append(_crit(f"dirichlet_rate_alphaL=1e{e}", 4.0,
-                         (1.0 - ratio) * alpha_L, 20.0 / alpha_L))
+    out.append(_crit("dirichlet_rate_alphaL=1e2", 4.0,
+                     (1.0 - ratios24[1]) * 1e2, 20.0 / 1e2))
+    for e, ratio in zip((3, 4), ratios24[2:]):
+        out.append(_crit(f"dirichlet_expansion_alphaL=1e{e}",
+                         _ratio24_expansion(10.0 ** e), ratio, 1e-15, "rel"))
     return out
 
 

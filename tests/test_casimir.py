@@ -150,6 +150,51 @@ class TestOneDimensionalPressure:
             pressure_1p1_quad(alpha_L, 1.0)
             assert panels.pop() == count
 
+    def test_float_call_has_the_bits_of_an_array_call(self):
+        # validate's grid and both ends of the domain, in one array
+        pairs = [(alpha, L) for alpha in (10.0, 100.0, 1000.0)
+                 for L in (0.5, 1.0, 2.0)] + [(1e4, 1.0), (1e-70, 1.0),
+                                              (1e76, 1.0)]
+        alpha, L = np.array(pairs).T
+        batch = pressure_1p1_quad(alpha, L)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(pairs),)
+        single = [pressure_1p1_quad(a, gap) for a, gap in pairs]
+        assert all(type(p) is float for p in single)
+        assert batch.tolist() == single
+
+    def test_array_with_one_pair_out_of_domain(self):
+        for bad in ((1e80, 1.0), (1.0, 0.0), (1.0, 1e-300)):
+            alpha, L = np.array([(10.0, 1.0), bad, (100.0, 2.0)]).T
+            with pytest.raises(DomainError):
+                pressure_1p1_quad(alpha, L)
+
+    def test_validate_makes_one_quadrature_call(self, monkeypatch):
+        # its 10 pairs go in one array call
+        from vacuumlab import casimir, validation
+
+        calls = []
+        quad = casimir.pressure_1p1_quad
+
+        def counting(alpha, L):
+            calls.append(np.size(alpha))
+            return quad(alpha, L)
+
+        monkeypatch.setattr(casimir, "pressure_1p1_quad", counting)
+        assert all(r.passed for r in validation.check_casimir_1p1_oracle())
+        assert calls == [10]
+
+    def test_quadrature_scan_against_the_series(self):
+        # one array call over the whole accepted domain: alpha L
+        # log-uniform in [1e-70, 1e76], L in [1e-3, 1e3]; the series is
+        # within 5.3e-16 of mpmath there
+        rng = np.random.default_rng(31)
+        alpha_L = 10.0 ** rng.uniform(-70.0, 76.0, 30)
+        L = 10.0 ** rng.uniform(-3.0, 3.0, 30)
+        pq = pressure_1p1_quad(alpha_L / L, L)
+        ps = np.array([pressure_1p1_series(a, gap)
+                       for a, gap in zip((alpha_L / L).tolist(), L.tolist())])
+        assert np.max(np.abs(pq - ps) / np.abs(ps)) <= 1.1e-12
+
     @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
     def test_contour_tail_matches_mpmath(self, L):
         # the fixed rule past K against 20-digit tanh-sinh on the same
@@ -161,7 +206,7 @@ class TestOneDimensionalPressure:
 
         for alpha_L in np.logspace(-70, 76, 9):
             alpha = alpha_L / L
-            k_m = _peak_positions(alpha, L, _PEAKS + 1)
+            k_m = _peak_positions(alpha_L, _PEAKS + 1) / L
             K = float(0.5 * (k_m[-2] + k_m[-1]))
             with mp.workdps(20):
                 phase = mp.expj(2.0 * K * L)

@@ -321,6 +321,27 @@ class TestShiftAndCavity:
         assert payload["mirror_term"] == pytest.approx(expect, rel=1e-12,
                                                        abs=0.0)
 
+    @pytest.mark.parametrize("argv", [
+        # q_ph^2/(pi^2 r) overflowed at r = 2 gap: mirror_term was -inf
+        ["--q", "4.36e32", "--lambda2", "7672.75", "--y0", "1.08e7",
+         "--gap", "1.6e-268"],
+        # r/y0 underflowed to 0, and inf * 0 gave NaN
+        ["--q", "1665", "--lambda2", "3.8e-3", "--y0", "9.1e89",
+         "--gap", "2.2e-298"]], ids=["charge_factor", "ratio"])
+    def test_lorentz_shift_exits_0_with_finite_numbers_or_2(self, argv,
+                                                            capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = exit_code(["shift", "--profile", "lorentz", *argv])
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.count("error:") == 1
+            return
+        payload = json.loads(out)
+        assert all(math.isfinite(payload[key])
+                   for key in ("free", "plane", "mirror_term"))
+
     def test_casimir3_pascal_is_the_unit_times_the_total(self, tmp_path):
         out = tmp_path / "c3.json"
         assert run(["casimir3", "--out", str(out)]) == 0
@@ -755,13 +776,13 @@ GOLDEN_CSV = {
         "r,V,profile_tag\n"
         "0.10000000000000001,-3.1195883806590001e-05,"
         "lorentz(lambda2=1e-06,y0=0.001)\n"
-        "0.56234132519034907,-5.5636577382813721e-06,"
+        "0.56234132519034907,-5.5636577382813729e-06,"
         "lorentz(lambda2=1e-06,y0=0.001)\n"
         "3.1622776601683795,-9.8005425103126706e-07,"
         "lorentz(lambda2=1e-06,y0=0.001)\n"
-        "17.782794100389228,-1.6689471444077753e-07,"
+        "17.782794100389228,-1.6689471444077756e-07,"
         "lorentz(lambda2=1e-06,y0=0.001)\n"
-        "100,-2.504361225377582e-08,lorentz(lambda2=1e-06,y0=0.001)\n"),
+        "100,-2.5043612253775824e-08,lorentz(lambda2=1e-06,y0=0.001)\n"),
     ("stats", "--nmax", "3"): (
         "# vacuumlab 0.1.0\n"
         "# p_renyi: (1/n!) d^n/dl^n (sum p e^{l w/N})^N at l=-1\n"
@@ -800,13 +821,13 @@ GOLDEN_CSV = {
         "# p_comb16: -pi/(16 L^2) comb endpoint at kappa = pi/(2L)\n"
         "# p_em24:   -pi/(24 L^2) Euler-Maclaurin endpoint\n"
         "alpha,L,p_series,p_quad,p_comb16,p_em24\n"
-        "10,1,-0.093348335185337347,-0.093348335185336348,"
+        "10,1,-0.093348335185337347,-0.093348335185337181,"
         "-0.19634954084936207,-0.1308996938995747\n"
-        "100,1,-0.1258685590413936,-0.12586855904139554,"
+        "100,1,-0.1258685590413936,-0.12586855904140354,"
         "-0.19634954084936207,-0.1308996938995747\n"
-        "1000,1,-0.13037822975877897,-0.13037822975879504,"
+        "1000,1,-0.13037822975877897,-0.13037822975878752,"
         "-0.19634954084936207,-0.1308996938995747\n"
-        "10000,1,-0.13084735545922446,-0.13084735545926662,"
+        "10000,1,-0.13084735545922446,-0.13084735545924353,"
         "-0.19634954084936207,-0.1308996938995747\n"),
 }
 

@@ -130,6 +130,27 @@ class TestLorentzPotential:
                                  np.array([1e-99, 1e300, math.inf]))[1:] \
             .tolist() == [0.0, 0.0]
 
+    def test_charge_factor_past_the_double_range(self):
+        # q_ph^2/(pi^2 r) = 1e309 overflowed, and V was -inf; V itself is
+        # -5.9104557793044525652e288 (40-digit mpmath)
+        args = (1e5, 1e-2, 1e-280)
+        v = potential_lorentz(*args, 1e-300)
+        assert v == pytest.approx(-5.9104557793044525652e288, rel=1e-15,
+                                  abs=0.0)
+        assert potential_lorentz(*args, np.array([1e-300, 1.0])).tolist()[0] \
+            == v
+        # V ~ -1e319 is no double
+        for r in (1.0, np.array([1.0, 2.0])):
+            with pytest.raises(DomainError, match="double range"):
+                potential_lorentz(1e160, 1e-2, 1.0, r)
+
+    def test_ratio_below_the_normal_range(self):
+        # r/y0 underflowed to 0, the kernel's imaginary part with it, and
+        # inf * 0 gave NaN
+        for r in (4.4e-298, np.array([4.4e-298, 1.0])):
+            with pytest.raises(DomainError, match="r/y0"):
+                potential_lorentz(8.97e93, 3.8e-3, 9.1e89, r)
+
     def test_array_of_radii(self):
         rs = np.geomspace(0.1, 100.0, 7)
         v = potential_lorentz(1.0, 0.04, 0.3, rs)

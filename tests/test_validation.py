@@ -1,8 +1,9 @@
 """validate's own oracles against independent references: the statistics
 oracle's one-site series against scipy's expm and its convolution against
-the N-site brute force, and the fixed-panel normalization and
+the N-site brute force, the fixed-panel normalization and
 mirror-identity integrals against mpmath and against the sine-weighted
-quadpack oracle, at the points validate uses."""
+quadpack oracle, at the points validate uses, and the coefficients of the
+1+1 pressure's expansion in 1/(alpha L) against their zeta sums."""
 
 import math
 
@@ -106,3 +107,18 @@ def test_sine_panels_match_sine_weighted_quadpack(name, w):
     assert abs(validation._density_sine_panels(p, w)
                - density_sine_quad(p, w)) <= 1e-13
 
+
+
+def test_ratio24_coefficients_match_their_sums():
+    # c_k = (6/pi^2) (-1)^k (k+1)! sum_n C(2n+k-1, k)/n^(k+2), the order
+    # (alpha L)^-k of the reflection series expanded in 1/alpha
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for k, c in enumerate(validation._RATIO24_COEFFS):
+            s = mp.nsum(lambda n: mp.binomial(2 * n + k - 1, k)
+                        / n ** (k + 2), [1, mp.inf])
+            ref = 6 / mp.pi ** 2 * (-1) ** k * mp.factorial(k + 1) * s
+            assert c == float(ref), k
+    # c_2 = 12 + 36 zeta(3)/pi^2: the effective gap L + 2/alpha and the rest
+    assert validation._RATIO24_COEFFS[2] == pytest.approx(
+        12.0 + 36.0 * 1.2020569031595942 / math.pi ** 2, rel=1e-15)
