@@ -143,18 +143,18 @@ _TAIL_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-3, 6)))
 _FAR_TAIL_EDGES = np.concatenate(([0.0], 2.0 ** np.arange(-3, 7)))
 
 
-def _mode_density(centre: np.ndarray, d: np.ndarray, alpha: np.ndarray,
-                  L: float) -> np.ndarray:
-    """(k/pi) Re[w/(1-w)] at k = centre + d, with w = r e^{2ikL} =
-    rho e^{2i phi}, rho = 1/(1+u^2), phi = kL + atan(u), u = 2k/alpha;
-    centre is 0 or a peak k_m, where k_m L - m pi = -atan(u_m).  d is a
+def _mode_density(centre: np.ndarray, d: np.ndarray,
+                  alpha: np.ndarray) -> np.ndarray:
+    """(k/pi) Re[w/(1-w)] at k = centre + d and L = 1, with w = r e^{2ik} =
+    rho e^{2i phi}, rho = 1/(1+u^2), phi = k + atan(u), u = 2k/alpha;
+    centre is 0 or a peak k_m, where k_m - m pi = -atan(u_m).  d is a
     (20, panels) block of nodes; centre and alpha hold one value per panel,
     broadcast along its rows.
 
     Re[w/(1-w)] = (rho cos 2phi - rho^2)/((1-rho)^2 + 4 rho sin^2 phi)
                 = (u^2 (1+t^2) - 2(t+u)^2)/(u^4 (1+t^2) + 4(t+u)^2)
-    with t = tan(kL), since (1+u^2) sin^2 phi = (t+u)^2/(1+t^2).  With
-    s = tan(dL), u_m = 2 centre/alpha and D = 1 + u_m s, the addition
+    with t = tan(k), since (1+u^2) sin^2 phi = (t+u)^2/(1+t^2).  With
+    s = tan(d), u_m = 2 centre/alpha and D = 1 + u_m s, the addition
     theorem gives
 
         (1 + t^2) D^2 = (1 + u_m^2)(1 + s^2),
@@ -163,15 +163,15 @@ def _mode_density(centre: np.ndarray, d: np.ndarray, alpha: np.ndarray,
     and D^2/(1 + u_m^2) cancels from the ratio.  Both sums are free of
     cancellation, so the peak at t + u = 0 (half-width u_m^2/2 there) is
     resolved to the rounding of d, however narrow it is; the tan of the
-    rounded phase -atan(u_m) + dL would be off by relative eps/u_m at the
-    peak, which grows with alpha L.  The denominator is a sum of positive
+    rounded phase -atan(u_m) + d would be off by relative eps/u_m at the
+    peak, which grows with alpha.  The denominator is a sum of positive
     terms.
     """
     g = 2.0 / alpha
     uc = g * centre
     a = 1.0 + uc * uc
     du = g * d
-    s = np.tan(d * L)
+    s = np.tan(d)
     n = du * (1.0 + uc * s)
     n /= a
     n += s                          # (t + u) D/(1 + u_m^2)
@@ -243,21 +243,20 @@ def _tail_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, wx, np.exp(-2.0 * x)
 
 
-def _contour_tail(K, alpha, L):
-    """The pressure integral past K, along the vertical contour k = K + ix/L:
-    (1/(pi L)) int_0^inf Re[i k w/(1-w)] dx with w = r e^{2ikL}.  The
-    continued integrand decays like e^{-2x} at any L and its nearest
+def _contour_tail(K, alpha):
+    """The pressure integral at L = 1 past K, along the vertical contour
+    k = K + ix: (1/pi) int_0^inf Re[i k w/(1-w)] dx with w = r e^{2ik}.
+    The continued integrand decays like e^{-2x} and its nearest
     singularities lie about pi/2 off the real x-axis, so one fixed rule,
     20-point Gauss-Legendre panels on [0, 1/8, 1/4, ..., 32] (e^-64 at the
-    end), takes it to rounding.  K, alpha and L are floats or arrays of
-    one shape; each pair's 180 nodes are summed on their own."""
+    end), takes it to rounding.  K and alpha are floats or arrays of one
+    shape; each pair's 180 nodes are summed on their own."""
     x, wx, decay = _tail_rule()
-    K, alpha, L = (np.asarray(v)[..., None] for v in (K, alpha, L))
-    k = K + (1j / L) * x
-    w = np.exp(2j * K * L) * decay / (1.0 - (2j / alpha) * k) ** 2
+    K, alpha = (np.asarray(v)[..., None] for v in (K, alpha))
+    k = K + 1j * x
+    w = np.exp(2j * K) * decay / (1.0 - (2j / alpha) * k) ** 2
     # Re[i z] = -Im z
-    return (wx * (k * w / (1.0 - w)).imag).sum(axis=-1) \
-        / (-math.pi * L[..., 0])
+    return (wx * (k * w / (1.0 - w)).imag).sum(axis=-1) / -math.pi
 
 
 def pressure_1p1_quad(alpha, L):
@@ -339,12 +338,12 @@ def pressure_1p1_quad(alpha, L):
     sums = np.empty(len(lo))
     for i, j in zip(edges[:-1], edges[1:]):
         d, w = gauss_legendre(lo[i:j], hi[i:j])
-        w *= _mode_density(centre[i:j], d, beta_p[i:j], 1.0)
+        w *= _mode_density(centre[i:j], d, beta_p[i:j])
         w.sum(axis=0, out=sums[i:j])
     # each pair's panel sums added pairwise, on their own
     cuts = np.searchsorted(pair, np.arange(n + 1)).tolist()
     total = np.array([sums[i:j].sum() for i, j in zip(cuts[:-1], cuts[1:])])
-    total += _contour_tail(bounds[:, -1], beta, 1.0)
+    total += _contour_tail(bounds[:, -1], beta)
     total /= L * L
     for p in total.tolist():
         if not math.isfinite(p):

@@ -93,16 +93,6 @@ class DeltaFamily:
     breakpoints = property(lambda self: _breakpoints(self, self.n))
 
 
-def _support(family: DeltaFamily, n) -> tuple[float, float]:
-    """The ends of the support of family's profile of index n."""
-    if family.shape is DeltaShape.LAMBDA_TRIANGLE:
-        return (-1.0 / n, 1.0 / n)
-    if family.shape is DeltaShape.M_SHAPE:
-        eps = 1.0 / n
-        return (-eps / 2.0, eps / 2.0)
-    return (-(family.j + 1.0) / n, (family.j + 1.0) / n)
-
-
 def _breakpoints(family: DeltaFamily, n) -> list[float]:
     """Kink locations of family's piecewise-linear profile of index n,
     ascending."""
@@ -240,11 +230,10 @@ def _panel_integral(factors: Sequence[tuple[DeltaFamily, int]],
     points of the union of the breakpoints and 0.  Every profile is linear
     on each piece, so the rule is exact for polynomial f of low degree and
     takes smooth f to rounding; a jump of f at 0 falls on a panel edge."""
-    supports = [_support(fam, n) for fam, n in factors]
-    lo = max(a for a, _ in supports)
-    hi = min(b for _, b in supports)
-    edges = np.array(sorted({p for fam, n in factors
-                             for p in _breakpoints(fam, n) if lo < p < hi}
+    points = [_breakpoints(fam, n) for fam, n in factors]
+    lo = max(p[0] for p in points)
+    hi = min(p[-1] for p in points)
+    edges = np.array(sorted({x for p in points for x in p if lo < x < hi}
                             | {lo, 0.0, hi}))
     k, w = gauss_legendre(edges[:-1], edges[1:])
     out = w * f(k)

@@ -117,9 +117,9 @@ class TestOneDimensionalPressure:
         nodes = []
         density = casimir._mode_density
 
-        def counting(centre, d, alpha, L):
+        def counting(centre, d, alpha):
             nodes.append(d.size)
-            return density(centre, d, alpha, L)
+            return density(centre, d, alpha)
 
         monkeypatch.setattr(casimir, "_mode_density", counting)
         work = {}
@@ -195,34 +195,32 @@ class TestOneDimensionalPressure:
                        for a, gap in zip((alpha_L / L).tolist(), L.tolist())])
         assert np.max(np.abs(pq - ps) / np.abs(ps)) <= 1.1e-12
 
-    @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
-    def test_contour_tail_matches_mpmath(self, L):
+    def test_contour_tail_matches_mpmath(self):
         # the fixed rule past K against 20-digit tanh-sinh on the same
-        # contour k = K + ix/L; the phase is the double 2KL the library
-        # forms, whose rounding (amplified by KL ~ 77) belongs to the start
-        # of the contour, not to the rule
+        # contour k = K + ix at L = 1; the phase is the double 2K the
+        # library forms, whose rounding (amplified by K ~ 77) belongs to the
+        # start of the contour, not to the rule
         mp = pytest.importorskip("mpmath")
         from vacuumlab.casimir import _PEAKS, _contour_tail, _peak_positions
 
-        for alpha_L in np.logspace(-70, 76, 9):
-            alpha = alpha_L / L
-            k_m = _peak_positions(alpha_L, _PEAKS + 1) / L
+        for alpha in np.logspace(-70, 76, 9):
+            k_m = _peak_positions(alpha, _PEAKS + 1)
             K = float(0.5 * (k_m[-2] + k_m[-1]))
             with mp.workdps(20):
-                phase = mp.expj(2.0 * K * L)
-                a, l = mp.mpf(alpha), mp.mpf(L)
+                phase = mp.expj(2.0 * K)
+                a = mp.mpf(alpha)
 
                 def f(x):
-                    k = mp.mpc(K, x / l)
+                    k = mp.mpc(K, x)
                     w = phase * mp.exp(-2 * x) / (1 - 2j * k / a) ** 2
                     return mp.re(1j * k * w / (1 - w))
 
                 # scaled to order 1: mpmath stops on an absolute estimate
                 scale = abs(f(0))
                 ref = float(scale * mp.quad(lambda x: f(x) / scale,
-                                            [0, 2, 8, 40]) / (mp.pi * l))
-            p = pressure_1p1_quad(alpha, L)
-            assert abs(_contour_tail(K, alpha, L) - ref) <= 1e-14 * abs(p)
+                                            [0, 2, 8, 40]) / mp.pi)
+            p = pressure_1p1_quad(alpha, 1.0)
+            assert abs(_contour_tail(K, alpha) - ref) <= 1e-14 * abs(p)
 
 
 class TestDirichletEndpoints:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from seeded import cases, draw_modes, draws
 from vacuumlab import cli
 from vacuumlab.cli import build_parser, load_config, main
 from vacuumlab.constants import PRESSURE_UNIT_PA
@@ -541,47 +542,37 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_stats_exits_0_with_finite_numbers_or_2(self, capsys):
-        # derandomized draws over the accepted range: N up to 1e6, 1 to 5
-        # modes, intensities log-uniform in [1e-3, 1e3] or 0, nmax <= 40
-        hyp = pytest.importorskip("hypothesis")
-        st = hyp.strategies
-        intensity = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(
-            lambda u: 10.0 ** u))
-        modes = st.integers(1, 5).flatmap(lambda m: st.tuples(
-            st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
-                     min_size=m, max_size=m).filter(any),
-            st.lists(intensity, min_size=m, max_size=m)))
-
-        @hyp.settings(derandomize=True, database=None, deadline=None,
-                      max_examples=200)
-        @hyp.given(N=st.integers(1, 10 ** 6), modes=modes,
-                   nmax=st.integers(0, 40))
-        # three modes past the old occupation-pattern cap
-        @hyp.example(N=10 ** 4, modes=([0.2, 0.3, 0.5], [0.4, 0.9, 0.1]),
-                     nmax=8)
-        # one mode's e^-w underflows, the other's does not
-        @hyp.example(N=1, modes=([1.0, 1.0], [1e3, 1e-3]), nmax=40)
-        # p(0, N) = e^-800 is no normal double: exit 2
-        @hyp.example(N=1, modes=([1.0], [800.0]), nmax=3)
-        def check(N, modes, nmax):
-            weights, intensities = modes
-            total = math.fsum(weights)
-            code = exit_code([
-                "stats", "--N", str(N), "--nmax", str(nmax),
-                "--probs", ",".join(repr(w / total) for w in weights),
-                "--intensities", ",".join(map(repr, intensities))])
-            out, err = capsys.readouterr()
-            assert code in (0, 2)
-            if code == 2:
-                assert out == "" and err.count("error:") == 1
-                return
-            rows = [l.split(",") for l in out.splitlines()
-                    if not l.startswith("#")][1:]
-            assert len(rows) == nmax + 1
-            assert all(math.isfinite(float(v)) for r in rows for v in r)
-
-        check()
+    @pytest.mark.parametrize("N, modes, nmax", cases(
+        [# three modes past the old occupation-pattern cap
+         (10 ** 4, ([0.2, 0.3, 0.5], [0.4, 0.9, 0.1]), 8),
+         # one mode's e^-w underflows, the other's does not
+         (1, ([1.0, 1.0], [1e3, 1e-3]), 40),
+         # p(0, N) = e^-800 is no normal double: exit 2
+         (1, ([1.0], [800.0]), 3),
+         # the ends of the ranges
+         (1, ([1e-3], [1e-3]), 0), (10 ** 6, ([1.0] * 5, [1e3] * 5), 40)],
+        draws(1415, 200, lambda rng: (
+            int(rng.integers(1, 10 ** 6, endpoint=True)),
+            draw_modes(rng, 1e3), int(rng.integers(0, 40, endpoint=True))))))
+    def test_stats_exits_0_with_finite_numbers_or_2(self, N, modes, nmax,
+                                                    capsys):
+        # over the accepted range: N up to 1e6, 1 to 5 modes, intensities
+        # log-uniform in [1e-3, 1e3] or 0, nmax <= 40
+        weights, intensities = modes
+        total = math.fsum(weights)
+        code = exit_code([
+            "stats", "--N", str(N), "--nmax", str(nmax),
+            "--probs", ",".join(repr(w / total) for w in weights),
+            "--intensities", ",".join(map(repr, intensities))])
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.count("error:") == 1
+            return
+        rows = [l.split(",") for l in out.splitlines()
+                if not l.startswith("#")][1:]
+        assert len(rows) == nmax + 1
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
 
     @pytest.mark.parametrize("config, flags, same_as", [
         # a None default does not leave the config value a string

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from vacuumlab.deltaseq import (DeltaFamily, DeltaShape, _cos_tail,
-                                _panel_integral, _support, eval_family,
+                                _panel_integral, eval_family,
                                 filtering_integral, fourier, fourier_integral,
                                 product_filtering_integral)
 from vacuumlab.errors import DomainError, IncompatibleClasses
@@ -57,7 +57,7 @@ class TestEval:
         DeltaFamily(DeltaShape.SHIFTED_PAIR, n=10 ** 4, j=2),
     ])
     def test_unit_normalization(self, fam):
-        lo, hi = _support(fam, fam.n)
+        lo, hi = fam.breakpoints[0], fam.breakpoints[-1]
         total, _ = quad(lambda k: eval_family(fam, k), lo, hi,
                         points=fam.breakpoints, **QUAD)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -89,7 +89,7 @@ class TestEval:
                 outer = (2.0 - 4.0 * k / eps) * (2.0 / eps - 0.5 * a)
                 return np.where(k < 0.25 * eps, inner,
                                 np.where(k < 0.5 * eps, outer, 0.0))
-        lo, hi = _support(fam, fam.n)
+        lo, hi = fam.breakpoints[0], fam.breakpoints[-1]
         bps = np.array(fam.breakpoints)
         ks = np.concatenate([
             np.random.default_rng(7).uniform(1.5 * lo, 1.5 * hi, 2000),
@@ -126,7 +126,7 @@ class TestFourier:
 
     def test_matches_direct_transform(self):
         for fam in (LAM, MSH, SP1):
-            lo, hi = _support(fam, fam.n)
+            lo, hi = fam.breakpoints[0], fam.breakpoints[-1]
             for x in (0.0, 1.3, -4.0):
                 oracle = quad(
                     lambda k: eval_family(fam, k) * np.cos(k * x), lo, hi,
@@ -251,8 +251,8 @@ class TestDomainErrors:
 def _quadpack_filter(fams, f):
     """int prod delta_i f over the common support by quadpack, split at the
     union of the breakpoints and 0: the independent oracle of the panels."""
-    lo = max(_support(fam, fam.n)[0] for fam in fams)
-    hi = min(_support(fam, fam.n)[1] for fam in fams)
+    lo = max(fam.breakpoints[0] for fam in fams)
+    hi = min(fam.breakpoints[-1] for fam in fams)
 
     def g(k):
         out = f(k)

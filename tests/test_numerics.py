@@ -3,7 +3,8 @@ mpmath, and the rules on the package's source: no module imports
 scipy.integrate, scipy.optimize, scipy.sparse or scipy.linalg, only numerics
 builds a Gauss-Legendre rule, neither a fresh import of the CLI nor a
 validate run loads any of those four subpackages, the CLI or validate
-reaches every definition, and some caller sets every defaulted parameter."""
+reaches every definition, and some caller sets every defaulted parameter;
+and the rule on the tests: no test module imports hypothesis."""
 
 import ast
 import json
@@ -31,10 +32,12 @@ def test_gauss_legendre_rule_is_correctly_rounded():
             assert w == float(2 / ((1 - root ** 2) * slope ** 2))
 
 
-def _scipy_imports(source: str, subpackage: str) -> list[int]:
-    """Line numbers at which source imports scipy.<subpackage> or reaches it
-    as an attribute of scipy."""
-    target = f"scipy.{subpackage}"
+def _imports(source: str, target: str) -> list[int]:
+    """Line numbers at which source imports the module target (dotted or
+    not) or one below it: by import or from-import at any depth, by
+    importorskip, import_module or __import__ of its name, or, for
+    target = "scipy.<subpackage>", as an attribute of scipy."""
+    parent, _, attr = target.rpartition(".")
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -42,10 +45,16 @@ def _scipy_imports(source: str, subpackage: str) -> list[int]:
         elif isinstance(node, ast.ImportFrom) and node.module:
             names = [node.module] + [f"{node.module}.{alias.name}"
                                      for alias in node.names]
-        elif isinstance(node, ast.Attribute) and node.attr == subpackage \
+        elif isinstance(node, ast.Attribute) and node.attr == attr \
                 and isinstance(node.value, ast.Name) \
-                and node.value.id == "scipy":
+                and node.value.id == parent:
             names = [target]
+        elif isinstance(node, ast.Call) and node.args \
+                and isinstance(node.args[0], ast.Constant) \
+                and (getattr(node.func, "id", None)
+                     or getattr(node.func, "attr", None)) \
+                in ("importorskip", "import_module", "__import__"):
+            names = [str(node.args[0].value)]
         else:
             continue
         if any(n == target or n.startswith(target + ".") for n in names):
@@ -57,7 +66,7 @@ def _package_imports(subpackage: str) -> dict[str, list[int]]:
     """{module file name: lines} of the package's modules that import
     scipy.<subpackage>."""
     package = Path(numerics.__file__).parent
-    found = {path.name: _scipy_imports(path.read_text(), subpackage)
+    found = {path.name: _imports(path.read_text(), f"scipy.{subpackage}")
              for path in sorted(package.glob("*.py"))}
     return {name: lines for name, lines in found.items() if lines}
 
@@ -70,10 +79,35 @@ def test_rule_detector_sees_every_import_form():
                        f"def f():\n    from scipy.{sub} import quad",
                        f"import scipy\nscipy.{sub}.quad",
                        f"from scipy.{sub}.linalg import expm_multiply"):
-            assert _scipy_imports(source, sub), source
-        assert not _scipy_imports("from scipy.special import kv", sub)
-    assert not _scipy_imports("from scipy.sparse.linalg import spsolve",
-                              "linalg")
+            assert _imports(source, f"scipy.{sub}"), source
+        assert not _imports("from scipy.special import kv", f"scipy.{sub}")
+    assert not _imports("from scipy.sparse.linalg import spsolve",
+                        "scipy.linalg")
+
+
+def test_rule_detector_sees_every_hypothesis_form():
+    for source in ("import hypothesis",
+                   "import hypothesis.strategies as st",
+                   "from hypothesis import given, strategies",
+                   "from hypothesis.strategies import floats",
+                   "def f():\n    from hypothesis import example",
+                   "hyp = pytest.importorskip('hypothesis')",
+                   "importorskip('hypothesis.strategies')",
+                   "importlib.import_module('hypothesis')",
+                   "__import__('hypothesis')"):
+        assert _imports(source, "hypothesis"), source
+    for source in ("import hypothesis_extra",
+                   "pytest.importorskip('mpmath')",
+                   "name = 'hypothesis'",
+                   "from . import seeded"):
+        assert not _imports(source, "hypothesis"), source
+
+
+def test_no_test_module_imports_hypothesis():
+    # every test draws its points from a seeded numpy stream (seeded.py)
+    found = {str(path): _imports(path.read_text(), "hypothesis")
+             for path in sorted(Path(__file__).parent.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_no_module_imports_scipy_integrate():

@@ -2,8 +2,11 @@
 the 1+1 Casimir pressure and the deformed Poisson law against independent
 mpmath references, over the parameter ranges the library and its CLI accept.
 
-Hypothesis runs derandomized and without an example database, so the suite
-draws the same examples on every run and writes no files.
+Each property test runs its explicit cases, the ends of its ranges and the
+points that once failed, and then a fixed number of points drawn from its
+own np.random.default_rng(seed) (tests/seeded.py).  The seed and the count
+are written in the test's parametrize list, so every run draws the same
+points whatever the package holds, and each point has its own test id.
 """
 
 import math
@@ -13,11 +16,9 @@ import pytest
 from scipy.special import kve
 
 mp = pytest.importorskip("mpmath")
-pytest.importorskip("hypothesis")
-from hypothesis import (assume, example, given, settings,  # noqa: E402
-                        strategies as st)
 
 from oracles import density_sine_quad  # noqa: E402
+from seeded import cases, draw_modes, draws, log_uniform  # noqa: E402
 from vacuumlab import (casimir, cavity, coulomb, oscillator,  # noqa: E402
                        vacuum)
 from vacuumlab.errors import DomainError  # noqa: E402
@@ -25,14 +26,6 @@ from vacuumlab.specfun import gamma_from_zero  # noqa: E402
 
 EPS = float(np.finfo(float).eps)
 DPS = 40
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=150)
-
-
-def log_uniform(lo, hi):
-    """Floats spread evenly in log10 between lo and hi."""
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0 ** u)
 
 
 def mp_k0_scaled(z: complex) -> complex:
@@ -45,12 +38,18 @@ def mp_k0_scaled(z: complex) -> complex:
 
 # -------------------------------------------------------------- complex K0
 
-@PROPERTY
-@given(modulus=log_uniform(1e-8, 1e3),
-       arg=st.floats(-(math.pi / 2 - 1e-3), math.pi / 2 - 1e-3))
-@example(modulus=10.0 ** 0.3, arg=0.0)
-@example(modulus=1.998, arg=0.0)
-@example(modulus=1.949, arg=1e-6)
+K0_ARG = math.pi / 2 - 1e-3
+
+
+def draw_k0_point(rng):
+    return log_uniform(rng, 1e-8, 1e3), rng.uniform(-K0_ARG, K0_ARG)
+
+
+@pytest.mark.parametrize("modulus, arg", cases(
+    [(10.0 ** 0.3, 0.0), (1.998, 0.0), (1.949, 1e-6),
+     # the ends of the ranges
+     (1e-8, -K0_ARG), (1e3, K0_ARG)],
+    draws(1401, 150, draw_k0_point)))
 def test_k0_complex_matches_mpmath(modulus, arg):
     w = complex(modulus * math.cos(arg), modulus * math.sin(arg))
     ref = mp_k0_scaled(w)
@@ -64,9 +63,16 @@ def test_k0_complex_matches_mpmath(modulus, arg):
     assert abs(kve(0, w) - ref) <= bound * EPS * abs(ref)
 
 
-@PROPERTY
-@given(st.lists(st.tuples(log_uniform(1e-3, 1e2),
-                          st.floats(-1.5, 1.5)), min_size=1, max_size=20))
+def draw_k0_points(rng):
+    size = int(rng.integers(1, 20, endpoint=True))
+    return ([(log_uniform(rng, 1e-3, 1e2), rng.uniform(-1.5, 1.5))
+             for _ in range(size)],)
+
+
+@pytest.mark.parametrize("points", cases(
+    # the ends of the ranges and of the length
+    [([(1e-3, -1.5)],), ([(1e2, 1.5)] * 20,)],
+    draws(1402, 150, draw_k0_points)))
 def test_k0_complex_array_matches_scalar(points):
     z = np.array([m * complex(math.cos(a), math.sin(a)) for m, a in points])
     out = kve(0, z)
@@ -95,12 +101,26 @@ def _radii(profile, fractions, lo_scale, hi_scale):
                      for f in fractions])
 
 
-unit = st.floats(0.0, 1.0)
+def draw_units(rng):
+    """(u, v, f), each uniform in [0, 1]."""
+    return tuple(rng.random(3).tolist())
 
 
-@PROPERTY
-@given(kind=st.sampled_from(["box", "lorentz"]), u=unit, v=unit,
-       fractions=st.lists(unit, min_size=1, max_size=30))
+def draw_kind(rng):
+    return ("box", "lorentz")[rng.integers(2)]
+
+
+def draw_radius_fractions(rng):
+    kind, (u, v) = draw_kind(rng), rng.random(2).tolist()
+    size = int(rng.integers(1, 30, endpoint=True))
+    return kind, u, v, rng.random(size).tolist()
+
+
+@pytest.mark.parametrize("kind, u, v, fractions", cases(
+    # the ends of the ranges and of the length, for each profile
+    [(kind, *ends) for kind in ("box", "lorentz")
+     for ends in ((0.0, 0.0, [0.0]), (1.0, 1.0, [1.0] * 30))],
+    draws(1403, 150, draw_radius_fractions)))
 def test_potential_array_bit_identical_to_scalar(kind, u, v, fractions):
     prof = _box(u, v) if kind == "box" else _lorentz(u, v)
     q_ph = vacuum.physical_charge(1.0, prof)
@@ -118,9 +138,11 @@ def test_potential_array_bit_identical_to_scalar(kind, u, v, fractions):
 LADDER_TOP = 1.5 ** 200
 
 
-@PROPERTY
-@given(u=unit, v=unit, f=unit)
-@example(u=0.0, v=1.0, f=1.0)
+@pytest.mark.parametrize("u, v, f", cases(
+    [(0.0, 1.0, 1.0),
+     # the ends of the ranges
+     (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)],
+    draws(1404, 150, draw_units)))
 def test_box_float_path_matches_array_path(u, v, f):
     # over the CLI's box requests: k1 in [1e-2, 1], k2/k1 in [3, 1e3], r
     # from 0.1/k2 up to the ladder's top, and r = 0
@@ -135,10 +157,11 @@ def test_box_float_path_matches_array_path(u, v, f):
         assert got.hex() == expect.hex()
 
 
-@PROPERTY
-@given(u=unit, v=unit, f=unit)
-@example(u=1.0, v=0.0, f=1.0)
-@example(u=0.0, v=1.0, f=0.0)
+@pytest.mark.parametrize("u, v, f", cases(
+    [(1.0, 0.0, 1.0), (0.0, 1.0, 0.0),
+     # the ends of the ranges
+     (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)],
+    draws(1405, 150, draw_units)))
 def test_lorentz_float_path_matches_array_path(u, v, f):
     # lambda^2 in [1e-12, 1], y0 in [1e-4, 1], r/y0 in [0.1, 1e30]
     prof = _lorentz(u, v)
@@ -182,8 +205,11 @@ def test_lorentz_potential_at_large_lambda_matches_mpmath(r):
         ref, rel=1e-12, abs=0.0)
 
 
-@settings(PROPERTY, max_examples=60)
-@given(kind=st.sampled_from(["box", "lorentz"]), u=unit, v=unit, f=unit)
+@pytest.mark.parametrize("kind, u, v, f", cases(
+    # the ends of the ranges, for each profile
+    [(kind, end, end, end) for kind in ("box", "lorentz")
+     for end in (0.0, 1.0)],
+    draws(1406, 60, lambda rng: (draw_kind(rng), *draw_units(rng)))))
 def test_potential_matches_radial_quadrature(kind, u, v, f):
     # the exponential profile at r/y0 in [0.1, 1e4], over the range of
     # _lorentz; the box at k1 r in [1e-2, 1e2]
@@ -204,8 +230,14 @@ def test_potential_matches_radial_quadrature(kind, u, v, f):
 
 # ------------------------------------------- incomplete gamma from zero
 
-@PROPERTY
-@given(alpha=st.sampled_from([1, 2, 4]), b=log_uniform(1e-300, 1.0))
+GAMMA_ALPHAS = (1, 2, 4)
+
+
+@pytest.mark.parametrize("alpha, b", cases(
+    # the ends of the range, for each alpha
+    [(alpha, b) for alpha in GAMMA_ALPHAS for b in (1e-300, 1.0)],
+    draws(1407, 150, lambda rng: (GAMMA_ALPHAS[rng.integers(3)],
+                                  log_uniform(rng, 1e-300, 1.0)))))
 def test_gamma_from_zero_matches_mpmath(alpha, b):
     with mp.workdps(DPS):
         bb = mp.mpf(b)
@@ -216,11 +248,11 @@ def test_gamma_from_zero_matches_mpmath(alpha, b):
 
 # ------------------------------------------------------- profile moments
 
-@PROPERTY
-@given(lambda2=log_uniform(1e-300, 1.2e5), y0=log_uniform(1e-4, 1e3))
-@example(lambda2=1e-300, y0=1e-4)
-@example(lambda2=1e-300, y0=1e3)
-@example(lambda2=1.2e5, y0=1e3)
+@pytest.mark.parametrize("lambda2, y0", cases(
+    # the ends of the ranges among them
+    [(1e-300, 1e-4), (1e-300, 1e3), (1.2e5, 1e3)],
+    draws(1408, 150, lambda rng: (log_uniform(rng, 1e-300, 1.2e5),
+                                  log_uniform(rng, 1e-4, 1e3)))))
 def test_density_integral_matches_mpmath(lambda2, y0):
     # y0 lambda^-1 K_1(2 lambda)/K_2(2 lambda): the self-energy moment of a
     # normalized profile, independent of the stored norm_const; it lies
@@ -246,17 +278,26 @@ def mp_resonance_root(alpha, L, n, sign):
         return complex(-1j * (x - 2 * w) / ll)
 
 
-@PROPERTY
-@given(alpha_L=log_uniform(1e-140, 1e3), L=log_uniform(1e-5, 1e5))
-@example(alpha_L=1e-12, L=1.0)
-@example(alpha_L=1.0232929922807535e-3, L=1.0)
+def draw_cavity(rng):
+    """(alpha L, L) log-uniform, drawn again until alpha = alpha_L/L gives
+    an alpha L inside the domain."""
+    while True:
+        alpha_L, L = log_uniform(rng, 1e-140, 1e3), log_uniform(rng, 1e-5, 1e5)
+        if 1e-140 <= alpha_L / L * L <= 1e3:
+            return alpha_L, L
+
+
+@pytest.mark.parametrize("alpha_L, L", cases(
+    [(1e-12, 1.0), (1.0232929922807535e-3, 1.0),
+     # the ends of the ranges
+     (1e-140, 1e-5), (1e3, 1e5)],
+    draws(1409, 150, draw_cavity)))
 def test_resonance_roots_match_mpmath(alpha_L, L):
     # every branch 0-5 over the whole alpha L domain; the worst seen over
     # this range is 3.8e-16 max(|k|, alpha).  The bound is on that scale
     # rather than |k|: the (0, +) root is 0, and L alpha - 2 W_0 cancels
     # to it from terms of size alpha L
     alpha = alpha_L / L
-    assume(1e-140 <= alpha * L <= 1e3)
     branches = range(0, 6)
     roots = cavity.resonance_roots(alpha, L, branches)
     refs = [mp_resonance_root(alpha, L, n, sign)
@@ -298,8 +339,11 @@ def mp_casimir_1p1_log(alpha, L):
     with mp.workdps(20):
         a, l = mp.mpf(alpha), mp.mpf(L)
         w = _mp_casimir_scale(a, l)
-        g = lambda s: mp.exp(2 * s) / mp.expm1(
-            2 * mp.exp(s) * l + 2 * mp.log1p(2 * mp.exp(s) / a)) / w
+
+        def g(s):
+            t = mp.exp(s)
+            return t * t / mp.expm1(2 * t * l + 2 * mp.log1p(2 * t / a)) / w
+
         lo, hi = mp.log(a) - 40, mp.log(50 / l) + 5
         n = int((hi - lo) / 10) + 1
         return float(-w * mp.quad(g, [lo + (hi - lo) * i / n
@@ -315,49 +359,59 @@ def mp_casimir_reference(alpha, L):
     return mp_casimir_1p1(alpha, L)
 
 
-casimir_gap = log_uniform(0.05, 20.0)
-# pressure_1p1_quad's whole domain in alpha L
-casimir_quad_alpha_L = log_uniform(1e-70, 1e76)
+def draw_casimir_series(rng):
+    """(alpha L, alpha) log-uniform, drawn again until L = alpha_L/alpha
+    lies in 1e-150..1e150."""
+    while True:
+        alpha_L = log_uniform(rng, 1e-190, 2e4)
+        alpha = log_uniform(rng, 1e-140, 1e4)
+        if 1e-150 <= alpha_L / alpha <= 1e150:
+            return alpha_L, alpha
 
 
-@settings(PROPERTY, max_examples=50)
-@given(alpha_L=log_uniform(1e-190, 2e4), alpha=log_uniform(1e-140, 1e4))
-@example(alpha_L=1e-3 * 20.0, alpha=1e-3)
-@example(alpha_L=1e-2 * 20.0, alpha=1e-2)
-# the 63-term series with an Euler-Maclaurin tail returned these without an
-# error, 4.7e-2, 9.4e-2 and 0.15 off: its terms e^{nh} underflowed while
-# the integrand ~ alpha^2/(4t) was still a double
-@example(alpha_L=1e-60 * 1e-110, alpha=1e-60)
-@example(alpha_L=2.72e-44 * 5.75e-136, alpha=2.72e-44)
-@example(alpha_L=8.97e-58 * 6.08e-134, alpha=8.97e-58)
-# q^2 = (1 + 2t/alpha)^-2 underflows here, while the weighted integrand
-# alpha^2 w/(4t) is normal
-@example(alpha_L=1.855587492859662e-187, alpha=4.3520760536183816e-139)
+def draw_casimir_quad(rng):
+    """(alpha L, L) over pressure_1p1_quad's whole domain in alpha L, drawn
+    again until alpha = alpha_L/L gives an alpha L inside it."""
+    while True:
+        alpha_L = log_uniform(rng, 1e-70, 1e76)
+        L = log_uniform(rng, 0.05, 20.0)
+        if 1e-70 <= alpha_L / L * L <= 1e76:
+            return alpha_L, L
+
+
+@pytest.mark.parametrize("alpha_L, alpha", cases(
+    [(1e-3 * 20.0, 1e-3), (1e-2 * 20.0, 1e-2),
+     # the 63-term series with an Euler-Maclaurin tail returned these
+     # without an error, 4.7e-2, 9.4e-2 and 0.15 off: its terms e^{nh}
+     # underflowed while the integrand ~ alpha^2/(4t) was still a double
+     (1e-60 * 1e-110, 1e-60), (2.72e-44 * 5.75e-136, 2.72e-44),
+     (8.97e-58 * 6.08e-134, 8.97e-58),
+     # q^2 = (1 + 2t/alpha)^-2 underflows here, while the weighted
+     # integrand alpha^2 w/(4t) is normal
+     (1.855587492859662e-187, 4.3520760536183816e-139),
+     # the ends of the ranges
+     (1e-190, 1e-140), (2e4, 1e4)],
+    draws(1410, 50, draw_casimir_series)))
 def test_casimir_series_matches_mpmath(alpha_L, alpha):
     # alpha >= 1e-140 keeps p ~ -alpha^2 ln(1/(alpha L))/(4 pi) normal down
     # to alpha L = 1e-190; worst measured 5.3e-16 over 600 draws and the
-    # examples
+    # explicit cases
     L = alpha_L / alpha
-    assume(1e-150 <= L <= 1e150)
     ref = mp_casimir_reference(alpha, L)
     assert abs(casimir.pressure_1p1_series(alpha, L) - ref) <= 2e-15 * abs(ref)
 
 
-@settings(PROPERTY, max_examples=40)
-@given(alpha_L=casimir_quad_alpha_L, L=casimir_gap)
-@example(alpha_L=2e4, L=2.0)
-@example(alpha_L=1e5, L=1.0)
-@example(alpha_L=2e7, L=20.0)
-@example(alpha_L=1e-70, L=0.05)
-# the worst points of a 71-point scan, L from 1e-3 to 1e3
-@example(alpha_L=6.59e17, L=1.49e-3)
-@example(alpha_L=2.44e67, L=0.111)
-@example(alpha_L=1e76, L=1e3)
+@pytest.mark.parametrize("alpha_L, L", cases(
+    [(2e4, 2.0), (1e5, 1.0), (2e7, 20.0),
+     # the worst points of a 71-point scan, L from 1e-3 to 1e3
+     (6.59e17, 1.49e-3), (2.44e67, 0.111), (1e76, 1e3),
+     # the ends of the ranges
+     (1e-70, 0.05), (1e76, 20.0)],
+    draws(1411, 40, draw_casimir_quad)))
 def test_casimir_quadrature_matches_mpmath(alpha_L, L):
     # worst measured 1.05e-12 over 331 points of the domain (L from 1e-3 to
     # 1e3); 6.8e-13 for alpha L <= 1e8
     alpha = alpha_L / L
-    assume(1e-70 <= alpha * L <= 1e76)
     ref = mp_casimir_reference(alpha, L)
     assert abs(casimir.pressure_1p1_quad(alpha, L) - ref) <= 1e-11 * abs(ref)
 
@@ -396,25 +450,27 @@ def mp_renyi_pmf(probs, intensities, N, n):
         return P[n]
 
 
-@settings(PROPERTY, max_examples=100)
-@given(modes=st.integers(1, 5).flatmap(lambda m: st.tuples(
-           st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
-                    min_size=m, max_size=m).filter(any),
-           st.lists(st.one_of(st.just(0.0), log_uniform(1e-3, 10.0)),
-                    min_size=m, max_size=m))),
-       N=st.one_of(st.integers(1, 50), st.integers(1, 10 ** 4)),
-       n=st.integers(0, 40))
-# n > N, where a log/exp recurrence for Q^N cancels
-@example(modes=([1.0, 1.0], [0.7, 0.3]), N=1, n=20)
-# the validation's shannon_gap_at_1e4 case
-@example(modes=([0.35, 0.65], [0.7, 0.3]), N=10000, n=0)
-@example(modes=([0.35, 0.65], [0.7, 0.3]), N=10000, n=1)
-@example(modes=([0.35, 0.65], [0.7, 0.3]), N=10000, n=5)
-# four modes at N = 1e4: 1.7e11 occupation patterns
-@example(modes=([0.1, 0.2, 0.3, 0.4], [0.4, 0.9, 0.1, 2.5]), N=10000,
-         n=12)
-# a mode with zero probability and the largest intensity
-@example(modes=([0.0, 0.3, 0.7], [10.0, 0.5, 0.01]), N=3, n=30)
+def draw_sites(rng, most):
+    """N from 1 to 50 or from 1 to most, each range with probability 1/2."""
+    return int(rng.integers(1, (50, most)[rng.integers(2)], endpoint=True))
+
+
+@pytest.mark.parametrize("modes, N, n", cases(
+    [# n > N, where a log/exp recurrence for Q^N cancels
+     (([1.0, 1.0], [0.7, 0.3]), 1, 20),
+     # the validation's shannon_gap_at_1e4 case
+     (([0.35, 0.65], [0.7, 0.3]), 10000, 0),
+     (([0.35, 0.65], [0.7, 0.3]), 10000, 1),
+     (([0.35, 0.65], [0.7, 0.3]), 10000, 5),
+     # four modes at N = 1e4: 1.7e11 occupation patterns
+     (([0.1, 0.2, 0.3, 0.4], [0.4, 0.9, 0.1, 2.5]), 10000, 12),
+     # a mode with zero probability and the largest intensity
+     (([0.0, 0.3, 0.7], [10.0, 0.5, 0.01]), 3, 30),
+     # the ends of the ranges
+     (([1e-3], [1e-3]), 1, 0), (([1.0] * 5, [10.0] * 5), 10 ** 4, 40)],
+    draws(1412, 100, lambda rng: (draw_modes(rng, 10.0),
+                                  draw_sites(rng, 10 ** 4),
+                                  int(rng.integers(0, 40, endpoint=True))))))
 def test_renyi_pmf_matches_mpmath(modes, N, n):
     # worst measured 1.1e-14 relative over 700 random draws of this range
     # (m = 1..5, N <= 1e4, every n up to the drawn one <= 40; 3.0e-12 at
@@ -427,10 +483,15 @@ def test_renyi_pmf_matches_mpmath(modes, N, n):
     assert abs(got - ref) <= 1e-13 * abs(ref) + np.finfo(float).tiny
 
 
-@PROPERTY
-@given(w=st.one_of(st.just(0.0), log_uniform(1e-3, 100.0)),
-       N=st.one_of(st.integers(1, 50), st.integers(1, 10 ** 6)),
-       n=st.integers(0, 40))
+def draw_one_mode(rng):
+    w = 0.0 if rng.integers(2) else log_uniform(rng, 1e-3, 100.0)
+    return w, draw_sites(rng, 10 ** 6), int(rng.integers(0, 40, endpoint=True))
+
+
+@pytest.mark.parametrize("w, N, n", cases(
+    # the ends of the ranges
+    [(1e-3, 1, 0), (100.0, 10 ** 6, 40)],
+    draws(1413, 150, draw_one_mode)))
 def test_one_mode_renyi_pmf_is_poisson(w, N, n):
     # Q(z)^N = e^{w (z - 1)} at every N: the Poisson law with mean w
     with mp.workdps(40):
@@ -439,11 +500,19 @@ def test_one_mode_renyi_pmf_is_poisson(w, N, n):
     assert abs(got - ref) <= 1e-13 * abs(ref) + np.finfo(float).tiny
 
 
-@PROPERTY
-@given(lam=log_uniform(1e-3, 1e3),
-       n=st.one_of(st.integers(0, 40), st.integers(0, 1000)))
-@example(lam=500.0, n=500)
-@example(lam=700.0, n=650)
+def draw_shannon(rng):
+    """lam log-uniform; n from 0 to 40 or from 0 to 1000, each range with
+    probability 1/2."""
+    lam = log_uniform(rng, 1e-3, 1e3)
+    return lam, int(rng.integers(0, (40, 1000)[rng.integers(2)],
+                                 endpoint=True))
+
+
+@pytest.mark.parametrize("lam, n", cases(
+    [(500.0, 500), (700.0, 650),
+     # the ends of the ranges
+     (1e-3, 0), (1e3, 1000)],
+    draws(1414, 150, draw_shannon)))
 def test_shannon_pmf_matches_mpmath(lam, n):
     # worst measured 3.2e-16 relative over 6,000 random draws of this range;
     # exp(n log lam - lam - lgamma(n + 1)) was 3.3e-14 off at lam = n = 500
