@@ -40,11 +40,16 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .numerics import gauss_legendre
-from .specfun import bernoulli_number, gamma_from_zero
+from .specfun import gamma_from_zero
 from .vacuum import ProfileKind, VacuumProfile
 
 TWO_PI = 2.0 * math.pi
 _ZETA3 = 1.2020569031595942      # Apery's constant zeta(3)
+# the Bernoulli numbers B_2 .. B_20 by index, each the double nearest its
+# exact ratio
+_BERNOULLI = {2: 1 / 6, 4: -1 / 30, 6: 1 / 42, 8: -1 / 30, 10: 5 / 66,
+              12: -691 / 2730, 14: 7 / 6, 16: -3617 / 510, 18: 43867 / 798,
+              20: -174611 / 330}
 # the 3+1 mode sum runs over j x <= 45 + 2 lambda, where e^{-t - lambda^2/t}
 # is below e^-45 of its peak e^{-2 lambda}: (t - lambda)^2/t >= 45 there
 _MODE_SUM_REACH = 45.0
@@ -273,7 +278,7 @@ def pressure_1p1_quad(alpha, L):
     at offsets doubling from that width (from 1e-6 min(alpha, 1/L) at
     k = 0) out to the midpoints between neighbouring peaks; each cell is
     one 20-point Gauss-Legendre panel.  On the correctly rounded rule
-    (numerics._gl_rule), 2 or 4 panels per cell move the result no more
+    (numerics.gauss_legendre), 2 or 4 panels per cell move the result no more
     than each other, by the rounding of the sum: <= 2.2e-13 relative up to
     alpha L = 1e8.  Nodes are kept as offsets d from their peak, and the
     phase enters through tan(dL) alone (_mode_density), so the narrowest
@@ -374,7 +379,7 @@ def pressure_euler_maclaurin(L: float) -> float:
     """Smooth-cutoff endpoint -(1/2pi)(pi^2/L^2)(B_2/2) = -pi/(24 L^2)."""
     if L <= 0:
         raise DomainError("pressure_euler_maclaurin requires L > 0")
-    return -(1.0 / TWO_PI) * (math.pi / L) ** 2 * bernoulli_number(2) / 2.0
+    return -(1.0 / TWO_PI) * (math.pi / L) ** 2 * _BERNOULLI[2] / 2.0
 
 
 # --------------------------------------------------------------- 3+1 route
@@ -385,6 +390,8 @@ class PressureBreakdown:
 
     total = leading + y0_corrections + lambda2_correction holds exactly by
     construction (the y0 piece absorbs the full mode-sum remainder).
+    terms_used counts the modes summed directly; it is 0 on the analytic
+    path (x = pi y0/L < 0.04), which sums none.
     """
 
     total: float
@@ -404,7 +411,7 @@ def _mode_sum_defect_series(x: float) -> float:
     """
     total = 0.0
     for m in range(3, 11):
-        total += bernoulli_number(2 * m) * (2 * m - 1) * (2 * m - 2) \
+        total += _BERNOULLI[2 * m] * (2 * m - 1) * (2 * m - 2) \
             * x ** (2 * m - 3) / math.factorial(2 * m)
     return total
 
@@ -423,7 +430,7 @@ def stairs_gap(dx: float) -> float:
     """
     if not 0 < dx <= 1.0:
         raise DomainError("stairs_gap requires 0 < dx <= 1")
-    series = math.fsum(bernoulli_number(k + 1) * dx ** (k + 1)
+    series = math.fsum(_BERNOULLI[k + 1] * dx ** (k + 1)
                        / ((k + 1) * (k - 2) * math.factorial(k - 2))
                        for k in range(3, 20, 2))
     return dx ** 3 * _ZETA3 / (4.0 * math.pi ** 2) + series
@@ -435,8 +442,9 @@ def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
     The discrete sum runs over j with weight
     (Z j^2 pi/(2 L^3 y0)) Gamma(1, j x, lambda^2), x = pi y0/L; the
     continuum part is (Z/(6 pi^2 y0^4)) Gamma(4, 0, lambda^2).  DomainError
-    unless y0 and L lie within 1e-75..1e75 (_3P1_SCALE_RANGE), where y0^4
-    and L^4 are normal doubles, and y0/L < 0.1.
+    unless lambda^2 >= 0, y0 and L lie within 1e-75..1e75
+    (_3P1_SCALE_RANGE), where y0^4 and L^4 are normal doubles, and
+    y0/L < 0.1.
 
     For coarse mode spacing (x >= 0.04, b > 0) the continuum is subtracted
     from the modes summed directly, exhausted to j x <= 45 + 2 lambda
@@ -459,6 +467,8 @@ def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
     if profile.kind is not ProfileKind.LORENTZ_EXP:
         raise DomainError("pressure_3p1 requires a LORENTZ_EXP profile")
     y0, b, Z = profile.y0, profile.lambda2, profile.Z
+    if not b >= 0.0:
+        raise DomainError(f"pressure_3p1 requires lambda2 >= 0, got {b:g}")
     least, most = _3P1_SCALE_RANGE
     if not (least <= y0 <= most and least <= L <= most):
         raise DomainError(f"pressure_3p1 requires {least:g} <= y0, L <= "
@@ -470,11 +480,10 @@ def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
     prefactor = Z * math.pi / (2.0 * L ** 3 * y0)
     leading = -Z * math.pi ** 2 / (240.0 * L ** 4)
     lam2_scale = Z * b / (2.0 * math.pi ** 2 * y0 ** 4)
-    gap = stairs_gap(x) if b > 0.0 else 0.0
-    lam2_corr = lam2_scale * gap
+    lam2_corr = lam2_scale * stairs_gap(x)
 
-    j_cap = int((_MODE_SUM_REACH + 2.0 * math.sqrt(b)) / x) + 1
     if b > 0.0 and x >= 0.04:
+        j_cap = int((_MODE_SUM_REACH + 2.0 * math.sqrt(b)) / x) + 1
         j = np.arange(1, j_cap + 1, dtype=float)
         mode_sum = float(np.sum(prefactor * j ** 2
                                 * _upper_tail_table(j * x, b)))
@@ -492,6 +501,7 @@ def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
         # without forming the large cancelling pair
         y0_corr = prefactor * _mode_sum_defect_series(x)
         total = leading + y0_corr + lam2_corr
+        j_cap = 0
     return PressureBreakdown(
         total=total,
         leading=leading,

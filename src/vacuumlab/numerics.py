@@ -5,9 +5,8 @@ The package has one quadrature rule, gauss_legendre: fixed 20-point
 Gauss-Legendre panels for integrands whose smooth pieces are known in
 advance (casimir's graded panels, contour tail and 3+1 tail table,
 deltaseq's piecewise-polynomial filtering integrals, validation's
-normalization and mirror-identity oracles), on a correctly rounded rule:
-numpy's leggauss weights are up to 353 ulp off at the end nodes.  No module
-imports scipy.integrate.
+normalization and mirror-identity oracles), on a rule whose nodes and
+weights are correctly rounded literals.  No module imports scipy.integrate.
 
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
@@ -19,7 +18,6 @@ after 12 doublings.  Divergence is never reported as float('inf').
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,42 +50,35 @@ class LimitResult:
         return self.value
 
 
-@cache
-def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
-    """20-point Gauss-Legendre nodes and weights on [-1, 1], correctly
-    rounded: leggauss's weights are up to 353 ulp off at the end nodes, so
-    its nodes x > 0 only start two Newton steps on P_20 in 40 digits, with
-    w = 2/((1 - x^2) P_20'(x)^2), and x < 0 mirrors them.  Built on first
-    use, not at import: leggauss goes through LAPACK, whose set-up costs
-    every process that imports the package but never integrates."""
-    import decimal
-
-    rule = []
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        for start in np.polynomial.legendre.leggauss(20)[0][10:]:
-            x = decimal.Decimal(float(start))
-            for _ in range(2):
-                # P_19 and P_20 by Bonnet's recursion, P_20' from both
-                p0, p = 1, x
-                for n in range(1, 20):
-                    p0, p = p, ((2 * n + 1) * x * p - n * p0) / (n + 1)
-                dp = 20 * (x * p - p0) / (x * x - 1)
-                x -= p / dp
-            rule.append((float(x), float(2 / ((1 - x * x) * dp * dp))))
-    x, w = np.array(rule).T
-    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+# the 20-point Gauss-Legendre rule on [-1, 1] as its 10 positive nodes x and
+# their weights w = 2/((1 - x^2) P_20'(x)^2), each the double nearest its
+# exact value (numpy's leggauss weights are up to 353 ulp off at the end
+# nodes); x < 0 mirrors them
+_GL_POSITIVE = np.array([
+    (0.07652652113349734, 0.15275338713072584),
+    (0.22778585114164507, 0.14917298647260374),
+    (0.37370608871541955, 0.14209610931838204),
+    (0.5108670019508271, 0.13168863844917664),
+    (0.636053680726515, 0.11819453196151841),
+    (0.7463319064601508, 0.10193011981724044),
+    (0.8391169718222188, 0.08327674157670475),
+    (0.912234428251326, 0.06267204833410907),
+    (0.9639719272779138, 0.04060142980038694),
+    (0.9931285991850949, 0.017614007139152118),
+]).T
+_GL_NODES = np.concatenate((-_GL_POSITIVE[0, ::-1], _GL_POSITIVE[0]))
+_GL_WEIGHTS = np.concatenate((_GL_POSITIVE[1, ::-1], _GL_POSITIVE[1]))
 
 
 def gauss_legendre(lo: np.ndarray, hi: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, as (20, panels) arrays, of 20-point Gauss-Legendre
     panels on [lo, hi]: exact for polynomials of degree <= 39 on each.
+    Each panel maps the literal rule _GL_NODES, _GL_WEIGHTS on [-1, 1].
     Panels run along rows, so per-panel arrays broadcast over a block as
     rows and a sum over axis 0 adds each panel's nodes in order."""
-    nodes, weights = _gl_rule()
     half = 0.5 * (hi - lo)
-    return lo + half * (nodes + 1.0)[:, None], half * weights[:, None]
+    return lo + half * (_GL_NODES + 1.0)[:, None], half * _GL_WEIGHTS[:, None]
 
 
 def two_prod(a: float, b: float) -> tuple[float, float]:

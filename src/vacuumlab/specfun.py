@@ -1,5 +1,5 @@
-"""Special-function kernel: Si, the generalized incomplete gamma
-Gamma(alpha, 0, b), and Bernoulli numbers.
+"""Special-function kernel: Si and the generalized incomplete gamma
+Gamma(alpha, 0, b).
 
 Si is scipy's sici, and takes arrays as well as scalars; the complex K0 of
 the exponential-profile potential is scipy's kve, which `coulomb` calls
@@ -16,8 +16,6 @@ across runs.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import kv, sici
@@ -62,27 +60,3 @@ def gamma_from_zero(alpha: float, b: float) -> float:
         raise NonConvergence(
             f"Gamma({alpha}, 0, {b}) is out of double-precision range")
     return val
-
-
-# ---------------------------------------------------------------- Bernoulli
-
-@lru_cache(maxsize=None)
-def _bernoulli_fraction(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    # sum_{k=0}^{n} C(n+1, k) B_k = 0
-    acc = Fraction(0)
-    for k in range(n):
-        acc += math.comb(n + 1, k) * _bernoulli_fraction(k)
-    return -acc / (n + 1)
-
-
-def bernoulli_number(index: int) -> float:
-    """Exact Bernoulli number B_index for even index <= 20."""
-    if index <= 0 or index % 2 != 0 or index > 20:
-        raise DomainError("bernoulli_number requires an even index in 2..20")
-    return float(_bernoulli_fraction(index))

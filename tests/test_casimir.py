@@ -75,7 +75,8 @@ class TestOneDimensionalPressure:
                 route(1.0 / L, L)
         ref = route(1.0, 1.0)
         for L in (1e-150, 1e150):
-            assert route(1.0 / L, L) * L * L == pytest.approx(ref, rel=1e-14)
+            assert route(1.0 / L, L) * L * L == pytest.approx(ref, rel=1e-14,
+                                                              abs=0)
 
     @pytest.mark.parametrize("alpha, L", [(3e-71, 1.0), (1e-69, 1e-3),
                                           (1e75, 20.0), (1e80, 1.0)])
@@ -272,7 +273,7 @@ class TestPressure3p1:
         pred = Z * (math.pi ** 4 * y0 ** 2 / 3024.0
                     - math.pi ** 6 * y0 ** 4 / 57600.0
                     + math.pi ** 8 * y0 ** 6 / 1330560.0)
-        assert bd.y0_corrections == pytest.approx(pred, rel=1e-10)
+        assert bd.y0_corrections == pytest.approx(pred, rel=1e-10, abs=0)
         assert bd.y0_corrections > 0.0
 
     def test_breakdown_additivity(self):
@@ -322,6 +323,27 @@ class TestPressure3p1:
                              Z=1.0, norm_const=1.0)
         bd = pressure_3p1(prof, L)
         assert abs(bd.lambda2_correction) < 1e-10 * abs(bd.leading)
+
+    def test_terms_used_counts_the_modes_summed(self):
+        # the direct path sums j x up to just past 45 + 2 lambda
+        for b, y0 in ((1e-2, 0.05), (1e-12, 0.02), (1.0, 0.09)):
+            x = math.pi * y0
+            reach = 45.0 + 2.0 * math.sqrt(b)
+            terms = pressure_3p1(make_lorentz_profile(b, y0), 1.0).terms_used
+            assert (terms - 1) * x <= reach < terms * x
+        # the analytic path (x < 0.04) sums none, at any L
+        for b, y0, L in ((1e-12, 1e-4, 1.0), (1e-49, 6.19e-4, 6.19e22),
+                         (0.0, 1e-6, 1.0)):
+            prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=b, y0=y0,
+                                 Z=1.0, norm_const=1.0)
+            assert pressure_3p1(prof, L).terms_used == 0
+
+    def test_negative_lambda2_is_out_of_domain(self):
+        for b in (-1e-12, -1.0, math.nan):
+            prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=b, y0=1e-4,
+                                 Z=1.0, norm_const=1.0)
+            with pytest.raises(DomainError):
+                pressure_3p1(prof, 1.0)
 
     def test_expansion_regime_enforced(self):
         prof = make_lorentz_profile(1e-4, 1.0)
@@ -482,7 +504,7 @@ class TestUnits:
         expected = -PRESSURE_UNIT_PA * PLANCK_LENGTH_M ** 4 \
             * math.pi ** 2 / (240.0 * L0 ** 4)
         assert dimensionless * PRESSURE_UNIT_PA == pytest.approx(
-            expected, rel=1e-12)
+            expected, rel=1e-12, abs=0)
 
     def test_breakdown_is_frozen_dataclass(self):
         bd = PressureBreakdown(1.0, 2.0, 3.0, 4.0, 5)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seeded import cases, draw_modes, draws
+from seeded import cases, draw_modes, draws, log_uniform
 from vacuumlab import cli
 from vacuumlab.cli import build_parser, load_config, main
 from vacuumlab.constants import PRESSURE_UNIT_PA
@@ -418,6 +418,14 @@ class TestConfig:
         assert len(rows) == 7
 
 
+def _draw_casimir3_domain(rng):
+    """(lambda2, y0, gap): lambda2 log-uniform in [1e-300, 1], y0 in
+    [1e-70, 1e70] and gap/y0 in [10.5, 1e20]."""
+    y0 = log_uniform(rng, 1e-70, 1e70)
+    return (log_uniform(rng, 1e-300, 1.0), y0,
+            y0 * log_uniform(rng, 10.5, 1e20))
+
+
 def exit_code(argv):
     """main's return code, or the code argparse exits with."""
     try:
@@ -573,6 +581,34 @@ class TestBadInputs:
                 if not l.startswith("#")][1:]
         assert len(rows) == nmax + 1
         assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+    @pytest.mark.parametrize("lambda2, y0, gap", cases(
+        [# the analytic path at a Planck-scale y0 and a vast gap
+         (1e-49, 6.19e-4, 6.19e22),
+         # the fine-spacing path past its lambda^2 <= 1e-6: exit 2
+         (1e-4, 1e-4, 1.0),
+         # the ends of the ranges
+         (1e-300, 1e-300, 1e-300), (-1e300, -1e300, -1e300),
+         (1e-300, 1e-70, 1.05e-69), (1.0, 1e70, 1e90)],
+        draws(1416, 100, lambda rng: tuple(
+            (-1.0 if rng.integers(2) else 1.0)
+            * log_uniform(rng, 1e-300, 1e300) for _ in range(3)))
+        + draws(1417, 100, _draw_casimir3_domain)))
+    def test_casimir3_exits_0_with_finite_numbers_or_2(self, lambda2, y0,
+                                                       gap, capsys):
+        # half the draws over +-[1e-300, 1e300], half inside the accepted
+        # domain: lambda^2 <= 1, y0 in [1e-70, 1e70], L/y0 in [10.5, 1e20]
+        code = exit_code(["casimir3", "--lambda2", repr(lambda2),
+                          "--y0", repr(y0), "--gap", repr(gap)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.count("error:") == 1
+            return
+        report = json.loads(out)
+        numbers = list(report.pop("parameters").values()) \
+            + list(report.values())
+        assert all(math.isfinite(v) for v in numbers)
 
     @pytest.mark.parametrize("config, flags, same_as", [
         # a None default does not leave the config value a string

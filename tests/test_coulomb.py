@@ -37,7 +37,7 @@ class TestBoxPotential:
         for r in (0.3, 2.0, 9.0):
             closed = potential_box(q_ph, prof.k1, prof.k2, r)
             oracle = radial_quad(q, prof, r)
-            assert closed == pytest.approx(oracle, rel=1e-10)
+            assert closed == pytest.approx(oracle, rel=1e-10, abs=0)
 
     def test_coulomb_recovery(self):
         for r in np.geomspace(1.0, 100.0, 15):

@@ -1,10 +1,10 @@
 """The package's one quadrature rule, Gauss-Legendre, against 40-digit
 mpmath, and the rules on the package's source: no module imports
-scipy.integrate, scipy.optimize, scipy.sparse or scipy.linalg, only numerics
-builds a Gauss-Legendre rule, neither a fresh import of the CLI nor a
-validate run loads any of those four subpackages, the CLI or validate
-reaches every definition, and some caller sets every defaulted parameter;
-and the rule on the tests: no test module imports hypothesis."""
+scipy.integrate, scipy.optimize, scipy.sparse, scipy.linalg, decimal or
+fractions, no module derives a Gauss-Legendre rule, neither a fresh import
+of the CLI nor a validate run loads any of those four subpackages, the CLI
+or validate reaches every definition, and some caller sets every defaulted
+parameter; and the rule on the tests: no test module imports hypothesis."""
 
 import ast
 import json
@@ -20,7 +20,8 @@ from vacuumlab import numerics
 def test_gauss_legendre_rule_is_correctly_rounded():
     # leggauss's own weights are up to 353 ulp off at the end nodes
     mp = pytest.importorskip("mpmath").mp
-    nodes, weights = numerics._gl_rule()
+    nodes, weights = numerics._GL_NODES, numerics._GL_WEIGHTS
+    assert len(nodes) == len(weights) == 20
     assert list(nodes) == [-x for x in nodes[::-1]]
     assert list(weights) == list(weights[::-1])
     with mp.workdps(40):
@@ -172,12 +173,34 @@ def test_rule_detector_sees_every_leggauss_form():
 
 
 def test_only_numerics_builds_a_gauss_legendre_rule():
+    # numerics holds the rule as literals; no module derives one
     package = Path(numerics.__file__).parent
     offenders = {path.name: _references(path.read_text(), "leggauss")
-                 for path in sorted(package.glob("*.py"))
-                 if path.name != "numerics.py"}
+                 for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
-    assert _references(Path(numerics.__file__).read_text(), "leggauss")
+
+
+def test_rule_detector_sees_every_exact_arithmetic_import_form():
+    for target, name in (("decimal", "Decimal"), ("fractions", "Fraction")):
+        for source in (f"import {target}",
+                       f"from {target} import {name}",
+                       f"def f():\n    import {target} as d",
+                       f"importlib.import_module('{target}')",
+                       f"__import__('{target}')"):
+            assert _imports(source, target), source
+        for source in (f"import {target}x", f"x = {name}(1)",
+                       f"from .numerics import {target}"):
+            assert not _imports(source, target), source
+
+
+def test_no_module_imports_decimal_or_fractions():
+    # fixed numbers (the quadrature rule, the Bernoulli numbers) are
+    # literals, checked against exact values in the tests
+    package = Path(numerics.__file__).parent
+    found = {path.name: _imports(path.read_text(), "decimal")
+             + _imports(path.read_text(), "fractions")
+             for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def _private_package_imports(source: str) -> list[str]:

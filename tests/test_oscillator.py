@@ -207,7 +207,7 @@ class TestBinomialLaw:
         p, N, w = 0.3, 200, 40.0
         direct = (p * math.exp(-w / N) + 1.0 - p) ** N
         assert pmf([p, 1.0 - p], [w, 0.0], N, 0) \
-            == pytest.approx(direct, rel=1e-12)
+            == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 class TestDeformedPoisson:
@@ -217,14 +217,15 @@ class TestDeformedPoisson:
     def test_single_mode_single_copy_is_poisson(self):
         for n in range(5):
             assert pmf([1.0], [0.7], 1, n) == pytest.approx(
-                math.exp(-0.7) * 0.7 ** n / math.factorial(n), rel=1e-12)
+                math.exp(-0.7) * 0.7 ** n / math.factorial(n), rel=1e-12,
+                abs=0)
 
     def test_single_copy_is_mixture(self):
         for n in range(5):
             mix = sum(p * math.exp(-w) * w ** n / math.factorial(n)
                       for p, w in zip(self.PROBS, self.WS))
             assert pmf(self.PROBS, self.WS, 1, n) \
-                == pytest.approx(mix, rel=1e-12)
+                == pytest.approx(mix, rel=1e-12, abs=0)
 
     def test_normalization(self):
         total = sum(pmf(self.PROBS, self.WS, 7, n)
@@ -355,7 +356,7 @@ class TestRadiativeShift:
             lam = math.sqrt(lam2)
             expect = q * q * y0 / lam * kv(1, 2 * lam) / kv(2, 2 * lam)
             assert radiative_shift(prof, q) == pytest.approx(expect,
-                                                             rel=1e-13)
+                                                             rel=1e-13, abs=0)
 
     @staticmethod
     def _mirror_identity(prof):

@@ -6,8 +6,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import k0, kv, kve
 
+from vacuumlab import casimir
 from vacuumlab.errors import DomainError, NonConvergence
-from vacuumlab.specfun import bernoulli_number, gamma_from_zero, sine_integral
+from vacuumlab.specfun import gamma_from_zero, sine_integral
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -162,25 +163,20 @@ class TestGammaFromZero:
 
 class TestBernoulli:
     def test_b2(self):
-        assert bernoulli_number(2) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert casimir._BERNOULLI[2] == pytest.approx(1.0 / 6.0, rel=1e-15)
 
     def test_b4_recurrence_value(self):
-        assert bernoulli_number(4) == pytest.approx(-1.0 / 30.0, rel=1e-15)
+        assert casimir._BERNOULLI[4] == pytest.approx(-1.0 / 30.0, rel=1e-15)
 
     def test_known_table(self):
-        known = {6: 1 / 42, 8: -1 / 30, 10: 5 / 66, 12: -691 / 2730,
-                 20: -174611 / 330}
-        for idx, val in known.items():
-            assert bernoulli_number(idx) == pytest.approx(val, rel=1e-14)
+        # casimir's B_2 .. B_20, each the double nearest the exact ratio
+        mp = pytest.importorskip("mpmath")
+        exact = {n: mp.bernfrac(n) for n in range(2, 21, 2)}
+        assert casimir._BERNOULLI == {n: p / q for n, (p, q) in exact.items()}
 
     def test_second_bernoulli_polynomial_relation(self):
         # B_2(x) = x^2 - x + 1/6; the saw-shaped kernel at unit step has
         # P_2(0) = P_2(1) = B_2(0)/2 = 1/12
-        b2_poly = lambda x: x * x - x + bernoulli_number(2)
+        b2_poly = lambda x: x * x - x + casimir._BERNOULLI[2]
         assert b2_poly(0.0) / 2.0 == pytest.approx(1.0 / 12.0, rel=1e-15)
         assert b2_poly(1.0) / 2.0 == pytest.approx(1.0 / 12.0, rel=1e-15)
-
-    def test_domain(self):
-        for bad in (0, 1, 3, 22):
-            with pytest.raises(DomainError):
-                bernoulli_number(bad)

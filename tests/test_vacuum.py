@@ -95,7 +95,7 @@ class TestLorentzProfile:
         for lam2 in (0.01, 1.0):
             p = make_lorentz_profile(lam2, 2.0)
             assert p.Z / p.norm_const == pytest.approx(
-                math.exp(-2.0 * math.sqrt(lam2)), rel=1e-13)
+                math.exp(-2.0 * math.sqrt(lam2)), rel=1e-13, abs=0)
 
     def test_cutoff_peaks_at_lambda_over_y0(self):
         p = make_lorentz_profile(0.25, 0.5)
@@ -110,7 +110,7 @@ class TestLorentzProfile:
         lam = 0.3
         for k in (0.1, 1.0, 7.0):
             expect = math.exp(-p.lambda2 / (p.y0 * k) - p.y0 * k + 2 * lam)
-            assert cutoff(p, k) == pytest.approx(expect, rel=1e-12)
+            assert cutoff(p, k) == pytest.approx(expect, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("lam2", [1e-12, 1e-6, 1e-2, 1.0])
     @pytest.mark.parametrize("y0", [1e-3, 1.0, 10.0])
