@@ -41,7 +41,6 @@ import numpy as np
 from .errors import DomainError, NonConvergence
 from .numerics import gauss_legendre
 from .specfun import gamma_from_zero
-from .vacuum import ProfileKind, VacuumProfile
 
 TWO_PI = 2.0 * math.pi
 _ZETA3 = 1.2020569031595942      # Apery's constant zeta(3)
@@ -436,13 +435,14 @@ def stairs_gap(dx: float) -> float:
     return dx ** 3 * _ZETA3 / (4.0 * math.pi ** 2) + series
 
 
-def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
+def pressure_3p1(Z: float, lambda2: float, y0: float, L: float
+                 ) -> PressureBreakdown:
     """Mode-sum-minus-continuum pressure for the exponentially cut vacuum.
 
     The discrete sum runs over j with weight
     (Z j^2 pi/(2 L^3 y0)) Gamma(1, j x, lambda^2), x = pi y0/L; the
     continuum part is (Z/(6 pi^2 y0^4)) Gamma(4, 0, lambda^2).  DomainError
-    unless lambda^2 >= 0, y0 and L lie within 1e-75..1e75
+    unless 0 < Z < inf, lambda^2 >= 0, y0 and L lie within 1e-75..1e75
     (_3P1_SCALE_RANGE), where y0^4 and L^4 are normal doubles, and
     y0/L < 0.1.
 
@@ -464,11 +464,10 @@ def pressure_3p1(profile: VacuumProfile, L: float) -> PressureBreakdown:
     b <= 1e-6 only: across x = 0.04 the two paths agree to 1.5e-8 for
     b <= 1e-6 but differ by 3e-5 relative at b = 1e-4.
     """
-    if profile.kind is not ProfileKind.LORENTZ_EXP:
-        raise DomainError("pressure_3p1 requires a LORENTZ_EXP profile")
-    y0, b, Z = profile.y0, profile.lambda2, profile.Z
-    if not b >= 0.0:
-        raise DomainError(f"pressure_3p1 requires lambda2 >= 0, got {b:g}")
+    b = lambda2
+    if not (0.0 < Z < math.inf and b >= 0.0):
+        raise DomainError(f"pressure_3p1 requires 0 < Z < inf and lambda2 "
+                          f">= 0; got Z = {Z:g}, lambda2 = {b:g}")
     least, most = _3P1_SCALE_RANGE
     if not (least <= y0 <= most and least <= L <= most):
         raise DomainError(f"pressure_3p1 requires {least:g} <= y0, L <= "

@@ -3,19 +3,20 @@
 Subcommands run named experiments and write deterministic CSV/JSON
 artifacts; `#`-prefixed header rows document each numeric column by its
 defining formula.  Each subcommand maps its parsed options to its outputs;
-`main` alone applies the config file, sweeps, writes and reports errors.
-A flat key=value config file can seed any run; command-line flags, even
-abbreviated, override file values.  Any numeric option of `casimir` and
-`stats` can be swept over a comma-separated value list (one output row per
-value); the other subcommands reject --sweep, and all of them reject
---values without --sweep.  Flag, config and sweep values are converted by
-the type their option declares: a value that does not convert, a float that
-is not finite (nan, inf), a count below its least value (1 for --samples,
---branches, --N and --n; 0 for --nmax and --j), and an unknown config key,
-exit 2 with one `error:` line and write nothing.  A negative value may
-follow its flag after a space in any form, -0.5, -.5 or -5e-1 (so may a
---values list that starts with one); a value that starts with a dash and
-no digit, such as -x, is read as an option.
+`main` alone parses, applies the config file, sweeps, writes and reports
+errors.  A flat key=value config file can seed any run; command-line flags,
+even abbreviated, override file values.  Only `casimir` and `stats` take
+--sweep, one of their numeric options, and --values, a comma-separated list
+with one output row per value.  Flag, config and sweep values are converted
+by the type their option declares.  All bad input exits 2 with one `error:`
+line, no usage text and nothing written: a value that does not convert, a
+float that is not finite (nan, inf), a count below its least value (1 for
+--samples, --branches, --N and --n; 0 for --nmax and --j), an unknown flag,
+choice or config key, --values without --sweep, and a value outside a
+route's domain; only --help and --version leave through SystemExit.  A
+negative value may follow its flag after a space in any form, -0.5, -.5 or
+-5e-1 (so may a --values list that starts with one); a value that starts
+with a dash and no digit, such as -x, is read as an option.
 
     vacuumlab casimir --alpha 100 --gap 1.0 --out out.csv
     vacuumlab casimir --sweep alpha --values 10,100,1000 --out sweep.csv
@@ -217,7 +218,7 @@ def cmd_casimir(args):
 
 def cmd_casimir3(args):
     profile = vacuum.make_lorentz_profile(args.lambda2, args.y0)
-    bd = casimir.pressure_3p1(profile, args.gap)
+    bd = casimir.pressure_3p1(profile.Z, args.lambda2, args.y0, args.gap)
     return [(args.out, {
         "total": bd.total,
         "leading": bd.leading,
@@ -314,8 +315,16 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors, its subparsers' too, are
+    ConfigErrors, which main reports like every other bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vacuumlab",
         description="Regularized-vacuum numerics: delta-sequence calculus, "
                     "cavity modes, Casimir pressure, generalized Coulomb "
@@ -326,12 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--sweep", help="parameter name to sweep")
-        p.add_argument("--values", help="comma-separated sweep values")
 
     def options(p, type, **defaults):
         for name, default in defaults.items():
             p.add_argument(f"--{name}", type=type, default=default)
+        return list(defaults)
+
+    def sweep(p, names):
+        p.add_argument("--sweep", choices=names,
+                       help="numeric option to sweep")
+        p.add_argument("--values", help="comma-separated sweep values")
 
     profiles = ["box", "lorentz"]
 
@@ -362,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("casimir", help="1+1 pressure, all routes")
     common(p)
-    options(p, _finite, alpha=100.0, gap=1.0)
+    sweep(p, options(p, _finite, alpha=100.0, gap=1.0))
     p.set_defaults(func=cmd_casimir)
 
     p = sub.add_parser("casimir3", help="3+1 pressure breakdown (JSON)")
@@ -372,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="deformed excitation statistics")
     common(p)
-    options(p, _positive, N=100)
-    options(p, _nonnegative, nmax=8)
+    sweep(p, options(p, _positive, N=100)
+          + options(p, _nonnegative, nmax=8))
     options(p, _finite_list, probs="0.35,0.65", intensities="0.7,0.3")
     p.set_defaults(func=cmd_stats)
 
@@ -418,52 +431,32 @@ def _config_argv(args, argv: list[str]) -> list[str]:
     return argv[:1] + [f"--{k}={v}" for k, v in cfg.items()] + argv[1:]
 
 
-def _option_types(parser, command: str) -> dict:
-    """The type that the subcommand declares for each option, by dest;
-    argparse keeps the declarations only in private attributes."""
-    (subcommands,) = parser._subparsers._group_actions
-    return {a.dest: a.type for a in subcommands.choices[command]._actions}
-
-
-def _outputs(parser, args) -> list[tuple]:
+def _outputs(parser, args, argv: list[str]) -> list[tuple]:
     """The command's outputs; a sweep runs it once per value of --values,
-    each converted by the swept option's declared type."""
-    if args.sweep is None:
-        if args.values is not None:
+    each parsed as the swept option's flag after argv, so that it converts
+    by the option's declared type."""
+    sweep, values = vars(args).get("sweep"), vars(args).get("values")
+    if sweep is None:
+        if values is not None:
             raise ConfigError("--values is given but --sweep is not")
         return args.func(args)
-    if args.command not in _SWEEPS:
-        raise ConfigError(f"{args.command} cannot sweep; only "
-                          f"{' and '.join(_SWEEPS)} take --sweep")
-    types = _option_types(parser, args.command)
-    if args.sweep not in types:
-        raise ConfigError(f"swept parameter {args.sweep!r} does not belong "
-                          "to this command")
-    convert = types[args.sweep]
-    if convert not in (_positive, _nonnegative, _finite):
-        raise ConfigError(f"swept parameter {args.sweep!r} is not numeric")
-    try:
-        values = [convert(v) for v in (args.values or "").split(",")
-                  if v.strip()]
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"bad sweep values {args.values!r}: {exc}") from exc
-    if not values:
+    runs = [parser.parse_args([*argv, f"--{sweep}={v}"])
+            for v in (values or "").split(",") if v.strip()]
+    if not runs:
         raise ConfigError("sweep requested but --values list is empty")
     row, comments, columns = _SWEEPS[args.command]
-    return [(args.out, Table(comments, columns, [
-        row(argparse.Namespace(**{**vars(args), args.sweep: v}))
-        for v in values]))]
+    return [(args.out, Table(comments, columns, [row(a) for a in runs]))]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             argv = _config_argv(args, argv)
             args = parser.parse_args(argv)
-        outputs = _outputs(parser, args)
+        outputs = _outputs(parser, args, argv)
         for path, output in outputs:
             _write(path, output)
     except VacuumlabError as exc:

@@ -58,7 +58,7 @@ class DeltaFamily:
     n is the sequence index (epsilon = 1/n for the M shape), j the shift of
     the SHIFTED_PAIR family, a the origin height of the M shape.
     DomainError unless n >= 1 with n^2 a double (n below ~1.3e154),
-    j >= 0, and a >= 0 with 1.5 a a double (a below ~1.2e308).
+    j >= 0 a double, and a >= 0 with 1.5 a a double (a below ~1.2e308).
     """
 
     shape: DeltaShape
@@ -72,8 +72,8 @@ class DeltaFamily:
         if self.n * self.n > _DOUBLE_MAX:
             raise DomainError("sequence index n is out of range: n^2 must "
                               "be a double (n below ~1.3e154)")
-        if self.j < 0:
-            raise DomainError("shift j must be nonnegative")
+        if not 0 <= self.j <= _DOUBLE_MAX:
+            raise DomainError("shift j must be nonnegative and a double")
         if self.a < 0:
             raise DomainError("M-shape height a must be nonnegative")
         if 1.5 * self.a > _DOUBLE_MAX:
@@ -146,7 +146,8 @@ def fourier(family: DeltaFamily, x):
     """Closed-form transform (1/2pi) int delta_n(k) exp(i k x) dk.
 
     Real for every implemented shape; bounded by 1/(2 pi) for the triangle.
-    The x -> 0 value is the analytic limit 1/(2 pi).
+    The x -> 0 value is the analytic limit 1/(2 pi).  DomainError where the
+    shifted pair's phase j x leaves the double range.
     """
     x = np.asarray(x, dtype=float)
     n = family.n
@@ -159,6 +160,10 @@ def fourier(family: DeltaFamily, x):
         out = (4.0 * np.cos(2.0 * u) + 2.0 * eps * a * np.sin(u) ** 2) \
             * _sinc_sq(u) / (8.0 * np.pi)
     else:
+        # a Python float product overflows to inf without a warning
+        if family.j * float(np.max(np.abs(x), initial=0.0)) == np.inf:
+            raise DomainError("fourier: the shifted pair's phase j x leaves "
+                              "the double range")
         out = _sinc_sq(x / (2.0 * n)) * np.cos(family.j * x / n) / TWO_PI
     return float(out) if out.ndim == 0 else out
 
@@ -248,9 +253,14 @@ def filtering_integral(family: DeltaFamily,
 
     Converges to (f(0-) + f(0+))/2 for piecewise-continuous bounded f.  f
     maps an array of points to an array of values (or to one scalar, for a
-    constant).
+    constant).  The sweep starts at n = 16, for a SHIFTED_PAIR at
+    16 max(1, j), so that the shift j/n starts at 1/16 or less, like the
+    triangle's half-width.  A feature of f nearer 0 than the starting
+    support can still leave the sweep on a plateau, for every family.
     """
-    sweep = sweep_limit(lambda n: _panel_integral([(family, n)], f))
+    start = 16 * max(1, family.j) if family.shape is DeltaShape.SHIFTED_PAIR \
+        else 16
+    sweep = sweep_limit(lambda n: _panel_integral([(family, n)], f), start)
     return sweep.expect_finite()
 
 

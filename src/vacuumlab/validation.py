@@ -136,16 +136,12 @@ def check_casimir_1p1_oracle() -> list[CriterionResult]:
 def check_casimir_3p1() -> list[CriterionResult]:
     out = []
     Z = 1.0
-    prof = vacuum.VacuumProfile(vacuum.ProfileKind.LORENTZ_EXP,
-                                lambda2=0.0, y0=1e-6, Z=Z, norm_const=Z)
-    bd = casimir.pressure_3p1(prof, 1.0)
+    bd = casimir.pressure_3p1(Z, 0.0, 1e-6, 1.0)
     out.append(_crit("leading_term_ratio", 1.0,
                      bd.total / (-Z * math.pi ** 2 / 240.0), 1e-10))
     y0 = 1e-38 / PLANCK_LENGTH_KM
     L = 1e-12 / PLANCK_LENGTH_KM      # one nanometer
-    prof2 = vacuum.VacuumProfile(vacuum.ProfileKind.LORENTZ_EXP,
-                                 lambda2=1e-49, y0=y0, Z=Z, norm_const=Z)
-    bd2 = casimir.pressure_3p1(prof2, L)
+    bd2 = casimir.pressure_3p1(Z, 1e-49, y0, L)
     out.append(_crit("lambda2_negligible", 0.0,
                      abs(bd2.lambda2_correction / bd2.leading), 1e-21))
     out.append(_crit("breakdown_additivity", 0.0,

@@ -11,7 +11,7 @@ from vacuumlab.casimir import (PressureBreakdown, pressure_1p1_quad,
                                pressure_euler_maclaurin, stairs_gap)
 from vacuumlab.constants import PLANCK_LENGTH_M, PRESSURE_UNIT_PA
 from vacuumlab.errors import DomainError
-from vacuumlab.vacuum import ProfileKind, VacuumProfile, make_lorentz_profile
+from vacuumlab.vacuum import make_lorentz_profile
 
 
 class TestOneDimensionalPressure:
@@ -259,17 +259,13 @@ class TestDirichletEndpoints:
 class TestPressure3p1:
     def test_leading_term_dominates_at_fine_spacing(self):
         Z = 1.7
-        prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=0.0, y0=1e-6,
-                             Z=Z, norm_const=Z)
-        bd = pressure_3p1(prof, 1.0)
+        bd = pressure_3p1(Z, 0.0, 1e-6, 1.0)
         assert bd.total / (-Z * math.pi ** 2 / 240.0) == pytest.approx(
             1.0, abs=1e-6)
 
     def test_y0_correction_series(self):
         Z, y0 = 1.7, 0.01
-        prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=0.0, y0=y0,
-                             Z=Z, norm_const=Z)
-        bd = pressure_3p1(prof, 1.0)
+        bd = pressure_3p1(Z, 0.0, y0, 1.0)
         pred = Z * (math.pi ** 4 * y0 ** 2 / 3024.0
                     - math.pi ** 6 * y0 ** 4 / 57600.0
                     + math.pi ** 8 * y0 ** 6 / 1330560.0)
@@ -278,16 +274,14 @@ class TestPressure3p1:
 
     def test_breakdown_additivity(self):
         prof = make_lorentz_profile(1e-4, 0.05)
-        bd = pressure_3p1(prof, 1.0)
+        bd = pressure_3p1(prof.Z, 1e-4, 0.05, 1.0)
         recon = bd.leading + bd.y0_corrections + bd.lambda2_correction
         assert bd.total == pytest.approx(recon, rel=1e-12)
 
     def test_direct_and_split_paths_agree(self):
         Z, b = 1.7, 1e-6
         for y0 in (0.05, 0.09):
-            prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=b, y0=y0,
-                                 Z=Z, norm_const=Z)
-            bd = pressure_3p1(prof, 1.0)  # direct route (x >= 0.04)
+            bd = pressure_3p1(Z, b, y0, 1.0)  # direct route (x >= 0.04)
             from vacuumlab.casimir import _mode_sum_defect_series
             x = math.pi * y0
             split = bd.leading \
@@ -302,26 +296,20 @@ class TestPressure3p1:
         # continuum term is about 240/x^4 times the total
         y0 = 1e-3
         for b in (1e-12, 1e-8, 1e-6):
-            prof = make_lorentz_profile(b, y0)
-            direct, split = (pressure_3p1(prof, L).total * L ** 4
+            Z = make_lorentz_profile(b, y0).Z
+            direct, split = (pressure_3p1(Z, b, y0, L).total * L ** 4
                              for L in (math.pi * y0 / (0.04 * (1 + 1e-9)),
                                        math.pi * y0 / (0.04 * (1 - 1e-9))))
             assert direct == pytest.approx(split, rel=5e-8, abs=0)
 
     def test_z_linearity(self):
-        p1 = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=1e-4, y0=0.05,
-                           Z=1.0, norm_const=1.0)
-        p2 = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=1e-4, y0=0.05,
-                           Z=3.7, norm_const=3.7)
-        assert pressure_3p1(p2, 1.0).total == pytest.approx(
-            3.7 * pressure_3p1(p1, 1.0).total, rel=1e-9)
+        assert pressure_3p1(3.7, 1e-4, 0.05, 1.0).total == pytest.approx(
+            3.7 * pressure_3p1(1.0, 1e-4, 0.05, 1.0).total, rel=1e-9)
 
     def test_planck_scale_lambda_correction_negligible(self):
         y0 = 1e-38 / (PLANCK_LENGTH_M * 1e-3)
         L = 1e-12 / (PLANCK_LENGTH_M * 1e-3)  # one nanometer
-        prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=1e-49, y0=y0,
-                             Z=1.0, norm_const=1.0)
-        bd = pressure_3p1(prof, L)
+        bd = pressure_3p1(1.0, 1e-49, y0, L)
         assert abs(bd.lambda2_correction) < 1e-10 * abs(bd.leading)
 
     def test_terms_used_counts_the_modes_summed(self):
@@ -329,47 +317,45 @@ class TestPressure3p1:
         for b, y0 in ((1e-2, 0.05), (1e-12, 0.02), (1.0, 0.09)):
             x = math.pi * y0
             reach = 45.0 + 2.0 * math.sqrt(b)
-            terms = pressure_3p1(make_lorentz_profile(b, y0), 1.0).terms_used
+            terms = pressure_3p1(1.0, b, y0, 1.0).terms_used
             assert (terms - 1) * x <= reach < terms * x
         # the analytic path (x < 0.04) sums none, at any L
         for b, y0, L in ((1e-12, 1e-4, 1.0), (1e-49, 6.19e-4, 6.19e22),
                          (0.0, 1e-6, 1.0)):
-            prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=b, y0=y0,
-                                 Z=1.0, norm_const=1.0)
-            assert pressure_3p1(prof, L).terms_used == 0
+            assert pressure_3p1(1.0, b, y0, L).terms_used == 0
 
     def test_negative_lambda2_is_out_of_domain(self):
         for b in (-1e-12, -1.0, math.nan):
-            prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=b, y0=1e-4,
-                                 Z=1.0, norm_const=1.0)
             with pytest.raises(DomainError):
-                pressure_3p1(prof, 1.0)
+                pressure_3p1(1.0, b, 1e-4, 1.0)
+
+    def test_z_outside_its_domain(self):
+        for Z in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="0 < Z < inf"):
+                pressure_3p1(Z, 1e-12, 1e-4, 1.0)
 
     def test_expansion_regime_enforced(self):
-        prof = make_lorentz_profile(1e-4, 1.0)
         with pytest.raises(DomainError):
-            pressure_3p1(prof, 2.0)  # y0/L = 0.5
+            pressure_3p1(1.0, 1e-4, 1.0, 2.0)  # y0/L = 0.5
 
     def test_large_lambda2_at_fine_spacing_rejected(self):
         # x = pi y0/L = 3.1e-4 < 0.04: the path that drops the O(b^2) terms,
         # which are 3e-5 of the total at b = 1e-4
         for lambda2 in (0.5, 1e-5):
-            prof = make_lorentz_profile(lambda2, 1e-4)
             with pytest.raises(DomainError):
-                pressure_3p1(prof, 1.0)
+                pressure_3p1(1.0, lambda2, 1e-4, 1.0)
 
     def test_largest_lambda2_at_fine_spacing_accepted(self):
-        bd = pressure_3p1(make_lorentz_profile(1e-6, 1e-4), 1.0)
+        bd = pressure_3p1(make_lorentz_profile(1e-6, 1e-4).Z, 1e-6, 1e-4,
+                          1.0)
         assert math.isfinite(bd.total) and bd.total < 0.0
 
     def test_cancellation_past_rounding_rejected(self):
         # x = 0.2765, lambda^2 = 67.89: the mode sum is 3e13 times the true
         # total +8.1e-20, and the direct sum returned -6.2e-11
         y0 = 0.0099
-        prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=67.89, y0=y0,
-                             Z=1.0, norm_const=1.0)
         with pytest.raises(DomainError):
-            pressure_3p1(prof, math.pi * y0 / 0.2765)
+            pressure_3p1(1.0, 67.89, y0, math.pi * y0 / 0.2765)
 
     def test_far_tail_matches_mpmath(self):
         # the last entry of the tail table is the far tail alone,
@@ -393,10 +379,8 @@ class TestPressure3p1:
         # within 1e-15 of the mode sum, which the total undercuts by up to
         # the 1e9 the guard allows
         L = math.pi * y0 / x
-        prof = VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=lambda2, y0=y0,
-                             Z=1.0, norm_const=1.0)
         total, mode_sum = mp_pressure_3p1(1.0, y0, lambda2, L)
-        assert abs(pressure_3p1(prof, L).total - total) \
+        assert abs(pressure_3p1(1.0, lambda2, y0, L).total - total) \
             <= 1e-15 * abs(mode_sum)
 
 

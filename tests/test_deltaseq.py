@@ -171,6 +171,21 @@ class TestFiltering:
         assert filtering_integral(SP1, f) == pytest.approx(np.cos(0.4),
                                                            abs=1e-8)
 
+    @pytest.mark.parametrize("j, f, limit", [
+        (10, lambda k: np.where(k > 0.1, 1.0, 0.0), 0.0),
+        (30, lambda k: np.where(k > 0.1, 1.0, 0.0), 0.0),
+        (10, lambda k: 1.0 / (1.0 + 100.0 * k * k), 1.0),
+        (30, lambda k: 1.0 / (1.0 + 100.0 * k * k), 1.0),
+        (100, lambda k: 1.0 / (1.0 + 100.0 * k * k), 1.0)],
+        ids=["step_j10", "step_j30", "lorentzian_j10", "lorentzian_j30",
+             "lorentzian_j100"])
+    def test_large_shift_passes_the_feature(self, j, f, limit):
+        # from n = 16 the pair sat at j/16 beyond the feature for several
+        # doublings: the step gave 0.5, the lorentzian NonConvergence
+        fam = DeltaFamily(DeltaShape.SHIFTED_PAIR, n=1, j=j)
+        assert filtering_integral(fam, f) == pytest.approx(limit, rel=1e-10,
+                                                           abs=1e-12)
+
 
 class TestPowers:
     ONE = staticmethod(lambda k: 1.0)
