@@ -115,7 +115,8 @@ def resonance_roots(alpha: float, L: float,
                           f"<= {most:g}, so that the Lambert argument "
                           f"e^(alpha L/2) alpha L/2 and exp(ikL) are "
                           f"doubles; got alpha L = {alpha * L:g}")
-    arg = math.exp(L * alpha / 2.0) * L * alpha / 2.0
+    half = L * alpha / 2.0          # e^(half) L overflowed at L ~ 1e100
+    arg = math.exp(half) * half
     roots = []
     for n in branches:
         for sign in (+1.0, -1.0):

@@ -52,33 +52,36 @@ class Table(NamedTuple):
     rows: list[tuple]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def _quoted(text: str) -> str:
+    """A text cell as RFC 4180 has it: in double quotes, with each quote
+    doubled, where it holds a comma or a quote; as it is otherwise."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_lines(rows: list[tuple]) -> str:
-    """The rows as CSV lines, each ending in a newline and each value as
-    `_fmt` gives it; a ragged row raises ValueError.  The whole table is a
-    single %-format of the chained rows: a column of floats only is written
-    by %.17g, which gives the bytes of format(x, ".17g") for every float,
-    a column without floats by %s, which gives str(x), and any other column
-    by %s of its `_fmt` strings, the one case that transposes the rows."""
-    specs, columns, formatted = [], [], False
+    """The rows as CSV lines, each ending in a newline.  A column of floats
+    is written by %.17g, which gives the bytes of format(x, ".17g") for
+    every float, and a column without floats as str(x), quoted
+    (_quoted) once per distinct cell; a column that mixes floats with
+    other types, or a ragged row, raises ValueError."""
+    specs, columns = [], []
     for column in zip(*rows, strict=True):
         types = set(map(type, column))
         if types == {float}:
             specs.append("%.17g")
+        elif any(issubclass(t, float) for t in types):
+            raise ValueError(f"a CSV column mixes floats with {types}")
         else:
             specs.append("%s")
-            if any(issubclass(t, float) for t in types):
-                column, formatted = [_fmt(v) for v in column], True
+            texts = list(map(str, column))
+            quoted = {text: _quoted(text) for text in set(texts)}
+            column = list(map(quoted.__getitem__, texts))
         columns.append(column)
-    if formatted:
-        rows = list(zip(*columns))
     line = ",".join(specs) + "\n"
-    return (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    return (line * len(rows)) \
+        % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def _write(path: str | None, output: Table | dict):

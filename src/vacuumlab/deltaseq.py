@@ -247,6 +247,14 @@ def _panel_integral(factors: Sequence[tuple[DeltaFamily, int]],
     return float(np.sum(out))
 
 
+def _check_sweep_shifts(families: Sequence[DeltaFamily]):
+    """DomainError for a SHIFTED_PAIR with j >= 2^53, where its breakpoints
+    j/n +- 1/n round onto j/n and a sweep's limit would be wrong."""
+    if any(f.shape is DeltaShape.SHIFTED_PAIR and f.j >= 2.0 ** 53
+           for f in families):
+        raise DomainError("a filtering sweep requires a shift j < 2^53")
+
+
 def filtering_integral(family: DeltaFamily,
                        f: Callable[[np.ndarray], np.ndarray]) -> float:
     """lim_n int delta_n(k) f(k) dk by index sweep with extrapolation.
@@ -257,7 +265,9 @@ def filtering_integral(family: DeltaFamily,
     16 max(1, j), so that the shift j/n starts at 1/16 or less, like the
     triangle's half-width.  A feature of f nearer 0 than the starting
     support can still leave the sweep on a plateau, for every family.
+    DomainError for a SHIFTED_PAIR with j >= 2^53.
     """
+    _check_sweep_shifts([family])
     start = 16 * max(1, family.j) if family.shape is DeltaShape.SHIFTED_PAIR \
         else 16
     sweep = sweep_limit(lambda n: _panel_integral([(family, n)], f), start)
@@ -278,8 +288,8 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
     ladder: the first family takes n, the last one, innermost, the largest
     index; the other limit order is the reversed list.  All factors must
     belong to one multiplication class (IncompatibleClasses otherwise) and
-    the list must not be empty (DomainError).  f takes arrays, as in
-    filtering_integral.
+    the list must not be empty (DomainError), nor hold a SHIFTED_PAIR with
+    j >= 2^53 (DomainError).  f takes arrays, as in filtering_integral.
 
     A power of a family is [family] * power: it evaluates to
     delta(0)^(power-1) (f(0-) + f(0+))/2, zero for families vanishing at the
@@ -288,6 +298,7 @@ def product_filtering_integral(families: Sequence[DeltaFamily],
     """
     if not families:
         raise DomainError("need at least one family")
+    _check_sweep_shifts(families)
     classes = {fam.multiplication_class for fam in families}
     if len(classes) > 1:
         raise IncompatibleClasses(

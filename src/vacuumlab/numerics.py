@@ -1,5 +1,5 @@
-"""Numerical plumbing: the quadrature rule, the exact product, limit
-sweeps and their results.
+"""Numerical plumbing: the quadrature rule, the exact product and the
+square root with its residual, limit sweeps and their results.
 
 The package has one quadrature rule, gauss_legendre: fixed 20-point
 Gauss-Legendre panels for integrands whose smooth pieces are known in
@@ -7,6 +7,9 @@ advance (casimir's graded panels, contour tail and 3+1 tail table,
 deltaseq's piecewise-polynomial filtering integrals, validation's
 normalization and mirror-identity oracles), on a rule whose nodes and
 weights are correctly rounded literals.  No module imports scipy.integrate.
+
+two_prod is Dekker's exact product; on it, sqrt_with_residual gives the
+residual of sqrt(b) that specfun and vacuum.density carry into e^(-2 sqrt(b)).
 
 Improper limits of integral sequences are realized as index sweeps
 n = 16, 32, 64, ... with Richardson extrapolation; a sweep either settles
@@ -17,6 +20,7 @@ after 12 doublings.  Divergence is never reported as float('inf').
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -91,6 +95,18 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     al, bl = a - ah, b - bh
     p = a * b
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def sqrt_with_residual(x: float) -> tuple[float, float]:
+    """(r, d) with r = sqrt(x) rounded and d = sqrt(x) - r to a few ulps of
+    itself (for x >= ~2e-292, where two_prod is exact; below, to ~1e-23 of
+    r): x - r^2 = (x - p) - e from the exact product r^2 = p + e
+    (two_prod), and d = (x - r^2)/(2r); (0, 0) at x = 0."""
+    r = math.sqrt(x)
+    if r == 0.0:
+        return 0.0, 0.0
+    p, e = two_prod(r, r)
+    return r, ((x - p) - e) / (2.0 * r)
 
 
 def richardson(values: Sequence[float]) -> np.ndarray:

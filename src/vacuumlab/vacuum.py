@@ -18,7 +18,10 @@ Z is the peak density and q_ph = q sqrt(Z) the renormalized charge.  The
 constructors choose Z and norm_const so that the normalization is 1
 (validate checks it by quadrature).  density_integral gives, in closed form,
 the one moment the package uses, int dk density/|k| behind the self-energy,
-for an infrared-admissible profile (k1 > 0, lambda^2 > 0).
+for an infrared-admissible profile (k1 > 0, lambda^2 > 0).  The exponential
+profile's numbers are all Gamma(n, 0, lambda^2) from specfun's one kernel:
+norm_const through gamma_from_zero, Z and the moment through its scaled
+form gamma_from_zero_scaled, which carries no e^(-2 lambda).
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import kve
 
 from .errors import DomainError
-from .numerics import two_prod
-from .specfun import gamma_from_zero
+from .numerics import sqrt_with_residual
+from .specfun import gamma_from_zero, gamma_from_zero_scaled
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 _SCALE_RANGE = (1e-150, 1e150)          # k2 and y0: squares normal doubles
@@ -84,46 +86,6 @@ def make_box_profile(k1: float, k2: float) -> VacuumProfile:
                          norm_const=Z)
 
 
-def _k2_sum(x: float) -> float:
-    """x^2 kve(2, x)/2 = x kve(1, x) + x^2 kve(0, x)/2 (K2 = K0 + 2 K1/x), a
-    sum of positive terms that does not overflow at subnormal lambda^2 as
-    kve(2, x) does."""
-    return float(x * kve(1, x) + 0.5 * x * x * kve(0, x))
-
-
-def _gamma2(lambda2: float) -> float:
-    """Gamma(2, 0, lambda^2) = 2 lambda^2 K2(2 lambda) to a few ulps.
-
-    Below lambda^2 = 1, gamma_from_zero is within an ulp: its series in
-    lambda^2 takes no root, and at a small argument the rounding of
-    lam = sqrt(lambda^2) moves kv(2, 2 lam) by less than 2^-53.  Above, kv
-    would carry that rounding through K2's factor e^(-2 lambda) (a relative
-    error 2 (lambda - lam), 5.6e-14 at lambda^2 = 1e5) and loses digits of
-    its own past 2 lam ~ 670, so it is _k2_sum(2 lam) e^(-2 lam) with the
-    residual lambda - lam carried into the exponential; e^(-2 lam) is taken
-    as e^(-lam) twice, which stays normal wherever the product does.
-    """
-    if lambda2 < 1.0:
-        return gamma_from_zero(2.0, lambda2)
-    lam, residual = _sqrt_with_residual(lambda2)
-    decay = math.exp(-lam)
-    if decay == 0.0:        # and e^(-2 residual) may be no double
-        return 0.0
-    return _k2_sum(2.0 * lam) * decay * decay * math.exp(-2.0 * residual)
-
-
-def _sqrt_with_residual(x: float) -> tuple[float, float]:
-    """(r, d) with r = sqrt(x) rounded and d = sqrt(x) - r to a few ulps of
-    itself (for x >= ~2e-292, where two_prod is exact; below, to ~1e-23 of
-    r): x - r^2 = (x - p) - e from the exact product r^2 = p + e
-    (two_prod), and d = (x - r^2)/(2r); (0, 0) at x = 0."""
-    r = math.sqrt(x)
-    if r == 0.0:
-        return 0.0, 0.0
-    p, e = two_prod(r, r)
-    return r, ((x - p) - e) / (2.0 * r)
-
-
 def make_lorentz_profile(lambda2: float, y0: float) -> VacuumProfile:
     """Boost-invariant exponential profile with parameters lambda^2, y0.
 
@@ -138,15 +100,14 @@ def make_lorentz_profile(lambda2: float, y0: float) -> VacuumProfile:
         raise DomainError(f"lorentz profile requires lambda2 > 0 and "
                           f"{least:g} <= y0 <= {most:g}; got lambda2 = "
                           f"{lambda2:g}, y0 = {y0:g}")
-    gamma2 = _gamma2(lambda2)
+    gamma2 = gamma_from_zero(2, lambda2)
     norm_const = FOUR_PI_SQ * y0 ** 2 / gamma2 \
         if gamma2 >= sys.float_info.min else math.inf
     if not math.isfinite(norm_const):
         raise DomainError(f"lambda2 = {lambda2:g}, y0 = {y0:g} puts the "
                           "lorentz profile normalization out of double range")
-    # Z = norm_const e^(-2 lambda) = 4 pi^2 y0^2/(2 lambda^2 kve(2, 2 lambda))
-    # formed without an exponential, from _k2_sum
-    Z = FOUR_PI_SQ * y0 ** 2 / _k2_sum(2.0 * math.sqrt(lambda2))
+    # Z = norm_const e^(-2 lambda), without an exponential
+    Z = FOUR_PI_SQ * y0 ** 2 / gamma_from_zero_scaled(2, lambda2)
     return VacuumProfile(ProfileKind.LORENTZ_EXP, lambda2=lambda2, y0=y0,
                          Z=Z, norm_const=norm_const)
 
@@ -169,7 +130,7 @@ def density(profile: VacuumProfile, k_abs):
         # the exponent with 2 lambda folded in, so that its rounding scales
         # with the exponent itself and the density does not underflow before
         # its value does; 0 where y0 k is 0
-        lam, residual = _sqrt_with_residual(profile.lambda2)
+        lam, residual = sqrt_with_residual(profile.lambda2)
         yk = profile.y0 * k
         safe = np.where(yk > 0.0, yk, 1.0)
         g = (lam - safe) + residual
@@ -182,23 +143,18 @@ def density_integral(profile: VacuumProfile) -> float:
     measure, in closed form, for an infrared-admissible profile.
 
     Box: Z (k2 - k1) / 4 pi^2.  Exponential: |C|^2 Gamma(1, 0, lambda^2) /
-    (4 pi^2 y0), as |C|^2 Gamma(2, 0, lambda^2)/(4 pi^2 y0^2) (the
-    normalization, 1) times y0 lambda^-1 K1/K2 at 2 lambda, a ratio that is
-    y0/(1 + lambda t) with t = K0/K1 from kve, since K2 = K0 + K1/lambda;
-    no e^(-2 lambda) is formed.  Within 1e-15 relative for
-    lambda^2 <= 1.2e5; DomainError where the moment is out of double range.
+    (4 pi^2 y0) = y0 Gamma(1, 0, lambda^2)/Gamma(2, 0, lambda^2), formed
+    from gamma_from_zero_scaled, whose factors e^(2 lambda) cancel.  Within
+    1e-15 relative for lambda^2 <= 1.2e5; DomainError where the moment is
+    out of double range.
     """
     if not infrared_condition_check(profile):
         raise DomainError(f"{profile.tag} is not infrared admissible")
     if profile.kind is ProfileKind.BOX_SHELL:
         val = profile.Z * (profile.k2 - profile.k1) / FOUR_PI_SQ
     else:
-        b, y0 = profile.lambda2, profile.y0
-        lam = math.sqrt(b)
-        t = kve(0, 2.0 * lam) / kve(1, 2.0 * lam)
-        ratio = y0 / (1.0 + lam * t)            # 1 + lam t = lambda K2/K1
-        val = profile.norm_const * _gamma2(b) / FOUR_PI_SQ \
-            / (y0 * y0) * ratio
+        val = profile.y0 * gamma_from_zero_scaled(1, profile.lambda2) \
+            / gamma_from_zero_scaled(2, profile.lambda2)
     if not 0.0 < val < math.inf:
         raise DomainError(f"moment 1 of {profile.tag} is out of range")
     return val

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -346,6 +347,20 @@ class TestShiftAndCavity:
         values = [float(x) for r in rows for x in r.split(",")[2:]]
         assert np.all(np.isfinite(values))
 
+    def test_cavity_roots_at_a_large_gap(self, capsys):
+        # alpha L = 965 at L = 1e100: k L is the root at L = 1; the Lambert
+        # argument's e^(alpha L/2) times L overflowed, and the residual was
+        # NaN (exit 2)
+        def roots(argv):
+            assert main(["cavity", "--branches", "1", *argv]) == 0
+            rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                    if not l.startswith("#")][1:]
+            return [complex(float(r[2]), float(r[3])) for r in rows]
+
+        far = roots(["--alpha", "9.65e-98", "--gap", "1e100"])
+        near = roots(["--alpha", "965", "--gap", "1"])
+        assert [k * 1e100 for k in far] == near
+
 
 class TestConfig:
     def test_file_seeds_defaults_flags_win(self, tmp_path):
@@ -489,14 +504,14 @@ def _numbers(value):
 
 def _written_numbers(text):
     """Every number in a CSV table or a JSON payload that main wrote: each
-    cell of a CSV column but the text columns sign and profile_tag (the
-    last column, whose tag holds commas of its own)."""
+    cell of a CSV column but the text columns sign and profile_tag.  Every
+    CSV row has as many fields as the header, as csv.reader reads them."""
     if not text.startswith("#"):
         return _numbers(json.loads(text))
-    header, *rows = [l for l in text.splitlines() if not l.startswith("#")]
-    columns = header.split(",")
-    return [float(v) for row in rows
-            for c, v in zip(columns, row.split(",", len(columns) - 1))
+    header, *rows = csv.reader(l for l in text.splitlines()
+                               if not l.startswith("#"))
+    assert all(len(row) == len(header) for row in rows)
+    return [float(v) for row in rows for c, v in zip(header, row)
             if c not in ("sign", "profile_tag")]
 
 
@@ -923,19 +938,33 @@ class TestCsvWriter:
     def test_lines_match_per_value_formatting(self, capsys):
         nan, inf = float("nan"), float("inf")
         rows = [
-            # float, int, str, float+str, float+int, other types
-            (0.1, 10 ** 20, "box", 1.5, 2.0, 1 + 2j),
-            (nan, -3, "", "x", 7, np.float64(0.1)),
-            (inf, 0, "a,b", -0.0, -0.0, True),
-            (-inf, 1, "lorentz", 5e-324, 10 ** 20, None),
-            (-0.0, 2, "-", nan, inf, np.float64(nan)),
-            (5e-324, 3, "+", 1e300, 5e-324, False),
-            (1.7976931348623157e308, 4, "z", 2.5e-8, -1, -0.0),
+            # float, int, str, float, text with a comma or a quote
+            (0.1, 10 ** 20, "box", 1.5, "a,b"),
+            (nan, -3, "", -0.0, 'say "x"'),
+            (inf, 0, "a b", 5e-324, '"'),
+            (-inf, 1, "lorentz", 1e300, "box(k1=1,k2=100)"),
+            (1.7976931348623157e308, True, "-", 2.5e-8, ","),
         ]
-        expect = [",".join(cli._fmt(v) for v in row) for row in rows]
-        assert self.written(capsys, rows) == expect
+        expect = [",".join(format(v, ".17g") if isinstance(v, float)
+                           else str(v) for v in row[:4]) for row in rows]
+        quoted = ['"a,b"', '"say ""x"""', '""""', '"box(k1=1,k2=100)"',
+                  '","']
+        assert self.written(capsys, rows) == [
+            f"{line},{cell}" for line, cell in zip(expect, quoted)]
         assert expect[0] == "0.10000000000000001,100000000000000000000," \
-                            "box,1.5,2,(1+2j)"
+                            "box,1.5"
+        assert [line[4] for line in csv.reader(self.written(capsys, rows))] \
+            == [row[4] for row in rows]
+
+    @pytest.mark.parametrize("other", [
+        "x", 7, 10 ** 20, 1 + 2j, None, True, np.float64(0.1)],
+        ids=["str", "int", "bigint", "complex", "None", "bool", "float64"])
+    def test_mixed_column_raises(self, capsys, other):
+        # no CLI table mixes floats with other types in one column
+        with pytest.raises(ValueError):
+            cli._write(None, cli.Table([], ["a", "b"],
+                                       [(1.0, 2.0), (3.0, other)]))
+        assert capsys.readouterr().out == ""
 
     def test_empty_table_has_no_data_lines(self, capsys):
         assert self.written(capsys, []) == []
@@ -958,11 +987,11 @@ GOLDEN_CSV = {
         "for the lorentz profile\n"
         "# q=1.0 q_ph=0.08886210197934946\n"
         "r,V,profile_tag\n"
-        "0.10000000000000001,-0.0062342359560379895,box(k1=1,k2=100)\n"
-        "0.56234132519034907,-0.00071240660984403395,box(k1=1,k2=100)\n"
-        "3.1622776601683795,3.5366913622240544e-05,box(k1=1,k2=100)\n"
-        "17.782794100389228,-5.335285770448007e-07,box(k1=1,k2=100)\n"
-        "100,-3.466778076569938e-08,box(k1=1,k2=100)\n"),
+        "0.10000000000000001,-0.0062342359560379895,\"box(k1=1,k2=100)\"\n"
+        "0.56234132519034907,-0.00071240660984403395,\"box(k1=1,k2=100)\"\n"
+        "3.1622776601683795,3.5366913622240544e-05,\"box(k1=1,k2=100)\"\n"
+        "17.782794100389228,-5.335285770448007e-07,\"box(k1=1,k2=100)\"\n"
+        "100,-3.466778076569938e-08,\"box(k1=1,k2=100)\"\n"),
     ("coulomb", "--samples", "5", "--profile", "lorentz"): (
         "# vacuumlab 0.1.0\n"
         "# V(r) = -q_ph^2/(4 pi r) * (2/pi)(Si(k2 r) - Si(k1 r)) "
@@ -972,14 +1001,14 @@ GOLDEN_CSV = {
         "# q=1.0 q_ph=0.0062769084008508875\n"
         "r,V,profile_tag\n"
         "0.10000000000000001,-3.1195883806590001e-05,"
-        "lorentz(lambda2=1e-06,y0=0.001)\n"
+        "\"lorentz(lambda2=1e-06,y0=0.001)\"\n"
         "0.56234132519034907,-5.5636577382813729e-06,"
-        "lorentz(lambda2=1e-06,y0=0.001)\n"
+        "\"lorentz(lambda2=1e-06,y0=0.001)\"\n"
         "3.1622776601683795,-9.8005425103126706e-07,"
-        "lorentz(lambda2=1e-06,y0=0.001)\n"
+        "\"lorentz(lambda2=1e-06,y0=0.001)\"\n"
         "17.782794100389228,-1.6689471444077756e-07,"
-        "lorentz(lambda2=1e-06,y0=0.001)\n"
-        "100,-2.5043612253775824e-08,lorentz(lambda2=1e-06,y0=0.001)\n"),
+        "\"lorentz(lambda2=1e-06,y0=0.001)\"\n"
+        "100,-2.5043612253775824e-08,\"lorentz(lambda2=1e-06,y0=0.001)\"\n"),
     ("stats", "--nmax", "3"): (
         "# vacuumlab 0.1.0\n"
         "# p_renyi: (1/n!) d^n/dl^n (sum p e^{l w/N})^N at l=-1\n"

@@ -186,6 +186,29 @@ class TestFiltering:
         assert filtering_integral(fam, f) == pytest.approx(limit, rel=1e-10,
                                                            abs=1e-12)
 
+    def test_shift_below_2_53_is_swept(self):
+        fam = DeltaFamily(DeltaShape.SHIFTED_PAIR, n=1, j=2 ** 52)
+        assert filtering_integral(fam, np.cos) == pytest.approx(1.0,
+                                                                rel=1e-10)
+        assert product_filtering_integral([fam], np.cos).value \
+            == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("j", [2 ** 53, 1e20, 1e160],
+                             ids=["2^53", "1e20", "1e160"])
+    def test_shift_from_2_53_raises(self, j):
+        # j/n +- 1/n round onto j/n: cos gave 0.5 at 2^53 and 0.0 at 1e20,
+        # and at 1e160 the sweep's n^2 overflowed (OverflowError)
+        calls = []
+        f = lambda k: calls.append(k) or np.cos(k)
+        fam = DeltaFamily(DeltaShape.SHIFTED_PAIR, n=1, j=j)
+        with pytest.raises(DomainError):
+            filtering_integral(fam, f)
+        with pytest.raises(DomainError):
+            product_filtering_integral([fam], f)
+        with pytest.raises(DomainError):
+            product_filtering_integral([fam, fam], f)
+        assert calls == []
+
 
 class TestPowers:
     ONE = staticmethod(lambda k: 1.0)

@@ -1,10 +1,12 @@
 """The package's one quadrature rule, Gauss-Legendre, against 40-digit
 mpmath, and the rules on the package's source: no module imports
 scipy.integrate, scipy.optimize, scipy.sparse, scipy.linalg, decimal or
-fractions, no module derives a Gauss-Legendre rule, neither a fresh import
-of the CLI nor a validate run loads any of those four subpackages, the CLI
-or validate reaches every definition, and some caller sets every defaulted
-parameter; and the rule on the tests: no test module imports hypothesis."""
+fractions, no module derives a Gauss-Legendre rule, no module but specfun
+reaches scipy's real-axis Bessel K (coulomb's complex K0 aside), neither a
+fresh import of the CLI nor a validate run loads any of those four
+subpackages, the CLI or validate reaches every definition, and some caller
+sets every defaulted parameter; and the rule on the tests: no test module
+imports hypothesis."""
 
 import ast
 import json
@@ -178,6 +180,37 @@ def test_only_numerics_builds_a_gauss_legendre_rule():
     offenders = {path.name: _references(path.read_text(), "leggauss")
                  for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+# real-axis Bessel K of scipy.special: specfun's Gamma(n, 0, b) recurrence
+# is the package's one path to them; kve also serves coulomb's complex K0
+_REAL_AXIS_BESSEL_K = ("kv", "kn", "k0e", "k1e")
+
+
+def test_rule_detector_sees_every_bessel_k_form():
+    for name in (*_REAL_AXIS_BESSEL_K, "kve"):
+        for source in (f"from scipy.special import {name}",
+                       f"from scipy.special import {name} as k",
+                       f"import scipy.special\nscipy.special.{name}(1, x)",
+                       f"def f(x):\n    from scipy import special\n"
+                       f"    return special.{name}(2, x)"):
+            assert _references(source, name), source
+        for source in (f"x = '{name}'", f"from scipy.special import {name}p",
+                       f"{name}p(1, x)"):
+            assert not _references(source, name), source
+
+
+def test_only_specfun_calls_real_axis_bessel_k():
+    package = Path(numerics.__file__).parent
+    sources = {path.stem: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    found = {(mod, name): _references(src, name)
+             for mod, src in sources.items()
+             for name in (*_REAL_AXIS_BESSEL_K, "kve")}
+    allowed = {("specfun", name) for name in (*_REAL_AXIS_BESSEL_K, "kve")}
+    allowed.add(("coulomb", "kve"))
+    assert {key: lines for key, lines in found.items()
+            if lines and key not in allowed} == {}
 
 
 def test_rule_detector_sees_every_exact_arithmetic_import_form():

@@ -22,7 +22,8 @@ from seeded import cases, draw_modes, draws, log_uniform  # noqa: E402
 from vacuumlab import (casimir, cavity, coulomb, oscillator,  # noqa: E402
                        vacuum)
 from vacuumlab.errors import DomainError  # noqa: E402
-from vacuumlab.specfun import gamma_from_zero  # noqa: E402
+from vacuumlab.specfun import (gamma_from_zero,  # noqa: E402
+                               gamma_from_zero_scaled)
 
 EPS = float(np.finfo(float).eps)
 DPS = 40
@@ -234,17 +235,37 @@ GAMMA_ALPHAS = (1, 2, 4)
 
 
 @pytest.mark.parametrize("alpha, b", cases(
-    # the ends of the range, for each alpha
-    [(alpha, b) for alpha in GAMMA_ALPHAS for b in (1e-300, 1.0)],
+    # the ends of the range, for each alpha, and the profile's largest
+    # lambda^2, where the value nears the bottom of the normal range
+    [(alpha, b) for alpha in GAMMA_ALPHAS
+     for b in (1e-300, 1.0, 1e5, 1.26e5)],
     draws(1407, 150, lambda rng: (GAMMA_ALPHAS[rng.integers(3)],
-                                  log_uniform(rng, 1e-300, 1.0)))))
+                                  log_uniform(rng, 1e-300, 1.0)))
+    + draws(1428, 150, lambda rng: (GAMMA_ALPHAS[rng.integers(3)],
+                                    log_uniform(rng, 1.0, 1.26e5)))))
 def test_gamma_from_zero_matches_mpmath(alpha, b):
     with mp.workdps(DPS):
         bb = mp.mpf(b)
         ref = float(2 * bb ** (mp.mpf(alpha) / 2)
                     * mp.besselk(alpha, 2 * mp.sqrt(bb)))
-    assert gamma_from_zero(float(alpha), b) == pytest.approx(ref, rel=1e-14,
-                                                            abs=0)
+    assert gamma_from_zero(alpha, b) == pytest.approx(ref, rel=2e-15, abs=0)
+
+
+@pytest.mark.parametrize("n, b", cases(
+    # the ends of the kernel's domain, below 2^56, for each n
+    [(n, b) for n in (0, *GAMMA_ALPHAS)
+     for b in (1e-300, math.nextafter(2.0 ** 56, 0.0))],
+    draws(1429, 100, lambda rng: (int(rng.choice((0, *GAMMA_ALPHAS))),
+                                  log_uniform(rng, 1e-300, 2.0 ** 56)))))
+def test_gamma_from_zero_scaled_matches_mpmath(n, b):
+    # 2 h^n e^(2h) K_n(2h) at the rounded h = sqrt(b); past b ~ 1.26e5,
+    # where gamma_from_zero underflows, only the scaled value is a double
+    h = math.sqrt(b)
+    with mp.workdps(DPS):
+        hh = mp.mpf(h)
+        ref = float(2 * hh ** n * mp.exp(2 * hh) * mp.besselk(n, 2 * hh))
+    assert gamma_from_zero_scaled(n, b) == pytest.approx(ref, rel=2e-15,
+                                                         abs=0)
 
 
 # ------------------------------------------------------- profile moments
