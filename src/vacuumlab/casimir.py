@@ -9,8 +9,8 @@ r(k) = 1/(1 - 2ik/alpha)^2):
   1e-191 <= alpha L <= 2e4 (the 63-term matrix it replaced returned wrong
   numbers below alpha L ~ 1e-155), in ~25 us per call at alpha L >= 10;
 * quadrature: p = (1/2pi) int_0^inf k [(1-|r|^2)/|1 - r e^{2ikL}|^2 - 1] dk
-  on Gauss-Legendre panels graded into k = 0 and the first 24 peaks of the
-  real axis, then along a vertical contour; within 1.1e-12 relative of an
+  on Gauss-Legendre panels graded into k = 0 and the first peak of the
+  real axis, then along a vertical contour; within 2e-14 relative of an
   mpmath reference for 1e-70 <= alpha L <= 1e76, for a float pair or for
   arrays of (alpha, L) pairs in one call (pressure_1p1_quad);
 * Dirichlet comb: the cutoff-regularized mode-sum-minus-integral closed form
@@ -132,9 +132,9 @@ def pressure_1p1_series(alpha: float, L: float) -> float:
 # resonance peaks graded on the real axis, past k = 0; the rest of the axis
 # is taken on the vertical contour.  Panels are evaluated a block at a time:
 # 256-panel blocks keep the temporaries (5120 nodes, 40 kB each) in cache and
-# measured 1.5x as fast as 2048-panel blocks at alpha L = 1e4 (1.3x at 1e76)
-# and faster than 512- or 1024-panel blocks on validate's grid.
-_PEAKS = 24
+# measured 1.6x as fast as 2048-panel blocks at alpha L = 1e76 (1,028
+# panels), and within 10% of 512- to 2048-panel blocks on validate's grid.
+_PEAKS = 1
 _PANEL_BLOCK = 256
 # the alpha L range of pressure_1p1_quad, a factor ~3e3 inside the points
 # where u^4 in its integrand leaves the normal double range: it overflows
@@ -253,8 +253,10 @@ def _contour_tail(K, alpha):
     The continued integrand decays like e^{-2x} and its nearest
     singularities lie about pi/2 off the real x-axis, so one fixed rule,
     20-point Gauss-Legendre panels on [0, 1/8, 1/4, ..., 32] (e^-64 at the
-    end), takes it to rounding.  K and alpha are floats or arrays of one
-    shape; each pair's 180 nodes are summed on their own."""
+    end), takes it to rounding.  The phase 2K is a rounded double, and its
+    error enters amplified by K, so the start K = (k_1 + k_2)/2, between
+    pi and 3pi/2, keeps that error at rounding.  K and alpha are floats or
+    arrays of one shape; each pair's 180 nodes are summed on their own."""
     x, wx, decay = _tail_rule()
     K, alpha = (np.asarray(v)[..., None] for v in (K, alpha))
     k = K + 1j * x
@@ -272,35 +274,37 @@ def pressure_1p1_quad(alpha, L):
     integrand k/(2pi) [(1-|r|^2)/|1-r e^{2ikL}|^2 - 1], equal to
     (k/pi) Re[w/(1-w)], peaks at k_m where k_m L + atan(2k_m/alpha) = m pi,
     with width (1-rho)/(2L sqrt(rho)), rho = |r|.  The real axis is
-    integrated up to K, halfway between the 24th and 25th peaks, for every
-    alpha and L.  Around k = 0 and each of the 24 peaks the panel edges sit
-    at offsets doubling from that width (from 1e-6 min(alpha, 1/L) at
-    k = 0) out to the midpoints between neighbouring peaks; each cell is
-    one 20-point Gauss-Legendre panel.  On the correctly rounded rule
-    (numerics.gauss_legendre), 2 or 4 panels per cell move the result no more
-    than each other, by the rounding of the sum: <= 2.2e-13 relative up to
-    alpha L = 1e8.  Nodes are kept as offsets d from their peak, and the
-    phase enters through tan(dL) alone (_mode_density), so the narrowest
-    peak is resolved as finely as a broad one.  Past K the remainder is
-    taken along the vertical contour k = K + ix/L, where the continued
-    integrand decays like e^{-2x} and is pole-free (all resonances lie in
-    the lower half-plane), on 9 fixed Gauss-Legendre panels out to x = 32
-    (_contour_tail); at K the phase is near pi/2, so |1 - w| >= 1 there.
+    integrated up to K, halfway between the first and second peaks, for
+    every alpha and L.  Around k = 0 and the first peak, the narrowest one
+    (half-width ~u_1^2/2, 2e-7 at alpha L = 1e4), the panel edges sit at
+    offsets doubling from that width (from 1e-6 min(alpha, 1/L) at k = 0)
+    out to the midpoint between them and out to K; each cell is one
+    20-point Gauss-Legendre panel.  On the correctly rounded rule
+    (numerics.gauss_legendre), 2 or 4 panels per cell move the result no
+    more than each other, by the rounding of the sum: <= 7.8e-15 relative
+    over 400 seeded draws of the domain.  Nodes are kept as offsets d from
+    their peak, and the phase enters through tan(dL) alone (_mode_density),
+    so the narrowest peak is resolved as finely as a broad one.  Past K the
+    remainder, every later peak included, is taken along the vertical
+    contour k = K + ix/L, where the continued integrand decays like e^{-2x}
+    and is pole-free (all resonances lie in the lower half-plane), on 9
+    fixed Gauss-Legendre panels out to x = 32 (_contour_tail); at K the
+    phase is near pi/2, so |1 - w| >= 1 there.
 
     All pairs share one Newton solve for their peaks, one panel builder
     and one contour tail.  Their panels are evaluated together, at most
     256 at a time (_PANEL_BLOCK); each panel's 20 nodes are added in order
     and each pair's panel sums pairwise, so a pair gets the same bits alone
     or among others.  The work grows only with the depth of the grading,
-    by the same ~320 panels per decade of alpha L: 876 panels at
-    alpha L = 1e4, 1,832 at 1e7 and 23,842 at 1e76, which a float call
-    takes in about 0.54, 0.95 and 12 ms on a 2-vCPU KVM machine;
-    validate's 10 pairs take about 2.0 ms in one call.  Within 1.1e-12
+    by the same ~13 panels per decade of alpha L: 70 panels at
+    alpha L = 1e4, 110 at 1e7 and 1,028 at 1e76, which a float call takes
+    in about 0.14, 0.15 and 0.55 ms on a 2-vCPU KVM machine; validate's 10
+    pairs (473 panels) take about 0.36 ms in one call.  Within 2e-14
     relative of a 30-digit mpmath reference for 1e-70 <= alpha L <= 1e76
-    (6.4e-13, the worst of 950 seeded draws with L from 1e-3 to 1e3,
-    against pressure_1p1_series, itself within 5.3e-16 of mpmath); outside
-    that range u^4 in the integrand leaves the double range, and
-    DomainError is raised, as it is for L outside 1e-150..1e150
+    (3.5e-15 over 48 cases; 6.2e-15, the worst of 6,000 seeded draws with
+    L from 1e-3 to 1e3, against pressure_1p1_series, itself within 5.3e-16
+    of mpmath); outside that range u^4 in the integrand leaves the double
+    range, and DomainError is raised, as it is for L outside 1e-150..1e150
     (_GAP_RANGE) and for a subnormal p, if any one pair is outside.
     """
     scalar = np.ndim(alpha) == 0 and np.ndim(L) == 0
@@ -318,8 +322,8 @@ def pressure_1p1_quad(alpha, L):
     beta = alpha * L
     n = len(beta)
     k_m = _peak_positions(beta, _PEAKS + 1)
-    # centres k = 0, k_1 .. k_24 (k = 0 is graded like a peak) and the cell
-    # bounds between them, the last one between k_24 and k_25
+    # centres k = 0 and k_1 (k = 0 is graded like a peak) and the cell
+    # bounds between them, the last one, K, between k_1 and k_2
     centres = np.zeros((n, _PEAKS + 1))
     centres[:, 1:] = k_m[:, :-1]
     bounds = 0.5 * (centres + k_m)

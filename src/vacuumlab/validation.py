@@ -110,11 +110,11 @@ def check_casimir_1p1_oracle() -> list[CriterionResult]:
     quad = casimir.pressure_1p1_quad(*np.array(pairs).T)
     deviation = [abs(series[key] - pq) / abs(series[key])
                  for key, pq in zip(pairs, quad.tolist())]
-    out.append(_crit("series_vs_quad_rel", 0.0, max(deviation[:-1]), 3e-11))
+    out.append(_crit("series_vs_quad_rel", 0.0, max(deviation[:-1]), 1e-13))
     # narrow resonances (width ~ 2e-7 at the first peak), where the quadrature
     # must track the true peak positions
     out.append(_crit("series_vs_quad_rel_alpha=1e4", 0.0, deviation[-1],
-                     3e-11))
+                     1e-13))
     # alpha sweep at L = 1: the ratio to the Dirichlet endpoint
     # -pi/(24 L^2) rises to 1 as 1 - 4/(alpha L) + O((alpha L)^-2).  At
     # alpha L = 1e2, where the cut expansion is not exact, (1 - ratio)

@@ -20,7 +20,7 @@ class TestOneDimensionalPressure:
     def test_series_equals_quadrature(self, alpha, L):
         ps = pressure_1p1_series(alpha, L)
         pq = pressure_1p1_quad(alpha, L)
-        assert abs(ps - pq) / abs(ps) < 1e-11
+        assert abs(ps - pq) / abs(ps) < 2e-14
 
     def test_transparent_limit(self):
         assert abs(pressure_1p1_series(1e-4, 1.0)) < 1e-7
@@ -89,9 +89,9 @@ class TestOneDimensionalPressure:
         # weak barriers: the series; the Dirichlet limit -pi/(24 L^2) holds
         # to 1/(alpha L), far below rounding at alpha L = 1e76
         assert pressure_1p1_quad(1e-70, 1.0) == pytest.approx(
-            pressure_1p1_series(1e-70, 1.0), rel=1e-12, abs=0.0)
+            pressure_1p1_series(1e-70, 1.0), rel=2e-14, abs=0.0)
         assert pressure_1p1_quad(5e75, 2.0) == pytest.approx(
-            -math.pi / (24.0 * 4.0), rel=1e-11, abs=0.0)
+            -math.pi / (24.0 * 4.0), rel=2e-14, abs=0.0)
 
     def test_quadrature_no_integration_warning(self):
         # alpha L = 2e7 used to end in an IntegrationWarning after 85 s
@@ -99,7 +99,7 @@ class TestOneDimensionalPressure:
             warnings.simplefilter("error")
             pq = pressure_1p1_quad(1e6, 20.0)
         ps = pressure_1p1_series(1e6, 20.0)
-        assert abs(pq - ps) <= 1e-11 * abs(ps)
+        assert abs(pq - ps) <= 2e-14 * abs(ps)
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-10, 1e10, 1e100])
     def test_quadrature_depends_on_alpha_L_only(self, scale):
@@ -110,9 +110,9 @@ class TestOneDimensionalPressure:
             == pytest.approx(p1, rel=1e-14, abs=0.0)
 
     def test_quadrature_work_grows_with_log_alpha_L(self, monkeypatch):
-        # 24 peaks at any alpha L (the old grid took in 0.3 alpha L/pi of
-        # them); only their grading deepens, by the same count per decade,
-        # as the first peaks narrow
+        # one peak at any alpha L (the old grid took in 0.3 alpha L/pi of
+        # them); only its grading deepens, by the same count per decade,
+        # as the first peak narrows
         from vacuumlab import casimir
 
         nodes = []
@@ -133,9 +133,10 @@ class TestOneDimensionalPressure:
         assert work[1e76] - work[1e7] < 69 * 1.1 * per_decade
 
     def test_quadrature_panel_counts(self, monkeypatch):
-        # cost guard: 1 panel per doubling cell, half of the 1,752 and
-        # 47,684 panels that 2 per cell took; on the correctly rounded rule
-        # a second panel moved the result no more than the sum's rounding
+        # cost guard: 1 panel per doubling cell around k = 0 and the first
+        # peak, the contour tail past them; on the correctly rounded rule
+        # more peaks or panels moved the result no more than the sum's
+        # rounding
         from vacuumlab import casimir
 
         panels = []
@@ -147,9 +148,14 @@ class TestOneDimensionalPressure:
             return owner, lo, hi
 
         monkeypatch.setattr(casimir, "_peak_panels", counting)
-        for alpha_L, count in ((1e4, 876), (1e76, 23842)):
+        for alpha_L, count in ((1e4, 70), (1e76, 1028)):
             pressure_1p1_quad(alpha_L, 1.0)
             assert panels.pop() == count
+        # validate's 10 pairs, in its one array call
+        pairs = [(alpha, L) for alpha in (10.0, 100.0, 1000.0)
+                 for L in (0.5, 1.0, 2.0)] + [(1e4, 1.0)]
+        pressure_1p1_quad(*np.array(pairs).T)
+        assert panels.pop() == 473
 
     def test_float_call_has_the_bits_of_an_array_call(self):
         # validate's grid and both ends of the domain, in one array
@@ -186,21 +192,25 @@ class TestOneDimensionalPressure:
 
     def test_quadrature_scan_against_the_series(self):
         # one array call over the whole accepted domain: alpha L
-        # log-uniform in [1e-70, 1e76], L in [1e-3, 1e3]; the series is
-        # within 5.3e-16 of mpmath there
+        # log-uniform in [1e-70, 1e76], L in [1e-3, 1e3], then L = 1e3 with
+        # alpha L from 1e40 to 1e76, where 24 graded peaks were worst
+        # (~6e-13); the series is within 5.3e-16 of mpmath there.  Worst
+        # measured 6.2e-15 over 6,000 draws
         rng = np.random.default_rng(31)
-        alpha_L = 10.0 ** rng.uniform(-70.0, 76.0, 30)
-        L = 10.0 ** rng.uniform(-3.0, 3.0, 30)
+        alpha_L = np.concatenate((10.0 ** rng.uniform(-70.0, 76.0, 30),
+                                  np.logspace(40.0, 76.0, 10)))
+        L = np.concatenate((10.0 ** rng.uniform(-3.0, 3.0, 30),
+                            np.full(10, 1e3)))
         pq = pressure_1p1_quad(alpha_L / L, L)
         ps = np.array([pressure_1p1_series(a, gap)
                        for a, gap in zip((alpha_L / L).tolist(), L.tolist())])
-        assert np.max(np.abs(pq - ps) / np.abs(ps)) <= 1.1e-12
+        assert np.max(np.abs(pq - ps) / np.abs(ps)) <= 2e-14
 
     def test_contour_tail_matches_mpmath(self):
         # the fixed rule past K against 20-digit tanh-sinh on the same
         # contour k = K + ix at L = 1; the phase is the double 2K the
-        # library forms, whose rounding (amplified by K ~ 77) belongs to the
-        # start of the contour, not to the rule
+        # library forms, whose rounding (amplified by K, between pi and
+        # 3 pi/2) belongs to the start of the contour, not to the rule
         mp = pytest.importorskip("mpmath")
         from vacuumlab.casimir import _PEAKS, _contour_tail, _peak_positions
 
