@@ -133,7 +133,8 @@ def pressure_1p1_series(alpha: float, L: float) -> float:
 # is taken on the vertical contour.  Panels are evaluated a block at a time:
 # 256-panel blocks keep the temporaries (5120 nodes, 40 kB each) in cache and
 # measured 1.6x as fast as 2048-panel blocks at alpha L = 1e76 (1,028
-# panels), and within 10% of 512- to 2048-panel blocks on validate's grid.
+# panels).  512-panel blocks measured 5-8% faster than 256 both there and on
+# validate's grid (473 panels); 256 is kept for now.
 _PEAKS = 1
 _PANEL_BLOCK = 256
 # the alpha L range of pressure_1p1_quad, a factor ~3e3 inside the points
@@ -301,7 +302,7 @@ def pressure_1p1_quad(alpha, L):
     in about 0.14, 0.15 and 0.55 ms on a 2-vCPU KVM machine; validate's 10
     pairs (473 panels) take about 0.36 ms in one call.  Within 2e-14
     relative of a 30-digit mpmath reference for 1e-70 <= alpha L <= 1e76
-    (3.5e-15 over 48 cases; 6.2e-15, the worst of 6,000 seeded draws with
+    (3.5e-15 over 51 cases; 6.2e-15, the worst of 6,000 seeded draws with
     L from 1e-3 to 1e3, against pressure_1p1_series, itself within 5.3e-16
     of mpmath); outside that range u^4 in the integrand leaves the double
     range, and DomainError is raised, as it is for L outside 1e-150..1e150

@@ -64,10 +64,8 @@ def _csv_lines(rows: list[tuple]) -> str:
     """The rows as CSV lines, each ending in a newline.  A column of floats
     is written by %.17g, which gives the bytes of format(x, ".17g") for
     every float, and a column without floats as str(x), quoted
-    (_quoted) once per distinct cell: a column of one text is a literal of
-    the line format, and a column none of whose texts needs quoting goes
-    to %s as it is.  A column that mixes floats with other types, or a
-    ragged row, raises ValueError."""
+    (_quoted) once per distinct cell; a column that mixes floats with
+    other types, or a ragged row, raises ValueError."""
     specs, columns = [], []
     for column in zip(*rows, strict=True):
         types = set(map(type, column))
@@ -76,14 +74,10 @@ def _csv_lines(rows: list[tuple]) -> str:
         elif any(issubclass(t, float) for t in types):
             raise ValueError(f"a CSV column mixes floats with {types}")
         else:
+            specs.append("%s")
             texts = list(map(str, column))
             quoted = {text: _quoted(text) for text in set(texts)}
-            if len(quoted) == 1:
-                specs.append(quoted.popitem()[1].replace("%", "%%"))
-                continue
-            specs.append("%s")
-            if any(text != cell for text, cell in quoted.items()):
-                column = list(map(quoted.__getitem__, texts))
+            column = list(map(quoted.__getitem__, texts))
         columns.append(column)
     line = ",".join(specs) + "\n"
     return (line * len(rows)) \

@@ -193,9 +193,9 @@ class TestOneDimensionalPressure:
     def test_quadrature_scan_against_the_series(self):
         # one array call over the whole accepted domain: alpha L
         # log-uniform in [1e-70, 1e76], L in [1e-3, 1e3], then L = 1e3 with
-        # alpha L from 1e40 to 1e76, where 24 graded peaks were worst
-        # (~6e-13); the series is within 5.3e-16 of mpmath there.  Worst
-        # measured 6.2e-15 over 6,000 draws
+        # alpha L from 1e40 to 1e76, the former worst region; the series is
+        # within 5.3e-16 of mpmath there.  Worst measured 6.2e-15 over 6,000
+        # draws
         rng = np.random.default_rng(31)
         alpha_L = np.concatenate((10.0 ** rng.uniform(-70.0, 76.0, 30),
                                   np.logspace(40.0, 76.0, 10)))

@@ -959,8 +959,8 @@ class TestCsvWriter:
     @pytest.mark.parametrize("tag", ["box", "box(k1=1,k2=100)", "100%",
                                      '"%s", 50%'])
     def test_constant_text_column(self, capsys, tag):
-        # one text throughout is a literal of the line format: a % in it
-        # stays a %, and it is quoted as any other cell
+        # one text throughout, as coulomb's tag column: quoted as any other
+        # cell, and a % in it stays a %
         rows = [(0.5, tag), (2.0, tag), (1e300, tag)]
         lines = self.written(capsys, rows)
         assert [row[1] for row in csv.reader(lines)] == [tag] * 3

@@ -237,8 +237,8 @@ GAMMA_ALPHAS = (1, 2, 4)
 @pytest.mark.parametrize("alpha, b", cases(
     # the ends of the range, for each alpha, the profile's largest
     # lambda^2, where the value nears the bottom of the normal range, and
-    # two points near 2 sqrt(b) = 2 where kve(0, .) and kve(1, .) seeds
-    # left Gamma(1, 0, b) 2.4e-15 and 2.5e-15 off (worst now 1.4e-15)
+    # two points near 2 sqrt(b) = 2, the former worst of Gamma(1, 0, b),
+    # where the seeds must be K_0 and K_1 good to a few eps
     [(alpha, b) for alpha in GAMMA_ALPHAS
      for b in (1e-300, 0.957325, 0.9737, 1.0, 1e5, 1.26e5)],
     draws(1407, 150, lambda rng: (GAMMA_ALPHAS[rng.integers(3)],
@@ -427,18 +427,15 @@ def test_casimir_series_matches_mpmath(alpha_L, alpha):
 
 @pytest.mark.parametrize("alpha_L, L", cases(
     [(2e4, 2.0), (1e5, 1.0), (2e7, 20.0),
-     # the worst points of a 71-point scan, L from 1e-3 to 1e3, when the
-     # real axis was graded through 24 peaks
+     # former worst points: a large phase K L at small and large L
      (6.59e17, 1.49e-3), (2.44e67, 0.111),
-     # where 24 graded peaks were worst, 5.7e-13 off: L = 1e3 and large
-     # alpha L
      (1e40, 1e3), (1e52, 1e3), (1e64, 1e3), (1e76, 1e3),
      # the ends of the ranges
      (1e-70, 0.05), (1e76, 20.0)],
     draws(1411, 40, draw_casimir_quad)))
 def test_casimir_quadrature_matches_mpmath(alpha_L, L):
-    # worst measured 3.5e-15 over these cases (4.7e-13 with 24 graded
-    # peaks), 6.2e-15 over 6,000 draws against the series
+    # worst measured 3.5e-15 over these cases, 6.2e-15 over 6,000 draws
+    # against the series
     alpha = alpha_L / L
     ref = mp_casimir_reference(alpha, L)
     assert abs(casimir.pressure_1p1_quad(alpha, L) - ref) <= 2e-14 * abs(ref)
